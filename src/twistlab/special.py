@@ -9,13 +9,21 @@ additive/multiplicative twist conversions.
 
 Characters are built from a primitive root, so any modulus with a cyclic
 unit group works; the verification chain only uses modulus 1, 4 and odd
-primes.  All evaluation is stateless given the (immutable) index table, so
-concurrent callers are fine.
+primes.
+
+Hurwitz zeta values are memoised in a bounded LRU cache keyed by the exact
+arguments and the working precision, so a run evaluates each value once no
+matter how many twists, contour nodes or shadow checks ask for it.  Cached
+values are immutable mpmath numbers and the cache is thread-safe, so
+concurrent callers are fine; everything else is stateless given the
+(immutable) index table.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import mpmath as mp
@@ -39,41 +47,52 @@ def unit_phase(x: Fraction) -> mp.mpc:
     return mp.expjpi(2 * mp.mpmathify(Fraction(x)))
 
 
+def _precision_context(precision: int | None):
+    """``precision`` bits for the block, or the ambient precision if None."""
+    return mp.workprec(precision) if precision else nullcontext()
+
+
 def gamma_complex(s, precision: int | None = None) -> mp.mpc:
     """Gamma(s) for complex s; raises PoleError at nonpositive integers."""
-    s = mp.mpc(s)
-    if mp.im(s) == 0:
-        re = mp.re(s)
-        if re <= 0 and re == mp.floor(re):
-            raise PoleError(f"gamma pole at s={s}")
-    ctx = mp.workprec(precision) if precision else _null_context()
-    with ctx:
+    with _precision_context(precision):
+        s = mp.mpc(mp.mpmathify(s))
+        if mp.im(s) == 0:
+            re = mp.re(s)
+            if re <= 0 and re == mp.floor(re):
+                raise PoleError(f"gamma pole at s={s}")
         try:
             return mp.mpc(mp.gamma(s))
         except ValueError as exc:  # mpmath's own pole detection
             raise PoleError(f"gamma pole at s={s}") from exc
 
 
+#: Distinct Hurwitz values kept; one denominator's contour nodes times its
+#: numerators (256 x 24 at the largest allowed q) fit with room to spare.
+_HURWITZ_CACHE_SIZE = 1 << 13
+
+
+@lru_cache(maxsize=_HURWITZ_CACHE_SIZE)
+def _hurwitz_memo(s_mpc: tuple, a_mpf: tuple, prec: int) -> mp.mpc:
+    """mp.zeta(s, a) at ``prec`` bits, keyed by the exact mpmath values."""
+    with mp.workprec(prec):
+        return mp.mpc(mp.zeta(mp.make_mpc(s_mpc), mp.make_mpf(a_mpf)))
+
+
 def hurwitz_zeta(s, a, precision: int | None = None) -> mp.mpc:
     """Hurwitz zeta(s, a) for a > 0 (contract range a in (0, 1]);
-    raises PoleError at s = 1."""
-    s = mp.mpc(s)
-    a = mp.mpmathify(a)
-    if a <= 0:
-        raise ValueError(f"need a > 0, got a={a}")
-    if s == 1:
-        raise PoleError("Hurwitz zeta pole at s=1")
-    ctx = mp.workprec(precision) if precision else _null_context()
-    with ctx:
-        return mp.mpc(mp.zeta(s, a))
+    raises PoleError at s = 1.
 
-
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
+    The arguments are converted at the requested precision, and the value
+    is memoised on (s, a, precision) exactly.
+    """
+    with _precision_context(precision):
+        s = mp.mpc(mp.mpmathify(s))
+        a = mp.mpmathify(a)
+        if a <= 0:
+            raise ValueError(f"need a > 0, got a={a}")
+        if s == 1:
+            raise PoleError("Hurwitz zeta pole at s=1")
+        return _hurwitz_memo(s._mpc_, a._mpf_, mp.mp.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +207,7 @@ def dirichlet_l(s, chi: DirichletCharacter, precision: int | None = None) -> mp.
     if chi.is_principal and s == 1:
         raise PoleError("L(s, principal) pole at s=1")
     m = chi.modulus
-    ctx = mp.workprec(precision) if precision else _null_context()
-    with ctx:
+    with _precision_context(precision):
         total = mp.mpc(0)
         for a in range(1, m + 1):
             e = chi.exponent_of(a)

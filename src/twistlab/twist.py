@@ -21,15 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable
 
 import mpmath as mp
-import numpy as np
 
 from .special import (
     DirichletCharacter,
     PoleError,
+    _precision_context,
     characters_mod,
     gauss_sum,
     hurwitz_zeta,
@@ -95,27 +95,30 @@ class DivisorStream(CoefficientStream):
 
     def __init__(self):
         super().__init__(fn=None, label="divisor function")
-        self._values = np.zeros(1, dtype=np.int64)
+        self._values = [0]
 
     def ensure(self, n_max: int) -> None:
         if n_max < len(self._values):
             return
         size = max(n_max + 1, 2 * len(self._values))
-        counts = np.zeros(size, dtype=np.int64)
-        for i in range(1, size):
-            counts[i::i] += 1
-        counts[0] = 0
+        # every divisor pair i < n/i of n below size is counted once, for i
+        # up to sqrt(n); a square n = i*i adds its lone middle divisor
+        counts = [0] * size
+        for i in range(1, isqrt(size - 1) + 1):
+            counts[i * i] += 1
+            for n in range(i * (i + 1), size, i):
+                counts[n] += 2
         self._values = counts
 
     def a(self, n: int) -> int:
         if n < 1:
             raise ValueError("coefficients are indexed from n = 1")
         self.ensure(n)
-        return int(self._values[n])
+        return self._values[n]
 
     def values(self, n_max: int) -> list:
         self.ensure(n_max)
-        return self._values[1 : n_max + 1].tolist()
+        return self._values[1 : n_max + 1]
 
     def tail_bound(self, n_max: int, sigma) -> mp.mpf:
         """Integral estimate of sum_{n>N} d(n) n^-sigma from the mean value
@@ -218,47 +221,44 @@ def twist_smoothed(
     return total
 
 
-def zeta2_twist_oracle(s, alpha, precision: int | None = None) -> mp.mpc:
-    """Analytic continuation of the divisor-stream twist to s != 1.
+def _divisor_twist_kernel(s, q: int, numerators, precision: int | None) -> list[mp.mpc]:
+    """F(s, b/q) = q^(-2s) sum_{u,v=1}^{q} e(-u v b/q) zeta(s, u/q) zeta(s, v/q)
+    for each b in ``numerators``.
 
-    Evaluates the q^2-term Hurwitz-zeta combination at the ambient (or given)
-    precision; raises PoleError at the double pole s = 1.
+    The q Hurwitz values and the q-th roots of unity are computed once and
+    shared by every numerator; raises PoleError at the double pole s = 1.
     """
-    s = mp.mpc(s)
-    if s == 1:
-        raise PoleError("the twisted series has its double pole at s=1")
-    alpha = reduce_mod_one(alpha)
-    q = alpha.denominator
-    ctx = mp.workprec(precision) if precision else mp.extraprec(0)
-    with ctx:
-        hurwitz = [hurwitz_zeta(s, Fraction(u, q)) for u in range(1, q + 1)]
-        total = mp.mpc(0)
-        for u in range(1, q + 1):
-            for v in range(1, q + 1):
-                phase = unit_phase(reduce_mod_one(-Fraction(u * v, 1) * alpha))
-                total += phase * hurwitz[u - 1] * hurwitz[v - 1]
-        return mp.power(q, -2 * s) * total
-
-
-def zeta2_twist_batch(s, q: int, precision: int | None = None) -> list[mp.mpc]:
-    """All continued divisor twists F(s, b/q) for b = 0..q-1 at once,
-    sharing the q Hurwitz-zeta evaluations; raises PoleError at s = 1."""
-    s = mp.mpc(s)
-    if s == 1:
-        raise PoleError("the twisted series has its double pole at s=1")
-    ctx = mp.workprec(precision) if precision else mp.extraprec(0)
-    with ctx:
+    with _precision_context(precision):
+        s = mp.mpc(s)
+        if s == 1:
+            raise PoleError("the twisted series has its double pole at s=1")
         hurwitz = [hurwitz_zeta(s, Fraction(u, q)) for u in range(1, q + 1)]
         roots = [unit_phase(Fraction(r, q)) for r in range(q)]
         prefactor = mp.power(q, -2 * s)
         out = []
-        for b in range(q):
+        for b in numerators:
             total = mp.mpc(0)
             for u in range(1, q + 1):
                 for v in range(1, q + 1):
                     total += roots[(-u * v * b) % q] * hurwitz[u - 1] * hurwitz[v - 1]
             out.append(prefactor * total)
         return out
+
+
+def zeta2_twist_oracle(s, alpha, precision: int | None = None) -> mp.mpc:
+    """Analytic continuation of the divisor-stream twist to s != 1.
+
+    Evaluates the q^2-term Hurwitz-zeta combination at the ambient (or given)
+    precision; raises PoleError at the double pole s = 1.
+    """
+    alpha = reduce_mod_one(alpha)
+    return _divisor_twist_kernel(s, alpha.denominator, [alpha.numerator], precision)[0]
+
+
+def zeta2_twist_batch(s, q: int, precision: int | None = None) -> list[mp.mpc]:
+    """All continued divisor twists F(s, b/q) for b = 0..q-1 at once,
+    sharing the q Hurwitz-zeta evaluations; raises PoleError at s = 1."""
+    return _divisor_twist_kernel(s, q, range(q), precision)
 
 
 def mult_twist_from_additive(

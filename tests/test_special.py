@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from twistlab import special
 from twistlab.bernoulli import bernoulli_polynomial
 from twistlab.special import (
     DirichletCharacter,
@@ -54,6 +55,12 @@ class TestGamma:
         coarse = gamma_complex(mp.mpc("0.5"), precision=64)
         assert abs(coarse - mp.sqrt(mp.pi)) < mp.mpf(2) ** -50
 
+    def test_rational_argument_converted_at_requested_precision(self):
+        value = gamma_complex(Fraction(1, 3), precision=256)
+        with mp.workprec(256):
+            target = mp.gamma(mp.mpf(1) / 3)
+            assert abs(value - target) < mp.mpf(2) ** -250
+
 
 class TestHurwitzZeta:
     def test_riemann_value(self):
@@ -89,6 +96,41 @@ class TestHurwitzZeta:
             hurwitz_zeta(1, Fraction(1, 2))
         with pytest.raises(ValueError):
             hurwitz_zeta(2, 0)
+
+    def test_arguments_converted_at_requested_precision(self):
+        # a = 1/3 rounded at the 128-bit ambient precision would cap the
+        # relative accuracy near 2^-127 however many bits are requested
+        s = mp.mpc(-30, 5)
+        value = hurwitz_zeta(s, Fraction(1, 3), precision=256)
+        with mp.workprec(256):
+            target = mp.zeta(s, mp.mpf(1) / 3)
+            assert abs(value - target) < abs(target) * mp.mpf(2) ** -240
+
+
+class TestHurwitzMemo:
+    POINT = (mp.mpc("-7.25", "3.5"), Fraction(2, 7))
+
+    def test_memoised_value_is_bitwise_uncached_value(self):
+        s, a = self.POINT
+        for bits in (128, 192):
+            with mp.workprec(bits):
+                first = hurwitz_zeta(s, a)
+                second = hurwitz_zeta(s, a)
+                uncached = mp.mpc(mp.zeta(s, mp.mpmathify(a)))
+            assert first._mpc_ == second._mpc_ == uncached._mpc_, bits
+
+    def test_precision_is_part_of_the_key(self):
+        s, a = mp.mpc("0.75", "-11"), Fraction(5, 9)
+        memo = special._hurwitz_memo
+        memo.cache_clear()
+        coarse = hurwitz_zeta(s, a)
+        assert memo.cache_info().misses == 1
+        fine = hurwitz_zeta(s, a, precision=192)
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+        assert fine._mpc_ != coarse._mpc_
+        hurwitz_zeta(s, a, precision=192)
+        assert memo.cache_info().hits == 1
 
 
 class TestCharacters:

@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import numpy as np
@@ -61,6 +64,25 @@ class TestDivisorStream:
     def test_index_validation(self, divisors):
         with pytest.raises(ValueError):
             divisors.a(0)
+
+    def test_sieve_matches_naive_divisor_count(self):
+        stream = divisor_stream(shared=False)
+        naive = [
+            sum(1 for d in range(1, n + 1) if n % d == 0) for n in range(1, 5001)
+        ]
+        assert stream.values(5000) == naive
+        # growth from a small cache rebuilds through the same sieve
+        small = divisor_stream(shared=False)
+        small.ensure(3)
+        assert small.values(5000) == naive
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, twistlab.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestTwistDirect:
@@ -169,6 +191,15 @@ class TestOracle:
         batch = zeta2_twist_batch(s, 5)
         for b in range(5):
             assert abs(batch[b] - zeta2_twist_oracle(s, Fraction(b, 5))) < mp.mpf("1e-30")
+
+    def test_batch_is_bitwise_oracle_on_reduced_numerators(self):
+        for s in (mp.mpc("0.3", 2), mp.mpc(-12, "4.5")):
+            for q in (1, 2, 6, 7, 12):
+                batch = zeta2_twist_batch(s, q)
+                for b in range(q):
+                    if gcd(b, q) == 1 or q == 1:
+                        single = zeta2_twist_oracle(s, Fraction(b, q))
+                        assert batch[b]._mpc_ == single._mpc_, (s, q, b)
 
 
 class TestMultiplicativeConversion:
