@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-import mpmath as mp
-
 from .exactpoly import Polynomial
 
 DEFAULT_MAX_DEGREE = 64
@@ -64,8 +62,3 @@ def bernoulli_number(n: int) -> Fraction:
 def bernoulli_polynomial(n: int) -> Polynomial:
     """Exact B_n(x) as a Polynomial with Fraction coefficients."""
     return default_table().polynomial(n)
-
-
-def eval_complex(poly: Polynomial, z) -> mp.mpc:
-    """Horner evaluation of an exact polynomial at a complex point."""
-    return poly.eval_mpc(z)

@@ -24,13 +24,14 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import mpmath as mp
 
 from . import expansion, transform, twist
 from .exactpoly import Polynomial
-from .funceq import load_datum
+from .funceq import FunctionalEquationDatum, load_datum
 from .reports import Report, write_rows_csv
 
 
@@ -60,6 +61,11 @@ class RunConfig:
         if any(p < 2 or p > 13 for p in self.primes):
             raise ValueError("primes must lie in 2..13")
         return self
+
+    @cached_property
+    def datum(self) -> FunctionalEquationDatum:
+        """The --instance datum, loaded once per config."""
+        return load_datum(self.instance)
 
     @property
     def tolerance(self) -> mp.mpf:
@@ -152,7 +158,7 @@ def _config_from_args(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_polys(cfg: RunConfig) -> int:
-    datum = load_datum(cfg.instance)
+    datum = cfg.datum
     report = Report(f"transformation polynomials (instance={cfg.instance}, K={cfg.k_terms})")
     rows = []
     m = datum.pole_order
@@ -189,7 +195,7 @@ def cmd_polys(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    datum = load_datum(cfg.instance)
+    datum = cfg.datum
     tol = cfg.tolerance
     report = Report(
         f"verification chain (instance={cfg.instance}, precision={cfg.precision}, "
@@ -252,7 +258,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_euler(cfg: RunConfig) -> int:
-    datum = load_datum(cfg.instance)
+    datum = cfg.datum
     tol = cfg.tolerance
     report = Report(f"Euler-factor reconstruction (primes={list(cfg.primes)})")
     rows = []
@@ -331,6 +337,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        if args.command != "twist-grid":
+            # a missing, malformed or invalid instance is a config error too
+            cfg.datum  # noqa: B018
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

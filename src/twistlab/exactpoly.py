@@ -212,13 +212,17 @@ class Polynomial:
     """Dense univariate polynomial; ``coeffs[k]`` is the coefficient of x^k.
 
     The trailing coefficient is nonzero except for the zero polynomial,
-    whose degree is reported as -1.
+    whose degree is reported as -1.  A real :class:`GaussianRational` is
+    stored as its ``Fraction`` real part: it compares, hashes and prints the
+    same, and products of real data then run on plain Fractions.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
+        coeffs = [
+            c.re if isinstance(c, GaussianRational) and not c.im else c for c in coeffs
+        ]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -403,8 +407,6 @@ class Polynomial:
             c = self.coefficient(k)
             if c == 0:
                 continue
-            if isinstance(c, GaussianRational) and c.is_real:
-                c = c.re
             c_str = str(c)
             negative = c_str.startswith("-") and isinstance(
                 c, (int, Fraction)
@@ -420,7 +422,7 @@ class Polynomial:
                 elif c == -1 and isinstance(c, (int, Fraction)):
                     term, negative = xpow, True
                 else:
-                    if isinstance(c, GaussianRational) and not c.is_real:
+                    if isinstance(c, GaussianRational):
                         c_str = f"({c})"
                         negative = False
                     term = f"{c_str}*{xpow}"

@@ -330,3 +330,5 @@ def load_datum(source, precision: int | None = None) -> FunctionalEquationDatum:
         )
     except KeyError as exc:
         raise DatumError(f"datum config missing field {exc}") from exc
+    except TypeError as exc:
+        raise DatumError(f"datum config malformed: {exc}") from exc

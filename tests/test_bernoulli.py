@@ -9,7 +9,6 @@ from twistlab.bernoulli import (
     BernoulliTable,
     bernoulli_number,
     bernoulli_polynomial,
-    eval_complex,
 )
 from twistlab.exactpoly import Polynomial
 
@@ -47,7 +46,7 @@ def test_evaluation_examples():
     assert b2(Fraction(0)) == Fraction(1, 6)
     assert b2(Fraction(1, 2)) == Fraction(-1, 12)
     assert bernoulli_polynomial(3)(Fraction(1)) == 0
-    z = eval_complex(b2, mp.mpc(0.5))
+    z = b2.eval_mpc(mp.mpc(0.5))
     assert abs(z - mp.mpf(-1) / 12) < mp.mpf("1e-35")
 
 

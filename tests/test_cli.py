@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,14 @@ class TestPolys:
         assert code == 0
         assert out.count("FAIL") == 0
         assert "Q_8" in out
+
+    def test_k_sixteen_matches_reference_table(self, capsys):
+        # the benchmark's reference table, printed by the partition-sum build
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "polys.txt"
+        want = [line for line in reference.read_text().splitlines() if line.startswith("[")]
+        code, out = run_cli(capsys, "--K", "16", "polys")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("[")] == want
 
     def test_csv_artifact(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "--K", "2", "--out", str(tmp_path), "polys")
@@ -124,6 +133,41 @@ class TestCustomInstance:
         code, out = run_cli(capsys, "--instance", str(datum), "--K", "3", "polys")
         assert code == 0
         assert "instance=" in out and "FAIL" not in out
+
+
+class TestBadInstance:
+    @pytest.mark.parametrize("command", ["polys", "verify", "euler"])
+    def test_missing_path_is_config_error(self, capsys, tmp_path, command):
+        code = main(["--instance", str(tmp_path / "missing.json"), command])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("config error:") and "missing.json" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["polys", "verify", "euler"])
+    def test_malformed_json_is_config_error(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"Q": "pi^-1", "factors": [')
+        code = main(["--instance", str(bad), command])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("config error:") and out == ""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"Q": "pi^-1"}, "missing field"),
+            ({"Q": "pi^-1", "factors": [{"lambda": 0.5}]}, "malformed"),
+            ([1, 2], "malformed"),
+        ],
+    )
+    def test_invalid_datum_is_config_error(self, capsys, tmp_path, data, message):
+        bad = tmp_path / "datum.json"
+        bad.write_text(json.dumps(data))
+        code = main(["--instance", str(bad), "polys"])
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("config error:") and message in err
 
 
 class TestConfigFile:

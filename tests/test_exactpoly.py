@@ -55,6 +55,16 @@ class TestPolynomial:
         assert Polynomial((0, 0)).is_zero
         assert Polynomial().degree == -1
 
+    def test_real_gaussian_coefficient_stored_as_fraction(self):
+        p = Polynomial((GaussianRational(3, 0),))
+        assert type(p.coeffs[0]) is Fraction
+        assert p == Polynomial((3,)) and hash(p) == hash(Polynomial((3,)))
+        # only real ones: a non-real coefficient keeps its Gaussian form
+        mixed = Polynomial((GaussianRational(Fraction(-1, 2), 0), GaussianRational(0, 1)))
+        assert type(mixed.coeffs[0]) is Fraction
+        assert type(mixed.coeffs[1]) is GaussianRational
+        assert mixed.pretty() == "(1i)*s - 1/2"
+
     def test_leading(self):
         assert Polynomial((Fraction(1, 6), -1, 1)).leading == 1
         with pytest.raises(ValueError):

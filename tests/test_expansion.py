@@ -5,8 +5,9 @@ from math import factorial, comb
 import mpmath as mp
 import pytest
 
-from twistlab.exactpoly import GaussianRational, Polynomial
+from twistlab.exactpoly import GaussianRational, Polynomial, scalar_to_mpc
 from twistlab.expansion import (
+    _shift_poly,
     a_coeff,
     c_coeff,
     check_exp_expansion,
@@ -20,7 +21,7 @@ from twistlab.expansion import (
     r_poly_forms,
     v_poly,
 )
-from twistlab.funceq import FunctionalEquationDatum, QParam, factor
+from twistlab.funceq import FunctionalEquationDatum, GammaFactor, QParam, factor
 from twistlab import bernoulli
 
 
@@ -47,6 +48,73 @@ def synthetic_datum_complex():
         pole_order=0,
         label="synthetic-complex",
     )
+
+
+def numeric_datum(precision=256, label="numeric"):
+    """Non-rational datum: mpf/mpc Gamma data, so the engine runs on mpc."""
+    return FunctionalEquationDatum(
+        q_param=QParam(Fraction(1), None),
+        omega=mp.expjpi(mp.mpf(1) / 3),
+        factors=(
+            GammaFactor(mp.mpf("0.5"), mp.mpc("0.25", "0.1")),
+            GammaFactor(mp.mpf("0.5"), mp.mpc("0.3", "-0.2")),
+        ),
+        pole_order=0,
+        precision=precision,
+        label=label,
+    )
+
+
+def _moduli(poly):
+    return [abs(scalar_to_mpc(c)) for c in poly.coeffs]
+
+
+def assert_same_polynomial(p, q):
+    """Exact data: p == q.  Numeric data: every coefficient of p - q within
+    2^-(prec//2) of the largest coefficient modulus, prec the working one."""
+    if p.is_exact and q.is_exact:
+        assert p == q
+        return
+    scale = max(_moduli(p) + _moduli(q))
+    assert max(_moduli(p - q), default=0) <= scale * mp.mpf(2) ** -(mp.mp.prec // 2)
+
+
+def _compositions(total):
+    """All ordered tuples of positive integers summing to total."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def v_poly_by_compositions(datum, mu):
+    """Literal ordered-composition evaluation of V_mu; exponential in mu,
+    the independent route the recurrence in v_poly is held to."""
+    total = Polynomial()
+    for parts in _compositions(mu):
+        term = Polynomial((Fraction(1, factorial(len(parts))),))
+        for nu_j in parts:
+            term = term * r_poly(datum, nu_j) * Fraction(1, nu_j * (nu_j + 1))
+        total = total + term
+    return (-1) ** mu * total
+
+
+def a_coeff_by_powers(datum, mu, nu):
+    """Literal sum_k binom(-mu, k) C(mu+k, nu) (2s-1+i*theta)^k, one power of
+    the shift per k; the reference for the Horner form in a_coeff."""
+    eta = _shift_poly(datum)
+    total = Polynomial()
+    for k in range(nu - mu + 1):
+        b = comb(mu + k - 1, k) * (-1 if k % 2 else 1)
+        total = total + (b * c_coeff(mu + k, nu)) * eta**k
+    return total
+
+
+def all_data(zeta2):
+    """The reference datum, both synthetic exact ones and the numeric one."""
+    return (zeta2, synthetic_datum_real(), synthetic_datum_complex(), numeric_datum())
 
 
 class TestCCoefficients:
@@ -101,6 +169,14 @@ class TestACoefficients:
     def test_rejects_bad_input(self, zeta2):
         with pytest.raises(ValueError):
             a_coeff(zeta2, 2, 1)
+
+    def test_horner_equals_power_sum(self, zeta2):
+        for datum in all_data(zeta2):
+            for nu in range(1, 13):
+                for mu in range(1, nu + 1):
+                    assert_same_polynomial(
+                        a_coeff(datum, mu, nu), a_coeff_by_powers(datum, mu, nu)
+                    )
 
 
 class TestRPolynomials:
@@ -161,11 +237,12 @@ class TestVPolynomials:
             assert v_poly(zeta2, mu).degree == 2 * mu
 
     def test_partition_grouping_equals_ordered_compositions(self, zeta2):
-        from twistlab.expansion import v_poly_by_compositions
-
-        for datum in (zeta2, synthetic_datum_complex()):
+        # the recurrence in v_poly against the literal composition sum
+        for datum in all_data(zeta2):
             for mu in range(1, 9):
-                assert v_poly(datum, mu) == v_poly_by_compositions(datum, mu)
+                assert_same_polynomial(
+                    v_poly(datum, mu), v_poly_by_compositions(datum, mu)
+                )
 
     def test_exponential_series_route(self, zeta2):
         # independent route: V_mu = (-1)^mu [x^mu] exp(sum_nu R_nu x^nu/(nu(nu+1)))
@@ -227,20 +304,9 @@ class TestQPolynomials:
 class TestNumericRegime:
     """Non-rational data switch the engine to mpc coefficients."""
 
-    @pytest.fixture()
-    def numeric_datum(self):
-        from twistlab.funceq import GammaFactor
-
-        return FunctionalEquationDatum(
-            q_param=QParam(Fraction(1), None),
-            omega=mp.expjpi(mp.mpf(1) / 3),
-            factors=(
-                GammaFactor(mp.mpf("0.5"), mp.mpc("0.25", "0.1")),
-                GammaFactor(mp.mpf("0.5"), mp.mpc("0.3", "-0.2")),
-            ),
-            pole_order=0,
-            label="numeric",
-        )
+    @pytest.fixture(name="numeric_datum")
+    def numeric_datum_fixture(self):
+        return numeric_datum()
 
     def test_dual_forms_agree_numerically(self, numeric_datum):
         for nu in range(1, 6):
@@ -254,6 +320,29 @@ class TestNumericRegime:
             assert r_poly(numeric_datum, nu).degree == nu + 1
             assert v_poly(numeric_datum, nu).degree == 2 * nu
             assert q_poly(numeric_datum, nu).degree == 2 * nu
+
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    def test_dual_form_check_passes_at_each_precision(self, prec):
+        # measured: the forms agree to 2^-60, 2^-124, 2^-251 relative for nu <= 16
+        with mp.workprec(prec):
+            datum = numeric_datum(precision=prec, label=f"numeric-{prec}")
+            for nu in range(1, 17):
+                assert r_poly(datum, nu).degree == nu + 1
+
+    @pytest.mark.parametrize("prec, delta", [(128, "1e-10"), (256, "1e-20")])
+    def test_dual_form_check_catches_perturbed_invariant(self, monkeypatch, prec, delta):
+        # a perturbed H-invariant moves only the H form; the bound 2^-(prec//2)
+        # (about 5e-20 relative at 128 bits, 3e-39 at 256) must see it
+        exact_h = FunctionalEquationDatum.h_invariant
+        monkeypatch.setattr(
+            FunctionalEquationDatum,
+            "h_invariant",
+            lambda self, n: exact_h(self, n) + mp.mpf(delta),
+        )
+        with mp.workprec(prec):
+            datum = numeric_datum(precision=prec, label=f"perturbed-{prec}")
+            with pytest.raises(ArithmeticError, match="closed forms disagree"):
+                r_poly(datum, 1)
 
     def test_not_exact(self, numeric_datum):
         assert not numeric_datum.is_exact
