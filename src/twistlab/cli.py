@@ -10,7 +10,8 @@ verify      the full verification chain: Laurent laws, character-twist
             certificates; exit status is nonzero when any assertion fails
 euler       Euler-factor reconstruction at s=1 per prime plus the forced
             local factor and the local degree bound
-twist-grid  CSV of twist values over an s-grid and a list of rational twists
+twist-grid  CSV of twist values over an s-grid and a list of rational twists;
+            the grid evaluates zeta(s)^2 only (--instance zeta2)
 
 Configuration comes from an optional JSON file (--config) with the same keys
 as the flags; explicit flags win.  Reports are deterministic: a fixed config
@@ -60,6 +61,7 @@ class RunConfig:
             raise ValueError("q_max must be between 1 and 24")
         if any(p < 2 or p > 13 for p in self.primes):
             raise ValueError("primes must lie in 2..13")
+        self.alpha_fractions  # noqa: B018
         return self
 
     @cached_property
@@ -71,9 +73,12 @@ class RunConfig:
     def tolerance(self) -> mp.mpf:
         return mp.mpf(self.tol)
 
-    @property
+    @cached_property
     def alpha_fractions(self) -> list[Fraction]:
-        return [Fraction(a) for a in self.alphas]
+        try:
+            return [Fraction(a) for a in self.alphas]
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise ValueError(f"alphas must be rationals such as 1/3 ({exc})") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--precision", type=int, help="working precision in bits (>= 64)")
     parser.add_argument(
         "--instance",
-        help="functional-equation instance: 'zeta2' or a JSON datum path",
+        help="functional-equation instance: 'zeta2' or a JSON datum path "
+        "(twist-grid accepts zeta2 only)",
     )
     parser.add_argument("--K", dest="k_terms", type=int, help="truncation order (<= 16)")
     parser.add_argument("--qmax", dest="q_max", type=int, help="largest twist denominator (<= 24)")
@@ -309,11 +315,9 @@ def cmd_euler(cfg: RunConfig) -> int:
 
 
 def cmd_twist_grid(cfg: RunConfig) -> int:
-    stream = twist.divisor_stream()
-    sigmas = cfg.sigma_grid
     t = mp.mpf(cfg.t)
-    s_values = [mp.mpc(sigma, t) for sigma in sigmas]
-    rows = twist.twist_grid_rows(stream, s_values, cfg.alpha_fractions)
+    s_values = [mp.mpc(sigma, t) for sigma in cfg.sigma_grid]
+    rows = twist.twist_grid_rows(twist.divisor_stream(), s_values, cfg.alpha_fractions)
     header = ["sigma", "t", "alpha", "re", "im", "method"]
     if cfg.out:
         write_rows_csv(Path(cfg.out) / "twist_grid.csv", header, rows)
@@ -337,9 +341,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command != "twist-grid":
-            # a missing, malformed or invalid instance is a config error too
-            cfg.datum  # noqa: B018
+        if args.command == "twist-grid" and cfg.instance != "zeta2":
+            raise ValueError("twist-grid evaluates zeta(s)^2 only")
+        # a missing, malformed or invalid instance is a config error too
+        cfg.datum  # noqa: B018
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

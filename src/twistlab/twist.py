@@ -6,6 +6,12 @@ character chi is F(s, chi) = sum a(n) chi(n) n^-s.  Twists are keyed by
 exact reduced fractions throughout (Fraction reduces automatically), and
 negative arguments use F(s, -a/q) = F(s, (q-a)/q).
 
+In sigma > 1 every series sum is one pass over n <= N into the bucket sums
+B_r = sum_{n = r mod m} a(n) n^-s: e(-n a/q) depends only on n mod q, so any
+twist with q | m is sum_r e(-r a/q) B_r.  A grid shares one pass per s (m =
+lcm of its denominators), a smoothed sum carries exp(-n/X) through the pass,
+and the additive/multiplicative identity reads every sum off the buckets mod p.
+
 For the divisor-coefficient stream (zeta(s)^2) the additive twist has a
 closed Hurwitz-zeta form that continues it to the whole plane minus the
 double pole at s = 1:
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable
 
 import mpmath as mp
@@ -162,10 +168,28 @@ class TwistPartialSum:
     tail_estimate: mp.mpf
 
 
-def _phase_table(alpha: Fraction) -> list[mp.mpc]:
-    """e(-r alpha) for residues r = 0..q-1."""
+def _residue_sums(stream: CoefficientStream, s, modulus: int, n_max: int, decay=None):
+    """Bucket sums sum_{n <= n_max, n = r mod modulus} a(n) decay^n n^-s, with
+    decay^n a running product; a modulus above n_max gets one bucket per n."""
+    sums = [mp.mpc(0)] * min(modulus, n_max + 1)
+    minus_s = -s
+    weight = mp.mpf(1)
+    for n, c in enumerate(stream.values(n_max), 1):
+        if decay is not None:
+            weight *= decay
+        if c:
+            term = c * mp.power(n, minus_s)
+            sums[n % modulus] += term if decay is None else term * weight
+    return sums
+
+
+def _twist_from_residues(sums: list, alpha: Fraction) -> mp.mpc:
+    """sum_r e(-r alpha) sums[r]; the denominator of alpha divides the bucket modulus."""
     q = alpha.denominator
-    return [unit_phase(reduce_mod_one(-r * alpha)) for r in range(q)]
+    total = mp.mpc(0)
+    for r in range(min(q, len(sums))):
+        total += unit_phase(reduce_mod_one(-r * alpha)) * mp.fsum(sums[r::q])
+    return total
 
 
 def twist_direct(
@@ -176,17 +200,8 @@ def twist_direct(
     if mp.re(s) <= 1:
         raise ValueError("direct twist evaluation needs sigma > 1")
     alpha = Fraction(alpha)
-    q = alpha.denominator
-    phases = _phase_table(alpha)
-    coeffs = stream.values(n_max)
-    minus_s = -s
-    total = mp.mpc(0)
-    for n in range(1, n_max + 1):
-        c = coeffs[n - 1]
-        if c == 0:
-            continue
-        total += c * phases[n % q] * mp.power(n, minus_s)
-    return TwistPartialSum(total, stream.tail_bound(n_max, mp.re(s)))
+    value = _twist_from_residues(_residue_sums(stream, s, alpha.denominator, n_max), alpha)
+    return TwistPartialSum(value, stream.tail_bound(n_max, mp.re(s)))
 
 
 def twist_smoothed(
@@ -205,20 +220,10 @@ def twist_smoothed(
     if tol is None:
         tol = mp.mpf(2) ** (-(mp.mp.prec + 10))
     alpha = Fraction(alpha)
-    z_re = 1 / x_smoothing
     # |a(n)| growth is subsumed by a safety factor in the cutoff
     n_max = int(mp.ceil(x_smoothing * (-mp.log(tol) + 2 * mp.log(x_smoothing + 2) + 5)))
-    phases = _phase_table(alpha)
-    q = alpha.denominator
-    coeffs = stream.values(n_max)
-    total = mp.mpc(0)
-    minus_s = -s
-    for n in range(1, n_max + 1):
-        c = coeffs[n - 1]
-        if c == 0:
-            continue
-        total += c * phases[n % q] * mp.exp(-n * z_re) * mp.power(n, minus_s)
-    return total
+    sums = _residue_sums(stream, s, alpha.denominator, n_max, mp.exp(-1 / x_smoothing))
+    return _twist_from_residues(sums, alpha)
 
 
 def _divisor_twist_kernel(s, q: int, numerators, precision: int | None) -> list[mp.mpc]:
@@ -315,25 +320,14 @@ def additive_from_mult_identity_check(
         raise ValueError("identity check needs sigma > 1")
     if gcd(a, p) != 1:
         raise ValueError("need gcd(a, p) = 1")
-    coeffs = stream.values(n_max)
-    residue_sums = [mp.mpc(0) for _ in range(p)]
-    minus_s = -s
-    for n in range(1, n_max + 1):
-        c = coeffs[n - 1]
-        if c == 0:
-            continue
-        residue_sums[n % p] += c * mp.power(n, minus_s)
-
-    lhs = mp.mpc(0)  # F(s, -a/p): e(-n(-a/p)) = e(na/p)
-    for r in range(p):
-        lhs += unit_phase(Fraction(r * a % p, p)) * residue_sums[r]
-
+    residue_sums = _residue_sums(stream, s, p, n_max)
+    lhs = _twist_from_residues(residue_sums, Fraction(-a, p))
     f_full = mp.fsum(residue_sums)
     f_p_free = f_full - residue_sums[0]
     char_part = mp.mpc(0)
     for chi in characters_mod(p, include_principal=False):
         f_chi = mp.mpc(0)
-        for r in range(1, p):
+        for r in range(1, len(residue_sums)):
             f_chi += chi.value(r) * residue_sums[r]
         char_part += chi.value(a) * gauss_sum(chi.conjugate()) * f_chi
     rhs = char_part / (p - 1) - (mp.mpf(p) / (p - 1) * f_p_free - f_full)
@@ -395,24 +389,24 @@ def twist_grid_rows(
 ) -> list[tuple]:
     """Rows (sigma, t, alpha, Re, Im, method) over an s-grid and alpha list.
 
-    Points with sigma > 1 use the direct series; other points need the
-    stream's continuation oracle.
+    Points with sigma > 1 share one direct-series pass modulo the lcm of the
+    alpha denominators; other points need the stream's continuation oracle.
     """
+    alphas = [Fraction(alpha) for alpha in alphas]
+    modulus = lcm(*(alpha.denominator for alpha in alphas))
     rows = []
     for s in s_values:
         s = mp.mpc(s)
-        for alpha in alphas:
-            alpha = Fraction(alpha)
-            if mp.re(s) > 1:
-                value = twist_direct(stream, s, alpha, n_max).value
-                method = "direct"
-            elif stream.twist_oracle is not None:
-                value = stream.twist_oracle(s, alpha)
-                method = "oracle"
-            else:
-                raise ValueError(
-                    f"sigma <= 1 needs a continuation oracle (stream {stream.label!r})"
-                )
+        if mp.re(s) > 1:
+            sums = _residue_sums(stream, s, modulus, n_max)
+            values = [(_twist_from_residues(sums, alpha), "direct") for alpha in alphas]
+        elif stream.twist_oracle is not None:
+            values = [(stream.twist_oracle(s, alpha), "oracle") for alpha in alphas]
+        else:
+            raise ValueError(
+                f"sigma <= 1 needs a continuation oracle (stream {stream.label!r})"
+            )
+        for alpha, (value, method) in zip(alphas, values):
             rows.append(
                 (
                     mp.nstr(mp.re(s), 17),

@@ -22,6 +22,8 @@ class TestRunConfig:
             RunConfig(k_terms=17).validate()
         with pytest.raises(ValueError):
             RunConfig(primes=(17,)).validate()
+        with pytest.raises(ValueError):
+            RunConfig(alphas=("1/0",)).validate()
         assert RunConfig().validate() is not None
 
 
@@ -111,6 +113,37 @@ class TestTwistGrid:
         assert lines[0] == "sigma,t,alpha,re,im,method"
         assert len(lines) == 3
         assert out.splitlines()[0] == "sigma,t,alpha,re,im,method"
+
+    @pytest.mark.parametrize("instance", ["missing.json", "datum.json"])
+    def test_other_instance_is_config_error(self, capsys, tmp_path, instance):
+        (tmp_path / "datum.json").write_text(json.dumps({"Q": "pi^-1"}))
+        code = main(["--instance", str(tmp_path / instance), "twist-grid"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "config error: twist-grid evaluates zeta(s)^2 only\n"
+
+    def test_help_says_zeta2_only(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "zeta(s)^2 only" in capsys.readouterr().out
+
+
+class TestBadAlphas:
+    @pytest.mark.parametrize("command", ["twist-grid", "verify"])
+    @pytest.mark.parametrize("alphas", ["1/0", "abc", "1/2,,1/3"])
+    def test_bad_alpha_is_config_error(self, capsys, command, alphas):
+        code = main(["--alphas", alphas, command])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("config error: alphas must be rationals")
+
+    def test_non_string_alpha_in_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"alphas": ["1/2", None]}))
+        code = main(["--config", str(cfg), "twist-grid"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("config error: alphas must be rationals")
 
 
 class TestCustomInstance:

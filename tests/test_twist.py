@@ -1,15 +1,27 @@
+import os
 import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from twistlab.special import DirichletCharacter, PoleError, dirichlet_l
+import twistlab
+from twistlab import cli
+from twistlab.special import (
+    DirichletCharacter,
+    PoleError,
+    characters_mod,
+    dirichlet_l,
+    gauss_sum,
+    unit_phase,
+)
 from twistlab.twist import (
     CoefficientStream,
+    _residue_sums,
     additive_from_mult_identity_check,
     divisor_stream,
     half_twist_coefficient_identity,
@@ -79,8 +91,14 @@ class TestDivisorStream:
 
 def test_cli_import_leaves_numpy_out():
     code = "import sys, twistlab.cli; print('numpy' in sys.modules)"
+    # the child must import this checkout's package even when it is not installed
+    src_dir = str(Path(twistlab.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])),
+    }
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert result.stdout.strip() == "False"
 
@@ -257,6 +275,91 @@ class TestConversionIdentity:
                 assert check.difference <= mp.mpf("1e-10"), (p, a)
 
 
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+
+
+def generic_stream():
+    """Complex coefficients with a zero at every fourth n."""
+    return CoefficientStream(
+        lambda n: 0 if n % 4 == 0 else mp.mpc(n % 5 - 2, (-1) ** n), label="generic"
+    )
+
+
+def literal_series(stream, s, weight, n_max):
+    """sum_{n <= n_max} a(n) weight(n) n^-s, one term at a time: the per-n loop
+    the residue-class kernel replaced, kept as the independent route."""
+    total = mp.mpc(0)
+    for n in range(1, n_max + 1):
+        c = stream.a(n)
+        if c != 0:
+            total += c * weight(n) * mp.power(n, -s)
+    return total
+
+
+def literal_twist(stream, s, alpha, n_max, x_smoothing=None):
+    """sum a(n) e(-n alpha) exp(-n/X) n^-s with the phase and the exponential
+    evaluated afresh for every n (no exponential when X is None)."""
+
+    def weight(n):
+        phase = unit_phase(reduce_mod_one(-n * alpha))
+        return phase if x_smoothing is None else phase * mp.exp(-n / mp.mpf(x_smoothing))
+    return literal_series(stream, s, weight, n_max)
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= mp.mpf(2) ** -(mp.mp.prec - 20) * abs(want), (got, want)
+
+
+KERNEL_STREAMS = [
+    pytest.param(divisor_stream, id="divisor"),
+    pytest.param(generic_stream, id="generic"),
+]
+KERNEL_POINTS = [pytest.param(mp.mpc("2.5"), id="t0"), pytest.param(mp.mpc(2, 14), id="t14")]
+
+
+class TestResidueKernel:
+    @pytest.mark.parametrize("make_stream", KERNEL_STREAMS)
+    @pytest.mark.parametrize("s", KERNEL_POINTS)
+    def test_direct_matches_literal_loop(self, make_stream, s):
+        stream = make_stream()
+        for alpha in (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(-3, 7)):
+            got = twist_direct(stream, s, alpha, 1500).value
+            assert_close(got, literal_twist(stream, s, alpha, 1500))
+
+    @pytest.mark.parametrize("make_stream", KERNEL_STREAMS)
+    @pytest.mark.parametrize("s", KERNEL_POINTS)
+    def test_smoothed_matches_literal_loop(self, make_stream, s):
+        stream = make_stream()
+        x, tol = mp.mpf(20), mp.mpf(2) ** -(mp.mp.prec + 10)
+        # exp(-n/X) falls below tol/X^2 well before this many terms
+        n_max = int(x * (mp.mp.prec + 40))
+        for alpha in (Fraction(1, 3), Fraction(5, 6)):
+            got = twist_smoothed(stream, s, alpha, x, tol=tol)
+            assert_close(got, literal_twist(stream, s, alpha, n_max, x_smoothing=x))
+
+    @pytest.mark.parametrize("make_stream", KERNEL_STREAMS)
+    @pytest.mark.parametrize("s", KERNEL_POINTS)
+    def test_identity_sides_match_literal_loops(self, make_stream, s):
+        stream, n_max = make_stream(), 1500
+        for a, p in ((1, 3), (2, 5)):
+            check = additive_from_mult_identity_check(stream, s, a, p, n_max=n_max)
+            f_full = literal_series(stream, s, lambda n: 1, n_max)
+            f_p_free = literal_series(stream, s, lambda n: n % p != 0, n_max)
+            char_part = mp.fsum(
+                chi.value(a)
+                * gauss_sum(chi.conjugate())
+                * literal_series(stream, s, chi.value, n_max)
+                for chi in characters_mod(p, include_principal=False)
+            )
+            rhs = char_part / (p - 1) - (mp.mpf(p) / (p - 1) * f_p_free - f_full)
+            assert_close(check.lhs, literal_twist(stream, s, Fraction(-a, p), n_max))
+            assert_close(check.rhs, rhs)
+
+    def test_bucket_count_is_capped_by_the_terms(self, divisors):
+        assert len(_residue_sums(divisors, mp.mpc(3), 6, 2000)) == 6
+        assert len(_residue_sums(divisors, mp.mpc(3), 17017, 2000)) == 2001
+
+
 class TestGridRows:
     def test_rows_cover_methods(self, divisors):
         rows = twist_grid_rows(
@@ -264,6 +367,29 @@ class TestGridRows:
         )
         assert [r[5] for r in rows] == ["direct", "oracle"]
         assert rows[0][2] == "1/2"
+
+    @pytest.mark.parametrize("make_stream", KERNEL_STREAMS)
+    @pytest.mark.parametrize("s", KERNEL_POINTS)
+    def test_shared_pass_equals_per_alpha_direct(self, make_stream, s):
+        # lcm(7, 11, 13, 17) = 17017 > n_max: one bucket per term
+        stream, n_max = make_stream(), 2000
+        for alphas in (
+            [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)],
+            [Fraction(1, 7), Fraction(1, 11), Fraction(1, 13), Fraction(1, 17)],
+        ):
+            rows = twist_grid_rows(stream, [s], alphas, n_max=n_max)
+            values = [twist_direct(stream, s, alpha, n_max).value for alpha in alphas]
+            assert [r[3:5] for r in rows] == [
+                (mp.nstr(mp.re(v), 25), mp.nstr(mp.im(v), 25)) for v in values
+            ]
+
+    def test_cli_rows_equal_reference(self, capsys):
+        code = cli.main(["twist-grid", "--sigma-grid", "2,3", "--t", "0", "--alphas", "1/2,1/3"])
+        lines = capsys.readouterr().out.splitlines()
+        reference = (REFERENCE / "grid.csv").read_text().splitlines()
+        # the reference also holds the alpha = 2/3 rows, which this run does not ask for
+        assert code == 0
+        assert lines == [line for line in reference if ",2/3," not in line]
 
 
 def test_reduce_mod_one():
