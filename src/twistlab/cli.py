@@ -61,7 +61,9 @@ class RunConfig:
             raise ValueError("q_max must be between 1 and 24")
         if any(p < 2 or p > 13 for p in self.primes):
             raise ValueError("primes must lie in 2..13")
-        self.alpha_fractions  # noqa: B018
+        # parsed here so a malformed value is a config error; the commands
+        # parse t and tol again at the working precision
+        self.alpha_fractions, self.tolerance, self.t_value, self.growth_h_fraction  # noqa: B018
         return self
 
     @cached_property
@@ -71,14 +73,29 @@ class RunConfig:
 
     @property
     def tolerance(self) -> mp.mpf:
-        return mp.mpf(self.tol)
+        return _parse(mp.mpf, self.tol, "tol must be a real number")
+
+    @property
+    def t_value(self) -> mp.mpf:
+        return _parse(mp.mpf, self.t, "t must be a real number")
+
+    @property
+    def growth_h_fraction(self) -> Fraction | None:
+        if not self.growth_h:
+            return None
+        return _parse(Fraction, self.growth_h, "growth_h must be a rational such as 9/2")
 
     @cached_property
     def alpha_fractions(self) -> list[Fraction]:
-        try:
-            return [Fraction(a) for a in self.alphas]
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ValueError(f"alphas must be rationals such as 1/3 ({exc})") from None
+        return [_parse(Fraction, a, "alphas must be rationals such as 1/3") for a in self.alphas]
+
+
+def _parse(kind, value, message: str):
+    """kind(value), with a malformed value raised as ValueError(message)."""
+    try:
+        return kind(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ValueError(f"{message} ({exc})") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -244,9 +261,9 @@ def cmd_verify(cfg: RunConfig) -> int:
                 check.difference <= tol,
             )
 
-    t = mp.mpf(cfg.t)
+    t, h_override = cfg.t_value, cfg.growth_h_fraction
     for q in sorted({1, cfg.q_max}):
-        h = Fraction(cfg.growth_h) if cfg.growth_h else Fraction(q * q)
+        h = Fraction(q * q) if h_override is None else h_override
         cert = transform.growth_certificate(
             Fraction(1, q), h, t=t, sigmas=cfg.sigma_grid
         )
@@ -315,7 +332,7 @@ def cmd_euler(cfg: RunConfig) -> int:
 
 
 def cmd_twist_grid(cfg: RunConfig) -> int:
-    t = mp.mpf(cfg.t)
+    t = cfg.t_value
     s_values = [mp.mpc(sigma, t) for sigma in cfg.sigma_grid]
     rows = twist.twist_grid_rows(twist.divisor_stream(), s_values, cfg.alpha_fractions)
     header = ["sigma", "t", "alpha", "re", "im", "method"]

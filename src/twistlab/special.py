@@ -1,20 +1,25 @@
 """High-precision special functions and Dirichlet characters.
 
-Gamma and the Hurwitz zeta function are delegated to mpmath, which evaluates
-them to the ambient binary precision (Euler-Maclaurin for Hurwitz zeta, with
-the shift and correction order chosen internally); this module adds the pole
-signalling and argument contracts the rest of the package relies on, plus
-the character machinery (values, Gauss sums, L-functions) needed for the
-additive/multiplicative twist conversions.
+Gamma is delegated to mpmath at the ambient binary precision.  Hurwitz
+zeta(s, a) has two routes, chosen by s alone: on the disc |s - 1| <= 0.26,
+where the verification chain puts its contours around the pole, one Taylor
+series per (a, precision) of zeta(1+x, a) - 1/x, built once by Euler-Maclaurin
+on power series with its truncation chosen from stated error bounds, is
+evaluated by Horner plus 1/x; everywhere else mpmath's zeta (Euler-Maclaurin
+with the shift and correction order chosen internally) evaluates the value.
+This module adds the pole signalling and argument contracts the rest of the
+package relies on, plus the character machinery (values, Gauss sums,
+L-functions) needed for the additive/multiplicative twist conversions.
 
 Characters are built from a primitive root, so any modulus with a cyclic
 unit group works; the verification chain only uses modulus 1, 4 and odd
 primes.
 
 Hurwitz zeta values are memoised in a bounded LRU cache keyed by the exact
-arguments and the working precision, so a run evaluates each value once no
-matter how many twists, contour nodes or shadow checks ask for it.  Cached
-values are immutable mpmath numbers and the cache is thread-safe, so
+arguments and the working precision, in front of both routes, so a run
+evaluates each value once no matter how many twists, contour nodes or shadow
+checks ask for it; the series coefficients sit in a second bounded cache.
+Cached values are immutable mpmath numbers and the caches are thread-safe, so
 concurrent callers are fine; everything else is stateless given the
 (immutable) index table.
 """
@@ -71,11 +76,90 @@ def gamma_complex(s, precision: int | None = None) -> mp.mpc:
 _HURWITZ_CACHE_SIZE = 1 << 13
 
 
+#: |s - 1| served by the Taylor series at s = 1: the radius-1/4 contour
+#: nodes there can sit one ulp outside 1/4.
+_SERIES_RADIUS = 0.26
+#: Extra bits carried by the series build and evaluation.
+_SERIES_GUARD = 20
+
+
+@lru_cache(maxsize=512)
+def _hurwitz_series_at_1(a_mpf: tuple, prec: int) -> tuple:
+    """Taylor coefficients c_0..c_M of zeta(1+x, a) - 1/x, computed at
+    prec + guard bits, with truncation error below 2^-(prec+guard) on
+    |x| <= rho.
+
+    Euler-Maclaurin with shift N = 2J and J Bernoulli terms, run on power
+    series in x (F. Johansson, Numer. Algorithms 2015), with L_k = log(k+a):
+
+      sum_{k<N} e^(-x L_k)/(k+a) + (e^(-x L_N) - 1)/x + e^(-x L_N) P(x),
+      P(x) = 1/(2(N+a)) + sum_{j<=J} B_2j/(2j)! (N+a)^-2j prod_{i<2j} (x+i).
+
+    J is the first whose remainder bound (Johansson's Theorem 1)
+    4 (1+rho)_2J / ((2 pi)^2J (2J-rho) (N+a)^(2J-rho)) is below half the
+    target, and M >= 2J-1 the first degree whose Taylor tail bound
+    S (Lam rho)^(M+1)/(M+1)! e^(Lam rho) is below the other half, with
+    Lam = max |L_k| and S = sum_{k<N} 1/(k+a) + L_N + |P|((M+1)/Lam), where
+    |P| has the absolute values of P's coefficients.
+    """
+    wp = prec + _SERIES_GUARD
+    with mp.workprec(53):  # the bounds; mpf exponents cannot underflow
+        a, rho = mp.make_mpf(a_mpf), mp.mpf(_SERIES_RADIUS)
+        half_eps = mp.ldexp(1, -wp - 1)
+        big_j = 1
+        while 4 * mp.rf(1 + rho, 2 * big_j) / (
+            (2 * mp.pi * (2 * big_j + a)) ** (2 * big_j) * (2 * big_j - rho)
+        ) * (2 * big_j + a) ** rho > half_eps:
+            big_j += 1
+        n = 2 * big_j
+        lam = max(abs(mp.log(a)), mp.log(n + a))
+        weights = mp.fsum(1 / (k + a) for k in range(n)) + mp.log(n + a) + 1 / (2 * (n + a))
+        m = n - 1
+        while (weights + mp.fsum(
+            abs(mp.bernoulli(2 * j)) / mp.factorial(2 * j) / (n + a) ** (2 * j)
+            * mp.rf((m + 1) / lam + 1, 2 * j - 1) for j in range(1, big_j + 1)
+        )) * (lam * rho) ** (m + 1) / mp.factorial(m + 1) * mp.exp(lam * rho) > half_eps:
+            m += 1
+    with mp.workprec(wp):
+        a = mp.make_mpf(a_mpf)
+        power_sums = [mp.mpf(0)] * (m + 1)  # sum_k (-L_k)^i / (k+a)
+        for k in range(n):
+            term, minus_log = 1 / (k + a), -mp.log(k + a)
+            for i in range(m + 1):
+                power_sums[i] += term
+                term *= minus_log
+        exp_series, minus_log = [mp.mpf(1)], -mp.log(n + a)  # e^(-x L_N)
+        for i in range(1, m + 2):
+            exp_series.append(exp_series[-1] * minus_log / i)
+        bracket = [1 / (2 * (n + a))] + [mp.mpf(0)] * (n - 1)
+        rising = [1]  # prod_{i' <= i} (x+i'), exact integer coefficients
+        for i in range(1, n):
+            rising = [lo + i * hi for lo, hi in zip([0] + rising, rising + [0])]
+            if i % 2:
+                weight = mp.bernoulli(i + 1) / mp.factorial(i + 1) / (n + a) ** (i + 1)
+                for d, c in enumerate(rising):
+                    bracket[d] += weight * c
+        return tuple(
+            power_sums[i] / mp.factorial(i)
+            + exp_series[i + 1]
+            + mp.fsum(bracket[d] * exp_series[i - d] for d in range(min(i + 1, n)))
+            for i in range(m + 1)
+        )
+
+
 @lru_cache(maxsize=_HURWITZ_CACHE_SIZE)
 def _hurwitz_memo(s_mpc: tuple, a_mpf: tuple, prec: int) -> mp.mpc:
-    """mp.zeta(s, a) at ``prec`` bits, keyed by the exact mpmath values."""
+    """zeta(s, a) at ``prec`` bits, keyed by the exact mpmath values: the
+    Taylor series at s = 1 on |s - 1| <= rho, mp.zeta elsewhere."""
     with mp.workprec(prec):
-        return mp.mpc(mp.zeta(mp.make_mpc(s_mpc), mp.make_mpf(a_mpf)))
+        s = mp.make_mpc(s_mpc)
+        if abs(s - 1) > _SERIES_RADIUS:
+            return mp.mpc(mp.zeta(s, mp.make_mpf(a_mpf)))
+        coeffs = _hurwitz_series_at_1(a_mpf, prec)
+        with mp.workprec(prec + _SERIES_GUARD):
+            x = s - 1
+            value = mp.polyval(coeffs[::-1], x) + 1 / x
+        return +value
 
 
 def hurwitz_zeta(s, a, precision: int | None = None) -> mp.mpc:

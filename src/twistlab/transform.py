@@ -111,13 +111,8 @@ def laurent_extract(
 
 def contour_integral(f, center, radius=Fraction(1, 4), nodes: int = 64) -> mp.mpc:
     """Trapezoidal closed contour integral of f on a circle (2 pi i c_-1)."""
-    center = mp.mpc(center)
-    radius = mp.mpmathify(radius)
-    acc = mp.mpc(0)
-    for j in range(nodes):
-        w = mp.expjpi(mp.mpf(2 * j) / nodes)
-        acc += f(center + radius * w) * w
-    return 2j * mp.pi * radius * acc / nodes
+    samples = _circle_samples(f, center, radius, nodes)
+    return 2j * mp.pi * _coeffs_from_samples(samples, radius, [-1])[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -275,20 +275,25 @@ def mult_twist_from_additive(
     """F(s, chi) = tau(conj chi)^-1 sum_a conj(chi)(a) F(s, -a/p).
 
     Additive twist values come from the stream's continuation oracle when it
-    has one (any s != 1), else from the direct series (sigma > 1 only).
+    has one (any s != 1), else from one residue-class pass mod p of the direct
+    series (sigma > 1 only).
     """
     if chi.is_principal:
         raise ValueError("conversion needs a non-principal character")
     p = chi.modulus
     chi_bar = chi.conjugate()
     tau = gauss_sum(chi_bar)
+    alphas = [reduce_mod_one(Fraction(-a, p)) for a in range(1, p + 1)]
+    if stream.twist_oracle is not None:
+        values = [stream.twist_oracle(s, alpha) for alpha in alphas]
+    else:
+        s = mp.mpc(s)
+        if mp.re(s) <= 1:
+            raise ValueError("direct twist evaluation needs sigma > 1")
+        sums = _residue_sums(stream, s, p, n_max)
+        values = [_twist_from_residues(sums, alpha) for alpha in alphas]
     total = mp.mpc(0)
-    for a in range(1, p + 1):
-        alpha = reduce_mod_one(Fraction(-a, p))
-        if stream.twist_oracle is not None:
-            value = stream.twist_oracle(s, alpha)
-        else:
-            value = twist_direct(stream, s, alpha, n_max).value
+    for a, value in enumerate(values, 1):
         total += chi_bar.value(a) * value
     return total / tau
 

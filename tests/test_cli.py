@@ -146,6 +146,22 @@ class TestBadAlphas:
         assert err.startswith("config error: alphas must be rationals")
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "option, command, message",
+        [
+            ("--t", "twist-grid", "t must be a real number"),
+            ("--tol", "euler", "tol must be a real number"),
+            ("--growth-h", "verify", "growth_h must be a rational"),
+        ],
+    )
+    def test_malformed_number_is_config_error(self, capsys, option, command, message):
+        code = main([option, "abc", command])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {message}")
+
+
 class TestCustomInstance:
     def test_polys_on_custom_datum(self, capsys, tmp_path):
         datum = tmp_path / "datum.json"

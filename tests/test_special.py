@@ -133,6 +133,69 @@ class TestHurwitzMemo:
         assert memo.cache_info().hits == 1
 
 
+class TestHurwitzSeriesAtOne:
+    A_VALUES = tuple(
+        Fraction(a) for a in ("1", "1/2", "1/3", "1/5", "4/5", "1/24", "23/24")
+    )
+    RADII = (special._SERIES_RADIUS, 0.25, 0.125, 1 / 64)
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_series_value_against_mpmath_at_higher_precision(self, bits):
+        # same binary (s, a) on both sides; the reference carries 64 more bits
+        with mp.workprec(bits):
+            for a in self.A_VALUES:
+                a_bin = mp.mpmathify(a)
+                for radius in self.RADII:
+                    for j in range(8):
+                        s = 1 + mp.mpf(radius) * mp.expjpi(mp.mpf(j) / 4)
+                        value = hurwitz_zeta(s, a)
+                        with mp.workprec(bits + 64):
+                            target = mp.zeta(s, a_bin)
+                            error = abs(value - target) / abs(target)
+                        assert error <= mp.mpf(2) ** -(bits - 2), (bits, a, radius, j)
+
+    def test_series_serves_the_disc_including_its_edge(self):
+        special._hurwitz_memo.cache_clear()
+        special._hurwitz_series_at_1.cache_clear()
+        with mp.workprec(128):
+            rho = mp.mpf(special._SERIES_RADIUS)
+            for s in (1 + rho, 1 - rho, 1 + 1j * rho, mp.mpc(1, "1e-30")):
+                hurwitz_zeta(s, Fraction(3, 7))
+        info = special._hurwitz_series_at_1.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_taylor_coefficients_are_stieltjes_constants(self):
+        # zeta(s, a) = 1/(s-1) + sum_n (-1)^n gamma_n(a)/n! (s-1)^n; mpmath
+        # computes gamma_n(a) by quadrature, an independent route
+        bits = 128
+        with mp.workprec(bits):
+            for a in self.A_VALUES:
+                a_bin = mp.mpmathify(a)
+                coeffs = special._hurwitz_series_at_1(a_bin._mpf_, bits)
+                with mp.workprec(bits + 64):
+                    gamma0 = mp.stieltjes(0, a_bin)
+                    gamma1 = mp.stieltjes(1, a_bin)
+                    assert abs(coeffs[0] - gamma0) <= abs(gamma0) * mp.mpf(2) ** -bits, a
+                    assert abs(coeffs[1] + gamma1) <= abs(gamma1) * mp.mpf(2) ** -bits, a
+
+    def test_point_just_outside_the_disc_is_mpmath_bit_for_bit(self):
+        with mp.workprec(128):
+            rho = mp.mpf(special._SERIES_RADIUS)
+            for s in (1 + rho * (1 + mp.mpf(2) ** -60), mp.mpc(1 - rho, "1e-8")):
+                assert abs(s - 1) > rho
+                for a in (Fraction(1), Fraction(1, 3)):
+                    uncached = mp.mpc(mp.zeta(s, mp.mpmathify(a)))
+                    assert hurwitz_zeta(s, a)._mpc_ == uncached._mpc_, (s, a)
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_pole_at_one_still_raises(self, bits):
+        for a in (Fraction(1), Fraction(1, 24)):
+            with pytest.raises(PoleError):
+                hurwitz_zeta(1, a, precision=bits)
+            with pytest.raises(PoleError):
+                hurwitz_zeta(mp.mpc(1, 0), a, precision=bits)
+
+
 class TestCharacters:
     def test_primitive_roots(self):
         assert primitive_root(3) == 2

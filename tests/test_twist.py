@@ -235,6 +235,22 @@ class TestMultiplicativeConversion:
         with pytest.raises(ValueError):
             mult_twist_from_additive(divisor_stream(), mp.mpc(3), DirichletCharacter(5, 0))
 
+    @pytest.mark.parametrize("p", (3, 5))
+    def test_one_pass_matches_per_residue_direct_twists(self, p):
+        # the route the single residue pass replaced: one twist_direct per a
+        stream, s, n_max = generic_stream(), mp.mpc(2, 14), 1500
+        for chi in characters_mod(p, include_principal=False):
+            chi_bar = chi.conjugate()
+            per_residue = mp.fsum(
+                chi_bar.value(a) * twist_direct(stream, s, Fraction(-a, p), n_max).value
+                for a in range(1, p + 1)
+            ) / gauss_sum(chi_bar)
+            assert_close(mult_twist_from_additive(stream, s, chi, n_max), per_residue)
+
+    def test_direct_route_rejects_sigma_below_one(self):
+        with pytest.raises(ValueError):
+            mult_twist_from_additive(generic_stream(), mp.mpc(1), DirichletCharacter(5, 1))
+
     def test_linearity_in_coefficients(self, divisors):
         divisors.ensure(3000)
         doubled = CoefficientStream(lambda n: 2 * divisors.a(n), label="2*divisor")
