@@ -1,12 +1,13 @@
 """High-precision special functions and Dirichlet characters.
 
 Gamma is delegated to mpmath at the ambient binary precision.  Hurwitz
-zeta(s, a) has two routes, chosen by s alone: on the disc |s - 1| <= 0.26,
-where the verification chain puts its contours around the pole, one Taylor
-series per (a, precision) of zeta(1+x, a) - 1/x, built once by Euler-Maclaurin
-on power series with its truncation chosen from stated error bounds, is
-evaluated by Horner plus 1/x; everywhere else mpmath's zeta (Euler-Maclaurin
-with the shift and correction order chosen internally) evaluates the value.
+zeta(s, a) has two routes.  When 0 < a <= 1 and s lies within 0.26 of an
+integer c in -3..17 (the discs of the verification chain: s = 1, the polar
+consistency contours at 1 - nu and their main-term shifts), one Taylor series
+per (c, a, precision) of the entire part of an Euler-Maclaurin sum, built once
+in fixed point with its truncation chosen from stated error bounds, is
+evaluated by Horner and the pole term (N+a)^(1-s)/(s-1) added in closed form.
+Every other (s, a) goes to mpmath's zeta, whose value is returned unchanged.
 This module adds the pole signalling and argument contracts the rest of the
 package relies on, plus the character machinery (values, Gauss sums,
 L-functions) needed for the additive/multiplicative twist conversions.
@@ -29,7 +30,9 @@ from __future__ import annotations
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
+from operator import mul
 
 import mpmath as mp
 
@@ -52,6 +55,13 @@ def unit_phase(x: Fraction) -> mp.mpc:
     return mp.expjpi(2 * mp.mpmathify(Fraction(x)))
 
 
+@lru_cache(maxsize=64)
+def roots_of_unity(n: int, prec: int) -> tuple:
+    """(e(0/n), e(1/n), ..., e((n-1)/n)) at ``prec`` bits."""
+    with mp.workprec(prec):
+        return tuple(unit_phase(Fraction(r, n)) for r in range(n))
+
+
 def _precision_context(precision: int | None):
     """``precision`` bits for the block, or the ambient precision if None."""
     return mp.workprec(precision) if precision else nullcontext()
@@ -71,95 +81,114 @@ def gamma_complex(s, precision: int | None = None) -> mp.mpc:
             raise PoleError(f"gamma pole at s={s}") from exc
 
 
-#: Distinct Hurwitz values kept; one denominator's contour nodes times its
-#: numerators (256 x 24 at the largest allowed q) fit with room to spare.
+#: Distinct Hurwitz values kept, about 0.5 kB each: 256 contour nodes times
+#: the 24 numerators of the largest q fit; `verify` at its defaults keeps 3 768.
 _HURWITZ_CACHE_SIZE = 1 << 13
 
 
-#: |s - 1| served by the Taylor series at s = 1: the radius-1/4 contour
-#: nodes there can sit one ulp outside 1/4.
+#: |s - c| served by the Taylor series at the integer c: the radius-1/4
+#: contour nodes there can sit one ulp outside 1/4.
 _SERIES_RADIUS = 0.26
-#: Extra bits carried by the series build and evaluation.
+#: Centers with a series: polar consistency puts contours at 1 - nu for
+#: nu <= 4, and the main term shifts them by up to K = 16.
+_SERIES_CENTERS = range(-3, 18)
+#: Bits below 2^-prec that the series' truncation error stays under.
 _SERIES_GUARD = 20
 
 
+#: Series kept, one per (center, a, precision), about 2.5 kB each at 128
+#: bits: every numerator of every q <= 24 at s = 1 plus a few alphas' polar
+#: centers fit; `verify` at its defaults builds 34.
 @lru_cache(maxsize=512)
-def _hurwitz_series_at_1(a_mpf: tuple, prec: int) -> tuple:
-    """Taylor coefficients c_0..c_M of zeta(1+x, a) - 1/x, computed at
-    prec + guard bits, with truncation error below 2^-(prec+guard) on
-    |x| <= rho.
+def _hurwitz_series(c: int, a_mpf: tuple, prec: int) -> tuple:
+    """(wp, L_N, coeffs): zeta(c+x, a) = E(x) + (N+a)^(1-s)/(s-1) within
+    2^-(prec+guard) on |x| <= rho, coeffs being E's Taylor coefficients as
+    integers in units of 2^-wp, highest degree first.
 
-    Euler-Maclaurin with shift N = 2J and J Bernoulli terms, run on power
-    series in x (F. Johansson, Numer. Algorithms 2015), with L_k = log(k+a):
+    Euler-Maclaurin with shift N = 2J and J Bernoulli terms (F. Johansson,
+    Numer. Algorithms 2015), L_k = log(k+a), keeps the pole term closed and
+    runs the entire part on power series in x = s - c:
 
-      sum_{k<N} e^(-x L_k)/(k+a) + (e^(-x L_N) - 1)/x + e^(-x L_N) P(x),
-      P(x) = 1/(2(N+a)) + sum_{j<=J} B_2j/(2j)! (N+a)^-2j prod_{i<2j} (x+i).
+      sum_{k<N} (k+a)^-c e^(-x L_k) + e^(-x L_N) P(x),
+      P(x) = (N+a)^-c [1/2 + sum_{j<=J} B_2j/(2j)! (N+a)^(1-2j) prod_{i<2j-1} (x+c+i)].
 
     J is the first whose remainder bound (Johansson's Theorem 1)
-    4 (1+rho)_2J / ((2 pi)^2J (2J-rho) (N+a)^(2J-rho)) is below half the
-    target, and M >= 2J-1 the first degree whose Taylor tail bound
+    4 (|c|+rho)_2J / ((2 pi)^2J (2J+c-rho-1) (N+a)^(2J+c-rho-1)) is below
+    half the target, and M >= 2J-1 the first degree whose Taylor tail bound
     S (Lam rho)^(M+1)/(M+1)! e^(Lam rho) is below the other half, with
-    Lam = max |L_k| and S = sum_{k<N} 1/(k+a) + L_N + |P|((M+1)/Lam), where
-    |P| has the absolute values of P's coefficients.
+    Lam = max |L_k| and S = sum_{k<N} (k+a)^-c + |P|((M+1)/Lam), |P| taking
+    (|c| + y)_(2j-1) for each product.  Fixed point at wp bits adds
+    bit_length(N (M+1)) bits for its truncations and, for c <= 1, where the
+    terms cancel against the pole term, log2 sum_{k<N} (k+a)^(rho-c).
     """
-    wp = prec + _SERIES_GUARD
     with mp.workprec(53):  # the bounds; mpf exponents cannot underflow
         a, rho = mp.make_mpf(a_mpf), mp.mpf(_SERIES_RADIUS)
-        half_eps = mp.ldexp(1, -wp - 1)
-        big_j = 1
-        while 4 * mp.rf(1 + rho, 2 * big_j) / (
-            (2 * mp.pi * (2 * big_j + a)) ** (2 * big_j) * (2 * big_j - rho)
-        ) * (2 * big_j + a) ** rho > half_eps:
+        half_eps = mp.ldexp(1, -prec - _SERIES_GUARD - 1)
+        low = c - rho - 1  # Re(s) + 2J - 1 >= 2J + low on the disc
+        big_j = max(1, int(-low) // 2 + 1)
+        while 4 * mp.rf(abs(c) + rho, 2 * big_j) / (
+            (2 * mp.pi) ** (2 * big_j) * (2 * big_j + low) * (2 * big_j + a) ** (2 * big_j + low)
+        ) > half_eps:
             big_j += 1
-        n = 2 * big_j
+        n, m = 2 * big_j, 2 * big_j - 1
         lam = max(abs(mp.log(a)), mp.log(n + a))
-        weights = mp.fsum(1 / (k + a) for k in range(n)) + mp.log(n + a) + 1 / (2 * (n + a))
-        m = n - 1
-        while (weights + mp.fsum(
-            abs(mp.bernoulli(2 * j)) / mp.factorial(2 * j) / (n + a) ** (2 * j)
-            * mp.rf((m + 1) / lam + 1, 2 * j - 1) for j in range(1, big_j + 1)
-        )) * (lam * rho) ** (m + 1) / mp.factorial(m + 1) * mp.exp(lam * rho) > half_eps:
+        head = mp.fsum((k + a) ** -c for k in range(n))
+        weights = [abs(mp.bernoulli(2 * j)) / mp.factorial(2 * j) * (n + a) ** (1 - 2 * j)
+                   for j in range(1, big_j + 1)]
+        while (head + (n + a) ** -c * (0.5 + mp.fdot(weights, list(accumulate(
+            (abs(c) + (m + 1) / lam + i for i in range(n - 1)), mul))[::2]
+        ))) * (lam * rho) ** (m + 1) / mp.factorial(m + 1) * mp.exp(lam * rho) > half_eps:
             m += 1
+        cancel = 0 if c > 1 else mp.log(mp.fsum((k + a) ** (rho - c) for k in range(n)), 2)
+        wp = prec + _SERIES_GUARD + (n * (m + 1)).bit_length() + int(mp.ceil(cancel))
     with mp.workprec(wp):
         a = mp.make_mpf(a_mpf)
-        power_sums = [mp.mpf(0)] * (m + 1)  # sum_k (-L_k)^i / (k+a)
-        for k in range(n):
-            term, minus_log = 1 / (k + a), -mp.log(k + a)
-            for i in range(m + 1):
-                power_sums[i] += term
-                term *= minus_log
-        exp_series, minus_log = [mp.mpf(1)], -mp.log(n + a)  # e^(-x L_N)
-        for i in range(1, m + 2):
-            exp_series.append(exp_series[-1] * minus_log / i)
-        bracket = [1 / (2 * (n + a))] + [mp.mpf(0)] * (n - 1)
-        rising = [1]  # prod_{i' <= i} (x+i'), exact integer coefficients
-        for i in range(1, n):
-            rising = [lo + i * hi for lo, hi in zip([0] + rising, rising + [0])]
-            if i % 2:
-                weight = mp.bernoulli(i + 1) / mp.factorial(i + 1) / (n + a) ** (i + 1)
-                for d, c in enumerate(rising):
-                    bracket[d] += weight * c
-        return tuple(
-            power_sums[i] / mp.factorial(i)
-            + exp_series[i + 1]
-            + mp.fsum(bracket[d] * exp_series[i - d] for d in range(min(i + 1, n)))
-            for i in range(m + 1)
+        rows = []  # coefficients of (k+a)^-c e^(-x L_k) for k < N, then e^(-x L_N)
+        for k in range(n + 1):
+            minus_log = int(mp.ldexp(-mp.log(k + a), wp))
+            rows.append(list(accumulate(
+                range(1, m + 1), lambda term, i: term * minus_log // i >> wp,
+                initial=int(mp.ldexp((k + a) ** -c if k < n else 1, wp)),
+            )))
+        scale = (n + a) ** -c
+        bracket = [scale / 2] + [mp.mpf(0)] * (n - 1)  # P(x)
+        rising = [1]  # prod_{i' <= i} (x+c+i'), exact integer coefficients
+        for i in range(n - 1):
+            rising = [lo + (c + i) * hi for lo, hi in zip([0] + rising, rising + [0])]
+            if i % 2 == 0:
+                weight = mp.bernoulli(i + 2) / mp.factorial(i + 2) * scale / (n + a) ** (i + 1)
+                for d, r in enumerate(rising):
+                    bracket[d] += weight * r
+        bracket, exp_row = [int(mp.ldexp(b, wp)) for b in bracket], rows.pop()
+        return wp, mp.log(n + a), tuple(
+            sum(row[i] for row in rows)
+            + (sum(bracket[d] * exp_row[i - d] for d in range(min(i + 1, n))) >> wp)
+            for i in reversed(range(m + 1))
         )
 
 
 @lru_cache(maxsize=_HURWITZ_CACHE_SIZE)
 def _hurwitz_memo(s_mpc: tuple, a_mpf: tuple, prec: int) -> mp.mpc:
     """zeta(s, a) at ``prec`` bits, keyed by the exact mpmath values: the
-    Taylor series at s = 1 on |s - 1| <= rho, mp.zeta elsewhere."""
+    series at the integer c on |s - c| <= rho for c in the series centers
+    and a <= 1, mp.zeta elsewhere."""
     with mp.workprec(prec):
-        s = mp.make_mpc(s_mpc)
-        if abs(s - 1) > _SERIES_RADIUS:
-            return mp.mpc(mp.zeta(s, mp.make_mpf(a_mpf)))
-        coeffs = _hurwitz_series_at_1(a_mpf, prec)
-        with mp.workprec(prec + _SERIES_GUARD):
-            x = s - 1
-            value = mp.polyval(coeffs[::-1], x) + 1 / x
-        return +value
+        s, a = mp.make_mpc(s_mpc), mp.make_mpf(a_mpf)
+        c = int(mp.nint(s.real))
+        if c not in _SERIES_CENTERS or abs(s - c) > _SERIES_RADIUS or a > 1:
+            return mp.mpc(mp.zeta(s, a))
+        return +_series_value(s, c, a_mpf, prec)
+
+
+def _series_value(s, c: int, a_mpf: tuple, prec: int) -> mp.mpc:
+    """zeta(s, a) by the series at c, unrounded at its wp bits."""
+    wp, log_n, coeffs = _hurwitz_series(c, a_mpf, prec)
+    x_re, x_im = (int(mp.ldexp(part, wp)) for part in (s.real - c, s.imag))
+    re = im = 0
+    for coeff in coeffs:  # Horner in fixed point
+        re, im = coeff + (x_re * re - x_im * im >> wp), x_re * im + x_im * re >> wp
+    with mp.workprec(wp):
+        return mp.mpc(mp.ldexp(re, -wp), mp.ldexp(im, -wp)) + mp.exp((1 - s) * log_n) / (s - 1)
 
 
 def hurwitz_zeta(s, a, precision: int | None = None) -> mp.mpc:
@@ -172,6 +201,8 @@ def hurwitz_zeta(s, a, precision: int | None = None) -> mp.mpc:
     with _precision_context(precision):
         s = mp.mpc(mp.mpmathify(s))
         a = mp.mpmathify(a)
+        if not (mp.isfinite(s) and mp.isfinite(a)):
+            raise ValueError(f"need finite s and a, got s={s}, a={a}")
         if a <= 0:
             raise ValueError(f"need a > 0, got a={a}")
         if s == 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -22,7 +23,7 @@ from .expansion import q_poly
 from .exactpoly import scalar_to_mpc
 from .funceq import FunctionalEquationDatum
 from .reports import Report
-from .special import PoleError, characters_mod, dirichlet_l, gauss_sum
+from .special import PoleError, characters_mod, dirichlet_l, gauss_sum, roots_of_unity
 from .twist import reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle
 
 
@@ -52,6 +53,8 @@ class LaurentExpansion:
 
 
 def _circle_samples(f, center, radius, nodes):
+    if nodes < 2:
+        raise ValueError(f"need at least 2 contour nodes, got {nodes}")
     center = mp.mpc(center)
     radius = mp.mpmathify(radius)
     return [
@@ -62,13 +65,12 @@ def _circle_samples(f, center, radius, nodes):
 def _coeffs_from_samples(values, radius, ks) -> dict[int, mp.mpc]:
     """c_k = (1/N) sum_j f(s_j) (r w^j)^-k for the N-th roots of unity w."""
     n = len(values)
-    out = {}
-    for k in ks:
-        acc = mp.mpc(0)
-        for j, v in enumerate(values):
-            acc += v * mp.expjpi(mp.mpf(-2 * j * k) / n)
-        out[k] = acc / n * mp.mpmathify(radius) ** (-k)
-    return out
+    roots = roots_of_unity(n, mp.mp.prec)
+    radius = mp.mpmathify(radius)
+    return {
+        k: mp.fsum(v * roots[-j * k % n] for j, v in enumerate(values)) / n * radius ** (-k)
+        for k in ks
+    }
 
 
 def laurent_extract(
@@ -139,6 +141,13 @@ def transformation_prefactor(datum: FunctionalEquationDatum, s, alpha) -> mp.mpc
     return -1j * omega_star * mp.exp((2 * s - 1 + 1j * theta) * mp.log(base))
 
 
+@lru_cache(maxsize=None)
+def _q_coeffs(datum: FunctionalEquationDatum, nu: int, prec: int) -> tuple:
+    """Q_nu's coefficients as mpc at ``prec`` bits, highest degree first."""
+    with mp.workprec(prec):
+        return tuple(scalar_to_mpc(c) for c in reversed(q_poly(datum, nu).coeffs))
+
+
 def transformation_main_term(
     datum: FunctionalEquationDatum,
     s,
@@ -175,7 +184,7 @@ def transformation_main_term(
             raise PoleError(f"conjugate twist pole hit at nu={nu} (s+nu+i*theta=1)")
         total += (
             ratio**nu
-            * q_poly(datum, nu).eval_mpc(s)
+            * mp.polyval(_q_coeffs(datum, nu, mp.mp.prec), s)
             * conjugate_twist(shifted, conj_arg)
         )
     return transformation_prefactor(datum, s, alpha) * total

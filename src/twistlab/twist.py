@@ -39,6 +39,7 @@ from .special import (
     characters_mod,
     gauss_sum,
     hurwitz_zeta,
+    roots_of_unity,
     unit_phase,
 )
 
@@ -228,26 +229,23 @@ def twist_smoothed(
 
 def _divisor_twist_kernel(s, q: int, numerators, precision: int | None) -> list[mp.mpc]:
     """F(s, b/q) = q^(-2s) sum_{u,v=1}^{q} e(-u v b/q) zeta(s, u/q) zeta(s, v/q)
-    for each b in ``numerators``.
-
-    The q Hurwitz values and the q-th roots of unity are computed once and
-    shared by every numerator; raises PoleError at the double pole s = 1.
+    for each b in ``numerators``, grouped by w = uv mod q: the q(q+1)/2 products
+    zeta(s, u/q) zeta(s, v/q) (u <= v, doubled if u < v) sum to C_w once, and
+    each numerator reads sum_w e(-w b/q) C_w; raises PoleError at s = 1.
     """
     with _precision_context(precision):
         s = mp.mpc(s)
         if s == 1:
             raise PoleError("the twisted series has its double pole at s=1")
         hurwitz = [hurwitz_zeta(s, Fraction(u, q)) for u in range(1, q + 1)]
-        roots = [unit_phase(Fraction(r, q)) for r in range(q)]
+        roots = roots_of_unity(q, mp.mp.prec)
+        grouped = [mp.mpc(0)] * q
+        for u in range(1, q + 1):
+            for v in range(u, q + 1):
+                grouped[u * v % q] += hurwitz[u - 1] * hurwitz[v - 1] * (1 + (u < v))
         prefactor = mp.power(q, -2 * s)
-        out = []
-        for b in numerators:
-            total = mp.mpc(0)
-            for u in range(1, q + 1):
-                for v in range(1, q + 1):
-                    total += roots[(-u * v * b) % q] * hurwitz[u - 1] * hurwitz[v - 1]
-            out.append(prefactor * total)
-        return out
+        return [prefactor * mp.fsum(roots[-w * b % q] * grouped[w] for w in range(q))
+                for b in numerators]
 
 
 def zeta2_twist_oracle(s, alpha, precision: int | None = None) -> mp.mpc:

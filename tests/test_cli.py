@@ -1,4 +1,6 @@
 import json
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -236,3 +238,29 @@ class TestConfigFile:
     def test_invalid_precision_rejected(self, capsys):
         code, _ = run_cli(capsys, "--precision", "32", "polys")
         assert code == 2
+
+
+class TestBenchmarkRecords:
+    """The benchmark's verify and euler invocations print the records of
+    perfbench/reference, no more and no fewer, every one passing."""
+
+    REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    RECORD = re.compile(r"^\[(PASS|FAIL)\] (.*?)\s+measured=")
+
+    def records(self, text):
+        return [m.groups() for m in map(self.RECORD.match, text.splitlines()) if m]
+
+    @pytest.mark.parametrize(
+        "argv, reference",
+        [
+            (["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3"], "verify.txt"),
+            (["euler", "--primes", "2,3,5"], "euler.txt"),
+        ],
+    )
+    def test_record_names_match_reference_and_pass(self, capsys, argv, reference):
+        code, out = run_cli(capsys, *argv)
+        records = self.records(out)
+        golden = self.records((self.REFERENCE / reference).read_text())
+        assert Counter(name for _, name in records) == Counter(name for _, name in golden)
+        assert [name for status, name in records if status != "PASS"] == []
+        assert code == 0

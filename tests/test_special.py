@@ -97,6 +97,21 @@ class TestHurwitzZeta:
         with pytest.raises(ValueError):
             hurwitz_zeta(2, 0)
 
+    @pytest.mark.parametrize(
+        "s, a",
+        [
+            (mp.nan, Fraction(1, 3)),
+            (mp.inf, Fraction(1, 3)),
+            (mp.mpc(2, mp.nan), Fraction(1, 3)),
+            (mp.mpc(-mp.inf, 1), Fraction(1, 3)),
+            (2, mp.nan),
+            (2, mp.inf),
+        ],
+    )
+    def test_non_finite_arguments_rejected(self, s, a):
+        with pytest.raises(ValueError, match="finite"):
+            hurwitz_zeta(s, a)
+
     def test_arguments_converted_at_requested_precision(self):
         # a = 1/3 rounded at the 128-bit ambient precision would cap the
         # relative accuracy near 2^-127 however many bits are requested
@@ -156,27 +171,31 @@ class TestHurwitzSeriesAtOne:
 
     def test_series_serves_the_disc_including_its_edge(self):
         special._hurwitz_memo.cache_clear()
-        special._hurwitz_series_at_1.cache_clear()
+        special._hurwitz_series.cache_clear()
         with mp.workprec(128):
             rho = mp.mpf(special._SERIES_RADIUS)
             for s in (1 + rho, 1 - rho, 1 + 1j * rho, mp.mpc(1, "1e-30")):
                 hurwitz_zeta(s, Fraction(3, 7))
-        info = special._hurwitz_series_at_1.cache_info()
+        info = special._hurwitz_series.cache_info()
         assert (info.misses, info.hits) == (1, 3)
 
     def test_taylor_coefficients_are_stieltjes_constants(self):
         # zeta(s, a) = 1/(s-1) + sum_n (-1)^n gamma_n(a)/n! (s-1)^n; mpmath
-        # computes gamma_n(a) by quadrature, an independent route
+        # computes gamma_n(a) by quadrature, an independent route.  The series
+        # holds the entire part E, and the pole term (N+a)^-x / x is
+        # 1/x - L_N + L_N^2 x/2 + ..., so gamma_0 = E_0 - L_N and
+        # -gamma_1 = E_1 + L_N^2/2.
         bits = 128
         with mp.workprec(bits):
             for a in self.A_VALUES:
                 a_bin = mp.mpmathify(a)
-                coeffs = special._hurwitz_series_at_1(a_bin._mpf_, bits)
+                wp, log_n, coeffs = special._hurwitz_series(1, a_bin._mpf_, bits)
                 with mp.workprec(bits + 64):
+                    e0, e1 = (mp.ldexp(coeffs[-1 - i], -wp) for i in (0, 1))
                     gamma0 = mp.stieltjes(0, a_bin)
                     gamma1 = mp.stieltjes(1, a_bin)
-                    assert abs(coeffs[0] - gamma0) <= abs(gamma0) * mp.mpf(2) ** -bits, a
-                    assert abs(coeffs[1] + gamma1) <= abs(gamma1) * mp.mpf(2) ** -bits, a
+                    assert abs(e0 - log_n - gamma0) <= abs(gamma0) * mp.mpf(2) ** -bits, a
+                    assert abs(e1 + log_n**2 / 2 + gamma1) <= abs(gamma1) * mp.mpf(2) ** -bits, a
 
     def test_point_just_outside_the_disc_is_mpmath_bit_for_bit(self):
         with mp.workprec(128):
@@ -194,6 +213,66 @@ class TestHurwitzSeriesAtOne:
                 hurwitz_zeta(1, a, precision=bits)
             with pytest.raises(PoleError):
                 hurwitz_zeta(mp.mpc(1, 0), a, precision=bits)
+
+
+class TestHurwitzSeries:
+    """The series route at every integer center the verification chain uses."""
+
+    CENTERS = (*range(-3, 11), 17)
+    A_VALUES = TestHurwitzSeriesAtOne.A_VALUES
+    RADII = TestHurwitzSeriesAtOne.RADII
+
+    def points(self, center):
+        # four nodes per radius, turned by an eighth of a turn per radius
+        for index, radius in enumerate(self.RADII):
+            for j in range(4):
+                yield center + mp.mpf(radius) * mp.expjpi(mp.mpf(j) / 2 + mp.mpf(index) / 8)
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    @pytest.mark.parametrize("center", CENTERS)
+    def test_value_against_mpmath_at_higher_precision(self, center, bits):
+        # the rounded value within 2^-(bits-2) relative, and the unrounded
+        # series within its stated 2^-(bits+guard) (relative where |zeta| > 1);
+        # same binary (s, a) on both sides, the reference 64 bits finer
+        guard = special._SERIES_GUARD
+        with mp.workprec(bits):
+            for a in self.A_VALUES:
+                a_bin = mp.mpmathify(a)
+                for s in self.points(center):
+                    value = hurwitz_zeta(s, a)
+                    raw = special._series_value(s, center, a_bin._mpf_, bits)
+                    with mp.workprec(bits + 64):
+                        target = mp.zeta(s, a_bin)
+                        error = abs(value - target) / abs(target)
+                        raw_error = abs(raw - target) / max(1, abs(target))
+                    assert error <= mp.mpf(2) ** -(bits - 2), (a, s)
+                    assert raw_error <= mp.mpf(2) ** -(bits + guard), (a, s)
+
+    def test_each_disc_is_one_build_then_hits(self):
+        with mp.workprec(128):
+            rho = mp.mpf(special._SERIES_RADIUS)
+            for center in self.CENTERS:
+                special._hurwitz_memo.cache_clear()
+                special._hurwitz_series.cache_clear()
+                for s in (center + rho, center - rho, center + 1j * rho, center - 1j * rho / 3):
+                    hurwitz_zeta(s, Fraction(3, 7))
+                info = special._hurwitz_series.cache_info()
+                assert (info.misses, info.hits) == (1, 3), center
+
+    def test_off_the_series_route_is_mpmath_bit_for_bit(self):
+        with mp.workprec(128):
+            rho = mp.mpf(special._SERIES_RADIUS)
+            near_center = [mp.mpc(-4, "0.2"), mp.mpf("-3.9"), mp.mpc("-4.1", "-0.1"), mp.mpf("18.1")]
+            outside = [c + rho * (1 + mp.mpf(2) ** -60) for c in (-3, 0, 5, 17)]
+            growth = [mp.mpc(-10, 5), mp.mpc(-40, 5)]
+            for s in near_center + outside + growth:
+                for a in (Fraction(1), Fraction(1, 3), Fraction(5, 7)):
+                    uncached = mp.mpc(mp.zeta(s, mp.mpmathify(a)))
+                    assert hurwitz_zeta(s, a)._mpc_ == uncached._mpc_, (s, a)
+            # a > 1 lies outside the contract range the series serves
+            s = mp.mpc(-2, "0.1")
+            uncached = mp.mpc(mp.zeta(s, mp.mpf(3) / 2))
+            assert hurwitz_zeta(s, Fraction(3, 2))._mpc_ == uncached._mpc_
 
 
 class TestCharacters:

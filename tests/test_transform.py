@@ -3,6 +3,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from twistlab import transform
+from twistlab.expansion import q_poly
 from twistlab.special import PoleError
 from twistlab.transform import (
     GrowthCertificate,
@@ -86,8 +88,45 @@ class TestLaurentExtract:
         value = contour_integral(lambda s: 3 / (s - 1), center=1)
         assert abs(value - 6j * mp.pi) < mp.mpf("1e-25")
 
+    @pytest.mark.parametrize("nodes", (0, -2))
+    def test_too_few_nodes_rejected(self, nodes):
+        with pytest.raises(ValueError, match="nodes"):
+            laurent_extract(lambda s: 1 / (s - 1), center=1, nodes=nodes)
+
+    @pytest.mark.parametrize("nodes", (0, 1))
+    def test_contour_integral_needs_two_nodes(self, nodes):
+        with pytest.raises(ValueError, match="nodes"):
+            contour_integral(lambda s: 1 / (s - 1), center=1, nodes=nodes)
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_root_table_matches_per_node_phases(self, bits):
+        # the reference route: one e^(-2 pi i j k / n) per (node, k)
+        with mp.workprec(bits):
+            for n, radius in ((128, Fraction(1, 4)), (64, Fraction(1, 8)), (6, Fraction(1, 3))):
+                samples = transform._circle_samples(
+                    lambda s: zeta2_twist_oracle(s, Fraction(1, 3)), 1, radius, n
+                )
+                ks = range(-3, 3)
+                got = transform._coeffs_from_samples(samples, radius, ks)
+                scale = max(abs(c) for c in got.values())
+                for k in ks:
+                    want = mp.fsum(
+                        v * mp.expjpi(mp.mpf(-2 * j * k) / n) for j, v in enumerate(samples)
+                    ) / n * mp.mpmathify(radius) ** (-k)
+                    assert abs(got[k] - want) <= scale * mp.mpf(2) ** -(bits - 8), (n, k)
+
 
 class TestMainTerm:
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_cached_q_coefficients_equal_exact_evaluation(self, zeta2, bits):
+        with mp.workprec(bits):
+            points = [mp.mpc("-2.75", "0.25"), mp.mpc(1, "-0.25"), mp.mpc("0.5", 14)]
+            for nu in range(9):
+                coeffs = transform._q_coeffs(zeta2, nu, bits)
+                for s in points:
+                    value = mp.polyval(coeffs, s)
+                    assert value._mpc_ == q_poly(zeta2, nu).eval_mpc(s)._mpc_, (nu, s)
+
     def test_alpha_one_reduction(self, zeta2):
         report = identity_reduction_check(zeta2)
         assert report.passed

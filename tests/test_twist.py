@@ -17,6 +17,7 @@ from twistlab.special import (
     characters_mod,
     dirichlet_l,
     gauss_sum,
+    hurwitz_zeta,
     unit_phase,
 )
 from twistlab.twist import (
@@ -218,6 +219,26 @@ class TestOracle:
                     if gcd(b, q) == 1 or q == 1:
                         single = zeta2_twist_oracle(s, Fraction(b, q))
                         assert batch[b]._mpc_ == single._mpc_, (s, q, b)
+
+    @pytest.mark.parametrize("s", [mp.mpc("1.2", "0.1"), mp.mpc("-3.1", "0.2"), mp.mpc(2, 14)])
+    def test_grouped_kernel_matches_literal_double_sum(self, s):
+        # the reference route: q^(-2s) sum_{u,v=1}^{q} e(-uvb/q) zeta(s, u/q) zeta(s, v/q).
+        # Both routes round at the size of the summed terms, and the sum can
+        # cancel far below it (q = 12, b = 0 at s = -3.1+0.2i: 6.5e-5 from
+        # terms of 2e4), so "relative" is taken to q^(-2 sigma) (sum |zeta|)^2
+        bits = mp.mp.prec
+        for q in range(1, 13):
+            hurwitz = [hurwitz_zeta(s, Fraction(u, q)) for u in range(1, q + 1)]
+            scale = abs(mp.power(q, -2 * s)) * mp.fsum(abs(h) for h in hurwitz) ** 2
+            batch = zeta2_twist_batch(s, q)
+            for b in range(q):
+                total = mp.mpc(0)
+                for u in range(1, q + 1):
+                    for v in range(1, q + 1):
+                        phase = unit_phase(Fraction(-u * v * b, q))
+                        total += phase * hurwitz[u - 1] * hurwitz[v - 1]
+                want = mp.power(q, -2 * s) * total
+                assert abs(batch[b] - want) <= scale * mp.mpf(2) ** -(bits - 8), (q, b)
 
 
 class TestMultiplicativeConversion:
