@@ -12,6 +12,8 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import mpmath as mp
+
 
 @dataclass
 class CheckRecord:
@@ -40,6 +42,12 @@ class Report:
         rec = CheckRecord(name, claim, str(measured), str(target), bool(passed))
         self.records.append(rec)
         return rec
+
+    def add_bound(self, name, claim, measured, bound) -> CheckRecord:
+        """A record of the number ``measured`` held to ``measured <= bound``."""
+        return self.add(
+            name, claim, mp.nstr(measured, 6), f"<= {mp.nstr(bound, 3)}", measured <= bound
+        )
 
     def extend(self, other: "Report") -> None:
         self.records.extend(other.records)

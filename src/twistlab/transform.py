@@ -8,7 +8,10 @@ polar-consistency checks of the transformation formula.
 Laurent coefficients are extracted by trapezoidal contour averaging on two
 circles (the two-radius disagreement is the reported error estimate); the
 trapezoid rule converges geometrically for functions analytic in an annulus,
-so node-halving disagreement flags insufficient analyticity.
+so node-halving disagreement flags insufficient analyticity.  One extraction
+core takes a vector-valued function, so a single batched twist evaluation
+per (node, q) serves every numerator of the Laurent table, every character
+twist mod p and both coefficients of the Euler solve.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
+from math import gcd
 
 import mpmath as mp
 
@@ -25,6 +30,16 @@ from .funceq import FunctionalEquationDatum
 from .reports import Report
 from .special import PoleError, characters_mod, dirichlet_l, gauss_sum, roots_of_unity
 from .twist import reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle
+
+
+LAURENT_RADIUS = Fraction(1, 4)  # primary contour radius; the second is half of it
+LAURENT_NODES = 128
+TABLE_POLE_ORDER = 3  # one order above the double pole, so c_-3 = 0 is checked
+CHI_NODES = 64  # a multiple of 8: the square law reads 8 evenly spaced nodes
+PAIR_TOL = mp.mpf("1e-10")  # agreement across numerators and reality of beta
+MAX_SHIFT = 4  # polar consistency checks the shifted poles s = 0..1-MAX_SHIFT
+PARTIAL_DEGREE_MAX = 2  # the degree of F caps every local partial degree
+SLOPE_TOL = mp.mpf("0.5")  # growth certificate: |fitted slope of Delta| bound
 
 
 class LaurentConvergenceError(ArithmeticError):
@@ -73,45 +88,55 @@ def _coeffs_from_samples(values, radius, ks) -> dict[int, mp.mpc]:
     }
 
 
+def _laurent_many(f, center, max_pole_order, radius, nodes, k_max) -> list[LaurentExpansion]:
+    """Extract c_-m..c_K of every component of the vector-valued ``f``.
+
+    ``f(s)`` returns a list of values; it is called once per node, first on
+    the circle of ``radius`` in node order, then on the circle of radius/2.
+    Each expansion carries the primary-radius values; its per-coefficient
+    errors are the disagreement between the radii.  Raises
+    LaurentConvergenceError when halving the node count moves any
+    coefficient of any component materially.
+    """
+    if nodes % 2:
+        raise ValueError("node count must be even")
+    ks = range(-max_pole_order, k_max + 1)
+    primary = []
+    for values in zip(*_circle_samples(f, center, radius, nodes)):
+        coeffs = _coeffs_from_samples(values, radius, ks)
+        halved = _coeffs_from_samples(values[::2], radius, ks)
+        scale = max([mp.mpf(1)] + [abs(c) for c in coeffs.values()])
+        for k in ks:
+            if abs(coeffs[k] - halved[k]) > scale * mp.mpf("1e-6"):
+                raise LaurentConvergenceError(
+                    f"coefficient c_{k} moved by {abs(coeffs[k] - halved[k])} "
+                    f"under node halving; f is not analytic on the contour"
+                )
+        primary.append(coeffs)
+    second_radius = Fraction(radius) / 2 if isinstance(radius, Fraction) else radius / 2
+    expansions = []
+    for coeffs, values in zip(primary, zip(*_circle_samples(f, center, second_radius, nodes))):
+        secondary = _coeffs_from_samples(values, second_radius, ks)
+        errors = {k: abs(coeffs[k] - secondary[k]) for k in ks}
+        expansions.append(LaurentExpansion(mp.mpc(center), coeffs, mp.mpmathify(radius), errors))
+    return expansions
+
+
 def laurent_extract(
     f,
     center,
     max_pole_order: int = 2,
-    radius=Fraction(1, 4),
-    nodes: int = 128,
+    radius=LAURENT_RADIUS,
+    nodes: int = LAURENT_NODES,
     k_max: int = 2,
-    second_radius=None,
 ) -> LaurentExpansion:
-    """Extract c_-m..c_K by contour averaging at two radii.
-
-    ``f`` must be analytic on both circles (poles only inside).  The result
-    carries the primary-radius values; per-coefficient errors are the
-    disagreement between the radii.  Raises LaurentConvergenceError when
-    halving the node count moves any coefficient materially.
-    """
-    if nodes % 2:
-        raise ValueError("node count must be even")
-    if second_radius is None:
-        second_radius = Fraction(radius) / 2 if isinstance(radius, Fraction) else radius / 2
-    ks = range(-max_pole_order, k_max + 1)
-    primary = _circle_samples(f, center, radius, nodes)
-    coeffs = _coeffs_from_samples(primary, radius, ks)
-    halved = _coeffs_from_samples(primary[::2], radius, ks)
-    scale = max([mp.mpf(1)] + [abs(c) for c in coeffs.values()])
-    for k in ks:
-        if abs(coeffs[k] - halved[k]) > scale * mp.mpf("1e-6"):
-            raise LaurentConvergenceError(
-                f"coefficient c_{k} moved by {abs(coeffs[k] - halved[k])} "
-                f"under node halving; f is not analytic on the contour"
-            )
-    secondary = _coeffs_from_samples(
-        _circle_samples(f, center, second_radius, nodes), second_radius, ks
-    )
-    errors = {k: abs(coeffs[k] - secondary[k]) for k in ks}
-    return LaurentExpansion(mp.mpc(center), coeffs, mp.mpmathify(radius), errors)
+    """Extract c_-m..c_K of the scalar ``f`` by contour averaging at ``radius``
+    and radius/2 (see ``_laurent_many``); ``f`` must be analytic on both
+    circles (poles only inside)."""
+    return _laurent_many(lambda s: [f(s)], center, max_pole_order, radius, nodes, k_max)[0]
 
 
-def contour_integral(f, center, radius=Fraction(1, 4), nodes: int = 64) -> mp.mpc:
+def contour_integral(f, center, radius=LAURENT_RADIUS, nodes: int = 64) -> mp.mpc:
     """Trapezoidal closed contour integral of f on a circle (2 pi i c_-1)."""
     samples = _circle_samples(f, center, radius, nodes)
     return 2j * mp.pi * _coeffs_from_samples(samples, radius, [-1])[-1]
@@ -130,14 +155,23 @@ def _exact_conductor(datum: FunctionalEquationDatum) -> Fraction:
     return q_f
 
 
+@lru_cache(maxsize=None)
+def _prefactor_invariants(datum: FunctionalEquationDatum, prec: int) -> tuple:
+    """(omega*, theta, sqrt(q_F)) of the prefactor at ``prec`` bits."""
+    with mp.workprec(prec):
+        q_f = _exact_conductor(datum)
+        return (
+            scalar_to_mpc(datum.root_number_star()),
+            mp.mpmathify(datum.theta),
+            mp.sqrt(mp.mpmathify(q_f)),
+        )
+
+
 def transformation_prefactor(datum: FunctionalEquationDatum, s, alpha) -> mp.mpc:
     """-i omega* (sqrt(q_F) alpha)^(2s - 1 + i theta)."""
     s = mp.mpc(s)
-    alpha = Fraction(alpha)
-    q_f = _exact_conductor(datum)
-    omega_star = scalar_to_mpc(datum.root_number_star())
-    theta = mp.mpmathify(datum.theta)
-    base = mp.sqrt(mp.mpmathify(q_f)) * mp.mpmathify(alpha)
+    omega_star, theta, sqrt_q_f = _prefactor_invariants(datum, mp.mp.prec)
+    base = sqrt_q_f * mp.mpmathify(Fraction(alpha))
     return -1j * omega_star * mp.exp((2 * s - 1 + 1j * theta) * mp.log(base))
 
 
@@ -194,195 +228,130 @@ def transformation_main_term(
 # Laurent laws of the continued twists (reference instance)
 # ---------------------------------------------------------------------------
 
-def twist_laurent_table(
-    q_max: int,
-    radius=Fraction(1, 4),
-    nodes: int = 128,
-    max_pole_order: int = 3,
-) -> dict[tuple[int, int], LaurentExpansion]:
+def twist_laurent_table(q_max: int) -> dict[tuple[int, int], LaurentExpansion]:
     """Laurent data at s = 1 of the continued divisor twists F(s, a/q) for
-    every q <= q_max and a coprime to q (a = q meaning the untwisted series)."""
+    every q <= q_max and a coprime to q (a = q meaning the untwisted series),
+    from one extraction of the batched twists per q."""
     table = {}
     for q in range(1, q_max + 1):
-        for a in range(1, q + 1):
-            if Fraction(a, q).denominator != q and q > 1:
-                continue
-            alpha = Fraction(a, q)
-            table[(q, a)] = laurent_extract(
-                lambda s, _alpha=alpha: zeta2_twist_oracle(s, _alpha),
-                center=1,
-                max_pole_order=max_pole_order,
-                radius=radius,
-                nodes=nodes,
-                k_max=0,
-            )
+        numerators = [a for a in range(1, q + 1) if gcd(a, q) == 1]
+
+        def twists(s):
+            batch = zeta2_twist_batch(s, q)  # F(s, b/q) for b = 0..q-1
+            return [batch[a % q] for a in numerators]
+
+        expansions = _laurent_many(twists, 1, TABLE_POLE_ORDER, LAURENT_RADIUS, LAURENT_NODES, 0)
+        table.update({(q, a): exp for a, exp in zip(numerators, expansions)})
     return table
 
 
+def _numerator_law(report, table, q_max, tol, label, claim, agree_claim, value, target):
+    """Per q <= q_max: one record per numerator holding value(expansion) to
+    target(q) within tol, then one holding the values' spread to PAIR_TOL."""
+    groups = {}
+    for (q, a), exp in sorted(table.items()):
+        groups.setdefault(q, []).append((a, value(exp)))
+    for q in range(1, q_max + 1):
+        entries = groups.get(q, [])
+        for a, v in entries:
+            report.add_bound(f"{label}(a/q={a}/{q})", claim, abs(v - target(q)), tol)
+        if len(entries) > 1:
+            spread = max(abs(x - y) for _, x in entries for _, y in entries)
+            report.add_bound(f"{label} a-independence (q={q})", agree_claim, spread, PAIR_TOL)
+
+
 def verify_alpha_law(
-    datum: FunctionalEquationDatum,
-    q_max: int,
-    tol=mp.mpf("1e-8"),
-    pair_tol=mp.mpf("1e-10"),
-    table: dict | None = None,
+    datum: FunctionalEquationDatum, q_max: int, table: dict, tol=mp.mpf("1e-8")
 ) -> Report:
-    """Leading Laurent coefficient law: c_-2 of F(s, a/q) equals alpha_F / q
-    with alpha_F = 1, independently of a."""
+    """Leading Laurent coefficient law on a ``twist_laurent_table``: c_-2 of
+    F(s, a/q) equals alpha_F / q with alpha_F = 1, independently of a."""
     if datum.pole_order != 2:
         raise ValueError("the Laurent laws are stated for the double-pole instance")
-    if table is None:
-        table = twist_laurent_table(q_max)
     report = Report("leading Laurent coefficient law")
-    for q in range(1, q_max + 1):
-        values = []
-        for (qq, a), exp in sorted(table.items()):
-            if qq != q:
-                continue
-            c2 = exp.coefficient(-2)
-            values.append(c2)
-            report.add(
-                f"alpha(a/q={a}/{q})",
-                "leading coefficient equals 1/q",
-                mp.nstr(abs(c2 - mp.mpf(1) / q), 6),
-                f"<= {mp.nstr(tol, 3)}",
-                abs(c2 - mp.mpf(1) / q) <= tol,
-            )
-        if len(values) > 1:
-            spread = max(abs(x - y) for x in values for y in values)
-            report.add(
-                f"alpha a-independence (q={q})",
-                "extracted leading coefficients agree across numerators",
-                mp.nstr(spread, 6),
-                f"<= {mp.nstr(pair_tol, 3)}",
-                spread <= pair_tol,
-            )
+    _numerator_law(
+        report, table, q_max, tol, "alpha",
+        "leading coefficient equals 1/q",
+        "extracted leading coefficients agree across numerators",
+        lambda exp: exp.coefficient(-2),
+        lambda q: mp.mpf(1) / q,
+    )
     return report
 
 
 def verify_beta_law(
-    datum: FunctionalEquationDatum,
-    q_max: int,
-    tol=mp.mpf("1e-8"),
-    pair_tol=mp.mpf("1e-10"),
-    table: dict | None = None,
+    datum: FunctionalEquationDatum, q_max: int, table: dict, tol=mp.mpf("1e-8")
 ) -> Report:
-    """Subleading law: c_-1/c_-2 of F(s, a/q) equals beta - 2 log q where
-    beta = c_-1/c_-2 of the untwisted series (= 2*gamma); beta is real."""
+    """Subleading law on a ``twist_laurent_table``: c_-1/c_-2 of F(s, a/q)
+    equals beta - 2 log q where beta = c_-1/c_-2 of the untwisted series
+    (= 2*gamma); beta is real."""
     if datum.pole_order != 2:
         raise ValueError("the Laurent laws are stated for the double-pole instance")
-    if table is None:
-        table = twist_laurent_table(q_max)
     report = Report("subleading Laurent coefficient law")
-    beta = table[(1, 1)].coefficient(-1) / table[(1, 1)].coefficient(-2)
-    report.add(
-        "beta(q=1)",
-        "untwisted subleading ratio equals 2*gamma",
-        mp.nstr(abs(beta - 2 * mp.euler), 6),
-        f"<= {mp.nstr(tol, 3)}",
-        abs(beta - 2 * mp.euler) <= tol,
+    untwisted = table[(1, 1)]
+    beta = untwisted.coefficient(-1) / untwisted.coefficient(-2)
+    report.add_bound(
+        "beta(q=1)", "untwisted subleading ratio equals 2*gamma", abs(beta - 2 * mp.euler), tol
     )
-    report.add(
-        "Im(beta)",
-        "the subleading ratio is real",
-        mp.nstr(abs(mp.im(beta)), 6),
-        f"<= {mp.nstr(pair_tol, 3)}",
-        abs(mp.im(beta)) <= pair_tol,
-    )
-    c3 = table[(1, 1)].coefficient(-3)
-    report.add(
+    report.add_bound("Im(beta)", "the subleading ratio is real", abs(mp.im(beta)), PAIR_TOL)
+    report.add_bound(
         "pole order <= 2",
         "no third-order polar coefficient",
-        mp.nstr(abs(c3), 6),
-        f"<= {mp.nstr(pair_tol, 3)}",
-        abs(c3) <= pair_tol,
+        abs(untwisted.coefficient(-3)),
+        PAIR_TOL,
     )
-    for q in range(1, q_max + 1):
-        ratios = []
-        for (qq, a), exp in sorted(table.items()):
-            if qq != q:
-                continue
-            ratio = exp.coefficient(-1) / exp.coefficient(-2)
-            ratios.append(ratio)
-            target = beta - 2 * mp.log(q)
-            report.add(
-                f"beta(a/q={a}/{q})",
-                "subleading ratio equals beta - 2 log q",
-                mp.nstr(abs(ratio - target), 6),
-                f"<= {mp.nstr(tol, 3)}",
-                abs(ratio - target) <= tol,
-            )
-        if len(ratios) > 1:
-            spread = max(abs(x - y) for x in ratios for y in ratios)
-            report.add(
-                f"beta a-independence (q={q})",
-                "subleading ratios agree across numerators",
-                mp.nstr(spread, 6),
-                f"<= {mp.nstr(pair_tol, 3)}",
-                spread <= pair_tol,
-            )
+    _numerator_law(
+        report, table, q_max, tol, "beta",
+        "subleading ratio equals beta - 2 log q",
+        "subleading ratios agree across numerators",
+        lambda exp: exp.coefficient(-1) / exp.coefficient(-2),
+        lambda q: beta - 2 * mp.log(q),
+    )
     return report
 
 
-def verify_chi_holomorphy(
-    p: int,
-    tol=mp.mpf("1e-15"),
-    radius=Fraction(1, 4),
-    nodes: int = 64,
-) -> Report:
+def verify_chi_holomorphy(p: int, tol=mp.mpf("1e-15")) -> Report:
     """Character twists of the divisor stream are holomorphic at s = 1:
     for every non-principal chi mod p the contour integral and extracted
     principal-part coefficients vanish, and the assembled twist agrees with
     L(s, chi)^2 on the circle."""
     report = Report(f"character-twist holomorphy at s=1 (mod {p})")
-    center = mp.mpc(1)
-    radii = (Fraction(radius), Fraction(radius) / 2)
     chars = characters_mod(p, include_principal=False)
-    tau_bar = {chi: gauss_sum(chi.conjugate()) for chi in chars}
-    samples = {chi: {r: [] for r in radii} for chi in chars}
-    l_mismatch = {chi: mp.mpf(0) for chi in chars}
-    for r in radii:
-        for j in range(nodes):
-            s = center + mp.mpmathify(r) * mp.expjpi(mp.mpf(2 * j) / nodes)
-            twists = zeta2_twist_batch(s, p)  # F(s, b/p) for b = 0..p-1
-            for chi in chars:
-                chi_bar = chi.conjugate()
-                acc = mp.mpc(0)
-                for a in range(1, p + 1):
-                    b = (-a) % p
-                    acc += chi_bar.value(a) * twists[b]
-                value = acc / tau_bar[chi]
-                samples[chi][r].append(value)
-                if j % (nodes // 8) == 0:
-                    l_mismatch[chi] = max(
-                        l_mismatch[chi], abs(value - dirichlet_l(s, chi) ** 2)
-                    )
-    for chi in chars:
-        ks = range(-2, 1)
-        primary = _coeffs_from_samples(samples[chi][radii[0]], radii[0], ks)
-        secondary = _coeffs_from_samples(samples[chi][radii[1]], radii[1], ks)
-        integral = abs(2j * mp.pi * primary[-1])
+    chi_bars = [[chi.conjugate().value(a) for a in range(1, p + 1)] for chi in chars]
+    tau_bars = [gauss_sum(chi.conjugate()) for chi in chars]
+    l_mismatch = [mp.mpf(0)] * len(chars)
+    node = count()
+
+    def assembled(s):
+        """F(s, chi) = tau(chi bar)^-1 sum_a chi bar(a) F(s, -a/p) per chi."""
+        twists = zeta2_twist_batch(s, p)  # F(s, b/p) for b = 0..p-1
+        values = []
+        for chi_bar, tau_bar in zip(chi_bars, tau_bars):
+            acc = mp.mpc(0)
+            for a, weight in enumerate(chi_bar, 1):
+                acc += weight * twists[-a % p]
+            values.append(acc / tau_bar)
+        # _laurent_many calls f in node order, circle by circle; the square
+        # law reads 8 evenly spaced nodes of each circle
+        if next(node) % (CHI_NODES // 8) == 0:
+            for i, chi in enumerate(chars):
+                l_mismatch[i] = max(l_mismatch[i], abs(values[i] - dirichlet_l(s, chi) ** 2))
+        return values
+
+    expansions = _laurent_many(assembled, 1, 2, LAURENT_RADIUS, CHI_NODES, 0)
+    for chi, exp, mismatch in zip(chars, expansions, l_mismatch):
+        label = f"chi_{chi.index} mod {p}"
         for name, measured in (
-            (f"contour integral (chi_{chi.index} mod {p})", integral),
-            (f"c_-1 (chi_{chi.index} mod {p})", abs(primary[-1])),
-            (f"c_-2 (chi_{chi.index} mod {p})", abs(primary[-2])),
-            (
-                f"c_-1 cross-radius (chi_{chi.index} mod {p})",
-                abs(primary[-1] - secondary[-1]),
-            ),
+            (f"contour integral ({label})", abs(2j * mp.pi * exp.coefficient(-1))),
+            (f"c_-1 ({label})", abs(exp.coefficient(-1))),
+            (f"c_-2 ({label})", abs(exp.coefficient(-2))),
+            (f"c_-1 cross-radius ({label})", exp.error(-1)),
         ):
-            report.add(
-                name,
-                "character twist has no pole at s=1",
-                mp.nstr(measured, 6),
-                f"<= {mp.nstr(tol, 3)}",
-                measured <= tol,
-            )
-        report.add(
-            f"square law (chi_{chi.index} mod {p})",
+            report.add_bound(name, "character twist has no pole at s=1", measured, tol)
+        report.add_bound(
+            f"square law ({label})",
             "assembled twist equals the squared L-function on the circle",
-            mp.nstr(l_mismatch[chi], 6),
-            f"<= {mp.nstr(tol, 3)}",
-            l_mismatch[chi] <= tol,
+            mismatch,
+            tol,
         )
     return report
 
@@ -413,34 +382,18 @@ class LocalFactor:
         return v
 
 
-def euler_factor_at_1(
-    datum: FunctionalEquationDatum,
-    p: int,
-    radius=Fraction(1, 4),
-    nodes: int = 128,
-    table: dict | None = None,
-) -> mp.mpc:
+def euler_factor_at_1(datum: FunctionalEquationDatum, p: int) -> mp.mpc:
     """Solve the leading-coefficient relation for the local factor at s = 1:
-    F_p(1) = (p/(p-1)) / (1 - alpha_F(1/p) / alpha_F)."""
+    F_p(1) = (p/(p-1)) / (1 - alpha_F(1/p) / alpha_F), with alpha_F and
+    alpha_F(1/p) read as c_-2 at b = 0 and b = 1 of one batched extraction."""
     if datum.pole_order != 2:
         raise ValueError("reconstruction is stated for the double-pole instance")
-    def c2(alpha):
-        if table is not None:
-            key = (alpha.denominator, alpha.numerator if alpha != 1 else 1)
-            if key in table:
-                return table[key].coefficient(-2)
-        return laurent_extract(
-            lambda s: zeta2_twist_oracle(s, alpha),
-            center=1,
-            max_pole_order=2,
-            radius=radius,
-            nodes=nodes,
-            k_max=0,
-        ).coefficient(-2)
-
-    alpha_f = c2(Fraction(1))
-    alpha_fp = c2(Fraction(1, p))
-    ratio = alpha_fp / alpha_f
+    if p < 2:
+        raise ValueError(f"need a prime p >= 2, got {p}")
+    untwisted, twisted = _laurent_many(
+        lambda s: zeta2_twist_batch(s, p)[:2], 1, 2, LAURENT_RADIUS, LAURENT_NODES, 0
+    )
+    ratio = twisted.coefficient(-2) / untwisted.coefficient(-2)
     if abs(1 - ratio) < mp.mpf("1e-6"):
         raise ArithmeticError(
             "alpha_F(1/p)/alpha_F is too close to 1; the solve would blow up"
@@ -456,18 +409,16 @@ class LocalFactorSolution:
     detail: str
 
 
-def solve_local_factor(
-    value_at_1, p: int, partial_degree_max: int = 2, tol=mp.mpf("1e-8")
-) -> LocalFactorSolution:
+def solve_local_factor(value_at_1, p: int, tol=mp.mpf("1e-8")) -> LocalFactorSolution:
     """Equality-forcing argument at s = 1.
 
-    The local value is capped by (1 - 1/p)^-partial_degree_max when all
+    The local value is capped by (1 - 1/p)^-PARTIAL_DEGREE_MAX when all
     inverse roots sit in the closed unit disk; meeting the cap within
     tolerance forces partial degree 2 with both roots equal to 1, exceeding
     it is infeasible, and anything strictly inside is under-determined.
     """
     value = mp.mpc(value_at_1)
-    bound = (1 - mp.mpf(1) / p) ** (-partial_degree_max)
+    bound = (1 - mp.mpf(1) / p) ** (-PARTIAL_DEGREE_MAX)
     measured = abs(value)
     if measured > bound + tol:
         return LocalFactorSolution(
@@ -477,7 +428,7 @@ def solve_local_factor(
             f"|F_p(1)| = {mp.nstr(measured, 12)} exceeds the cap {mp.nstr(bound, 12)}",
         )
     if abs(measured - bound) <= tol:
-        factor = LocalFactor(p, partial_degree_max, (1,) * partial_degree_max)
+        factor = LocalFactor(p, PARTIAL_DEGREE_MAX, (1,) * PARTIAL_DEGREE_MAX)
         return LocalFactorSolution(
             "forced",
             factor,
@@ -494,14 +445,18 @@ def solve_local_factor(
 
 def degree_bound(h, q_f, p: int) -> int:
     """floor(log(h/q_F)/log p), computed by exact comparison when h/q_F is
-    rational; requires h >= q_F > 0."""
+    rational; requires h >= q_F > 0 and p >= 2."""
+    if p < 2:
+        raise ValueError(f"need p >= 2, got {p}")
+    if q_f <= 0:
+        raise ValueError("need h >= q_F > 0")
     try:
         ratio = Fraction(h) / Fraction(q_f)
         exact = True
     except (TypeError, ValueError):
         ratio = mp.mpf(h) / mp.mpf(q_f)
         exact = False
-    if q_f <= 0 or ratio < 1:
+    if ratio < 1:
         raise ValueError("need h >= q_F > 0")
     k = 0
     power = Fraction(p) if exact else mp.mpf(p)
@@ -535,7 +490,6 @@ def growth_certificate(
     degree: int = 2,
     t=5,
     sigmas=(-10, -20, -30, -40),
-    slope_tol=mp.mpf("0.5"),
 ) -> GrowthCertificate:
     """Left-half-plane growth check of the continued divisor twist.
 
@@ -579,7 +533,7 @@ def growth_certificate(
     slope = mp.fsum(
         (x - mean_x) * (y - mean_y) for x, y in zip(abs_sigmas, deltas)
     ) / mp.fsum((x - mean_x) ** 2 for x in abs_sigmas)
-    passed = abs(slope) <= slope_tol and abs(trends[-1]) <= max(
+    passed = abs(slope) <= SLOPE_TOL and abs(trends[-1]) <= max(
         mp.mpf("0.05"), abs(trends[0])
     )
     return GrowthCertificate(
@@ -606,7 +560,6 @@ def transformation_polar_consistency(
     k_terms: int,
     tol=mp.mpf("1e-8"),
     nodes: int = 32,
-    max_shift: int = 4,
 ) -> Report:
     """D(s) = F(s, alpha) - main_term(s) must be holomorphic at s = 1 - nu
     (the divisibility of Q_nu kills the shifted twist poles) and its
@@ -619,33 +572,20 @@ def transformation_polar_consistency(
             datum, s, alpha, k_terms
         )
 
-    for nu in range(1, min(k_terms - 1, max_shift) + 1):
-        integral = abs(
-            contour_integral(difference, center=1 - nu, radius=Fraction(1, 4), nodes=nodes)
-        )
-        report.add(
+    for nu in range(1, min(k_terms - 1, MAX_SHIFT) + 1):
+        report.add_bound(
             f"contour at s={1 - nu}",
             "difference has no residue where the shifted twists blow up",
-            mp.nstr(integral, 6),
-            f"<= {mp.nstr(tol, 3)}",
-            integral <= tol,
+            abs(contour_integral(difference, center=1 - nu, nodes=nodes)),
+            tol,
         )
-    expansion = laurent_extract(
-        difference,
-        center=1,
-        max_pole_order=2,
-        radius=Fraction(1, 4),
-        nodes=64,
-        k_max=0,
-    )
+    expansion = laurent_extract(difference, center=1, max_pole_order=2, nodes=64, k_max=0)
     for k in (-2, -1):
-        measured = abs(expansion.coefficient(k))
-        report.add(
+        report.add_bound(
             f"principal c_{k} at s=1",
             "polar parts of the twist and the main term cancel",
-            mp.nstr(measured, 6),
-            f"<= {mp.nstr(tol, 3)}",
-            measured <= tol,
+            abs(expansion.coefficient(k)),
+            tol,
         )
     return report
 
@@ -668,11 +608,7 @@ def identity_reduction_check(
             - transformation_main_term(datum, s, Fraction(1), 0)
         )
         worst = max(worst, diff)
-    report.add(
-        "alpha=1, K=0",
-        "main term reproduces the untwisted series identically",
-        mp.nstr(worst, 6),
-        f"<= {mp.nstr(tol, 3)}",
-        worst <= tol,
+    report.add_bound(
+        "alpha=1, K=0", "main term reproduces the untwisted series identically", worst, tol
     )
     return report

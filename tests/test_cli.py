@@ -1,6 +1,5 @@
 import json
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -239,10 +238,36 @@ class TestConfigFile:
         code, _ = run_cli(capsys, "--precision", "32", "polys")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "the config file must hold a JSON object"),
+            ({"precision": "abc"}, "precision must be an integer"),
+            ({"primes": "3,5"}, "primes must be a list of integers"),
+        ],
+    )
+    def test_wrong_shape_or_type_is_config_error(self, capsys, tmp_path, data, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        code = main(["--config", str(cfg), "euler"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {message}")
+
+
+class TestBadSigmaGrid:
+    @pytest.mark.parametrize("grid", ["inf", "1e400", "-10,-inf", "nan"])
+    def test_non_finite_sigma_is_config_error(self, capsys, grid):
+        code = main([f"--sigma-grid={grid}", "twist-grid"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("config error: sigma_grid must be a list of finite real numbers")
+
 
 class TestBenchmarkRecords:
     """The benchmark's verify and euler invocations print the records of
-    perfbench/reference, no more and no fewer, every one passing."""
+    perfbench/reference in the same order, no more and no fewer, every one
+    passing."""
 
     REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
     RECORD = re.compile(r"^\[(PASS|FAIL)\] (.*?)\s+measured=")
@@ -261,6 +286,6 @@ class TestBenchmarkRecords:
         code, out = run_cli(capsys, *argv)
         records = self.records(out)
         golden = self.records((self.REFERENCE / reference).read_text())
-        assert Counter(name for _, name in records) == Counter(name for _, name in golden)
+        assert [name for _, name in records] == [name for _, name in golden]
         assert [name for status, name in records if status != "PASS"] == []
         assert code == 0

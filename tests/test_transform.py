@@ -4,12 +4,12 @@ import mpmath as mp
 import pytest
 
 from twistlab import transform
+from twistlab.exactpoly import scalar_to_mpc
 from twistlab.expansion import q_poly
 from twistlab.special import PoleError
 from twistlab.transform import (
     GrowthCertificate,
     LaurentConvergenceError,
-    LaurentExpansion,
     LocalFactor,
     contour_integral,
     degree_bound,
@@ -65,6 +65,26 @@ class TestLaurentExtract:
     def test_branch_cut_detected(self):
         with pytest.raises(LaurentConvergenceError):
             laurent_extract(lambda s: mp.log(s - 1), center=1, max_pole_order=1, nodes=64)
+
+    def test_branch_cut_in_one_component_detected(self):
+        with pytest.raises(LaurentConvergenceError):
+            transform._laurent_many(
+                lambda s: [1 / (s - 1), mp.log(s - 1)], 1, 1, Fraction(1, 4), 64, 2
+            )
+
+    def test_vector_extraction_equals_scalar_extraction(self):
+        components = [
+            lambda s: 1 / (s - 1),
+            lambda s: mp.exp(s) / (s - 1) ** 2,
+            lambda s: zeta2_twist_oracle(s, Fraction(1, 3)),
+        ]
+        many = transform._laurent_many(
+            lambda s: [g(s) for g in components], 1, 3, Fraction(1, 4), 64, 1
+        )
+        assert len(many) == len(components)
+        for g, got in zip(components, many):
+            want = laurent_extract(g, center=1, max_pole_order=3, nodes=64, k_max=1)
+            assert got == want
 
     def test_real_on_reals_gives_real_coefficients(self):
         # conjugate symmetry: the half-twist has real coefficients
@@ -130,6 +150,18 @@ class TestMainTerm:
     def test_alpha_one_reduction(self, zeta2):
         report = identity_reduction_check(zeta2)
         assert report.passed
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_cached_prefactor_equals_literal_formula(self, zeta2, bits):
+        with mp.workprec(bits):
+            for s in (mp.mpc("1.7", "0.4"), mp.mpc("-2.75", "0.25"), mp.mpc(3)):
+                for alpha in (Fraction(1), Fraction(1, 2), Fraction(2, 3)):
+                    omega_star = scalar_to_mpc(zeta2.root_number_star())
+                    theta = mp.mpmathify(zeta2.theta)
+                    base = mp.sqrt(mp.mpmathify(zeta2.conductor())) * mp.mpmathify(alpha)
+                    want = -1j * omega_star * mp.exp((2 * s - 1 + 1j * theta) * mp.log(base))
+                    got = transformation_prefactor(zeta2, s, alpha)
+                    assert got._mpc_ == want._mpc_, (s, alpha)
 
     def test_prefactor_homogeneity(self, zeta2):
         s = mp.mpc("1.7", "0.4")
@@ -199,6 +231,25 @@ def table():
 
 
 class TestLaurentLaws:
+    def test_batched_table_equals_per_numerator_extraction(self):
+        # the reference route: one scalar extraction of the oracle per a/q
+        table = twist_laurent_table(6)
+        assert sorted(table) == [
+            (1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3),
+            (5, 1), (5, 2), (5, 3), (5, 4), (6, 1), (6, 5),
+        ]
+        for (q, a), got in table.items():
+            want = laurent_extract(
+                lambda s: zeta2_twist_oracle(s, Fraction(a, q)),
+                center=1,
+                max_pole_order=3,
+                radius=Fraction(1, 4),
+                nodes=128,
+                k_max=0,
+            )
+            assert got.coefficients == want.coefficients, (q, a)
+            assert got.errors == want.errors, (q, a)
+
     def test_alpha_law(self, zeta2, table):
         report = verify_alpha_law(zeta2, 3, table=table)
         assert report.passed
@@ -259,11 +310,24 @@ class TestEulerEndgame:
         lf = LocalFactor(2, 2, (1, 1))
         assert abs(lf.value_at(1) - 4) < mp.mpf("1e-30")
 
-    def test_blowup_guard(self, zeta2):
-        fake = LaurentExpansion(mp.mpc(1), {-2: mp.mpc(1)}, mp.mpf("0.25"), {-2: mp.mpf(0)})
-        table = {(1, 1): fake, (2, 1): fake}
-        with pytest.raises(ArithmeticError):
-            euler_factor_at_1(zeta2, 2, table=table)
+    def test_blowup_guard(self, zeta2, monkeypatch):
+        # every numerator shares c_-2 = 1, so alpha_F(1/p)/alpha_F = 1
+        def shared_pole(s, q, precision=None):
+            return [1 / (s - 1) ** 2] * q
+
+        monkeypatch.setattr(transform, "zeta2_twist_batch", shared_pole)
+        with pytest.raises(ArithmeticError, match="too close to 1"):
+            euler_factor_at_1(zeta2, 2)
+
+    @pytest.mark.parametrize("p", (1, 0, -3))
+    def test_degree_bound_rejects_p_below_two(self, p):
+        with pytest.raises(ValueError, match="p >= 2"):
+            degree_bound(4, 1, p)
+
+    @pytest.mark.parametrize("q_f", (0, Fraction(0), mp.mpf(0), -1))
+    def test_degree_bound_rejects_nonpositive_conductor(self, q_f):
+        with pytest.raises(ValueError, match="need h >= q_F > 0"):
+            degree_bound(4, q_f, 2)
 
     def test_degree_bound(self):
         for p in (2, 3, 5, 7, 11, 13):
