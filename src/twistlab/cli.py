@@ -53,7 +53,9 @@ class RunConfig:
     growth_h: str | None = None
     out: str | None = None
 
-    def validate(self) -> "RunConfig":
+    def validate(self, command: str | None = None) -> "RunConfig":
+        """Check every field, and what ``command`` (a subcommand name) needs
+        beyond that; raises ValueError naming the first bad value."""
         # a config file can hold any JSON value; flags arrive with these types
         for name, kind, ok in (
             ("precision", "an integer", type(self.precision) is int),
@@ -77,6 +79,11 @@ class RunConfig:
             raise ValueError("q_max must be between 1 and 24")
         if any(p < 2 or p > 13 for p in self.primes):
             raise ValueError("primes must lie in 2..13")
+        if command == "verify" and any(sigma >= 0 for sigma in self.sigma_grid):
+            raise ValueError(f"sigma_grid must be negative for verify (the growth "
+                             f"certificate samples sigma < 0), got {self.sigma_grid!r}")
+        if command == "twist-grid" and self.instance != "zeta2":
+            raise ValueError("twist-grid evaluates zeta(s)^2 only")
         # parsed here so a malformed value is a config error; the commands
         # parse t and tol again at the working precision
         self.alpha_fractions, self.tolerance, self.t_value, self.growth_h_fraction  # noqa: B018
@@ -190,7 +197,7 @@ def _config_from_args(args) -> RunConfig:
         )
     if args.alphas is not None:
         overrides["alphas"] = tuple(str(args.alphas).split(","))
-    return replace(cfg, **overrides).validate()
+    return replace(cfg, **overrides).validate(args.command)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +377,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "twist-grid" and cfg.instance != "zeta2":
-            raise ValueError("twist-grid evaluates zeta(s)^2 only")
         # a missing, malformed or invalid instance is a config error too
         cfg.datum  # noqa: B018
     except (ValueError, OSError) as exc:

@@ -12,6 +12,18 @@ twist with q | m is sum_r e(-r a/q) B_r.  A grid shares one pass per s (m =
 lcm of its denominators), a smoothed sum carries exp(-n/X) through the pass,
 and the additive/multiplicative identity reads every sum off the buckets mod p.
 
+The pass runs on Gaussian integers: n^-s in units of 2^-bits, bits a few
+dozen above the working precision, and the bucket sums exact, each converted
+to mpc once.  n^-s is completely multiplicative, so only primes get a
+transcendental evaluation.  With L = isqrt(N), every n <= N is one of two
+kinds.  An L-smooth n is visited depth first from 1, multiplying by the
+primes p <= L in non-decreasing order, n^-s = (n/p)^-s p^-s rounded; m^-s is
+kept for every m <= L.  Any other n is m P with exactly one prime P > L and
+m <= N/P < L: P streams from a bytearray sieve, P^-s is evaluated once, and
+the a(m P) m^-s of each residue class take one multiplication by it.  A
+smoothed sum reads exp(-n/X) as hi[n >> k] lo[n & mask] from two tables of
+about sqrt(N) entries.  Memory: N sieve bytes plus O(sqrt N) integers.
+
 For the divisor-coefficient stream (zeta(s)^2) the additive twist has a
 closed Hurwitz-zeta form that continues it to the whole plane minus the
 double pole at s = 1:
@@ -27,10 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, lcm
 from typing import Callable
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .special import (
     DirichletCharacter,
@@ -169,19 +183,162 @@ class TwistPartialSum:
     tail_estimate: mp.mpf
 
 
+#: Bits below 2^-bits carried by the prime powers, the smoothing weights and
+#: any non-integer coefficient of a series pass, so that their rounding stays a
+#: small part of the per-n error bound stated in `_residue_sums`.
+_TABLE_GUARD = 8
+
+
+def _nearest(x, scale: int) -> int:
+    """The integer nearest x * 2^scale for an mpf x (ties round up)."""
+    return to_fixed(x._mpf_, scale + 1) + 1 >> 1
+
+
+def _fixed_power(p: int, minus_s, scale: int) -> tuple[int, int]:
+    """p^minus_s at the working precision, as the Gaussian integer nearest
+    p^minus_s 2^scale."""
+    v = mp.power(p, minus_s)
+    return _nearest(v.real, scale), _nearest(v.imag, scale)
+
+
+def _power_cut(sigma, scale: int, n_max: int) -> int:
+    """min(n_max, floor(2^((scale + 2)/sigma))) for sigma > 0, else n_max: every
+    n above it has n^-sigma < 2^-(scale+2), a quarter unit at 2^-scale, so
+    its power rounds to exactly 0 there."""
+    if sigma > 0 and (scale + 2) / sigma < n_max.bit_length():
+        return min(n_max, int(mp.power(2, (scale + 2) / sigma)))
+    return n_max
+
+
+def _prime_flags(limit: int) -> bytearray:
+    """flags[n] = 1 exactly when n <= limit is prime."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[: min(2, limit + 1)] = bytes(min(2, limit + 1))
+    for i in range(2, isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return flags
+
+
 def _residue_sums(stream: CoefficientStream, s, modulus: int, n_max: int, decay=None):
-    """Bucket sums sum_{n <= n_max, n = r mod modulus} a(n) decay^n n^-s, with
-    decay^n a running product; a modulus above n_max gets one bucket per n."""
-    sums = [mp.mpc(0)] * min(modulus, n_max + 1)
-    minus_s = -s
-    weight = mp.mpf(1)
-    for n, c in enumerate(stream.values(n_max), 1):
-        if decay is not None:
-            weight *= decay
+    """Bucket sums sum_{n <= n_max, n = r mod modulus} a(n) decay^n n^-s, each
+    converted to mpc once; a modulus above n_max gets one bucket per n.
+
+    The pass (see the module docstring) runs in units of 2^-bits,
+    bits = prec + bit_length(N bit_length(N)) for N = n_max.  A table entry x
+    (p^-s, decay^i, a non-integer a(n)) is evaluated by mpmath at bits + 18
+    bits and rounded to the nearest multiple of 2^-(bits+8), so it is within
+    2^-(bits+8) max(1, |x|); a product m^-s p^-s is rounded to the nearest
+    multiple of 2^-bits, within 2^-bits/sqrt(2).  A smooth n^-s is Omega(n)
+    such products from 1^-s = 1, and the errors add: absolutely for
+    sigma >= 0, where every |p^-s| <= 1, relatively for sigma < 0, where every
+    |p^-s| >= 1.  The terms m P multiply m^-s by P^-s exactly.  So for any
+    sigma, per n, the term a(n) decay^n n^-s (decay <= 1) is within
+
+        (Omega(n) + 1) 2^-bits max(1, n^-sigma) max(1, |a(n)|),
+
+    which is |a(n)| times (Omega(n) + 1) 2^-bits max(1, n^-sigma) for a
+    non-zero Gaussian-integer a(n).  As sum_{n <= N} (Omega(n) + 1) <=
+    N bit_length(N) <= 2^(bits - prec), the buckets are within
+    2^-prec max_n max(1, |a(n)|) max(1, n^-sigma) of the truth before their
+    one rounding at the working precision.
+
+    For sigma > 0 a prime with p^-sigma < 2^-(bits+10) rounds to exactly 0,
+    and so does every term it divides.  The pass stops streaming primes there
+    and skips the multiples of every smooth n whose value has rounded to 0, so
+    its result is bit for bit that of the full pass.
+    """
+    s = mp.mpc(s)
+    bits = mp.mp.prec + (n_max * n_max.bit_length()).bit_length()
+    values = stream.values(n_max)
+    with mp.workprec(bits + _TABLE_GUARD + 10):  # every table entry
+        if all(type(c) is int for c in values):
+            re, im, scale = _fixed_residue_pass(values, s, modulus, n_max, decay, bits)
+        else:  # sum a(n) x_n = sum Re a(n) x_n + i sum Im a(n) x_n
+            coeff_scale = bits + _TABLE_GUARD
+            values = [mp.mpc(c) for c in values]
+            re, im, scale = _fixed_residue_pass(
+                [_nearest(c.real, coeff_scale) for c in values], s, modulus, n_max, decay, bits)
+            im_re, im_im, _ = _fixed_residue_pass(
+                [_nearest(c.imag, coeff_scale) for c in values], s, modulus, n_max, decay, bits)
+            re = [x - y for x, y in zip(re, im_im)]
+            im = [x + y for x, y in zip(im, im_re)]
+            scale += coeff_scale
+    return [mp.mpc(mp.ldexp(x, -scale), mp.ldexp(y, -scale)) for x, y in zip(re, im)]
+
+
+def _fixed_residue_pass(coeffs: list, s, modulus: int, n_max: int, decay,
+                        bits: int) -> tuple[list, list, int]:
+    """(re, im, scale): the bucket sums of c_n decay^n n^-s for the integers
+    c_n = coeffs[n - 1], as integers in units of 2^-scale; the table entries
+    are evaluated at the working precision."""
+    size = min(modulus, n_max + 1)
+    sigma = s.real
+    table_scale = bits + _TABLE_GUARD
+    cut = _power_cut(sigma, table_scale, n_max)
+    flags = _prime_flags(cut)
+    root = isqrt(n_max)
+    small = [p for p in range(2, min(root, cut) + 1) if flags[p]]
+    flags[: root + 1] = bytes(min(root, cut) + 1)  # the large phase streams P > L only
+    minus_s = -s if s.imag else -sigma  # a real exponent takes mpmath's real power
+    small_values = [_fixed_power(p, minus_s, table_scale) for p in small]
+    if decay is not None:
+        k = (n_max.bit_length() + 1) // 2
+        mask = (1 << k) - 1
+        lo = [_nearest(mp.power(decay, i), table_scale) for i in range(mask + 1)]
+        hi = [_nearest(mp.power(decay, j << k), table_scale) for j in range((n_max >> k) + 1)]
+
+    # L-smooth n, depth first: the children of n are n p for p >= its largest prime
+    table_re, table_im = [0] * (root + 1), [0] * (root + 1)
+    smooth_re, smooth_im = [0] * size, [0] * size
+    half = 1 << table_scale - 1
+    stack = [(1, 1 << bits, 0, 0)] if n_max >= 1 else []
+    while stack:
+        n, vr, vi, first = stack.pop()
+        if n <= root:
+            table_re[n], table_im[n] = vr, vi
+        c = coeffs[n - 1]
         if c:
-            term = c * mp.power(n, minus_s)
-            sums[n % modulus] += term if decay is None else term * weight
-    return sums
+            if decay is not None:
+                c *= hi[n >> k] * lo[n & mask]
+            r = n % modulus
+            smooth_re[r] += c * vr
+            smooth_im[r] += c * vi
+        for i in range(first, len(small)):
+            child = n * small[i]
+            if child > n_max:
+                break
+            pr, pi = small_values[i]
+            cr = vr * pr - vi * pi + half >> table_scale
+            ci = vr * pi + vi * pr + half >> table_scale
+            if cr or ci:  # a zero value has only zero multiples
+                stack.append((child, cr, ci, i))
+
+    # n = m P with one prime P > L: m <= N/P < L, and the class sums of one P
+    # (keyed by m mod modulus) take one multiplication by P^-s
+    large_re, large_im = [0] * size, [0] * size
+    for p in compress(range(cut + 1), flags):
+        pr, pi = _fixed_power(p, minus_s, table_scale)
+        top = n_max // p
+        width = min(modulus, top + 1)
+        acc_re, acc_im = [0] * width, [0] * width
+        for m, c in enumerate(coeffs[p - 1 : top * p : p], 1):
+            if c:
+                if decay is not None:
+                    n = m * p
+                    c *= hi[n >> k] * lo[n & mask]
+                j = m % modulus
+                acc_re[j] += c * table_re[m]
+                acc_im[j] += c * table_im[m]
+        for j in range(width):
+            xr, xi = acc_re[j], acc_im[j]
+            if xr or xi:
+                r = j * p % modulus
+                large_re[r] += xr * pr - xi * pi
+                large_im[r] += xr * pi + xi * pr
+    return ([(x << table_scale) + y for x, y in zip(smooth_re, large_re)],
+            [(x << table_scale) + y for x, y in zip(smooth_im, large_im)],
+            bits + table_scale + (2 * table_scale if decay is not None else 0))
 
 
 def _twist_from_residues(sums: list, alpha: Fraction) -> mp.mpc:

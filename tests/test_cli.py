@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +124,18 @@ class TestTwistGrid:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == "config error: twist-grid evaluates zeta(s)^2 only\n"
+
+    def test_huge_sigma_finishes_with_the_first_term(self, checkout_env):
+        # at sigma = 1e300 every term past n = 1 rounds to exactly 0, which
+        # leaves d(1) e(-1/2) = -1; a fresh interpreter, so a hang times out
+        result = subprocess.run(
+            [sys.executable, "-m", "twistlab.cli", "--sigma-grid", "1e300", "--t", "0",
+             "--alphas", "1/2", "twist-grid"],
+            capture_output=True, text=True, timeout=5, env=checkout_env, check=True,
+        )
+        sigma, _, alpha, re_, im_, method = result.stdout.splitlines()[1].split(",")
+        row = (float(sigma), alpha, float(re_), float(im_), method)
+        assert row == (1e300, "1/2", -1, 0, "direct")
 
     def test_help_says_zeta2_only(self, capsys):
         with pytest.raises(SystemExit):
@@ -262,6 +276,13 @@ class TestBadSigmaGrid:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("config error: sigma_grid must be a list of finite real numbers")
+
+    @pytest.mark.parametrize("grid", ["5", "0", "-10,5"])
+    def test_nonnegative_sigma_is_config_error_for_verify(self, capsys, grid):
+        code = main([f"--sigma-grid={grid}", "verify"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("config error: sigma_grid must be negative for verify")
 
 
 class TestBenchmarkRecords:

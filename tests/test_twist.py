@@ -1,4 +1,4 @@
-import os
+import gc
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,8 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-import twistlab
-from twistlab import cli
+from twistlab import cli, twist
 from twistlab.special import (
     DirichletCharacter,
     PoleError,
@@ -90,16 +89,10 @@ class TestDivisorStream:
         assert small.values(5000) == naive
 
 
-def test_cli_import_leaves_numpy_out():
+def test_cli_import_leaves_numpy_out(checkout_env):
     code = "import sys, twistlab.cli; print('numpy' in sys.modules)"
-    # the child must import this checkout's package even when it is not installed
-    src_dir = str(Path(twistlab.__file__).resolve().parent.parent)
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])),
-    }
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=checkout_env
     )
     assert result.stdout.strip() == "False"
 
@@ -322,15 +315,47 @@ def generic_stream():
     )
 
 
-def literal_series(stream, s, weight, n_max):
-    """sum_{n <= n_max} a(n) weight(n) n^-s, one term at a time: the per-n loop
-    the residue-class kernel replaced, kept as the independent route."""
-    total = mp.mpc(0)
+def literal_buckets(stream, s, weight, n_max, modulus):
+    """sum_{n <= n_max, n = r mod modulus} a(n) weight(n) n^-s, one term and one
+    mp.power at a time: the per-n loop the fixed-point kernel replaced, kept as
+    the independent route."""
+    sums = [mp.mpc(0)] * min(modulus, n_max + 1)
     for n in range(1, n_max + 1):
         c = stream.a(n)
         if c != 0:
-            total += c * weight(n) * mp.power(n, -s)
-    return total
+            sums[n % modulus] += c * weight(n) * mp.power(n, -s)
+    return sums
+
+
+def literal_series(stream, s, weight, n_max):
+    """sum_{n <= n_max} a(n) weight(n) n^-s by the literal route."""
+    return literal_buckets(stream, s, weight, n_max, 1)[0]
+
+
+def big_omega(n):
+    """Omega(n): the prime factors of n counted with multiplicity."""
+    count, p = 0, 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    return count + (n > 1)
+
+
+def fixed_point_bounds(stream, s, modulus, n_max):
+    """The error the kernel's docstring states per bucket before its rounding
+    at the working precision: the sum over the bucket's n with a(n) != 0 of
+    (Omega(n) + 1) 2^-bits max(1, n^-sigma) max(1, |a(n)|), where
+    bits = prec + bit_length(N bit_length(N))."""
+    bits = mp.mp.prec + (n_max * n_max.bit_length()).bit_length()
+    bounds = [mp.mpf(0)] * min(modulus, n_max + 1)
+    for n in range(1, n_max + 1):
+        c = stream.a(n)
+        if c != 0:
+            size = max(1, mp.power(n, -mp.re(s))) * max(1, abs(c))
+            bounds[n % modulus] += (big_omega(n) + 1) * size
+    return [mp.ldexp(bound, -bits) for bound in bounds]
 
 
 def literal_twist(stream, s, alpha, n_max, x_smoothing=None):
@@ -391,6 +416,56 @@ class TestResidueKernel:
             rhs = char_part / (p - 1) - (mp.mpf(p) / (p - 1) * f_p_free - f_full)
             assert_close(check.lhs, literal_twist(stream, s, Fraction(-a, p), n_max))
             assert_close(check.rhs, rhs)
+
+    @pytest.mark.parametrize("make_stream", KERNEL_STREAMS)
+    @pytest.mark.parametrize(
+        "s, x_smoothing",
+        [
+            pytest.param(mp.mpc("2.5"), None, id="t0"),
+            pytest.param(mp.mpc(2, 14), None, id="t14"),
+            pytest.param(mp.mpc(-1, 2), 20, id="smoothed"),
+            pytest.param(mp.mpc(40, 3), None, id="sigma40"),  # primes stop at 13
+        ],
+    )
+    def test_buckets_within_stated_bound_of_literal_loop(self, make_stream, s, x_smoothing):
+        # n_max on both sides of the square and power-of-two boundaries of the
+        # table sizes; modulus n_max + 1 gives one bucket per n
+        stream, prec = make_stream(), mp.mp.prec
+        with mp.workprec(prec + 64):
+            decay = None if x_smoothing is None else mp.exp(-1 / mp.mpf(x_smoothing))
+        for n_max in (1, 2, 3, 4, 15, 16, 17, 1000, 1024, 2000):
+            with mp.workprec(prec + 64):
+                weight = (lambda n: 1) if decay is None else (lambda n: decay**n)
+                terms = literal_buckets(stream, s, weight, n_max, n_max + 1)
+                per_class = [mp.fsum(terms[r::6]) for r in range(min(6, n_max + 1))]
+            for modulus, want in ((6, per_class), (n_max + 1, terms)):
+                got = _residue_sums(stream, s, modulus, n_max, decay)
+                bounds = fixed_point_bounds(stream, s, modulus, n_max)
+                assert len(got) == len(want)
+                for r, (g, w, bound) in enumerate(zip(got, want, bounds)):
+                    rounding = mp.ldexp(abs(w) + bound, 1 - prec)
+                    assert abs(g - w) <= bound + rounding, (n_max, modulus, r)
+
+    def test_prime_stop_is_bit_identical_to_the_full_pass(self, divisors, monkeypatch):
+        s, cuts, power_cut = mp.mpc(40, 3), [], twist._power_cut
+        monkeypatch.setattr(
+            twist, "_power_cut", lambda *args: cuts.append(power_cut(*args)) or cuts[-1])
+        stopped = _residue_sums(divisors, s, 6, 2000)
+        assert cuts == [14]  # no prime above 13 is streamed
+        monkeypatch.setattr(twist, "_power_cut", lambda sigma, scale, n_max: n_max)
+        full = _residue_sums(divisors, s, 6, 2000)
+        assert [v._mpc_ for v in stopped] == [v._mpc_ for v in full]
+
+    def test_pass_leaves_no_garbage(self, divisors):
+        # a reference cycle would hold the pass's coefficient slice until the
+        # cyclic collector happens to run
+        gc.collect()
+        gc.disable()
+        try:
+            _residue_sums(divisors, mp.mpc(2, 14), 6, 2000, mp.exp(mp.mpf(-1) / 20))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_bucket_count_is_capped_by_the_terms(self, divisors):
         assert len(_residue_sums(divisors, mp.mpc(3), 6, 2000)) == 6
