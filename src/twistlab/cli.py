@@ -87,6 +87,10 @@ class RunConfig:
         # parsed here so a malformed value is a config error; the commands
         # parse t and tol again at the working precision
         self.alpha_fractions, self.tolerance, self.t_value, self.growth_h_fraction  # noqa: B018
+        if command == "verify" and any(alpha <= 0 for alpha in self.alpha_fractions):
+            raise ValueError(f"alphas must be positive for verify, got {self.alphas!r}")
+        if command == "twist-grid" and self.t_value == 0 and 1 in self.sigma_grid:
+            raise ValueError("twist-grid cannot evaluate s = 1, the double pole of zeta(s)^2")
         return self
 
     @cached_property
@@ -257,10 +261,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         if p % 2 == 1:
             report.extend(transform.verify_chi_holomorphy(p))
 
-    for alpha in cfg.alpha_fractions:
-        report.extend(
-            transform.transformation_polar_consistency(datum, alpha, cfg.k_terms, tol=tol)
-        )
+    for polar in transform.transformation_polar_reports(datum, cfg.alpha_fractions,
+                                                        cfg.k_terms, tol):
+        report.extend(polar)
     report.extend(transform.identity_reduction_check(datum))
 
     stream = twist.divisor_stream()

@@ -43,10 +43,6 @@ class GaussianRational:
 
     # -- predicates ---------------------------------------------------------
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
@@ -239,10 +235,6 @@ class Polynomial:
     @classmethod
     def monomial(cls, c, k: int) -> "Polynomial":
         return cls((0,) * k + (c,))
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        return cls((0, 1))
 
     # -- structure ------------------------------------------------------------
 

@@ -62,6 +62,13 @@ def roots_of_unity(n: int, prec: int) -> tuple:
         return tuple(unit_phase(Fraction(r, n)) for r in range(n))
 
 
+@lru_cache(maxsize=64)
+def hurwitz_parameters(q: int, prec: int) -> tuple:
+    """The Hurwitz parameters (1/q, 2/q, ..., q/q) as mpf at ``prec`` bits."""
+    with mp.workprec(prec):
+        return tuple(mp.mpmathify(Fraction(u, q)) for u in range(1, q + 1))
+
+
 def _precision_context(precision: int | None):
     """``precision`` bits for the block, or the ambient precision if None."""
     return mp.workprec(precision) if precision else nullcontext()
@@ -333,5 +340,5 @@ def dirichlet_l(s, chi: DirichletCharacter, precision: int | None = None) -> mp.
                 # sum chi(a) = 0; the finite parts are -psi(a/m)
                 total += unit_phase(e) * (-mp.psi(0, mp.mpf(a) / m))
             else:
-                total += unit_phase(e) * hurwitz_zeta(s, Fraction(a, m))
+                total += unit_phase(e) * hurwitz_zeta(s, hurwitz_parameters(m, mp.mp.prec)[a - 1])
         return mp.power(m, -s) * total

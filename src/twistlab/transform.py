@@ -11,8 +11,10 @@ trapezoid rule converges geometrically for functions analytic in an annulus,
 so node-halving disagreement flags insufficient analyticity.  One extraction
 core takes a vector-valued function, so a single batched twist evaluation
 per (node, q) serves every numerator of the Laurent table, every character
-twist mod p and both coefficients of the Euler solve.
-"""
+twist mod p and both coefficients of the Euler solve.  Likewise one
+main-term pass per node (every Q_nu(s) from one table of powers of s, each
+conjugate twist once per distinct beta) serves every alpha of the
+polar-consistency check."""
 
 from __future__ import annotations
 
@@ -122,24 +124,24 @@ def _laurent_many(f, center, max_pole_order, radius, nodes, k_max) -> list[Laure
     return expansions
 
 
-def laurent_extract(
-    f,
-    center,
-    max_pole_order: int = 2,
-    radius=LAURENT_RADIUS,
-    nodes: int = LAURENT_NODES,
-    k_max: int = 2,
-) -> LaurentExpansion:
+def laurent_extract(f, center, max_pole_order: int = 2, radius=LAURENT_RADIUS,
+                    nodes: int = LAURENT_NODES, k_max: int = 2) -> LaurentExpansion:
     """Extract c_-m..c_K of the scalar ``f`` by contour averaging at ``radius``
     and radius/2 (see ``_laurent_many``); ``f`` must be analytic on both
     circles (poles only inside)."""
     return _laurent_many(lambda s: [f(s)], center, max_pole_order, radius, nodes, k_max)[0]
 
 
+def _contour_integrals(f, center, radius=LAURENT_RADIUS, nodes: int = 64) -> list[mp.mpc]:
+    """Trapezoidal closed contour integrals (2 pi i c_-1) on one circle of
+    every component of the vector-valued ``f``, called once per node."""
+    return [2j * mp.pi * _coeffs_from_samples(values, radius, [-1])[-1]
+            for values in zip(*_circle_samples(f, center, radius, nodes))]
+
+
 def contour_integral(f, center, radius=LAURENT_RADIUS, nodes: int = 64) -> mp.mpc:
-    """Trapezoidal closed contour integral of f on a circle (2 pi i c_-1)."""
-    samples = _circle_samples(f, center, radius, nodes)
-    return 2j * mp.pi * _coeffs_from_samples(samples, radius, [-1])[-1]
+    """Trapezoidal closed contour integral of the scalar f on a circle."""
+    return _contour_integrals(lambda s: [f(s)], center, radius, nodes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +184,52 @@ def _q_coeffs(datum: FunctionalEquationDatum, nu: int, prec: int) -> tuple:
         return tuple(scalar_to_mpc(c) for c in reversed(q_poly(datum, nu).coeffs))
 
 
-def transformation_main_term(
-    datum: FunctionalEquationDatum,
-    s,
-    alpha,
-    k_terms: int,
-    conjugate_twist=None,
-) -> mp.mpc:
+def _q_values(table, s) -> list[mp.mpc]:
+    """Q_nu(s) for each ``_q_coeffs`` tuple in ``table`` from one table of
+    powers of s, as exactly summed dot products rounded once: s^j errs by at
+    most j 2^-prec relatively, so at degree d <= 32 (K <= 16) a value lies
+    within (d + 2) 2^-prec <= 2^-(prec-6) of sum_j |q_j| |s|^j."""
+    powers = [mp.mpc(1)]
+    for _ in range(max(map(len, table)) - 1):
+        powers.append(powers[-1] * s)
+    return [mp.fdot(coeffs, powers[len(coeffs) - 1::-1]) for coeffs in table]
+
+
+def _main_terms(datum: FunctionalEquationDatum, alphas, k_terms: int, conjugate_twist=None):
+    """The main terms of every alpha in ``alphas`` as one vector-valued
+    function of s.  Per node, every Q_nu(s) comes from one ``_q_values``
+    call, and T_nu(s) = Q_nu(s) Fbar(s + nu + i theta, beta) is built once
+    per distinct beta = -1/(q_F alpha) mod 1; each alpha reads its prefactor
+    times the dot product of T with its powers of (i q_F alpha / 2 pi)."""
+    if k_terms < 0:
+        raise ValueError("K must be nonnegative")
+    alphas = [Fraction(alpha) for alpha in alphas]
+    if any(alpha <= 0 for alpha in alphas):
+        raise ValueError("the transformation formula needs alpha > 0")
+    q_f = _exact_conductor(datum)
+    conjugate_twist = conjugate_twist or zeta2_twist_oracle
+    theta = mp.mpmathify(datum.theta)
+    betas = [reduce_mod_one(Fraction(-1) / (q_f * alpha)) for alpha in alphas]
+    ratio_powers = [[(1j * mp.mpmathify(q_f * alpha) / (2 * mp.pi)) ** nu
+                     for nu in range(k_terms + 1)] for alpha in alphas]
+    table = [_q_coeffs(datum, nu, mp.mp.prec) for nu in range(k_terms + 1)]
+
+    def main_terms(s) -> list[mp.mpc]:
+        s = mp.mpc(s)
+        shifted = [s + nu + 1j * theta for nu in range(k_terms + 1)]
+        if 1 in shifted:
+            raise PoleError(f"conjugate twist pole hit at nu={shifted.index(1)} (s+nu+i*theta=1)")
+        q_values = _q_values(table, s)
+        terms = {beta: [q * conjugate_twist(x, beta) for q, x in zip(q_values, shifted)]
+                 for beta in dict.fromkeys(betas)}
+        return [transformation_prefactor(datum, s, alpha) * mp.fdot(powers, terms[beta])
+                for alpha, beta, powers in zip(alphas, betas, ratio_powers)]
+
+    return main_terms
+
+
+def transformation_main_term(datum: FunctionalEquationDatum, s, alpha, k_terms: int,
+                             conjugate_twist=None) -> mp.mpc:
     """Truncated main term of the transformation formula:
 
     prefactor * sum_{nu=0}^{K} (i q_F alpha / 2 pi)^nu Q_nu(s)
@@ -197,31 +238,10 @@ def transformation_main_term(
     ``conjugate_twist(s, alpha)`` supplies the continued twist of the
     conjugate series; the default is the divisor-stream oracle (the
     reference series has real coefficients, so Fbar = F).  Raises PoleError
-    when a required twist value sits at its pole.
+    when a required twist value sits at its pole.  The scalar view of
+    ``_main_terms``.
     """
-    if k_terms < 0:
-        raise ValueError("K must be nonnegative")
-    s = mp.mpc(s)
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("the transformation formula needs alpha > 0")
-    q_f = _exact_conductor(datum)
-    if conjugate_twist is None:
-        conjugate_twist = zeta2_twist_oracle
-    theta = mp.mpmathify(datum.theta)
-    conj_arg = reduce_mod_one(Fraction(-1) / (q_f * alpha))
-    ratio = 1j * mp.mpmathify(q_f * alpha) / (2 * mp.pi)
-    total = mp.mpc(0)
-    for nu in range(k_terms + 1):
-        shifted = s + nu + 1j * theta
-        if shifted == 1:
-            raise PoleError(f"conjugate twist pole hit at nu={nu} (s+nu+i*theta=1)")
-        total += (
-            ratio**nu
-            * mp.polyval(_q_coeffs(datum, nu, mp.mp.prec), s)
-            * conjugate_twist(shifted, conj_arg)
-        )
-    return transformation_prefactor(datum, s, alpha) * total
+    return _main_terms(datum, [alpha], k_terms, conjugate_twist)(s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -554,40 +574,35 @@ def growth_certificate(
 # Polar consistency of the transformation formula
 # ---------------------------------------------------------------------------
 
-def transformation_polar_consistency(
-    datum: FunctionalEquationDatum,
-    alpha,
-    k_terms: int,
-    tol=mp.mpf("1e-8"),
-    nodes: int = 32,
-) -> Report:
-    """D(s) = F(s, alpha) - main_term(s) must be holomorphic at s = 1 - nu
-    (the divisibility of Q_nu kills the shifted twist poles) and its
-    principal parts at s = 1 must cancel."""
-    alpha = Fraction(alpha)
-    report = Report(f"transformation-formula polar consistency (alpha={alpha})")
+def transformation_polar_reports(datum: FunctionalEquationDatum, alphas, k_terms: int,
+                                 tol=mp.mpf("1e-8"), nodes: int = 32) -> list[Report]:
+    """One report per alpha, in order: D(s) = F(s, alpha) - main_term(s) must
+    be holomorphic at s = 1 - nu (the divisibility of Q_nu kills the shifted
+    twist poles) and its principal parts at s = 1 must cancel.  Each circle
+    is sampled once: one ``_main_terms`` pass per node serves every alpha."""
+    alphas = [Fraction(alpha) for alpha in alphas]
+    distinct = list(dict.fromkeys(alphas))
+    main_terms = _main_terms(datum, distinct, k_terms)
 
-    def difference(s):
-        return zeta2_twist_oracle(s, alpha) - transformation_main_term(
-            datum, s, alpha, k_terms
-        )
+    def differences(s):
+        return [zeta2_twist_oracle(s, a) - main for a, main in zip(distinct, main_terms(s))]
 
+    reports = [Report(f"transformation-formula polar consistency (alpha={a})") for a in distinct]
     for nu in range(1, min(k_terms - 1, MAX_SHIFT) + 1):
-        report.add_bound(
-            f"contour at s={1 - nu}",
-            "difference has no residue where the shifted twists blow up",
-            abs(contour_integral(difference, center=1 - nu, nodes=nodes)),
-            tol,
-        )
-    expansion = laurent_extract(difference, center=1, max_pole_order=2, nodes=64, k_max=0)
-    for k in (-2, -1):
-        report.add_bound(
-            f"principal c_{k} at s=1",
-            "polar parts of the twist and the main term cancel",
-            abs(expansion.coefficient(k)),
-            tol,
-        )
-    return report
+        for report, residue in zip(reports, _contour_integrals(differences, 1 - nu, nodes=nodes)):
+            report.add_bound(f"contour at s={1 - nu}", "difference has no residue where "
+                             "the shifted twists blow up", abs(residue), tol)
+    for report, expansion in zip(reports, _laurent_many(differences, 1, 2, LAURENT_RADIUS, 64, 0)):
+        for k in (-2, -1):
+            report.add_bound(f"principal c_{k} at s=1", "polar parts of the twist and the "
+                             "main term cancel", abs(expansion.coefficient(k)), tol)
+    return [reports[distinct.index(alpha)] for alpha in alphas]
+
+
+def transformation_polar_consistency(datum: FunctionalEquationDatum, alpha, k_terms: int,
+                                     tol=mp.mpf("1e-8"), nodes: int = 32) -> Report:
+    """The polar-consistency report of one alpha (see ``transformation_polar_reports``)."""
+    return transformation_polar_reports(datum, [alpha], k_terms, tol, nodes)[0]
 
 
 def identity_reduction_check(

@@ -52,6 +52,7 @@ from .special import (
     _precision_context,
     characters_mod,
     gauss_sum,
+    hurwitz_parameters,
     hurwitz_zeta,
     roots_of_unity,
     unit_phase,
@@ -388,13 +389,15 @@ def _divisor_twist_kernel(s, q: int, numerators, precision: int | None) -> list[
     """F(s, b/q) = q^(-2s) sum_{u,v=1}^{q} e(-u v b/q) zeta(s, u/q) zeta(s, v/q)
     for each b in ``numerators``, grouped by w = uv mod q: the q(q+1)/2 products
     zeta(s, u/q) zeta(s, v/q) (u <= v, doubled if u < v) sum to C_w once, and
-    each numerator reads sum_w e(-w b/q) C_w; raises PoleError at s = 1.
-    """
+    each numerator reads sum_w e(-w b/q) C_w (zeta(s)^2 at q = 1); raises
+    PoleError at s = 1."""
     with _precision_context(precision):
         s = mp.mpc(s)
         if s == 1:
             raise PoleError("the twisted series has its double pole at s=1")
-        hurwitz = [hurwitz_zeta(s, Fraction(u, q)) for u in range(1, q + 1)]
+        hurwitz = [hurwitz_zeta(s, a) for a in hurwitz_parameters(q, mp.mp.prec)]
+        if q == 1:
+            return [hurwitz[0] * hurwitz[0]] * len(numerators)
         roots = roots_of_unity(q, mp.mp.prec)
         grouped = [mp.mpc(0)] * q
         for u in range(1, q + 1):

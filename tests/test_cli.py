@@ -137,6 +137,18 @@ class TestTwistGrid:
         row = (float(sigma), alpha, float(re_), float(im_), method)
         assert row == (1e300, "1/2", -1, 0, "direct")
 
+    @pytest.mark.parametrize("grid", ["1", "2,1.0"])
+    def test_pole_at_s_one_is_config_error(self, capsys, grid):
+        code = main([f"--sigma-grid={grid}", "--t", "0", "--alphas", "1/2", "twist-grid"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "config error: twist-grid cannot evaluate s = 1, the double pole of zeta(s)^2\n"
+
+    def test_sigma_one_off_the_real_axis_runs(self, capsys):
+        code, out = run_cli(capsys, "--sigma-grid", "1", "--t", "2", "--alphas", "1/2", "twist-grid")
+        assert code == 0
+        assert out.splitlines()[1].endswith(",oracle")
+
     def test_help_says_zeta2_only(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
@@ -151,6 +163,14 @@ class TestBadAlphas:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("config error: alphas must be rationals")
+
+    @pytest.mark.parametrize("alphas", ["0", "-1/2", "1/2,-1/3"])
+    def test_nonpositive_alpha_is_config_error_for_verify(self, capsys, alphas):
+        # rejected before the Laurent table or any other check runs
+        code = main([f"--alphas={alphas}", "verify"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("config error: alphas must be positive for verify")
 
     def test_non_string_alpha_in_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

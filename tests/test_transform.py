@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,6 +20,7 @@ from twistlab.transform import (
     laurent_extract,
     solve_local_factor,
     transformation_polar_consistency,
+    transformation_polar_reports,
     transformation_main_term,
     transformation_prefactor,
     twist_laurent_table,
@@ -211,13 +213,129 @@ class TestMainTerm:
             transformation_main_term(degree_one, mp.mpc(3), Fraction(1, 2), 2)
 
 
+def scalar_polar_values(datum, alpha, k_terms):
+    """The per-alpha reference route: one closure D(s) = F(s, alpha) -
+    main_term(s) per alpha, through the scalar contour_integral and
+    laurent_extract; (record name, measured value) in report order."""
+
+    def difference(s):
+        return zeta2_twist_oracle(s, alpha) - transformation_main_term(datum, s, alpha, k_terms)
+
+    values = [
+        (f"contour at s={1 - nu}", abs(contour_integral(difference, center=1 - nu, nodes=32)))
+        for nu in range(1, min(k_terms - 1, transform.MAX_SHIFT) + 1)
+    ]
+    expansion = laurent_extract(difference, center=1, max_pole_order=2, nodes=64, k_max=0)
+    return values + [(f"principal c_{k} at s=1", abs(expansion.coefficient(k))) for k in (-2, -1)]
+
+
+def literal_main_term(datum, s, alpha, k_terms):
+    """prefactor * sum_nu (i alpha / 2 pi)^nu Q_nu(s) F(s + nu, -1/alpha) term
+    by term, with Horner's Q_nu (q_F = 1 and theta = 0 for zeta2); returns
+    the value and its rounding scale, the same sum with |Q_nu(s)| replaced
+    by sum_j |q_j| |s|^j and every other factor by its absolute value."""
+    prefactor = transformation_prefactor(datum, s, alpha)
+    ratio = 1j * mp.mpmathify(alpha) / (2 * mp.pi)
+    value = scale = 0
+    for nu in range(k_terms + 1):
+        q = q_poly(datum, nu)
+        outer = prefactor * ratio**nu * zeta2_twist_oracle(s + nu, Fraction(-1) / alpha)
+        value += outer * q.eval_mpc(s)
+        scale += abs(outer) * mp.fsum(abs(scalar_to_mpc(c)) * abs(s) ** j
+                                      for j, c in enumerate(q.coeffs))
+    return value, scale
+
+
+def circle_nodes(center, radius, nodes):
+    return [mp.mpc(center) + mp.mpmathify(radius) * mp.expjpi(mp.mpf(2 * j) / nodes)
+            for j in range(nodes)]
+
+
 class TestPolarConsistency:
+    # mixes beta = -1/alpha mod 1 = 0 (1/2, 1/3) with beta = 1/2 (2/3), and a duplicate
+    ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 2))
+
     def test_alpha_half_at_tight_tolerance(self, zeta2):
         report = transformation_polar_consistency(
             zeta2, Fraction(1, 2), 6, tol=mp.mpf("1e-10"), nodes=16
         )
         assert report.passed
         assert len(report.records) == 6  # four circles + two principal parts
+
+    def test_vector_route_matches_per_alpha_scalar_route(self, zeta2):
+        # The routes differ at most in how D(s) rounds.  On these circles the
+        # main term's rounding scale (see literal_main_term) stays below 2^12
+        # (at most about 3.9e3) and _main_terms rounds within 2^5 2^-prec of
+        # it, so each route's D(s) lies within 2^-(prec-17) of the exact
+        # value.  A record is 2 pi |c_-1| or |c_k|, c_k a node mean of D(s_j)
+        # times (r w^j)^-k with r = 1/4, so two routes' records differ by
+        # at most 2^-(prec-19).  The records print 6 digits: add 1e-5 of the
+        # value.
+        bound = mp.mpf(2) ** -(mp.mp.prec - 19)
+        reports = transformation_polar_reports(zeta2, self.ALPHAS, 8)
+        assert len(reports) == len(self.ALPHAS)
+        for alpha, report in zip(self.ALPHAS, reports):
+            want = scalar_polar_values(zeta2, alpha, 8)
+            assert report.title == f"transformation-formula polar consistency (alpha={alpha})"
+            assert [r.name for r in report.records] == [name for name, _ in want]
+            for record, (name, value) in zip(report.records, want):
+                assert record.passed
+                assert abs(mp.mpf(record.measured) - value) <= bound + value * mp.mpf("1e-5"), (
+                    alpha, name)
+
+    def test_vector_main_terms_match_literal_formula(self, zeta2):
+        # every alpha reads its own main term.  At degree d <= 16 the vector
+        # core's Q_nu errs by at most (d + 2) 2^-prec and Horner's by about
+        # (2d + 1) 2^-prec of sum_j |q_j| |s|^j; the products and the 9-term
+        # sums add about 12 roundings more, so the routes agree within
+        # 2^-(prec-8) of the rounding scale (measured: below 4 2^-prec)
+        main_terms = transform._main_terms(zeta2, self.ALPHAS, 8)
+        for center, radius in ((-3, Fraction(1, 4)), (0, Fraction(1, 4)), (1, Fraction(1, 8))):
+            for s in circle_nodes(center, radius, 8):
+                for alpha, got in zip(self.ALPHAS, main_terms(s)):
+                    want, scale = literal_main_term(zeta2, s, alpha, 8)
+                    assert abs(got - want) <= scale * mp.mpf(2) ** -(mp.mp.prec - 8), (s, alpha)
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_power_table_q_values_match_horner(self, zeta2, bits):
+        # _q_values lies within 2^-(prec-6) sum_j |q_j| |s|^j of Q_nu(s) for
+        # degree <= 32; Horner in eval_mpc rounds 2d + 1 times, within
+        # about (2d + 1) 2^-prec of the same sum, so the routes agree within
+        # 2^-(prec-7) of it.  Nodes reach |s| = 3.25 on the circle at s = -3.
+        with mp.workprec(bits):
+            table = [transform._q_coeffs(zeta2, nu, bits) for nu in range(17)]
+            for center in (1, 0, -1, -2, -3):
+                for s in circle_nodes(center, Fraction(1, 4), 8):
+                    for nu, got in enumerate(transform._q_values(table, s)):
+                        scale = mp.fsum(abs(c) * abs(s) ** j
+                                        for j, c in enumerate(reversed(table[nu])))
+                        want = q_poly(zeta2, nu).eval_mpc(s)
+                        assert abs(got - want) <= scale * mp.mpf(2) ** -(bits - 7), (s, nu)
+
+    def test_one_main_term_pass_per_node(self, zeta2, monkeypatch):
+        # alphas 1/2 and 1/3 share beta = 0: per node, Q_0..Q_8 come from one
+        # _q_values call and each conjugate twist F(s + nu, 0) is requested
+        # once, not once per alpha; F(s, alpha) once per alpha.  A request is
+        # keyed by the number of Q passes so far and its exact argument.
+        nodes, requests = [], Counter()
+        q_values, oracle = transform._q_values, transform.zeta2_twist_oracle
+
+        def counted_q_values(table, s):
+            nodes.append(s)
+            return q_values(table, s)
+
+        def counted_oracle(s, alpha, precision=None):
+            requests[len(nodes), mp.mpc(s)._mpc_, Fraction(alpha)] += 1
+            return oracle(s, alpha, precision)
+
+        monkeypatch.setattr(transform, "_q_values", counted_q_values)
+        monkeypatch.setattr(transform, "zeta2_twist_oracle", counted_oracle)
+        reports = transformation_polar_reports(zeta2, (Fraction(1, 2), Fraction(1, 3)), 8)
+        assert all(report.passed for report in reports)
+        assert len(nodes) == 4 * 32 + 2 * 64
+        assert set(requests.values()) == {1}
+        alphas = Counter(alpha for _, _, alpha in requests)
+        assert alphas == {0: len(nodes) * 9, Fraction(1, 2): len(nodes), Fraction(1, 3): len(nodes)}
 
 
 @pytest.fixture(scope="module")
