@@ -27,7 +27,6 @@ from .special import (
     gamma_complex,
     gauss_sum,
     hurwitz_zeta,
-    working_precision,
 )
 from .twist import (
     CoefficientStream,
@@ -67,7 +66,6 @@ __all__ = [
     "gamma_complex",
     "gauss_sum",
     "hurwitz_zeta",
-    "working_precision",
     "CoefficientStream",
     "DivisorStream",
     "divisor_stream",

@@ -30,6 +30,7 @@ from functools import cached_property
 from pathlib import Path
 
 import mpmath as mp
+from mpmath.libmp import isprime
 
 from . import expansion, transform, twist
 from .exactpoly import Polynomial
@@ -79,6 +80,8 @@ class RunConfig:
             raise ValueError("q_max must be between 1 and 24")
         if any(p < 2 or p > 13 for p in self.primes):
             raise ValueError("primes must lie in 2..13")
+        if not all(map(isprime, self.primes)) or len(set(self.primes)) < len(self.primes):
+            raise ValueError(f"primes must be distinct primes, got {list(self.primes)}")
         if command == "verify" and any(sigma >= 0 for sigma in self.sigma_grid):
             raise ValueError(f"sigma_grid must be negative for verify (the growth "
                              f"certificate samples sigma < 0), got {self.sigma_grid!r}")
@@ -89,8 +92,18 @@ class RunConfig:
         self.alpha_fractions, self.tolerance, self.t_value, self.growth_h_fraction  # noqa: B018
         if command == "verify" and any(alpha <= 0 for alpha in self.alpha_fractions):
             raise ValueError(f"alphas must be positive for verify, got {self.alphas!r}")
+        if self.growth_h_fraction is not None and self.growth_h_fraction <= 0:
+            raise ValueError(f"growth_h must be positive, got {self.growth_h!r}")
         if command == "twist-grid" and self.t_value == 0 and 1 in self.sigma_grid:
             raise ValueError("twist-grid cannot evaluate s = 1, the double pole of zeta(s)^2")
+        # the Laurent laws and the Euler factors are those of the double-pole
+        # instance, and verify's main term needs an exact degree-2 datum
+        datum = self.datum  # a missing or malformed instance reports its own error
+        if command in ("verify", "euler") and datum.pole_order != 2:
+            raise ValueError(f"{command} needs a double-pole instance (pole_order 2), "
+                             f"got pole_order {datum.pole_order}")
+        if command == "verify":
+            transform._exact_conductor(datum)
         return self
 
     @cached_property
@@ -143,12 +156,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--instance",
         help="functional-equation instance: 'zeta2' or a JSON datum path "
-        "(twist-grid accepts zeta2 only)",
+        "(verify and euler need pole_order 2; twist-grid accepts zeta2 only)",
     )
     parser.add_argument("--K", dest="k_terms", type=int, help="truncation order (<= 16)")
     parser.add_argument("--qmax", dest="q_max", type=int, help="largest twist denominator (<= 24)")
     parser.add_argument(
-        "--primes", help="comma-separated primes for the local-factor sections"
+        "--primes", help="comma-separated distinct primes in 2..13 for the local-factor sections"
     )
     parser.add_argument(
         "--sigma-grid",
@@ -163,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--growth-h",
         dest="growth_h",
-        help="override the growth-certificate h (sensitivity runs; default q^2)",
+        help="override the growth-certificate h > 0 (sensitivity runs; default q^2)",
     )
     parser.add_argument("--out", help="directory for report/CSV artifacts")
     parser.add_argument(
@@ -254,8 +267,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     )
 
     table = transform.twist_laurent_table(cfg.q_max)
-    report.extend(transform.verify_alpha_law(datum, cfg.q_max, table, tol=tol))
-    report.extend(transform.verify_beta_law(datum, cfg.q_max, table, tol=tol))
+    report.extend(transform.verify_alpha_law(table, tol=tol))
+    report.extend(transform.verify_beta_law(table, tol=tol))
 
     for p in cfg.primes:
         if p % 2 == 1:
@@ -307,12 +320,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_euler(cfg: RunConfig) -> int:
-    datum = cfg.datum
     tol = cfg.tolerance
     report = Report(f"Euler-factor reconstruction (primes={list(cfg.primes)})")
     rows = []
     for p in cfg.primes:
-        value = transform.euler_factor_at_1(datum, p)
+        value = transform.euler_factor_at_1(p)
         target = (1 - mp.mpf(1) / p) ** -2
         solution = transform.solve_local_factor(value, p, tol=tol)
         bound = transform.degree_bound(p * p, 1, p)
@@ -380,8 +392,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        # a missing, malformed or invalid instance is a config error too
-        cfg.datum  # noqa: B018
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

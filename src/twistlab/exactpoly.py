@@ -159,9 +159,6 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-I_UNIT = GaussianRational(0, 1)
-
-
 def conj_scalar(c):
     """Complex conjugate for any supported scalar type."""
     if isinstance(c, _RATIONAL_TYPES):
@@ -227,10 +224,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls((c,))
 
     @classmethod
     def monomial(cls, c, k: int) -> "Polynomial":
@@ -390,7 +383,7 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
 
-    def pretty(self, var: str = "s") -> str:
+    def pretty(self) -> str:
         """Human-readable form, highest power first, e.g. ``-s^2 + 1/2``."""
         if self.is_zero:
             return "0"
@@ -408,7 +401,7 @@ class Polynomial:
             if k == 0:
                 term = c_str
             else:
-                xpow = var if k == 1 else f"{var}^{k}"
+                xpow = "s" if k == 1 else f"s^{k}"
                 if c == 1:
                     term = xpow
                 elif c == -1 and isinstance(c, (int, Fraction)):

@@ -1,6 +1,8 @@
 """High-precision special functions and Dirichlet characters.
 
-Gamma is delegated to mpmath at the ambient binary precision.  Hurwitz
+Precision comes from the context: every value is computed at the ambient
+mpmath precision ``mp.mp.prec`` (wrap a call in ``mp.workprec`` for more
+bits), and every cache keys on it.  Gamma is delegated to mpmath.  Hurwitz
 zeta(s, a) has two routes.  When 0 < a <= 1 and s lies within 0.26 of an
 integer c in -3..17 (the discs of the verification chain: s = 1, the polar
 consistency contours at 1 - nu and their main-term shifts), one Taylor series
@@ -27,7 +29,6 @@ concurrent callers are fine; everything else is stateless given the
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -41,13 +42,6 @@ DEFAULT_PRECISION = 128
 
 class PoleError(ArithmeticError):
     """The requested value sits at a pole of the function."""
-
-
-def working_precision(bits: int):
-    """Context manager setting the mpmath working precision in bits."""
-    if bits < 53:
-        raise ValueError("precision below 53 bits is not supported")
-    return mp.workprec(bits)
 
 
 def unit_phase(x: Fraction) -> mp.mpc:
@@ -69,23 +63,17 @@ def hurwitz_parameters(q: int, prec: int) -> tuple:
         return tuple(mp.mpmathify(Fraction(u, q)) for u in range(1, q + 1))
 
 
-def _precision_context(precision: int | None):
-    """``precision`` bits for the block, or the ambient precision if None."""
-    return mp.workprec(precision) if precision else nullcontext()
-
-
-def gamma_complex(s, precision: int | None = None) -> mp.mpc:
+def gamma_complex(s) -> mp.mpc:
     """Gamma(s) for complex s; raises PoleError at nonpositive integers."""
-    with _precision_context(precision):
-        s = mp.mpc(mp.mpmathify(s))
-        if mp.im(s) == 0:
-            re = mp.re(s)
-            if re <= 0 and re == mp.floor(re):
-                raise PoleError(f"gamma pole at s={s}")
-        try:
-            return mp.mpc(mp.gamma(s))
-        except ValueError as exc:  # mpmath's own pole detection
-            raise PoleError(f"gamma pole at s={s}") from exc
+    s = mp.mpc(mp.mpmathify(s))
+    if mp.im(s) == 0:
+        re = mp.re(s)
+        if re <= 0 and re == mp.floor(re):
+            raise PoleError(f"gamma pole at s={s}")
+    try:
+        return mp.mpc(mp.gamma(s))
+    except ValueError as exc:  # mpmath's own pole detection
+        raise PoleError(f"gamma pole at s={s}") from exc
 
 
 #: Distinct Hurwitz values kept, about 0.5 kB each: 256 contour nodes times
@@ -198,23 +186,22 @@ def _series_value(s, c: int, a_mpf: tuple, prec: int) -> mp.mpc:
         return mp.mpc(mp.ldexp(re, -wp), mp.ldexp(im, -wp)) + mp.exp((1 - s) * log_n) / (s - 1)
 
 
-def hurwitz_zeta(s, a, precision: int | None = None) -> mp.mpc:
+def hurwitz_zeta(s, a) -> mp.mpc:
     """Hurwitz zeta(s, a) for a > 0 (contract range a in (0, 1]);
     raises PoleError at s = 1.
 
-    The arguments are converted at the requested precision, and the value
-    is memoised on (s, a, precision) exactly.
+    The arguments are converted at the ambient precision, and the value is
+    memoised on (s, a, precision) exactly.
     """
-    with _precision_context(precision):
-        s = mp.mpc(mp.mpmathify(s))
-        a = mp.mpmathify(a)
-        if not (mp.isfinite(s) and mp.isfinite(a)):
-            raise ValueError(f"need finite s and a, got s={s}, a={a}")
-        if a <= 0:
-            raise ValueError(f"need a > 0, got a={a}")
-        if s == 1:
-            raise PoleError("Hurwitz zeta pole at s=1")
-        return _hurwitz_memo(s._mpc_, a._mpf_, mp.mp.prec)
+    s = mp.mpc(mp.mpmathify(s))
+    a = mp.mpmathify(a)
+    if not (mp.isfinite(s) and mp.isfinite(a)):
+        raise ValueError(f"need finite s and a, got s={s}, a={a}")
+    if a <= 0:
+        raise ValueError(f"need a > 0, got a={a}")
+    if s == 1:
+        raise PoleError("Hurwitz zeta pole at s=1")
+    return _hurwitz_memo(s._mpc_, a._mpf_, mp.mp.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +309,22 @@ def gauss_sum(chi: DirichletCharacter) -> mp.mpc:
     return total
 
 
-def dirichlet_l(s, chi: DirichletCharacter, precision: int | None = None) -> mp.mpc:
+def dirichlet_l(s, chi: DirichletCharacter) -> mp.mpc:
     """L(s, chi) = m^-s sum_a chi(a) zeta(s, a/m); PoleError for the
     principal character at s = 1."""
     s = mp.mpc(s)
     if chi.is_principal and s == 1:
         raise PoleError("L(s, principal) pole at s=1")
     m = chi.modulus
-    with _precision_context(precision):
-        total = mp.mpc(0)
-        for a in range(1, m + 1):
-            e = chi.exponent_of(a)
-            if e is None:
-                continue
-            if s == 1:
-                # poles of the individual zeta(s, a/m) cancel since
-                # sum chi(a) = 0; the finite parts are -psi(a/m)
-                total += unit_phase(e) * (-mp.psi(0, mp.mpf(a) / m))
-            else:
-                total += unit_phase(e) * hurwitz_zeta(s, hurwitz_parameters(m, mp.mp.prec)[a - 1])
-        return mp.power(m, -s) * total
+    total = mp.mpc(0)
+    for a in range(1, m + 1):
+        e = chi.exponent_of(a)
+        if e is None:
+            continue
+        if s == 1:
+            # poles of the individual zeta(s, a/m) cancel since
+            # sum chi(a) = 0; the finite parts are -psi(a/m)
+            total += unit_phase(e) * (-mp.psi(0, mp.mpf(a) / m))
+        else:
+            total += unit_phase(e) * hurwitz_zeta(s, hurwitz_parameters(m, mp.mp.prec)[a - 1])
+    return mp.power(m, -s) * total

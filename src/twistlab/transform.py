@@ -25,6 +25,7 @@ from itertools import count
 from math import gcd
 
 import mpmath as mp
+from mpmath.libmp import isprime
 
 from .expansion import q_poly
 from .exactpoly import scalar_to_mpc
@@ -153,7 +154,7 @@ def _exact_conductor(datum: FunctionalEquationDatum) -> Fraction:
         raise ValueError("the transformation formula needs a degree-2 datum")
     q_f = datum.conductor()
     if not isinstance(q_f, Fraction):
-        raise ValueError("main-term plumbing needs an exactly rational conductor")
+        raise ValueError("the transformation formula needs an exactly rational conductor")
     return q_f
 
 
@@ -195,7 +196,7 @@ def _q_values(table, s) -> list[mp.mpc]:
     return [mp.fdot(coeffs, powers[len(coeffs) - 1::-1]) for coeffs in table]
 
 
-def _main_terms(datum: FunctionalEquationDatum, alphas, k_terms: int, conjugate_twist=None):
+def _main_terms(datum: FunctionalEquationDatum, alphas, k_terms: int):
     """The main terms of every alpha in ``alphas`` as one vector-valued
     function of s.  Per node, every Q_nu(s) comes from one ``_q_values``
     call, and T_nu(s) = Q_nu(s) Fbar(s + nu + i theta, beta) is built once
@@ -207,7 +208,6 @@ def _main_terms(datum: FunctionalEquationDatum, alphas, k_terms: int, conjugate_
     if any(alpha <= 0 for alpha in alphas):
         raise ValueError("the transformation formula needs alpha > 0")
     q_f = _exact_conductor(datum)
-    conjugate_twist = conjugate_twist or zeta2_twist_oracle
     theta = mp.mpmathify(datum.theta)
     betas = [reduce_mod_one(Fraction(-1) / (q_f * alpha)) for alpha in alphas]
     ratio_powers = [[(1j * mp.mpmathify(q_f * alpha) / (2 * mp.pi)) ** nu
@@ -220,7 +220,7 @@ def _main_terms(datum: FunctionalEquationDatum, alphas, k_terms: int, conjugate_
         if 1 in shifted:
             raise PoleError(f"conjugate twist pole hit at nu={shifted.index(1)} (s+nu+i*theta=1)")
         q_values = _q_values(table, s)
-        terms = {beta: [q * conjugate_twist(x, beta) for q, x in zip(q_values, shifted)]
+        terms = {beta: [q * zeta2_twist_oracle(x, beta) for q, x in zip(q_values, shifted)]
                  for beta in dict.fromkeys(betas)}
         return [transformation_prefactor(datum, s, alpha) * mp.fdot(powers, terms[beta])
                 for alpha, beta, powers in zip(alphas, betas, ratio_powers)]
@@ -228,20 +228,18 @@ def _main_terms(datum: FunctionalEquationDatum, alphas, k_terms: int, conjugate_
     return main_terms
 
 
-def transformation_main_term(datum: FunctionalEquationDatum, s, alpha, k_terms: int,
-                             conjugate_twist=None) -> mp.mpc:
+def transformation_main_term(datum: FunctionalEquationDatum, s, alpha, k_terms: int) -> mp.mpc:
     """Truncated main term of the transformation formula:
 
     prefactor * sum_{nu=0}^{K} (i q_F alpha / 2 pi)^nu Q_nu(s)
                * Fbar(s + nu + i theta, -1/(q_F alpha)).
 
-    ``conjugate_twist(s, alpha)`` supplies the continued twist of the
-    conjugate series; the default is the divisor-stream oracle (the
-    reference series has real coefficients, so Fbar = F).  Raises PoleError
-    when a required twist value sits at its pole.  The scalar view of
-    ``_main_terms``.
+    The continued twist of the conjugate series is the divisor-stream
+    oracle (the reference series has real coefficients, so Fbar = F).
+    Raises PoleError when a required twist value sits at its pole.  The
+    scalar view of ``_main_terms``.
     """
-    return _main_terms(datum, [alpha], k_terms, conjugate_twist)(s)[0]
+    return _main_terms(datum, [alpha], k_terms)(s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +263,14 @@ def twist_laurent_table(q_max: int) -> dict[tuple[int, int], LaurentExpansion]:
     return table
 
 
-def _numerator_law(report, table, q_max, tol, label, claim, agree_claim, value, target):
-    """Per q <= q_max: one record per numerator holding value(expansion) to
-    target(q) within tol, then one holding the values' spread to PAIR_TOL."""
+def _numerator_law(report, table, tol, label, claim, agree_claim, value, target):
+    """Per q of the table, in increasing order: one record per numerator
+    holding value(expansion) to target(q) within tol, then one holding the
+    values' spread to PAIR_TOL."""
     groups = {}
     for (q, a), exp in sorted(table.items()):
         groups.setdefault(q, []).append((a, value(exp)))
-    for q in range(1, q_max + 1):
-        entries = groups.get(q, [])
+    for q, entries in groups.items():
         for a, v in entries:
             report.add_bound(f"{label}(a/q={a}/{q})", claim, abs(v - target(q)), tol)
         if len(entries) > 1:
@@ -280,16 +278,12 @@ def _numerator_law(report, table, q_max, tol, label, claim, agree_claim, value, 
             report.add_bound(f"{label} a-independence (q={q})", agree_claim, spread, PAIR_TOL)
 
 
-def verify_alpha_law(
-    datum: FunctionalEquationDatum, q_max: int, table: dict, tol=mp.mpf("1e-8")
-) -> Report:
+def verify_alpha_law(table: dict, tol=mp.mpf("1e-8")) -> Report:
     """Leading Laurent coefficient law on a ``twist_laurent_table``: c_-2 of
     F(s, a/q) equals alpha_F / q with alpha_F = 1, independently of a."""
-    if datum.pole_order != 2:
-        raise ValueError("the Laurent laws are stated for the double-pole instance")
     report = Report("leading Laurent coefficient law")
     _numerator_law(
-        report, table, q_max, tol, "alpha",
+        report, table, tol, "alpha",
         "leading coefficient equals 1/q",
         "extracted leading coefficients agree across numerators",
         lambda exp: exp.coefficient(-2),
@@ -298,14 +292,10 @@ def verify_alpha_law(
     return report
 
 
-def verify_beta_law(
-    datum: FunctionalEquationDatum, q_max: int, table: dict, tol=mp.mpf("1e-8")
-) -> Report:
+def verify_beta_law(table: dict, tol=mp.mpf("1e-8")) -> Report:
     """Subleading law on a ``twist_laurent_table``: c_-1/c_-2 of F(s, a/q)
     equals beta - 2 log q where beta = c_-1/c_-2 of the untwisted series
     (= 2*gamma); beta is real."""
-    if datum.pole_order != 2:
-        raise ValueError("the Laurent laws are stated for the double-pole instance")
     report = Report("subleading Laurent coefficient law")
     untwisted = table[(1, 1)]
     beta = untwisted.coefficient(-1) / untwisted.coefficient(-2)
@@ -320,7 +310,7 @@ def verify_beta_law(
         PAIR_TOL,
     )
     _numerator_law(
-        report, table, q_max, tol, "beta",
+        report, table, tol, "beta",
         "subleading ratio equals beta - 2 log q",
         "subleading ratios agree across numerators",
         lambda exp: exp.coefficient(-1) / exp.coefficient(-2),
@@ -402,14 +392,13 @@ class LocalFactor:
         return v
 
 
-def euler_factor_at_1(datum: FunctionalEquationDatum, p: int) -> mp.mpc:
-    """Solve the leading-coefficient relation for the local factor at s = 1:
+def euler_factor_at_1(p: int) -> mp.mpc:
+    """Solve the leading-coefficient relation for the local factor at s = 1
+    of the double-pole reference series zeta(s)^2:
     F_p(1) = (p/(p-1)) / (1 - alpha_F(1/p) / alpha_F), with alpha_F and
     alpha_F(1/p) read as c_-2 at b = 0 and b = 1 of one batched extraction."""
-    if datum.pole_order != 2:
-        raise ValueError("reconstruction is stated for the double-pole instance")
-    if p < 2:
-        raise ValueError(f"need a prime p >= 2, got {p}")
+    if not isprime(p):
+        raise ValueError(f"need a prime p, got {p}")
     untwisted, twisted = _laurent_many(
         lambda s: zeta2_twist_batch(s, p)[:2], 1, 2, LAURENT_RADIUS, LAURENT_NODES, 0
     )
@@ -507,19 +496,21 @@ class GrowthCertificate:
 def growth_certificate(
     alpha,
     h,
-    degree: int = 2,
     t=5,
     sigmas=(-10, -20, -30, -40),
 ) -> GrowthCertificate:
-    """Left-half-plane growth check of the continued divisor twist.
+    """Left-half-plane growth check of the continued divisor twist, of
+    degree 2.
 
-    Delta(sigma) = log|F(sigma+it, alpha)| - [d |sigma| log|sigma|
-    + |sigma| log(h/(2 pi e)^d)] must stay of size O(log|sigma|); the fitted
+    Delta(sigma) = log|F(sigma+it, alpha)| - [2 |sigma| log|sigma|
+    + |sigma| log(h/(2 pi e)^2)] must stay of size O(log|sigma|); the fitted
     per-|sigma| slope of Delta is the sensitivity statistic: it vanishes for
-    the correct h and grows like log(h_true/h) when h is wrong.
+    the correct h and grows like log(h_true/h) when h is wrong.  Needs h > 0.
     """
     alpha = Fraction(alpha)
     h = Fraction(h)
+    if h <= 0:
+        raise ValueError(f"the certificate needs h > 0, got {h}")
     t = mp.mpf(t)
     deltas = []
     for sigma in sigmas:
@@ -529,16 +520,15 @@ def growth_certificate(
         value = zeta2_twist_oracle(mp.mpc(sigma, t), alpha)
         # deep in the left half-plane the evaluation cancels heavily; a
         # higher-precision shadow evaluation certifies the digits used
-        shadow = zeta2_twist_oracle(
-            mp.mpc(sigma, t), alpha, precision=mp.mp.prec + 64
-        )
+        with mp.workprec(mp.mp.prec + 64):
+            shadow = zeta2_twist_oracle(mp.mpc(sigma, t), alpha)
         if abs(value - shadow) > abs(shadow) * mp.mpf(2) ** (-mp.mp.prec // 4):
             raise PrecisionExhaustedError(
                 f"twist value at sigma={sigma} carries fewer than "
                 f"{mp.mp.prec // 4} stable bits; raise the working precision"
             )
-        envelope = degree * abs(sigma) * mp.log(abs(sigma)) + abs(sigma) * mp.log(
-            mp.mpmathify(h) / (2 * mp.pi * mp.e) ** degree
+        envelope = 2 * abs(sigma) * mp.log(abs(sigma)) + abs(sigma) * mp.log(
+            mp.mpmathify(h) / (2 * mp.pi * mp.e) ** 2
         )
         deltas.append(mp.log(abs(value)) - envelope)
     abs_sigmas = [abs(mp.mpf(s)) for s in sigmas]

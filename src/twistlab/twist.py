@@ -49,7 +49,6 @@ from mpmath.libmp import to_fixed
 from .special import (
     DirichletCharacter,
     PoleError,
-    _precision_context,
     characters_mod,
     gauss_sum,
     hurwitz_parameters,
@@ -385,43 +384,42 @@ def twist_smoothed(
     return _twist_from_residues(sums, alpha)
 
 
-def _divisor_twist_kernel(s, q: int, numerators, precision: int | None) -> list[mp.mpc]:
+def _divisor_twist_kernel(s, q: int, numerators) -> list[mp.mpc]:
     """F(s, b/q) = q^(-2s) sum_{u,v=1}^{q} e(-u v b/q) zeta(s, u/q) zeta(s, v/q)
     for each b in ``numerators``, grouped by w = uv mod q: the q(q+1)/2 products
     zeta(s, u/q) zeta(s, v/q) (u <= v, doubled if u < v) sum to C_w once, and
     each numerator reads sum_w e(-w b/q) C_w (zeta(s)^2 at q = 1); raises
     PoleError at s = 1."""
-    with _precision_context(precision):
-        s = mp.mpc(s)
-        if s == 1:
-            raise PoleError("the twisted series has its double pole at s=1")
-        hurwitz = [hurwitz_zeta(s, a) for a in hurwitz_parameters(q, mp.mp.prec)]
-        if q == 1:
-            return [hurwitz[0] * hurwitz[0]] * len(numerators)
-        roots = roots_of_unity(q, mp.mp.prec)
-        grouped = [mp.mpc(0)] * q
-        for u in range(1, q + 1):
-            for v in range(u, q + 1):
-                grouped[u * v % q] += hurwitz[u - 1] * hurwitz[v - 1] * (1 + (u < v))
-        prefactor = mp.power(q, -2 * s)
-        return [prefactor * mp.fsum(roots[-w * b % q] * grouped[w] for w in range(q))
-                for b in numerators]
+    s = mp.mpc(s)
+    if s == 1:
+        raise PoleError("the twisted series has its double pole at s=1")
+    hurwitz = [hurwitz_zeta(s, a) for a in hurwitz_parameters(q, mp.mp.prec)]
+    if q == 1:
+        return [hurwitz[0] * hurwitz[0]] * len(numerators)
+    roots = roots_of_unity(q, mp.mp.prec)
+    grouped = [mp.mpc(0)] * q
+    for u in range(1, q + 1):
+        for v in range(u, q + 1):
+            grouped[u * v % q] += hurwitz[u - 1] * hurwitz[v - 1] * (1 + (u < v))
+    prefactor = mp.power(q, -2 * s)
+    return [prefactor * mp.fsum(roots[-w * b % q] * grouped[w] for w in range(q))
+            for b in numerators]
 
 
-def zeta2_twist_oracle(s, alpha, precision: int | None = None) -> mp.mpc:
+def zeta2_twist_oracle(s, alpha) -> mp.mpc:
     """Analytic continuation of the divisor-stream twist to s != 1.
 
-    Evaluates the q^2-term Hurwitz-zeta combination at the ambient (or given)
+    Evaluates the q^2-term Hurwitz-zeta combination at the ambient
     precision; raises PoleError at the double pole s = 1.
     """
     alpha = reduce_mod_one(alpha)
-    return _divisor_twist_kernel(s, alpha.denominator, [alpha.numerator], precision)[0]
+    return _divisor_twist_kernel(s, alpha.denominator, [alpha.numerator])[0]
 
 
-def zeta2_twist_batch(s, q: int, precision: int | None = None) -> list[mp.mpc]:
+def zeta2_twist_batch(s, q: int) -> list[mp.mpc]:
     """All continued divisor twists F(s, b/q) for b = 0..q-1 at once,
     sharing the q Hurwitz-zeta evaluations; raises PoleError at s = 1."""
-    return _divisor_twist_kernel(s, q, range(q), precision)
+    return _divisor_twist_kernel(s, q, range(q))
 
 
 def mult_twist_from_additive(

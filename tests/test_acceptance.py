@@ -222,7 +222,7 @@ def test_criterion_7_twist_conversions(divisors):
 def test_criterion_8_euler_endgame(zeta2):
     ok = True
     for p in (2, 3, 5):
-        value = euler_factor_at_1(zeta2, p)
+        value = euler_factor_at_1(p)
         target = (1 - mp.mpf(1) / p) ** -2
         ok = ok and abs(value - target) <= mp.mpf("1e-8")
         solution = solve_local_factor(value, p)

@@ -6,7 +6,6 @@ import mpmath as mp
 import pytest
 
 from twistlab.bernoulli import (
-    BernoulliTable,
     bernoulli_number,
     bernoulli_polynomial,
 )
@@ -97,10 +96,11 @@ def test_growth_sanity_logged():
     assert worst < 16  # sanity cap only; the real content is boundedness
 
 
-def test_custom_table_bounds():
-    table = BernoulliTable(max_degree=8)
-    assert table.number(8) == Fraction(-1, 30)
+def test_default_table_bounds():
+    assert bernoulli_number(64) == Fraction(
+        -106783830147866529886385444979142647942017, 510
+    )
     with pytest.raises(ValueError):
-        table.number(9)
+        bernoulli_number(65)
     with pytest.raises(ValueError):
-        table.polynomial(-1)
+        bernoulli_polynomial(-1)

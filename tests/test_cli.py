@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from twistlab import twist
 from twistlab.cli import RunConfig, main
 
 
@@ -252,6 +253,50 @@ class TestBadInstance:
         _, err = capsys.readouterr()
         assert code == 2
         assert err.startswith("config error:") and message in err
+
+
+class TestRejectedBeforeAnyTwist:
+    """Inputs the verification chain cannot serve exit 2 with a config error
+    and empty stdout before any continued twist is evaluated."""
+
+    @pytest.fixture(autouse=True)
+    def no_twist(self, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("a twist was evaluated")
+
+        monkeypatch.setattr(twist, "_divisor_twist_kernel", evaluated)
+
+    def rejected(self, capsys, *argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", (argv, out)
+        return err
+
+    def test_wrong_instance_rejected(self, capsys, tmp_path):
+        # the Laurent laws and the Euler factors are those of the double-pole
+        # instance zeta(s)^2; the main term needs an exactly rational conductor
+        factors = [{"lambda": "1/2"}, {"lambda": "1/2"}]
+        no_pole = tmp_path / "no_pole.json"
+        no_pole.write_text(json.dumps({"Q": "pi^-1", "factors": factors, "pole_order": 0}))
+        inexact = tmp_path / "inexact.json"
+        inexact.write_text(json.dumps({"Q": "1/3", "factors": factors, "pole_order": 2}))
+        for command in ("verify", "euler"):
+            err = self.rejected(capsys, "--instance", str(no_pole), command)
+            assert err == (f"config error: {command} needs a double-pole instance "
+                           "(pole_order 2), got pole_order 0\n")
+        err = self.rejected(capsys, "--instance", str(inexact), "verify")
+        assert err == "config error: the transformation formula needs an exactly rational conductor\n"
+
+    @pytest.mark.parametrize("command", ["verify", "euler"])
+    @pytest.mark.parametrize("primes", ["4", "9", "2,2", "3,5,3"])
+    def test_composite_or_repeated_primes(self, capsys, command, primes):
+        err = self.rejected(capsys, "--primes", primes, command)
+        assert err.startswith("config error: primes must be distinct primes")
+
+    @pytest.mark.parametrize("h", ["0", "-4", "-1/2"])
+    def test_nonpositive_growth_h(self, capsys, h):
+        err = self.rejected(capsys, f"--growth-h={h}", "verify")
+        assert err == f"config error: growth_h must be positive, got '{h}'\n"
 
 
 class TestConfigFile:

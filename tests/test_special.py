@@ -16,7 +16,6 @@ from twistlab.special import (
     hurwitz_zeta,
     primitive_root,
     unit_phase,
-    working_precision,
 )
 
 TIGHT = mp.mpf("1e-30")
@@ -52,12 +51,13 @@ class TestGamma:
                 gamma_complex(s)
 
     def test_precision_override(self):
-        coarse = gamma_complex(mp.mpc("0.5"), precision=64)
+        with mp.workprec(64):
+            coarse = gamma_complex(mp.mpc("0.5"))
         assert abs(coarse - mp.sqrt(mp.pi)) < mp.mpf(2) ** -50
 
     def test_rational_argument_converted_at_requested_precision(self):
-        value = gamma_complex(Fraction(1, 3), precision=256)
         with mp.workprec(256):
+            value = gamma_complex(Fraction(1, 3))
             target = mp.gamma(mp.mpf(1) / 3)
             assert abs(value - target) < mp.mpf(2) ** -250
 
@@ -116,8 +116,8 @@ class TestHurwitzZeta:
         # a = 1/3 rounded at the 128-bit ambient precision would cap the
         # relative accuracy near 2^-127 however many bits are requested
         s = mp.mpc(-30, 5)
-        value = hurwitz_zeta(s, Fraction(1, 3), precision=256)
         with mp.workprec(256):
+            value = hurwitz_zeta(s, Fraction(1, 3))
             target = mp.zeta(s, mp.mpf(1) / 3)
             assert abs(value - target) < abs(target) * mp.mpf(2) ** -240
 
@@ -140,11 +140,13 @@ class TestHurwitzMemo:
         memo.cache_clear()
         coarse = hurwitz_zeta(s, a)
         assert memo.cache_info().misses == 1
-        fine = hurwitz_zeta(s, a, precision=192)
+        with mp.workprec(192):
+            fine = hurwitz_zeta(s, a)
         info = memo.cache_info()
         assert (info.hits, info.misses) == (0, 2)
         assert fine._mpc_ != coarse._mpc_
-        hurwitz_zeta(s, a, precision=192)
+        with mp.workprec(192):
+            hurwitz_zeta(s, a)
         assert memo.cache_info().hits == 1
 
 
@@ -208,11 +210,12 @@ class TestHurwitzSeriesAtOne:
 
     @pytest.mark.parametrize("bits", (64, 128, 256))
     def test_pole_at_one_still_raises(self, bits):
-        for a in (Fraction(1), Fraction(1, 24)):
-            with pytest.raises(PoleError):
-                hurwitz_zeta(1, a, precision=bits)
-            with pytest.raises(PoleError):
-                hurwitz_zeta(mp.mpc(1, 0), a, precision=bits)
+        with mp.workprec(bits):
+            for a in (Fraction(1), Fraction(1, 24)):
+                with pytest.raises(PoleError):
+                    hurwitz_zeta(1, a)
+                with pytest.raises(PoleError):
+                    hurwitz_zeta(mp.mpc(1, 0), a)
 
 
 class TestHurwitzSeries:
@@ -366,14 +369,6 @@ class TestDirichletL:
         # L(1, chi_4) = pi/4
         chi = DirichletCharacter(4, 1)
         assert abs(dirichlet_l(1, chi) - mp.pi / 4) < mp.mpf("1e-28")
-
-
-def test_working_precision_context():
-    with working_precision(256):
-        assert mp.mp.prec == 256
-    assert mp.mp.prec == 128
-    with pytest.raises(ValueError):
-        working_precision(10)
 
 
 def test_unit_phase_exact_rational():

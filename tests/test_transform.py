@@ -324,9 +324,9 @@ class TestPolarConsistency:
             nodes.append(s)
             return q_values(table, s)
 
-        def counted_oracle(s, alpha, precision=None):
+        def counted_oracle(s, alpha):
             requests[len(nodes), mp.mpc(s)._mpc_, Fraction(alpha)] += 1
-            return oracle(s, alpha, precision)
+            return oracle(s, alpha)
 
         monkeypatch.setattr(transform, "_q_values", counted_q_values)
         monkeypatch.setattr(transform, "zeta2_twist_oracle", counted_oracle)
@@ -368,12 +368,12 @@ class TestLaurentLaws:
             assert got.coefficients == want.coefficients, (q, a)
             assert got.errors == want.errors, (q, a)
 
-    def test_alpha_law(self, zeta2, table):
-        report = verify_alpha_law(zeta2, 3, table=table)
+    def test_alpha_law(self, table):
+        report = verify_alpha_law(table)
         assert report.passed
 
-    def test_beta_law(self, zeta2, table):
-        report = verify_beta_law(zeta2, 3, table=table)
+    def test_beta_law(self, table):
+        report = verify_beta_law(table)
         assert report.passed
 
     def test_lambda_reality_chain(self, zeta2, table):
@@ -384,18 +384,6 @@ class TestLaurentLaws:
         assert abs(alpha_f - mp.conj(alpha_f)) < mp.mpf("1e-12")
         assert abs(table[(1, 1)].coefficient(-3)) < mp.mpf("1e-10")
 
-    def test_wrong_instance_rejected(self, table):
-        from twistlab.funceq import FunctionalEquationDatum, QParam, factor
-        from twistlab.exactpoly import GaussianRational
-
-        no_pole = FunctionalEquationDatum(
-            QParam.parse("pi^-1"), GaussianRational(1),
-            (factor(Fraction(1, 2)), factor(Fraction(1, 2))),
-            pole_order=0,
-        )
-        with pytest.raises(ValueError):
-            verify_alpha_law(no_pole, 2, table=table)
-
 
 class TestChiHolomorphy:
     def test_p3(self):
@@ -405,9 +393,9 @@ class TestChiHolomorphy:
 
 
 class TestEulerEndgame:
-    def test_local_values(self, zeta2):
+    def test_local_values(self):
         for p in (2, 3, 5):
-            value = euler_factor_at_1(zeta2, p)
+            value = euler_factor_at_1(p)
             target = (1 - mp.mpf(1) / p) ** -2
             assert abs(value - target) <= mp.mpf("1e-8"), p
 
@@ -428,14 +416,24 @@ class TestEulerEndgame:
         lf = LocalFactor(2, 2, (1, 1))
         assert abs(lf.value_at(1) - 4) < mp.mpf("1e-30")
 
-    def test_blowup_guard(self, zeta2, monkeypatch):
+    def test_blowup_guard(self, monkeypatch):
         # every numerator shares c_-2 = 1, so alpha_F(1/p)/alpha_F = 1
-        def shared_pole(s, q, precision=None):
+        def shared_pole(s, q):
             return [1 / (s - 1) ** 2] * q
 
         monkeypatch.setattr(transform, "zeta2_twist_batch", shared_pole)
         with pytest.raises(ArithmeticError, match="too close to 1"):
-            euler_factor_at_1(zeta2, 2)
+            euler_factor_at_1(2)
+
+    @pytest.mark.parametrize("p", (4, 9, 1, 0, -3))
+    def test_non_prime_rejected_before_any_twist(self, p, monkeypatch):
+        # "p = 9" would extract the twists by 1/9 and report a wrong value
+        def no_twist(s, q):
+            raise AssertionError("a twist was evaluated")
+
+        monkeypatch.setattr(transform, "zeta2_twist_batch", no_twist)
+        with pytest.raises(ValueError, match="need a prime p"):
+            euler_factor_at_1(p)
 
     @pytest.mark.parametrize("p", (1, 0, -3))
     def test_degree_bound_rejects_p_below_two(self, p):
@@ -475,14 +473,22 @@ class TestGrowthCertificate:
         with pytest.raises(ValueError):
             growth_certificate(Fraction(1, 2), 4, sigmas=(-10, 5))
 
+    @pytest.mark.parametrize("h", (0, -4, Fraction(-1, 2)))
+    def test_rejects_nonpositive_h(self, h):
+        # h = 0 made the envelope infinite (slope nan), h < 0 made it complex
+        with pytest.raises(ValueError, match="h > 0"):
+            growth_certificate(Fraction(1, 2), h)
+
     def test_precision_exhaustion_signal(self, monkeypatch):
         # the shadow evaluation at raised precision certifies the digits;
         # an evaluator whose answer moves with the precision must be refused
         import twistlab.transform as transform_module
         from twistlab.transform import PrecisionExhaustedError
 
-        def unstable(s, alpha, precision=None):
-            return mp.mpf("1.01") if precision else mp.mpf(1)
+        base = mp.mp.prec
+
+        def unstable(s, alpha):
+            return mp.mpf("1.01") if mp.mp.prec == base + 64 else mp.mpf(1)
 
         monkeypatch.setattr(transform_module, "zeta2_twist_oracle", unstable)
         with pytest.raises(PrecisionExhaustedError):
