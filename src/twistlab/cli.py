@@ -85,11 +85,18 @@ class RunConfig:
         if command == "verify" and any(sigma >= 0 for sigma in self.sigma_grid):
             raise ValueError(f"sigma_grid must be negative for verify (the growth "
                              f"certificate samples sigma < 0), got {self.sigma_grid!r}")
+        if command == "verify" and len(set(self.sigma_grid)) < 2:
+            raise ValueError(f"sigma_grid needs two distinct values for verify (the growth "
+                             f"certificate fits a slope), got {self.sigma_grid!r}")
         if command == "twist-grid" and self.instance != "zeta2":
             raise ValueError("twist-grid evaluates zeta(s)^2 only")
         # parsed here so a malformed value is a config error; the commands
         # parse t and tol again at the working precision
         self.alpha_fractions, self.tolerance, self.t_value, self.growth_h_fraction  # noqa: B018
+        if not mp.isfinite(self.t_value):
+            raise ValueError(f"t must be finite, got {self.t!r}")
+        if not (mp.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if command == "verify" and any(alpha <= 0 for alpha in self.alpha_fractions):
             raise ValueError(f"alphas must be positive for verify, got {self.alphas!r}")
         if self.growth_h_fraction is not None and self.growth_h_fraction <= 0:

@@ -5,16 +5,16 @@ Euler-factor reconstruction at s = 1 and the forced local-factor shape,
 the local-degree bound, the left-half-plane growth certificate, and the
 polar-consistency checks of the transformation formula.
 
-Laurent coefficients are extracted by trapezoidal contour averaging on two
-circles (the two-radius disagreement is the reported error estimate); the
-trapezoid rule converges geometrically for functions analytic in an annulus,
-so node-halving disagreement flags insufficient analyticity.  One extraction
-core takes a vector-valued function, so a single batched twist evaluation
-per (node, q) serves every numerator of the Laurent table, every character
-twist mod p and both coefficients of the Euler solve.  Likewise one
-main-term pass per node (every Q_nu(s) from one table of powers of s, each
-conjugate twist once per distinct beta) serves every alpha of the
-polar-consistency check."""
+Laurent coefficients and closed contour integrals come from one core that
+averages over one circle by the trapezoid rule, which converges geometrically
+for functions analytic in an annulus, so node-halving disagreement flags
+insufficient analyticity; only a record that reads the cross-radius
+disagreement samples a second circle, of half the radius.  The core takes a
+vector-valued function, so a single batched twist evaluation per (node, q)
+serves every numerator of the Laurent table, every character twist mod p
+and both coefficients of the Euler solve.  Likewise one main-term pass per
+node (every Q_nu(s) from one table of powers of s, each conjugate twist once
+per distinct beta) serves every alpha of the polar-consistency check."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from .special import PoleError, characters_mod, dirichlet_l, gauss_sum, roots_of
 from .twist import reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle
 
 
-LAURENT_RADIUS = Fraction(1, 4)  # primary contour radius; the second is half of it
+LAURENT_RADIUS = Fraction(1, 4)  # contour radius; a cross-radius check adds radius/2
 LAURENT_NODES = 128
 TABLE_POLE_ORDER = 3  # one order above the double pole, so c_-3 = 0 is checked
 CHI_NODES = 64  # a multiple of 8: the square law reads 8 evenly spaced nodes
@@ -55,12 +55,10 @@ class PrecisionExhaustedError(ArithmeticError):
 
 @dataclass(frozen=True)
 class LaurentExpansion:
-    """Coefficients c_k of f around ``center`` for k = -max_pole_order..k_max,
-    with the cross-radius disagreement attached per coefficient."""
+    """Coefficients c_k of f for k = -max_pole_order..k_max, with the
+    cross-radius disagreement attached per coefficient."""
 
-    center: mp.mpc
     coefficients: dict[int, mp.mpc]
-    radius: mp.mpf
     errors: dict[int, mp.mpf]
 
     def coefficient(self, k: int) -> mp.mpc:
@@ -71,8 +69,6 @@ class LaurentExpansion:
 
 
 def _circle_samples(f, center, radius, nodes):
-    if nodes < 2:
-        raise ValueError(f"need at least 2 contour nodes, got {nodes}")
     center = mp.mpc(center)
     radius = mp.mpmathify(radius)
     return [
@@ -91,20 +87,18 @@ def _coeffs_from_samples(values, radius, ks) -> dict[int, mp.mpc]:
     }
 
 
-def _laurent_many(f, center, max_pole_order, radius, nodes, k_max) -> list[LaurentExpansion]:
-    """Extract c_-m..c_K of every component of the vector-valued ``f``.
+def _laurent_many(f, center, max_pole_order, radius, nodes, k_max) -> list[dict[int, mp.mpc]]:
+    """Extract {k: c_k} for k = -m..K of every component of the vector-valued
+    ``f`` from one circle of ``radius``.
 
-    ``f(s)`` returns a list of values; it is called once per node, first on
-    the circle of ``radius`` in node order, then on the circle of radius/2.
-    Each expansion carries the primary-radius values; its per-coefficient
-    errors are the disagreement between the radii.  Raises
-    LaurentConvergenceError when halving the node count moves any
-    coefficient of any component materially.
+    ``f(s)`` returns a list of values; it is called once per node, in node
+    order.  Raises LaurentConvergenceError when halving the node count moves
+    any coefficient of any component materially.
     """
-    if nodes % 2:
-        raise ValueError("node count must be even")
+    if nodes < 2 or nodes % 2:
+        raise ValueError(f"need an even count of at least 2 contour nodes, got {nodes}")
     ks = range(-max_pole_order, k_max + 1)
-    primary = []
+    expansions = []
     for values in zip(*_circle_samples(f, center, radius, nodes)):
         coeffs = _coeffs_from_samples(values, radius, ks)
         halved = _coeffs_from_samples(values[::2], radius, ks)
@@ -115,34 +109,27 @@ def _laurent_many(f, center, max_pole_order, radius, nodes, k_max) -> list[Laure
                     f"coefficient c_{k} moved by {abs(coeffs[k] - halved[k])} "
                     f"under node halving; f is not analytic on the contour"
                 )
-        primary.append(coeffs)
-    second_radius = Fraction(radius) / 2 if isinstance(radius, Fraction) else radius / 2
-    expansions = []
-    for coeffs, values in zip(primary, zip(*_circle_samples(f, center, second_radius, nodes))):
-        secondary = _coeffs_from_samples(values, second_radius, ks)
-        errors = {k: abs(coeffs[k] - secondary[k]) for k in ks}
-        expansions.append(LaurentExpansion(mp.mpc(center), coeffs, mp.mpmathify(radius), errors))
+        expansions.append(coeffs)
     return expansions
 
 
 def laurent_extract(f, center, max_pole_order: int = 2, radius=LAURENT_RADIUS,
                     nodes: int = LAURENT_NODES, k_max: int = 2) -> LaurentExpansion:
     """Extract c_-m..c_K of the scalar ``f`` by contour averaging at ``radius``
-    and radius/2 (see ``_laurent_many``); ``f`` must be analytic on both
-    circles (poles only inside)."""
-    return _laurent_many(lambda s: [f(s)], center, max_pole_order, radius, nodes, k_max)[0]
-
-
-def _contour_integrals(f, center, radius=LAURENT_RADIUS, nodes: int = 64) -> list[mp.mpc]:
-    """Trapezoidal closed contour integrals (2 pi i c_-1) on one circle of
-    every component of the vector-valued ``f``, called once per node."""
-    return [2j * mp.pi * _coeffs_from_samples(values, radius, [-1])[-1]
-            for values in zip(*_circle_samples(f, center, radius, nodes))]
+    (see ``_laurent_many``), with each coefficient's disagreement against the
+    circle of radius/2 as its error; ``f`` must be analytic on both circles
+    (poles only inside)."""
+    outer, inner = (
+        _laurent_many(lambda s: [f(s)], center, max_pole_order, r, nodes, k_max)[0]
+        for r in (radius, radius / 2)
+    )
+    return LaurentExpansion(outer, {k: abs(c - inner[k]) for k, c in outer.items()})
 
 
 def contour_integral(f, center, radius=LAURENT_RADIUS, nodes: int = 64) -> mp.mpc:
-    """Trapezoidal closed contour integral of the scalar f on a circle."""
-    return _contour_integrals(lambda s: [f(s)], center, radius, nodes)[0]
+    """Trapezoidal closed contour integral (2 pi i c_-1) of the scalar f on a
+    circle, with the node-halving check of ``_laurent_many``."""
+    return 2j * mp.pi * _laurent_many(lambda s: [f(s)], center, 1, radius, nodes, -1)[0][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +233,10 @@ def transformation_main_term(datum: FunctionalEquationDatum, s, alpha, k_terms: 
 # Laurent laws of the continued twists (reference instance)
 # ---------------------------------------------------------------------------
 
-def twist_laurent_table(q_max: int) -> dict[tuple[int, int], LaurentExpansion]:
-    """Laurent data at s = 1 of the continued divisor twists F(s, a/q) for
-    every q <= q_max and a coprime to q (a = q meaning the untwisted series),
-    from one extraction of the batched twists per q."""
+def twist_laurent_table(q_max: int) -> dict[tuple[int, int], dict[int, mp.mpc]]:
+    """Laurent coefficients {k: c_k} at s = 1 of the continued divisor twists
+    F(s, a/q) for every q <= q_max and a coprime to q (a = q meaning the
+    untwisted series), from one extraction of the batched twists per q."""
     table = {}
     for q in range(1, q_max + 1):
         numerators = [a for a in range(1, q + 1) if gcd(a, q) == 1]
@@ -259,17 +246,17 @@ def twist_laurent_table(q_max: int) -> dict[tuple[int, int], LaurentExpansion]:
             return [batch[a % q] for a in numerators]
 
         expansions = _laurent_many(twists, 1, TABLE_POLE_ORDER, LAURENT_RADIUS, LAURENT_NODES, 0)
-        table.update({(q, a): exp for a, exp in zip(numerators, expansions)})
+        table.update({(q, a): c for a, c in zip(numerators, expansions)})
     return table
 
 
 def _numerator_law(report, table, tol, label, claim, agree_claim, value, target):
     """Per q of the table, in increasing order: one record per numerator
-    holding value(expansion) to target(q) within tol, then one holding the
+    holding value(coefficients) to target(q) within tol, then one holding the
     values' spread to PAIR_TOL."""
     groups = {}
-    for (q, a), exp in sorted(table.items()):
-        groups.setdefault(q, []).append((a, value(exp)))
+    for (q, a), coeffs in sorted(table.items()):
+        groups.setdefault(q, []).append((a, value(coeffs)))
     for q, entries in groups.items():
         for a, v in entries:
             report.add_bound(f"{label}(a/q={a}/{q})", claim, abs(v - target(q)), tol)
@@ -286,7 +273,7 @@ def verify_alpha_law(table: dict, tol=mp.mpf("1e-8")) -> Report:
         report, table, tol, "alpha",
         "leading coefficient equals 1/q",
         "extracted leading coefficients agree across numerators",
-        lambda exp: exp.coefficient(-2),
+        lambda c: c[-2],
         lambda q: mp.mpf(1) / q,
     )
     return report
@@ -298,7 +285,7 @@ def verify_beta_law(table: dict, tol=mp.mpf("1e-8")) -> Report:
     (= 2*gamma); beta is real."""
     report = Report("subleading Laurent coefficient law")
     untwisted = table[(1, 1)]
-    beta = untwisted.coefficient(-1) / untwisted.coefficient(-2)
+    beta = untwisted[-1] / untwisted[-2]
     report.add_bound(
         "beta(q=1)", "untwisted subleading ratio equals 2*gamma", abs(beta - 2 * mp.euler), tol
     )
@@ -306,14 +293,14 @@ def verify_beta_law(table: dict, tol=mp.mpf("1e-8")) -> Report:
     report.add_bound(
         "pole order <= 2",
         "no third-order polar coefficient",
-        abs(untwisted.coefficient(-3)),
+        abs(untwisted[-3]),
         PAIR_TOL,
     )
     _numerator_law(
         report, table, tol, "beta",
         "subleading ratio equals beta - 2 log q",
         "subleading ratios agree across numerators",
-        lambda exp: exp.coefficient(-1) / exp.coefficient(-2),
+        lambda c: c[-1] / c[-2],
         lambda q: beta - 2 * mp.log(q),
     )
     return report
@@ -340,21 +327,22 @@ def verify_chi_holomorphy(p: int, tol=mp.mpf("1e-15")) -> Report:
             for a, weight in enumerate(chi_bar, 1):
                 acc += weight * twists[-a % p]
             values.append(acc / tau_bar)
-        # _laurent_many calls f in node order, circle by circle; the square
-        # law reads 8 evenly spaced nodes of each circle
+        # _laurent_many calls f in node order, and the circles run one after
+        # the other; the square law reads 8 evenly spaced nodes of each
         if next(node) % (CHI_NODES // 8) == 0:
             for i, chi in enumerate(chars):
                 l_mismatch[i] = max(l_mismatch[i], abs(values[i] - dirichlet_l(s, chi) ** 2))
         return values
 
-    expansions = _laurent_many(assembled, 1, 2, LAURENT_RADIUS, CHI_NODES, 0)
-    for chi, exp, mismatch in zip(chars, expansions, l_mismatch):
+    outer, inner = (_laurent_many(assembled, 1, 2, radius, CHI_NODES, 0)
+                    for radius in (LAURENT_RADIUS, LAURENT_RADIUS / 2))
+    for chi, c, c_inner, mismatch in zip(chars, outer, inner, l_mismatch):
         label = f"chi_{chi.index} mod {p}"
         for name, measured in (
-            (f"contour integral ({label})", abs(2j * mp.pi * exp.coefficient(-1))),
-            (f"c_-1 ({label})", abs(exp.coefficient(-1))),
-            (f"c_-2 ({label})", abs(exp.coefficient(-2))),
-            (f"c_-1 cross-radius ({label})", exp.error(-1)),
+            (f"contour integral ({label})", abs(2j * mp.pi * c[-1])),
+            (f"c_-1 ({label})", abs(c[-1])),
+            (f"c_-2 ({label})", abs(c[-2])),
+            (f"c_-1 cross-radius ({label})", abs(c[-1] - c_inner[-1])),
         ):
             report.add_bound(name, "character twist has no pole at s=1", measured, tol)
         report.add_bound(
@@ -402,7 +390,7 @@ def euler_factor_at_1(p: int) -> mp.mpc:
     untwisted, twisted = _laurent_many(
         lambda s: zeta2_twist_batch(s, p)[:2], 1, 2, LAURENT_RADIUS, LAURENT_NODES, 0
     )
-    ratio = twisted.coefficient(-2) / untwisted.coefficient(-2)
+    ratio = twisted[-2] / untwisted[-2]
     if abs(1 - ratio) < mp.mpf("1e-6"):
         raise ArithmeticError(
             "alpha_F(1/p)/alpha_F is too close to 1; the solve would blow up"
@@ -505,18 +493,21 @@ def growth_certificate(
     Delta(sigma) = log|F(sigma+it, alpha)| - [2 |sigma| log|sigma|
     + |sigma| log(h/(2 pi e)^2)] must stay of size O(log|sigma|); the fitted
     per-|sigma| slope of Delta is the sensitivity statistic: it vanishes for
-    the correct h and grows like log(h_true/h) when h is wrong.  Needs h > 0.
+    the correct h and grows like log(h_true/h) when h is wrong.  Needs h > 0
+    and at least two distinct sigmas, all negative.
     """
     alpha = Fraction(alpha)
     h = Fraction(h)
     if h <= 0:
         raise ValueError(f"the certificate needs h > 0, got {h}")
     t = mp.mpf(t)
+    sigmas = tuple(mp.mpf(sigma) for sigma in sigmas)
+    if any(sigma >= 0 for sigma in sigmas):
+        raise ValueError("the certificate samples sigma < 0")
+    if len(set(sigmas)) < 2:
+        raise ValueError(f"the slope fit needs two distinct sigmas, got {len(set(sigmas))}")
     deltas = []
     for sigma in sigmas:
-        sigma = mp.mpf(sigma)
-        if sigma >= 0:
-            raise ValueError("the certificate samples sigma < 0")
         value = zeta2_twist_oracle(mp.mpc(sigma, t), alpha)
         # deep in the left half-plane the evaluation cancels heavily; a
         # higher-precision shadow evaluation certifies the digits used
@@ -531,7 +522,7 @@ def growth_certificate(
             mp.mpmathify(h) / (2 * mp.pi * mp.e) ** 2
         )
         deltas.append(mp.log(abs(value)) - envelope)
-    abs_sigmas = [abs(mp.mpf(s)) for s in sigmas]
+    abs_sigmas = [abs(s) for s in sigmas]
     log_ratios = tuple(
         abs(d) / mp.log(a) for d, a in zip(deltas, abs_sigmas)
     )
@@ -550,7 +541,7 @@ def growth_certificate(
         alpha,
         h,
         t,
-        tuple(mp.mpf(s) for s in sigmas),
+        sigmas,
         tuple(deltas),
         log_ratios,
         trends,
@@ -579,13 +570,14 @@ def transformation_polar_reports(datum: FunctionalEquationDatum, alphas, k_terms
 
     reports = [Report(f"transformation-formula polar consistency (alpha={a})") for a in distinct]
     for nu in range(1, min(k_terms - 1, MAX_SHIFT) + 1):
-        for report, residue in zip(reports, _contour_integrals(differences, 1 - nu, nodes=nodes)):
+        for report, c in zip(reports, _laurent_many(differences, 1 - nu, 1, LAURENT_RADIUS,
+                                                    nodes, -1)):
             report.add_bound(f"contour at s={1 - nu}", "difference has no residue where "
-                             "the shifted twists blow up", abs(residue), tol)
-    for report, expansion in zip(reports, _laurent_many(differences, 1, 2, LAURENT_RADIUS, 64, 0)):
+                             "the shifted twists blow up", abs(2j * mp.pi * c[-1]), tol)
+    for report, c in zip(reports, _laurent_many(differences, 1, 2, LAURENT_RADIUS, 64, 0)):
         for k in (-2, -1):
             report.add_bound(f"principal c_{k} at s=1", "polar parts of the twist and the "
-                             "main term cancel", abs(expansion.coefficient(k)), tol)
+                             "main term cancel", abs(c[k]), tol)
     return [reports[distinct.index(alpha)] for alpha in alphas]
 
 

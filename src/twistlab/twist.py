@@ -116,12 +116,11 @@ class DivisorStream(CoefficientStream):
 
     def __init__(self):
         super().__init__(fn=None, label="divisor function")
-        self._values = [0]
 
     def ensure(self, n_max: int) -> None:
-        if n_max < len(self._values):
+        if n_max < len(self._cache):
             return
-        size = max(n_max + 1, 2 * len(self._values))
+        size = max(n_max + 1, 2 * len(self._cache))
         # every divisor pair i < n/i of n below size is counted once, for i
         # up to sqrt(n); a square n = i*i adds its lone middle divisor
         counts = [0] * size
@@ -129,17 +128,7 @@ class DivisorStream(CoefficientStream):
             counts[i * i] += 1
             for n in range(i * (i + 1), size, i):
                 counts[n] += 2
-        self._values = counts
-
-    def a(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("coefficients are indexed from n = 1")
-        self.ensure(n)
-        return self._values[n]
-
-    def values(self, n_max: int) -> list:
-        self.ensure(n_max)
-        return self._values[1 : n_max + 1]
+        self._cache = counts
 
     def tail_bound(self, n_max: int, sigma) -> mp.mpf:
         """Integral estimate of sum_{n>N} d(n) n^-sigma from the mean value

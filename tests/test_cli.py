@@ -298,6 +298,33 @@ class TestRejectedBeforeAnyTwist:
         err = self.rejected(capsys, f"--growth-h={h}", "verify")
         assert err == f"config error: growth_h must be positive, got '{h}'\n"
 
+    @pytest.mark.parametrize("grid", ["-10", "-10,-10", "-10,-10.0"])
+    def test_fewer_than_two_distinct_sigmas(self, capsys, grid):
+        # the growth certificate's slope fit divided by zero after the chain ran
+        err = self.rejected(capsys, f"--sigma-grid={grid}", "verify")
+        assert err.startswith("config error: sigma_grid needs two distinct values for verify")
+
+    def test_empty_sigma_grid_in_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"sigma_grid": []}))
+        err = self.rejected(capsys, "--config", str(cfg), "verify")
+        assert err == "config error: sigma_grid needs two distinct values for verify (the " \
+                      "growth certificate fits a slope), got ()\n"
+
+    @pytest.mark.parametrize("command", ["verify", "euler", "twist-grid"])
+    @pytest.mark.parametrize("option, value, message", [
+        ("--t", "nan", "t must be finite"),
+        ("--t", "inf", "t must be finite"),
+        ("--t", "-inf", "t must be finite"),
+        ("--tol", "nan", "tol must be positive and finite"),
+        ("--tol", "inf", "tol must be positive and finite"),
+        ("--tol", "0", "tol must be positive and finite"),
+        ("--tol", "-1", "tol must be positive and finite"),
+    ])
+    def test_non_finite_t_or_bad_tol(self, capsys, command, option, value, message):
+        err = self.rejected(capsys, f"{option}={value}", command)
+        assert err == f"config error: {message}, got '{value}'\n"
+
 
 class TestConfigFile:
     def test_config_plus_flag_override(self, capsys, tmp_path):
