@@ -97,6 +97,16 @@ class RunConfig:
             raise ValueError(f"t must be finite, got {self.t!r}")
         if not (mp.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        # the phases t log n keep about precision - log2|t| bits
+        t_max = mp.mpf(2) ** (self.precision / 2)
+        if command in ("twist-grid", "verify") and abs(self.t_value) > t_max:
+            raise ValueError(f"|t| must be at most 2^(precision/2) = 2^{self.precision / 2:g} at "
+                             f"precision {self.precision}, got {self.t!r}")
+        if self.out:
+            out = Path(self.out)
+            existing = next(path for path in (out, *out.parents) if path.exists())
+            if not existing.is_dir():
+                raise ValueError(f"out must name a directory, but {str(existing)!r} is not one")
         if command == "verify" and any(alpha <= 0 for alpha in self.alpha_fractions):
             raise ValueError(f"alphas must be positive for verify, got {self.alphas!r}")
         if self.growth_h_fraction is not None and self.growth_h_fraction <= 0:

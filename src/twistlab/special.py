@@ -74,9 +74,9 @@ def gamma_complex(s) -> mp.mpc:
         raise PoleError(f"gamma pole at s={s}") from exc
 
 
-#: Distinct Hurwitz values kept, about 0.5 kB each: the 128 nodes of a Laurent
-#: circle times the 24 numerators of the largest q fit twice over; `verify` at
-#: its defaults keeps 2 680.
+#: Distinct Hurwitz values kept, about 0.5 kB each: `verify` at its defaults
+#: keeps 2 168, and the two 64-node circles of its largest character check
+#: (mod 13) take 1 664.
 _HURWITZ_CACHE_SIZE = 1 << 13
 
 

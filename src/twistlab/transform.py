@@ -5,16 +5,19 @@ Euler-factor reconstruction at s = 1 and the forced local-factor shape,
 the local-degree bound, the left-half-plane growth certificate, and the
 polar-consistency checks of the transformation formula.
 
-Laurent coefficients and closed contour integrals come from one core that
-averages over one circle by the trapezoid rule, which converges geometrically
-for functions analytic in an annulus, so node-halving disagreement flags
-insufficient analyticity; only a record that reads the cross-radius
-disagreement samples a second circle, of half the radius.  The core takes a
-vector-valued function, so a single batched twist evaluation per (node, q)
-serves every numerator of the Laurent table, every character twist mod p
-and both coefficients of the Euler solve.  Likewise one main-term pass per
-node (every Q_nu(s) from one table of powers of s, each conjugate twist once
-per distinct beta) serves every alpha of the polar-consistency check."""
+The Laurent data of the divisor twists F(s, b/q) at s = 1, which serve both
+Laurent laws and the Euler solve, are closed form: products of the truncated
+Hurwitz series at s = 1 (the generalized Stieltjes constants), with no
+contour.  Every other Laurent coefficient and closed contour integral comes
+from one core that averages over one circle by the trapezoid rule, which
+converges geometrically for functions analytic in an annulus, so
+node-halving disagreement flags insufficient analyticity; only a record that
+reads the cross-radius disagreement samples a second circle, of half the
+radius.  The core takes a vector-valued function, so a single batched twist
+evaluation per node serves every character twist mod p.  Likewise one
+main-term pass per node (every Q_nu(s) from one table of powers of s, each
+conjugate twist once per distinct beta) serves every alpha of the
+polar-consistency check."""
 
 from __future__ import annotations
 
@@ -31,18 +34,19 @@ from .expansion import q_poly
 from .exactpoly import scalar_to_mpc
 from .funceq import FunctionalEquationDatum
 from .reports import Report
-from .special import PoleError, characters_mod, dirichlet_l, gauss_sum, roots_of_unity
+from .special import (PoleError, _hurwitz_series, characters_mod, dirichlet_l, gauss_sum,
+                      hurwitz_parameters, roots_of_unity)
 from .twist import reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle
 
 
 LAURENT_RADIUS = Fraction(1, 4)  # contour radius; a cross-radius check adds radius/2
 LAURENT_NODES = 128
-TABLE_POLE_ORDER = 3  # one order above the double pole, so c_-3 = 0 is checked
 CHI_NODES = 64  # a multiple of 8: the square law reads 8 evenly spaced nodes
 PAIR_TOL = mp.mpf("1e-10")  # agreement across numerators and reality of beta
 MAX_SHIFT = 4  # polar consistency checks the shifted poles s = 0..1-MAX_SHIFT
 PARTIAL_DEGREE_MAX = 2  # the degree of F caps every local partial degree
 SLOPE_TOL = mp.mpf("0.5")  # growth certificate: |fitted slope of Delta| bound
+_LAURENT_GUARD = 40  # bits above prec for the closed-form Laurent data at s = 1
 
 
 class LaurentConvergenceError(ArithmeticError):
@@ -233,20 +237,71 @@ def transformation_main_term(datum: FunctionalEquationDatum, s, alpha, k_terms: 
 # Laurent laws of the continued twists (reference instance)
 # ---------------------------------------------------------------------------
 
+def _truncated_product(f, g) -> list:
+    """The first len(f) Taylor coefficients of f g, each an exact dot product
+    rounded once."""
+    return [mp.fdot(f[:k + 1], g[k::-1]) for k in range(len(f))]
+
+
+def _laurent_at_1(q: int, numerators) -> list[dict[int, mp.mpc]]:
+    """{k: c_k} for k = -3..0 at s = 1 of F(s, b/q) for each b in
+    ``numerators``, in closed form.  With X_u(x) = x zeta(1+x, u/q) =
+    1 + p_0 x + p_1 x^2 + ...,
+
+      x^2 F(1+x, b/q) = q^-2 e^(-2x log q) sum_w e(-wb/q) sum_{uv = w mod q} X_u X_v,
+
+    so c_-3 = 0 and c_-2, c_-1, c_0 are the first three coefficients of a
+    product of truncated series.  p_0 = -psi(u/q) and p_1 = -gamma_1(u/q) are
+    generalized Stieltjes constants, read from the Hurwitz series at center 1
+    as p_0 = E_0 - L_N and p_1 = E_1 + L_N^2/2 (E its entire part, L_N =
+    log(N+a)), at the parameters u/q of ``zeta2_twist_batch``, so that both
+    read one series.
+
+    Error, against the twist the batch evaluates (u/q rounded to prec bits):
+    the series keeps E within eps = 2^-(prec+20) on |x| <= 0.26, and each
+    fixed-point coefficient adds at most eps, so by Cauchy's estimate p_0 and
+    p_1 lie within 2 eps and 5 eps.  With |p_0(a)| <= 1/a + gamma on (0, 1],
+    so that sum_u |p_0| <= q (log q + 2), the sums carry this to 4 eps in
+    c_-1 and (18 + 12 log q) eps in c_0; c_-2 only sees the roots of unity.
+    Working at prec + 40 bits adds less than eps for q <= 1000.  So each c_k
+    lies within 2^-prec |c_k| + (20 + 12 log q) 2^-(prec+20), the first term
+    being the one final rounding to prec bits.
+    """
+    prec = mp.mp.prec
+    with mp.workprec(prec + _LAURENT_GUARD):
+        series = []
+        for a in hurwitz_parameters(q, prec):
+            wp, log_n, coeffs = _hurwitz_series(1, a._mpf_, prec)
+            series.append((1, mp.ldexp(coeffs[-1], -wp) - log_n,
+                           mp.ldexp(coeffs[-2], -wp) + log_n ** 2 / 2))
+        # X_u X_v grouped by w = uv mod q, u <= v doubled if u < v; u = 1
+        # reaches every w, so no group is empty
+        grouped = [[] for _ in range(q)]
+        for u in range(1, q + 1):
+            for v in range(u, q + 1):
+                product = _truncated_product(series[u - 1], series[v - 1])
+                grouped[u * v % q].append([(1 + (u < v)) * c for c in product])
+        by_w = [[mp.fsum(terms) for terms in zip(*group)] for group in grouped]
+        log_q = mp.log(q)
+        decay = (1, -2 * log_q, 2 * log_q ** 2)  # e^(-2x log q)
+        roots = roots_of_unity(q, mp.mp.prec)
+        expansions = []
+        for b in numerators:
+            phases = [roots[-w * b % q] for w in range(q)]
+            sums = [mp.fdot(phases, column) for column in zip(*by_w)]
+            expansions.append({-3: mp.mpc(0)} | {
+                k - 2: c / q ** 2 for k, c in enumerate(_truncated_product(decay, sums))})
+    return [{k: +c for k, c in coeffs.items()} for coeffs in expansions]
+
+
 def twist_laurent_table(q_max: int) -> dict[tuple[int, int], dict[int, mp.mpc]]:
-    """Laurent coefficients {k: c_k} at s = 1 of the continued divisor twists
-    F(s, a/q) for every q <= q_max and a coprime to q (a = q meaning the
-    untwisted series), from one extraction of the batched twists per q."""
+    """Laurent coefficients {k: c_k}, k = -3..0, at s = 1 of the continued
+    divisor twists F(s, a/q) for every q <= q_max and a coprime to q (a = q
+    meaning the untwisted series), from one ``_laurent_at_1`` call per q."""
     table = {}
     for q in range(1, q_max + 1):
         numerators = [a for a in range(1, q + 1) if gcd(a, q) == 1]
-
-        def twists(s):
-            batch = zeta2_twist_batch(s, q)  # F(s, b/q) for b = 0..q-1
-            return [batch[a % q] for a in numerators]
-
-        expansions = _laurent_many(twists, 1, TABLE_POLE_ORDER, LAURENT_RADIUS, LAURENT_NODES, 0)
-        table.update({(q, a): c for a, c in zip(numerators, expansions)})
+        table.update({(q, a): c for a, c in zip(numerators, _laurent_at_1(q, numerators))})
     return table
 
 
@@ -384,12 +439,10 @@ def euler_factor_at_1(p: int) -> mp.mpc:
     """Solve the leading-coefficient relation for the local factor at s = 1
     of the double-pole reference series zeta(s)^2:
     F_p(1) = (p/(p-1)) / (1 - alpha_F(1/p) / alpha_F), with alpha_F and
-    alpha_F(1/p) read as c_-2 at b = 0 and b = 1 of one batched extraction."""
+    alpha_F(1/p) read as c_-2 at b = 0 and b = 1 of ``_laurent_at_1``."""
     if not isprime(p):
         raise ValueError(f"need a prime p, got {p}")
-    untwisted, twisted = _laurent_many(
-        lambda s: zeta2_twist_batch(s, p)[:2], 1, 2, LAURENT_RADIUS, LAURENT_NODES, 0
-    )
+    untwisted, twisted = _laurent_at_1(p, [0, 1])
     ratio = twisted[-2] / untwisted[-2]
     if abs(1 - ratio) < mp.mpf("1e-6"):
         raise ArithmeticError(

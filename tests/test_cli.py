@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from twistlab import twist
+from twistlab import transform, twist
 from twistlab.cli import RunConfig, main
 
 
@@ -145,6 +145,13 @@ class TestTwistGrid:
         assert code == 2 and out == ""
         assert err == "config error: twist-grid cannot evaluate s = 1, the double pole of zeta(s)^2\n"
 
+    def test_t_within_the_precision_runs(self, capsys):
+        # |t| <= 2^(precision/2): 1e19 < 2^64 runs at 128 bits, and 1e40 at 288
+        for argv in (("--t", "1e19"), ("--t", "1e40", "--precision", "288")):
+            code, out = run_cli(capsys, *argv, "--sigma-grid", "2", "--alphas", "1/2",
+                                "twist-grid")
+            assert code == 0 and out.count("\n") == 2 and out.endswith(",direct\n"), argv
+
     def test_sigma_one_off_the_real_axis_runs(self, capsys):
         code, out = run_cli(capsys, "--sigma-grid", "1", "--t", "2", "--alphas", "1/2", "twist-grid")
         assert code == 0
@@ -265,6 +272,7 @@ class TestRejectedBeforeAnyTwist:
             raise AssertionError("a twist was evaluated")
 
         monkeypatch.setattr(twist, "_divisor_twist_kernel", evaluated)
+        monkeypatch.setattr(transform, "_laurent_at_1", evaluated)
 
     def rejected(self, capsys, *argv):
         code = main(list(argv))
@@ -324,6 +332,25 @@ class TestRejectedBeforeAnyTwist:
     def test_non_finite_t_or_bad_tol(self, capsys, command, option, value, message):
         err = self.rejected(capsys, f"{option}={value}", command)
         assert err == f"config error: {message}, got '{value}'\n"
+
+    @pytest.mark.parametrize("command", ["verify", "euler", "polys", "twist-grid"])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_naming_a_file(self, capsys, tmp_path, command, below):
+        # the whole chain used to run and print before mkdir raised
+        # FileExistsError (or NotADirectoryError below a file)
+        existing = tmp_path / "report.txt"
+        existing.write_text("kept\n")
+        err = self.rejected(capsys, "--out", str(existing / below), command)
+        assert err == f"config error: out must name a directory, but {str(existing)!r} is not one\n"
+        assert existing.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["verify", "twist-grid"])
+    @pytest.mark.parametrize("t", ["1e40", "-1e40", "2e19"])
+    def test_t_beyond_the_precision(self, capsys, command, t):
+        # at 128 bits --t 1e40 printed 25 digits of which about 14 were real
+        err = self.rejected(capsys, f"--t={t}", command)
+        assert err == ("config error: |t| must be at most 2^(precision/2) = 2^64 at "
+                       f"precision 128, got '{t}'\n")
 
 
 class TestConfigFile:

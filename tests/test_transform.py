@@ -1,10 +1,11 @@
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import pytest
 
-from twistlab import transform
+from twistlab import special, transform
 from twistlab.exactpoly import scalar_to_mpc
 from twistlab.expansion import q_poly
 from twistlab.special import PoleError
@@ -28,7 +29,7 @@ from twistlab.transform import (
     verify_beta_law,
     verify_chi_holomorphy,
 )
-from twistlab.twist import zeta2_twist_oracle
+from twistlab.twist import zeta2_twist_batch, zeta2_twist_oracle
 
 
 class TestLaurentExtract:
@@ -352,9 +353,90 @@ def table():
         mp.mp.prec = old
 
 
+def contour_bound(c):
+    """Closed form against a 128-node contour of radius 1/4 at s = 1: F grows
+    like 1/r^2 = 16 on the circle, so the contour's rounding alone reaches a
+    few ulps of c_0; its aliasing is far smaller."""
+    return mp.mpf(2) ** -(mp.mp.prec - 10) * max(1, abs(c))
+
+
+def laurent_bound(c, q, bits):
+    """``_laurent_at_1``'s stated bound 2^-prec |c| + (20 + 12 log q) 2^-(prec+20)."""
+    return mp.ldexp(abs(c), -bits) + mp.ldexp(20 + 12 * mp.log(q), -bits - 20)
+
+
+def coprime_numerators(q):
+    return [a for a in range(1, q + 1) if gcd(a, q) == 1]
+
+
+class TestClosedFormLaurent:
+    """``_laurent_at_1`` against routes that share none of its arithmetic."""
+
+    def test_matches_mp_zeta_contour(self, monkeypatch):
+        # with no series center every Hurwitz value comes from mp.zeta; the
+        # memo key does not record the route, so it is cleared on both sides
+        special._hurwitz_memo.cache_clear()
+        monkeypatch.setattr(special, "_SERIES_CENTERS", range(0))
+        try:
+            for q in range(1, 5):
+                numerators = coprime_numerators(q)
+                contours = transform._laurent_many(
+                    lambda s: [zeta2_twist_batch(s, q)[a % q] for a in numerators],
+                    1, 3, Fraction(1, 4), 128, 0)
+                closed = transform._laurent_at_1(q, numerators)
+                for a, want, got in zip(numerators, contours, closed):
+                    for k in range(-3, 1):
+                        assert abs(got[k] - want[k]) <= contour_bound(got[k]), (q, a, k)
+        finally:
+            special._hurwitz_memo.cache_clear()
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_polar_coefficients_are_exact(self, bits):
+        # c_-2 = 1/q and c_-1 = (2 gamma - 2 log q)/q for a coprime to q,
+        # within the kernel's stated bound: rounding u/q moves neither, since
+        # each p_0(u/q) with u < q enters c_-1 through sum_v e(-uva/q) = 0
+        with mp.workprec(bits):
+            for q in range(1, 13):
+                numerators = coprime_numerators(q)
+                expansions = transform._laurent_at_1(q, numerators)
+                with mp.workprec(bits + 40):
+                    want = {-2: mp.mpf(1) / q, -1: (2 * mp.euler - 2 * mp.log(q)) / q}
+                for a, c in zip(numerators, expansions):
+                    assert c[-3] == 0
+                    for k, w in want.items():
+                        bound = laurent_bound(w, q, bits)
+                        assert abs(c[k] - w) <= bound, (bits, q, a, k)
+
+    def test_constant_term_matches_digamma_and_stieltjes(self):
+        # the same double sum over u, v, fed by p_0 = -psi(u/q) and
+        # p_1 = -gamma_1(u/q) at the kernel's parameters, 40 bits higher
+        prec = mp.mp.prec
+        for q in range(1, 7):
+            numerators = coprime_numerators(q)
+            expansions = transform._laurent_at_1(q, numerators)
+            with mp.workprec(prec + 40):
+                params = special.hurwitz_parameters(q, prec)
+                p0 = [-mp.digamma(a) for a in params]
+                p1 = [-mp.stieltjes(1, a) for a in params]
+                log_q = mp.log(q)
+                for a, c in zip(numerators, expansions):
+                    want = mp.fsum(
+                        special.unit_phase(Fraction(-u * v * a, q))
+                        * (p1[u - 1] + p1[v - 1] + p0[u - 1] * p0[v - 1]
+                           - 2 * log_q * (p0[u - 1] + p0[v - 1]) + 2 * log_q ** 2)
+                        for u in range(1, q + 1) for v in range(1, q + 1)) / q ** 2
+                    assert abs(c[0] - want) <= laurent_bound(want, q, prec), (q, a)
+
+    def test_second_table_builds_no_series(self):
+        twist_laurent_table(24)
+        misses = special._hurwitz_series.cache_info().misses
+        twist_laurent_table(24)
+        assert special._hurwitz_series.cache_info().misses == misses
+
+
 class TestLaurentLaws:
     def test_batched_table_equals_per_numerator_extraction(self):
-        # the reference route: one scalar extraction of the oracle per a/q
+        # the reference route: one scalar contour extraction of the oracle per a/q
         table = twist_laurent_table(6)
         assert sorted(table) == [
             (1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3),
@@ -369,7 +451,9 @@ class TestLaurentLaws:
                 nodes=128,
                 k_max=0,
             )
-            assert got == want.coefficients, (q, a)
+            assert sorted(got) == sorted(want.coefficients) == [-3, -2, -1, 0]
+            for k, c in got.items():
+                assert abs(c - want.coefficient(k)) <= contour_bound(c), (q, a, k)
 
     def test_alpha_law(self, table):
         report = verify_alpha_law(table)
@@ -395,6 +479,10 @@ class TestChiHolomorphy:
         assert any("square law" in r.name for r in report.records)
 
 
+def refuse(*args):
+    raise AssertionError("a contour was sampled")
+
+
 def count_batches(monkeypatch):
     """Count zeta2_twist_batch calls made through transform, by q."""
     calls, batch = Counter(), transform.zeta2_twist_batch
@@ -409,17 +497,20 @@ def count_batches(monkeypatch):
 
 class TestOneCirclePerExtraction:
     # the second radius is sampled only where a record reads it: the
-    # cross-radius record of verify_chi_holomorphy
+    # cross-radius record of verify_chi_holomorphy; the Laurent table and
+    # the Euler solve sample no circle, reading s = 1 in closed form
 
     def test_laurent_table(self, monkeypatch):
         calls = count_batches(monkeypatch)
+        monkeypatch.setattr(transform, "_laurent_many", refuse)
         twist_laurent_table(3)
-        assert calls == {1: 128, 2: 128, 3: 128}
+        assert calls == {}
 
     def test_euler_factor(self, monkeypatch):
         calls = count_batches(monkeypatch)
+        monkeypatch.setattr(transform, "_laurent_many", refuse)
         euler_factor_at_1(3)
-        assert calls == {3: 128}
+        assert calls == {}
 
     def test_chi_holomorphy_samples_two_circles(self, monkeypatch):
         calls = count_batches(monkeypatch)
@@ -453,20 +544,21 @@ class TestEulerEndgame:
 
     def test_blowup_guard(self, monkeypatch):
         # every numerator shares c_-2 = 1, so alpha_F(1/p)/alpha_F = 1
-        def shared_pole(s, q):
-            return [1 / (s - 1) ** 2] * q
+        def shared_pole(q, numerators):
+            return [{-3: 0, -2: mp.mpc(1), -1: mp.mpc(0), 0: mp.mpc(0)} for _ in numerators]
 
-        monkeypatch.setattr(transform, "zeta2_twist_batch", shared_pole)
+        monkeypatch.setattr(transform, "_laurent_at_1", shared_pole)
         with pytest.raises(ArithmeticError, match="too close to 1"):
             euler_factor_at_1(2)
 
     @pytest.mark.parametrize("p", (4, 9, 1, 0, -3))
     def test_non_prime_rejected_before_any_twist(self, p, monkeypatch):
-        # "p = 9" would extract the twists by 1/9 and report a wrong value
-        def no_twist(s, q):
+        # "p = 9" would read the twists by 1/9 and report a wrong value
+        def no_twist(*args):
             raise AssertionError("a twist was evaluated")
 
-        monkeypatch.setattr(transform, "zeta2_twist_batch", no_twist)
+        monkeypatch.setattr(transform, "_laurent_at_1", no_twist)
+        monkeypatch.setattr(transform, "_hurwitz_series", no_twist)
         with pytest.raises(ValueError, match="need a prime p"):
             euler_factor_at_1(p)
 
