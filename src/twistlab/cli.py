@@ -95,6 +95,10 @@ class RunConfig:
         self.alpha_fractions, self.tolerance, self.t_value, self.growth_h_fraction  # noqa: B018
         if not mp.isfinite(self.t_value):
             raise ValueError(f"t must be finite, got {self.t!r}")
+        if command == "verify" and self.t_value == 0 and 0 in (x % 2 for x in self.sigma_grid):
+            raise ValueError(f"sigma_grid must avoid the trivial zeros s = -2, -4, ... of "
+                             f"zeta(s)^2 at t = 0 (the growth certificate takes log|F|), "
+                             f"got {self.sigma_grid!r}")
         if not (mp.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         # the phases t log n keep about precision - log2|t| bits

@@ -1,13 +1,9 @@
 """Exact scalars and dense univariate polynomials.
 
-Two coefficient regimes share one polynomial class:
-
-* exact: ``fractions.Fraction`` and :class:`GaussianRational` (a + bi with
-  rational a, b) -- all arithmetic, composition and division-with-remainder
-  stay exact, so zero-remainder divisibility can be asserted literally;
-* numeric: mpmath ``mpf``/``mpc`` coefficients for data that is not rational.
-
-Numeric evaluation of an exact polynomial happens through mpmath at the
+Coefficients are ``int``, ``fractions.Fraction`` or :class:`GaussianRational`
+(a + bi with rational a, b).  All arithmetic, composition and
+division-with-remainder stay exact, so zero-remainder divisibility can be
+asserted literally.  Numeric evaluation happens through mpmath at the
 ambient working precision.
 """
 
@@ -159,46 +155,18 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-def conj_scalar(c):
-    """Complex conjugate for any supported scalar type."""
-    if isinstance(c, _RATIONAL_TYPES):
-        return c
-    if isinstance(c, GaussianRational):
-        return c.conjugate()
-    return mp.conj(c)
-
-
 def scalar_to_mpc(c):
-    """Convert an exact or numeric scalar to mpc at ambient precision."""
+    """Convert an exact scalar to mpc at ambient precision."""
     if isinstance(c, GaussianRational):
         return c.to_mpc()
-    if isinstance(c, (int, Fraction)):
-        return mp.mpc(mp.mpmathify(c))
-    return mp.mpc(c)
-
-
-def scalar_is_exact(c) -> bool:
-    return isinstance(c, (int, Fraction, GaussianRational))
+    return mp.mpc(mp.mpmathify(c))
 
 
 def _exact_div(a, b):
-    """Scalar division that keeps int/int exact instead of going float and
-    bridges the Fraction/mpf gap (mpf only reflects + and * for Fraction)."""
+    """Scalar division that keeps int/int exact instead of going float."""
     if isinstance(a, int) and isinstance(b, int):
         return Fraction(a, b)
-    try:
-        return a / b
-    except TypeError:
-        return mp.mpmathify(a) / mp.mpmathify(b)
-
-
-def _sub(a, b):
-    """Scalar subtraction through negation; Fraction + mpf is supported
-    where Fraction - mpf is not."""
-    try:
-        return a - b
-    except TypeError:
-        return a + (-b)
+    return a / b
 
 
 class Polynomial:
@@ -248,10 +216,6 @@ class Polynomial:
     def coefficient(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    @property
-    def is_exact(self) -> bool:
-        return all(scalar_is_exact(c) for c in self.coeffs)
-
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):
@@ -271,7 +235,7 @@ class Polynomial:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(
-            _sub(self.coefficient(k), other.coefficient(k)) for k in range(n)
+            self.coefficient(k) - other.coefficient(k) for k in range(n)
         )
 
     def __rsub__(self, other):
@@ -334,7 +298,7 @@ class Polynomial:
             quot[k] = c
             if c != 0:
                 for j, b in enumerate(other.coeffs):
-                    rem[j + k] = _sub(rem[j + k], c * b)
+                    rem[j + k] -= c * b
         return Polynomial(quot), Polynomial(rem)
 
     def divides_exactly(self, divisor: "Polynomial") -> bool:
@@ -350,7 +314,7 @@ class Polynomial:
         return result
 
     def conjugate(self) -> "Polynomial":
-        return Polynomial(conj_scalar(c) for c in self.coeffs)
+        return Polynomial(c.conjugate() for c in self.coeffs)
 
     # -- evaluation ---------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Expansion-coefficient engine for the degree-2 twist transformation formula.
 
-Builds, with exact arithmetic whenever the functional-equation datum is
-rational, the polynomial apparatus
+Builds, in exact arithmetic over the Gaussian rationals, the polynomial
+apparatus
 
 * C(mu, ell)    -- rational coefficients converting 1/w^mu into sums of
                    1/((w-1)...(w-ell)),
@@ -34,7 +34,7 @@ from math import comb, factorial
 import mpmath as mp
 
 from . import bernoulli
-from .exactpoly import GaussianRational, Polynomial, scalar_to_mpc
+from .exactpoly import GaussianRational, Polynomial
 from .funceq import FunctionalEquationDatum
 
 
@@ -71,13 +71,7 @@ def _elementary_symmetric_reciprocal(k: int, n: int) -> Fraction:
 
 def _shift_poly(datum: FunctionalEquationDatum) -> Polynomial:
     """2s - 1 + i*theta as a polynomial in s."""
-    theta = datum.theta
-    const = (
-        GaussianRational(-1, theta)
-        if isinstance(theta, Fraction)
-        else mp.mpc(-1, theta)
-    )
-    return Polynomial((const, 2))
+    return Polynomial((GaussianRational(-1, datum.theta), 2))
 
 
 def a_coeff(datum: FunctionalEquationDatum, mu: int, nu: int) -> Polynomial:
@@ -101,24 +95,12 @@ def a_coeff(datum: FunctionalEquationDatum, mu: int, nu: int) -> Polynomial:
 def r_poly(datum: FunctionalEquationDatum, nu: int) -> Polynomial:
     """R_nu(s): degree nu+1 with leading coefficient (-2)^(nu+1) + 2(-1)^nu.
 
-    Both closed forms are computed and compared on every (cached) call;
-    a mismatch would mean corrupted invariants and raises ArithmeticError.
-    Exact forms must be equal.  Numeric forms may differ in no coefficient
-    by more than 2^-(prec//2) times their largest coefficient modulus, where
-    prec is the lower of the datum's and the working precision (the rule of
-    the datum's |omega| check).
+    Both exact closed forms are computed and compared on every (cached)
+    call; a mismatch would mean corrupted invariants and raises
+    ArithmeticError.
     """
     via_h, via_gamma = r_poly_forms(datum, nu)
-    if via_h.is_exact and via_gamma.is_exact:
-        agree = via_h == via_gamma
-    else:
-        prec = min(datum.precision, mp.mp.prec)
-        scale = max(abs(scalar_to_mpc(c)) for c in via_h.coeffs + via_gamma.coeffs)
-        worst = max(
-            (abs(scalar_to_mpc(c)) for c in (via_h - via_gamma).coeffs), default=0
-        )
-        agree = worst <= scale * mp.mpf(2) ** -(prec // 2)
-    if not agree:
+    if via_h != via_gamma:
         raise ArithmeticError(f"R_{nu} closed forms disagree for {datum.label!r}")
     return via_h
 
@@ -131,12 +113,8 @@ def r_poly_forms(
         raise ValueError("R_nu needs nu >= 1")
     n = nu + 1
     b_poly = bernoulli.bernoulli_polynomial(n)
-    theta = datum.theta
-    i_theta = (
-        GaussianRational(0, theta) if isinstance(theta, Fraction) else mp.mpc(0, theta)
-    )
     # B_{nu+1}(1 - 2s - i*theta) + B_{nu+1}(1), shared by both forms
-    shifted = b_poly.compose(Polynomial((1 - i_theta, -2)))
+    shifted = b_poly.compose(Polynomial((GaussianRational(1, -datum.theta), -2)))
     base = shifted + Polynomial((b_poly(1),))
 
     one_minus_s = Polynomial((1, -1))
@@ -144,22 +122,15 @@ def r_poly_forms(
     h_sum = Polynomial()
     for k in range(n + 1):
         h_k = datum.h_invariant(k)
-        h_conj = h_k.conjugate() if isinstance(h_k, GaussianRational) else mp.conj(h_k)
-        term = Polynomial.monomial(sign * h_k, n - k) - h_conj * one_minus_s ** (n - k)
+        term = Polynomial.monomial(sign * h_k, n - k) - h_k.conjugate() * one_minus_s ** (n - k)
         h_sum = h_sum + comb(n, k) * term
     via_h = base + Fraction(1, 2) * h_sum
 
     factor_sum = Polynomial()
     for f in datum.factors:
-        mu_c = f.mu.conjugate() if isinstance(f.mu, GaussianRational) else mp.conj(f.mu)
-        left = b_poly.compose(Polynomial((f.lam + mu_c, -f.lam)))
+        left = b_poly.compose(Polynomial((f.lam + f.mu.conjugate(), -f.lam)))
         right = b_poly.compose(Polynomial((1 - f.mu, -f.lam)))
-        lam_pow = (
-            Fraction(f.lam) ** nu
-            if isinstance(f.lam, (int, Fraction))
-            else mp.mpmathify(f.lam) ** nu
-        )
-        factor_sum = factor_sum + (left + right) * (1 / lam_pow)
+        factor_sum = factor_sum + (left + right) * (1 / f.lam**nu)
     via_gamma = base - factor_sum
     return via_h, via_gamma
 
@@ -168,12 +139,9 @@ def p_poly(datum: FunctionalEquationDatum, nu: int) -> Polynomial:
     """R_nu(s) - B_{nu+1}(1 - 2s - i*theta), exact."""
     if nu < 1:
         raise ValueError("P_nu needs nu >= 1")
-    n = nu + 1
-    theta = datum.theta
-    i_theta = (
-        GaussianRational(0, theta) if isinstance(theta, Fraction) else mp.mpc(0, theta)
+    shifted = bernoulli.bernoulli_polynomial(nu + 1).compose(
+        Polynomial((GaussianRational(1, -datum.theta), -2))
     )
-    shifted = bernoulli.bernoulli_polynomial(n).compose(Polynomial((1 - i_theta, -2)))
     return r_poly(datum, nu) - shifted
 
 

@@ -7,9 +7,11 @@ The reference instance is the square of the Riemann zeta function
 the unique known degree-2, conductor-1 example with a pole.
 
 A datum is immutable after construction and safe to share across workers.
-Invariants are computed exactly whenever every lambda_j is rational and every
-mu_j is Gaussian-rational; otherwise they fall back to mpmath arithmetic at
-the datum's configured binary precision (default 256 bits).
+Every lambda_j is rational, every mu_j and omega Gaussian-rational, and the
+invariants are exact.  Two values can be transcendental: the conductor when
+the powers of pi or the lambda_j^(2 lambda_j) do not cancel, and the shifted
+root number when theta != 0 or some mu_j is not real.  Those are computed at
+the ambient mpmath precision.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from pathlib import Path
 import mpmath as mp
 
 from . import bernoulli
-from .exactpoly import GaussianRational, as_fraction, scalar_is_exact, scalar_to_mpc
-
-DEFAULT_DATUM_PRECISION = 256
+from .exactpoly import GaussianRational, as_fraction
 
 
 class DatumError(ValueError):
@@ -43,14 +43,10 @@ def _parse_complex(text: str) -> GaussianRational:
 
 @dataclass(frozen=True)
 class QParam:
-    """The scale parameter Q, kept symbolic as coef * pi^pi_exp when possible.
-
-    A purely numeric Q is stored with pi_exp = None and coef holding the
-    literal value; conductor exactness is then unavailable.
-    """
+    """The scale parameter Q, kept symbolic as coef * pi^pi_exp."""
 
     coef: Fraction
-    pi_exp: Fraction | None = Fraction(0)
+    pi_exp: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.coef <= 0:
@@ -64,10 +60,6 @@ class QParam:
         if text == "pi":
             return cls(Fraction(1), Fraction(1))
         return cls(as_fraction(text), Fraction(0))
-
-    @property
-    def is_symbolic(self) -> bool:
-        return self.pi_exp is not None
 
     def to_mpf(self) -> mp.mpf:
         v = mp.mpmathify(self.coef)
@@ -90,30 +82,23 @@ class GammaFactor:
     mu: GaussianRational
 
     def __post_init__(self):
-        if not (scalar_is_exact(self.lam) or isinstance(self.lam, mp.mpf)):
-            raise DatumError(f"unsupported lambda type: {self.lam!r}")
+        if not isinstance(self.lam, Fraction):
+            raise DatumError(f"lambda must be a Fraction, got {self.lam!r}")
+        if not isinstance(self.mu, GaussianRational):
+            raise DatumError(f"mu must be a GaussianRational, got {self.mu!r}")
         if self.lam <= 0:
             raise DatumError("lambda must be positive")
-        mu_re = self.mu.re if isinstance(self.mu, GaussianRational) else mp.re(self.mu)
-        if mu_re < 0:
+        if self.mu.re < 0:
             raise DatumError("Re(mu) must be nonnegative")
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.lam, (int, Fraction)) and isinstance(
-            self.mu, GaussianRational
-        )
-
-    @property
-    def mu_im(self):
-        return self.mu.im if isinstance(self.mu, GaussianRational) else mp.im(self.mu)
 
 
 def factor(lam, mu=0) -> GammaFactor:
-    """Convenience constructor accepting rationals/strings for both fields."""
-    if not isinstance(mu, GaussianRational):
-        mu = GaussianRational(mu, 0) if not isinstance(mu, str) else _parse_complex(mu)
-    if not isinstance(lam, mp.mpf):
+    """Convenience constructor accepting ints/strings for both fields."""
+    if isinstance(mu, str):
+        mu = _parse_complex(mu)
+    elif isinstance(mu, (int, Fraction)):
+        mu = GaussianRational(mu, 0)
+    if isinstance(lam, (int, str)):
         lam = as_fraction(lam)
     return GammaFactor(lam, mu)
 
@@ -126,31 +111,16 @@ class FunctionalEquationDatum:
     omega: GaussianRational
     factors: tuple[GammaFactor, ...]
     pole_order: int = 0
-    precision: int = DEFAULT_DATUM_PRECISION
     label: str = ""
 
     def __post_init__(self):
-        if self.pole_order < 0:
-            raise DatumError("pole order must be nonnegative")
-        if self.precision < 53:
-            raise DatumError("precision below double precision is not supported")
+        if type(self.pole_order) is not int or self.pole_order < 0:
+            raise DatumError(f"pole_order must be a nonnegative integer, got {self.pole_order!r}")
         object.__setattr__(self, "factors", tuple(self.factors))
-        if isinstance(self.omega, GaussianRational):
-            if self.omega.norm() != 1:
-                raise DatumError("|omega| must equal 1")
-        else:
-            with mp.workprec(self.precision):
-                if abs(abs(mp.mpc(self.omega)) - 1) > mp.mpf(2) ** (-self.precision // 2):
-                    raise DatumError("|omega| must equal 1 to working precision")
-
-    # -- exactness ----------------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return (
-            isinstance(self.omega, GaussianRational)
-            and all(f.is_exact for f in self.factors)
-        )
+        if not isinstance(self.omega, GaussianRational):
+            raise DatumError(f"omega must be a GaussianRational, got {self.omega!r}")
+        if self.omega.norm() != 1:
+            raise DatumError("|omega| must equal 1")
 
     @property
     def r(self) -> int:
@@ -158,113 +128,80 @@ class FunctionalEquationDatum:
 
     # -- invariants ----------------------------------------------------------
 
-    def degree(self):
-        """2 * sum of the lambda_j; exact when all lambda_j are rational."""
-        total = sum((f.lam for f in self.factors), start=Fraction(0))
-        return 2 * total
+    def degree(self) -> Fraction:
+        """2 * sum of the lambda_j."""
+        return 2 * sum((f.lam for f in self.factors), start=Fraction(0))
 
     def conductor(self):
         """(2 pi)^degree * Q^2 * prod lambda_j^(2 lambda_j).
 
         Returns an exact Fraction when the pi-powers cancel and every
-        2*lambda_j is an integer; otherwise an mpf at the datum precision.
+        2*lambda_j is an integer; otherwise an mpf at the ambient precision.
         """
         d = self.degree()
-        exact_ok = (
-            isinstance(d, Fraction)
-            and d.denominator == 1
-            and self.q_param.is_symbolic
+        if (
+            d.denominator == 1
             and d + 2 * self.q_param.pi_exp == 0
-            and all(
-                isinstance(f.lam, Fraction) and (2 * f.lam).denominator == 1
-                for f in self.factors
-            )
-        )
-        if exact_ok:
+            and all((2 * f.lam).denominator == 1 for f in self.factors)
+        ):
             value = Fraction(2) ** int(d) * self.q_param.coef**2
             for f in self.factors:
-                value *= Fraction(f.lam) ** int(2 * f.lam)
+                value *= f.lam ** int(2 * f.lam)
             return value
-        with mp.workprec(self.precision):
-            v = (2 * mp.pi) ** mp.mpmathify(d) * self.q_param.to_mpf() ** 2
-            for f in self.factors:
-                lam = mp.mpmathify(f.lam)
-                v *= lam ** (2 * lam)
-            return v
+        v = (2 * mp.pi) ** mp.mpmathify(d) * self.q_param.to_mpf() ** 2
+        for f in self.factors:
+            lam = mp.mpmathify(f.lam)
+            v *= lam ** (2 * lam)
+        return v
 
-    def xi_invariant(self):
+    def xi_invariant(self) -> GaussianRational:
         """2 * sum (mu_j - 1/2); real part eta, imaginary part theta."""
-        if self.is_exact:
-            total = GaussianRational(0, 0)
-            for f in self.factors:
-                total = total + (f.mu - Fraction(1, 2))
-            return 2 * total
-        with mp.workprec(self.precision):
-            return 2 * mp.fsum(scalar_to_mpc(f.mu) - mp.mpf(1) / 2 for f in self.factors)
+        total = GaussianRational(0, 0)
+        for f in self.factors:
+            total = total + (f.mu - Fraction(1, 2))
+        return 2 * total
 
     @property
-    def eta(self):
-        xi = self.xi_invariant()
-        return xi.re if isinstance(xi, GaussianRational) else mp.re(xi)
+    def eta(self) -> Fraction:
+        return self.xi_invariant().re
 
     @property
-    def theta(self):
-        xi = self.xi_invariant()
-        return xi.im if isinstance(xi, GaussianRational) else mp.im(xi)
+    def theta(self) -> Fraction:
+        return self.xi_invariant().im
 
-    def h_invariant(self, n: int):
+    def h_invariant(self, n: int) -> GaussianRational:
         """2 * sum B_n(mu_j) / lambda_j^(n-1); H(0) is the degree, H(1) = xi."""
         if n < 0:
             raise DatumError("H-invariant index must be nonnegative")
         poly = bernoulli.bernoulli_polynomial(n)
-        if self.is_exact:
-            total = GaussianRational(0, 0)
-            for f in self.factors:
-                total = total + poly(f.mu) / Fraction(f.lam) ** (n - 1)
-            return 2 * total
-        with mp.workprec(self.precision):
-            return 2 * mp.fsum(
-                poly.eval_mpc(scalar_to_mpc(f.mu)) / mp.mpmathify(f.lam) ** (n - 1)
-                for f in self.factors
-            )
+        total = GaussianRational(0, 0)
+        for f in self.factors:
+            total = total + poly(f.mu) / f.lam ** (n - 1)
+        return 2 * total
 
     def root_number_star(self):
         """omega * exp(-i pi (eta+1)/2) * (q/(2 pi)^2)^(i theta/2)
         * prod lambda_j^(-2 i Im mu_j); requires degree 2.
 
         Principal branches are used for the two non-elementary powers; they
-        only matter when theta != 0 or some mu_j is non-real.
+        only matter when theta != 0 or some mu_j is non-real, and then the
+        value is an mpc at the ambient precision.
         """
-        d = self.degree()
-        if isinstance(d, Fraction):
-            if d != 2:
-                raise DatumError("shifted root number needs a degree-2 datum")
-        elif abs(d - 2) > mp.mpf(2) ** (-40):
+        if self.degree() != 2:
             raise DatumError("shifted root number needs a degree-2 datum")
-        if self.is_exact:
-            xi = self.xi_invariant()
-            eta, theta = xi.re, xi.im
-            if (
-                theta == 0
-                and all(f.mu_im == 0 for f in self.factors)
-                and (eta + 1).denominator == 1
-            ):
-                # exp(-i pi (eta+1)/2) = (-i)^(eta+1)
-                k = int(eta + 1) % 4
-                unit = (GaussianRational(0, -1)) ** k
-                return self.omega * unit
-        with mp.workprec(self.precision):
-            eta = mp.mpmathify(self.eta)
-            theta = mp.mpmathify(self.theta)
-            value = scalar_to_mpc(self.omega) * mp.exp(-1j * mp.pi * (eta + 1) / 2)
+        xi = self.xi_invariant()
+        eta, theta = xi.re, xi.im
+        if theta == 0 and all(f.mu.im == 0 for f in self.factors) and (eta + 1).denominator == 1:
+            # exp(-i pi (eta+1)/2) = (-i)^(eta+1)
+            return self.omega * GaussianRational(0, -1) ** (int(eta + 1) % 4)
+        value = self.omega.to_mpc() * mp.exp(-1j * mp.pi * (mp.mpmathify(eta) + 1) / 2)
+        if theta != 0:
             q_f = mp.mpmathify(self.conductor())
-            if theta != 0:
-                value *= mp.exp(1j * (theta / 2) * mp.log(q_f / (2 * mp.pi) ** 2))
-            for f in self.factors:
-                mu_im = mp.mpmathify(f.mu_im)
-                if mu_im != 0:
-                    value *= mp.exp(-2j * mu_im * mp.log(mp.mpmathify(f.lam)))
-            return value
+            value *= mp.exp(1j * (mp.mpmathify(theta) / 2) * mp.log(q_f / (2 * mp.pi) ** 2))
+        for f in self.factors:
+            if f.mu.im != 0:
+                value *= mp.exp(-2j * mp.mpmathify(f.mu.im) * mp.log(mp.mpmathify(f.lam)))
+        return value
 
     def lambda_invariant(self):
         """-i * root_number_star; equals 1 for the zeta^2 datum."""
@@ -277,44 +214,42 @@ class FunctionalEquationDatum:
         """max_j |Im(mu_j) / lambda_j|; rejects an empty factor list."""
         if not self.factors:
             raise DatumError("tau-invariant needs at least one Gamma factor")
-        if self.is_exact:
-            return max(abs(Fraction(f.mu.im) / Fraction(f.lam)) for f in self.factors)
-        with mp.workprec(self.precision):
-            return max(
-                abs(mp.mpmathify(f.mu_im) / mp.mpmathify(f.lam)) for f in self.factors
-            )
+        return max(abs(f.mu.im / f.lam) for f in self.factors)
 
 
-def zeta2_datum(precision: int = DEFAULT_DATUM_PRECISION) -> FunctionalEquationDatum:
+def zeta2_datum() -> FunctionalEquationDatum:
     """The datum of zeta(s)^2: r=2, lambda=1/2, mu=0, Q=pi^-1, omega=1, m=2."""
     return FunctionalEquationDatum(
         q_param=QParam(Fraction(1), Fraction(-1)),
         omega=GaussianRational(1, 0),
         factors=(factor(Fraction(1, 2)), factor(Fraction(1, 2))),
         pole_order=2,
-        precision=precision,
         label="zeta2",
     )
 
 
 BUILTIN_INSTANCES = {"zeta2": zeta2_datum}
+DATUM_KEYS = ("Q", "omega", "factors", "pole_order", "label")
 
 
-def load_datum(source, precision: int | None = None) -> FunctionalEquationDatum:
+def load_datum(source) -> FunctionalEquationDatum:
     """Build a datum from a dict, a JSON file path, or a builtin name.
 
-    Expected keys: ``Q`` (decimal/rational string or ``pi^<rational>``),
-    ``omega`` ("re" or "re,im"), ``factors`` (list of {"lambda": str,
-    "mu": str}), ``pole_order`` (int), optional ``label``/``precision``.
+    Keys: ``Q`` (decimal/rational string or ``pi^<rational>``), ``omega``
+    ("re" or "re,im"), ``factors`` (list of {"lambda": str, "mu": str}),
+    ``pole_order`` (a JSON integer) and ``label``; any other key is an error.
     """
     if isinstance(source, str) and source in BUILTIN_INSTANCES:
-        return BUILTIN_INSTANCES[source](precision or DEFAULT_DATUM_PRECISION)
+        return BUILTIN_INSTANCES[source]()
     if isinstance(source, (str, Path)):
         data = json.loads(Path(source).read_text())
-    elif isinstance(source, dict):
-        data = source
     else:
-        raise DatumError(f"cannot load datum from {source!r}")
+        data = source
+    if not isinstance(data, dict):
+        raise DatumError(f"datum config malformed: expected a JSON object, got {data!r}")
+    unknown = [key for key in data if key not in DATUM_KEYS]
+    if unknown:
+        raise DatumError(f"datum config has unknown keys {unknown}, known: {list(DATUM_KEYS)}")
     try:
         factors = tuple(
             factor(as_fraction(f["lambda"]), _parse_complex(f.get("mu", "0")))
@@ -324,11 +259,10 @@ def load_datum(source, precision: int | None = None) -> FunctionalEquationDatum:
             q_param=QParam.parse(data["Q"]),
             omega=_parse_complex(data.get("omega", "1")),
             factors=factors,
-            pole_order=int(data.get("pole_order", 0)),
-            precision=int(data.get("precision", precision or DEFAULT_DATUM_PRECISION)),
+            pole_order=data.get("pole_order", 0),
             label=str(data.get("label", "")),
         )
     except KeyError as exc:
         raise DatumError(f"datum config missing field {exc}") from exc
-    except TypeError as exc:
-        raise DatumError(f"datum config malformed: {exc}") from exc
+    except (TypeError, ZeroDivisionError) as exc:  # a float lambda, a "1/0"
+        raise DatumError(f"datum config malformed: {type(exc).__name__}: {exc}") from exc

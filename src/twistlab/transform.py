@@ -547,7 +547,8 @@ def growth_certificate(
     + |sigma| log(h/(2 pi e)^2)] must stay of size O(log|sigma|); the fitted
     per-|sigma| slope of Delta is the sensitivity statistic: it vanishes for
     the correct h and grows like log(h_true/h) when h is wrong.  Needs h > 0
-    and at least two distinct sigmas, all negative.
+    and at least two distinct sigmas, all negative, none a trivial zero of
+    F(s, alpha) (an even integer at t = 0 when 2 alpha is an integer).
     """
     alpha = Fraction(alpha)
     h = Fraction(h)
@@ -559,6 +560,9 @@ def growth_certificate(
         raise ValueError("the certificate samples sigma < 0")
     if len(set(sigmas)) < 2:
         raise ValueError(f"the slope fit needs two distinct sigmas, got {len(set(sigmas))}")
+    if t == 0 and (2 * alpha).denominator == 1 and any(sigma % 2 == 0 for sigma in sigmas):
+        raise ValueError(f"F(s, {alpha}) vanishes at the trivial zeros s = -2, -4, ... that "
+                         f"t = 0 and sigmas {[int(x) for x in sigmas if x % 2 == 0]} sample")
     deltas = []
     for sigma in sigmas:
         value = zeta2_twist_oracle(mp.mpc(sigma, t), alpha)

@@ -10,6 +10,10 @@ from twistlab import transform, twist
 from twistlab.cli import RunConfig, main
 
 
+ZETA2 = {"Q": "pi^-1", "omega": "1", "factors": [{"lambda": "1/2"}, {"lambda": "1/2"}],
+         "pole_order": 2}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -251,6 +255,14 @@ class TestBadInstance:
             ({"Q": "pi^-1"}, "missing field"),
             ({"Q": "pi^-1", "factors": [{"lambda": 0.5}]}, "malformed"),
             ([1, 2], "malformed"),
+            # a zero denominator ended in a ZeroDivisionError traceback
+            ({**ZETA2, "Q": "1/0"}, "malformed"),
+            ({**ZETA2, "omega": "1/0"}, "malformed"),
+            ({**ZETA2, "factors": [{"lambda": "1/0"}, {"lambda": "1/2"}]}, "malformed"),
+            ({**ZETA2, "factors": [{"lambda": "1/2", "mu": "1/0"}, {"lambda": "1/2"}]}, "malformed"),
+            # int() made 2.9 into 2 and true into 1
+            ({**ZETA2, "pole_order": 2.9}, "pole_order must be a nonnegative integer, got 2.9"),
+            ({**ZETA2, "pole_order": True}, "pole_order must be a nonnegative integer, got True"),
         ],
     )
     def test_invalid_datum_is_config_error(self, capsys, tmp_path, data, message):
@@ -260,6 +272,16 @@ class TestBadInstance:
         _, err = capsys.readouterr()
         assert code == 2
         assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("command", ["polys", "verify", "euler"])
+    def test_precision_key_is_config_error(self, capsys, tmp_path, command):
+        # the working precision is --precision alone; a datum carries none
+        bad = tmp_path / "datum.json"
+        bad.write_text(json.dumps({**ZETA2, "precision": 64}))
+        code = main(["--instance", str(bad), command])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("config error: datum config has unknown keys ['precision']")
 
 
 class TestRejectedBeforeAnyTwist:
@@ -305,6 +327,22 @@ class TestRejectedBeforeAnyTwist:
     def test_nonpositive_growth_h(self, capsys, h):
         err = self.rejected(capsys, f"--growth-h={h}", "verify")
         assert err == f"config error: growth_h must be positive, got '{h}'\n"
+
+    @pytest.mark.parametrize("grid", ["-10,-21", "-11,-20.0", "-3,-4"])
+    def test_trivial_zero_at_t_zero(self, capsys, grid):
+        # log|F| at a zero of zeta(s)^2 printed slope nan, C*=+inf and exit 1
+        err = self.rejected(capsys, "--t", "0", f"--sigma-grid={grid}", "verify")
+        assert err.startswith("config error: sigma_grid must avoid the trivial zeros")
+
+    @pytest.mark.parametrize("alpha", ["1", "1/2", "3/2"])
+    def test_certificate_rejects_trivial_zero(self, alpha):
+        with pytest.raises(ValueError, match=r"vanishes at the trivial zeros .* \[-10\]"):
+            transform.growth_certificate(alpha, 1, t=0, sigmas=(-10, -21))
+
+    def test_certificate_samples_even_sigma_where_the_twist_is_nonzero(self):
+        # F(-10, 1/3) is about -1.3e6 i: the certificate goes on to evaluate it
+        with pytest.raises(AssertionError, match="a twist was evaluated"):
+            transform.growth_certificate("1/3", 9, t=0, sigmas=(-10, -20))
 
     @pytest.mark.parametrize("grid", ["-10", "-10,-10", "-10,-10.0"])
     def test_fewer_than_two_distinct_sigmas(self, capsys, grid):

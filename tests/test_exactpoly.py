@@ -90,6 +90,13 @@ class TestPolynomial:
             assert quot * b + rem == a
             assert rem.is_zero or rem.degree < b.degree
 
+    def test_divmod_of_int_polynomials_stays_exact(self):
+        # int / int would go float; the quotient and remainder are Fractions
+        quot, rem = divmod(Polynomial((1, 0, 1)), Polynomial((1, 2)))
+        assert quot == Polynomial((Fraction(-1, 4), Fraction(1, 2)))
+        assert rem == Polynomial((Fraction(5, 4),))
+        assert all(type(c) is Fraction for c in quot.coeffs + rem.coeffs)
+
     def test_divides_exactly(self):
         base = Polynomial((Fraction(1, 3), 1))
         assert (base**2 * Polynomial((2, 0, 5))).divides_exactly(base)
@@ -114,8 +121,8 @@ class TestPolynomial:
         assert p(z) == GaussianRational(1, 1)
 
     def test_conjugate(self):
-        p = Polynomial((GaussianRational(1, 2), Fraction(1, 3)))
-        assert p.conjugate() == Polynomial((GaussianRational(1, -2), Fraction(1, 3)))
+        p = Polynomial((GaussianRational(1, 2), Fraction(1, 3), 5))
+        assert p.conjugate() == Polynomial((GaussianRational(1, -2), Fraction(1, 3), 5))
 
     def test_pretty(self):
         assert Polynomial((0, 0, -1)).pretty() == "-s^2"

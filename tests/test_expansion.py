@@ -5,7 +5,7 @@ from math import factorial, comb
 import mpmath as mp
 import pytest
 
-from twistlab.exactpoly import GaussianRational, Polynomial, scalar_to_mpc
+from twistlab.exactpoly import GaussianRational, Polynomial
 from twistlab.expansion import (
     _shift_poly,
     a_coeff,
@@ -21,7 +21,7 @@ from twistlab.expansion import (
     r_poly_forms,
     v_poly,
 )
-from twistlab.funceq import FunctionalEquationDatum, GammaFactor, QParam, factor
+from twistlab.funceq import DatumError, FunctionalEquationDatum, GammaFactor, QParam, factor
 from twistlab import bernoulli
 
 
@@ -36,7 +36,7 @@ def synthetic_datum_real():
     )
 
 
-def synthetic_datum_complex():
+def synthetic_datum_complex(label="synthetic-complex"):
     """Exact Gaussian-rational datum with theta != 0 and complex mu."""
     return FunctionalEquationDatum(
         q_param=QParam.parse("pi^-1"),
@@ -46,37 +46,8 @@ def synthetic_datum_complex():
             factor(Fraction(1, 2), GaussianRational(Fraction(1, 4), 0)),
         ),
         pole_order=0,
-        label="synthetic-complex",
-    )
-
-
-def numeric_datum(precision=256, label="numeric"):
-    """Non-rational datum: mpf/mpc Gamma data, so the engine runs on mpc."""
-    return FunctionalEquationDatum(
-        q_param=QParam(Fraction(1), None),
-        omega=mp.expjpi(mp.mpf(1) / 3),
-        factors=(
-            GammaFactor(mp.mpf("0.5"), mp.mpc("0.25", "0.1")),
-            GammaFactor(mp.mpf("0.5"), mp.mpc("0.3", "-0.2")),
-        ),
-        pole_order=0,
-        precision=precision,
         label=label,
     )
-
-
-def _moduli(poly):
-    return [abs(scalar_to_mpc(c)) for c in poly.coeffs]
-
-
-def assert_same_polynomial(p, q):
-    """Exact data: p == q.  Numeric data: every coefficient of p - q within
-    2^-(prec//2) of the largest coefficient modulus, prec the working one."""
-    if p.is_exact and q.is_exact:
-        assert p == q
-        return
-    scale = max(_moduli(p) + _moduli(q))
-    assert max(_moduli(p - q), default=0) <= scale * mp.mpf(2) ** -(mp.mp.prec // 2)
 
 
 def _compositions(total):
@@ -113,8 +84,8 @@ def a_coeff_by_powers(datum, mu, nu):
 
 
 def all_data(zeta2):
-    """The reference datum, both synthetic exact ones and the numeric one."""
-    return (zeta2, synthetic_datum_real(), synthetic_datum_complex(), numeric_datum())
+    """The reference datum and both synthetic ones."""
+    return (zeta2, synthetic_datum_real(), synthetic_datum_complex())
 
 
 class TestCCoefficients:
@@ -174,9 +145,7 @@ class TestACoefficients:
         for datum in all_data(zeta2):
             for nu in range(1, 13):
                 for mu in range(1, nu + 1):
-                    assert_same_polynomial(
-                        a_coeff(datum, mu, nu), a_coeff_by_powers(datum, mu, nu)
-                    )
+                    assert a_coeff(datum, mu, nu) == a_coeff_by_powers(datum, mu, nu)
 
 
 class TestRPolynomials:
@@ -184,10 +153,11 @@ class TestRPolynomials:
         assert r_poly(zeta2, 1) == Polynomial((0, 0, 2))
 
     def test_degree_and_leading(self, zeta2):
-        for nu in range(1, 11):
-            r = r_poly(zeta2, nu)
-            assert r.degree == nu + 1
-            assert r.leading == (-2) ** (nu + 1) + 2 * (-1) ** nu
+        for datum in all_data(zeta2):
+            for nu in range(1, 11):
+                r = r_poly(datum, nu)
+                assert r.degree == nu + 1
+                assert r.leading == (-2) ** (nu + 1) + 2 * (-1) ** nu
 
     def test_dual_forms_agree_exactly(self, zeta2):
         for datum in (zeta2, synthetic_datum_real(), synthetic_datum_complex()):
@@ -233,16 +203,15 @@ class TestVPolynomials:
         assert v_poly(zeta2, 2) == Polynomial((0, 0, Fraction(1, 2), -1, Fraction(1, 2)))
 
     def test_degree_law(self, zeta2):
-        for mu in range(1, 9):
-            assert v_poly(zeta2, mu).degree == 2 * mu
+        for datum in all_data(zeta2):
+            for mu in range(1, 9):
+                assert v_poly(datum, mu).degree == 2 * mu
 
     def test_partition_grouping_equals_ordered_compositions(self, zeta2):
         # the recurrence in v_poly against the literal composition sum
         for datum in all_data(zeta2):
             for mu in range(1, 9):
-                assert_same_polynomial(
-                    v_poly(datum, mu), v_poly_by_compositions(datum, mu)
-                )
+                assert v_poly(datum, mu) == v_poly_by_compositions(datum, mu), (datum.label, mu)
 
     def test_exponential_series_route(self, zeta2):
         # independent route: V_mu = (-1)^mu [x^mu] exp(sum_nu R_nu x^nu/(nu(nu+1)))
@@ -277,7 +246,7 @@ class TestQPolynomials:
         assert q_poly(zeta2, 2) == Fraction(1, 2) * (Polynomial((0, 1)) * Polynomial((1, 1))) ** 2
 
     def test_degree_law_reference_and_synthetic(self, zeta2):
-        for datum in (zeta2, synthetic_datum_real()):
+        for datum in all_data(zeta2):
             for nu in range(1, 9):
                 assert q_poly(datum, nu).degree == 2 * nu, (datum.label, nu)
 
@@ -302,52 +271,60 @@ class TestQPolynomials:
 
 
 class TestNumericRegime:
-    """Non-rational data switch the engine to mpc coefficients."""
+    """Data that are not exact are refused; the exact polynomials meet the
+    numeric world only through evaluation at the working precision."""
 
-    @pytest.fixture(name="numeric_datum")
-    def numeric_datum_fixture(self):
-        return numeric_datum()
-
-    def test_dual_forms_agree_numerically(self, numeric_datum):
-        for nu in range(1, 6):
-            via_h, via_gamma = r_poly_forms(numeric_datum, nu)
-            delta = via_h - via_gamma
-            worst = max((abs(mp.mpc(c)) for c in delta.coeffs), default=mp.mpf(0))
-            assert worst < mp.mpf("1e-30"), nu
-
-    def test_degree_laws_numeric(self, numeric_datum):
-        for nu in range(1, 5):
-            assert r_poly(numeric_datum, nu).degree == nu + 1
-            assert v_poly(numeric_datum, nu).degree == 2 * nu
-            assert q_poly(numeric_datum, nu).degree == 2 * nu
+    def test_dual_forms_agree_numerically(self):
+        # the exact R_nu against mpmath's own Bernoulli polynomials, with the
+        # per-factor form summed numerically at theta != 0 and complex mu
+        datum = synthetic_datum_complex()
+        i_theta = 1j * mp.mpmathify(datum.theta)
+        for nu in range(1, 9):
+            n = nu + 1
+            for s in (mp.mpc("0.3", "0.2"), mp.mpc(-2, 1), mp.mpc(3)):
+                terms = [mp.bernpoly(n, 1 - 2 * s - i_theta), mp.bernpoly(n, 1)]
+                for f in datum.factors:
+                    lam, mu = mp.mpmathify(f.lam), f.mu.to_mpc()
+                    terms += [-mp.bernpoly(n, lam + mp.conj(mu) - lam * s) / lam**nu,
+                              -mp.bernpoly(n, 1 - mu - lam * s) / lam**nu]
+                scale = mp.fsum(abs(t) for t in terms)
+                error = abs(r_poly(datum, nu).eval_mpc(s) - mp.fsum(terms))
+                assert error <= scale * mp.mpf(2) ** -(mp.mp.prec - 16), (nu, s)
 
     @pytest.mark.parametrize("prec", [64, 128, 256])
     def test_dual_form_check_passes_at_each_precision(self, prec):
-        # measured: the forms agree to 2^-60, 2^-124, 2^-251 relative for nu <= 16
+        # the working precision enters neither the forms nor their comparison
+        reference = [r_poly(synthetic_datum_complex(), nu) for nu in range(1, 17)]
         with mp.workprec(prec):
-            datum = numeric_datum(precision=prec, label=f"numeric-{prec}")
-            for nu in range(1, 17):
-                assert r_poly(datum, nu).degree == nu + 1
+            datum = synthetic_datum_complex(label=f"complex-{prec}")
+            assert [r_poly(datum, nu) for nu in range(1, 17)] == reference
 
     @pytest.mark.parametrize("prec, delta", [(128, "1e-10"), (256, "1e-20")])
     def test_dual_form_check_catches_perturbed_invariant(self, monkeypatch, prec, delta):
-        # a perturbed H-invariant moves only the H form; the bound 2^-(prec//2)
-        # (about 5e-20 relative at 128 bits, 3e-39 at 256) must see it
+        # a perturbed H-invariant moves only the H form; the exact comparison
+        # sees a perturbation of any size, at any working precision
         exact_h = FunctionalEquationDatum.h_invariant
         monkeypatch.setattr(
             FunctionalEquationDatum,
             "h_invariant",
-            lambda self, n: exact_h(self, n) + mp.mpf(delta),
+            lambda self, n: exact_h(self, n) + Fraction(delta),
         )
         with mp.workprec(prec):
-            datum = numeric_datum(precision=prec, label=f"perturbed-{prec}")
+            datum = synthetic_datum_complex(label=f"perturbed-{prec}")
             with pytest.raises(ArithmeticError, match="closed forms disagree"):
                 r_poly(datum, 1)
 
-    def test_not_exact(self, numeric_datum):
-        assert not numeric_datum.is_exact
-        assert not q_poly(numeric_datum, 2).is_exact
-
+    def test_not_exact(self):
+        # mpf/mpc Gamma data and omega are refused, not computed at some precision
+        with pytest.raises(DatumError, match="lambda must be a Fraction"):
+            GammaFactor(mp.mpf("0.5"), GaussianRational(0))
+        with pytest.raises(DatumError, match="lambda must be a Fraction"):
+            factor(mp.mpf("0.5"))
+        with pytest.raises(DatumError, match="mu must be a GaussianRational"):
+            GammaFactor(Fraction(1, 2), mp.mpc("0.25", "0.1"))
+        with pytest.raises(DatumError, match="omega must be a GaussianRational"):
+            FunctionalEquationDatum(QParam.parse("pi^-1"), mp.expjpi(mp.mpf(1) / 3),
+                                    (factor(Fraction(1, 2)),) * 2)
 
 class TestExpansionChecks:
     def test_1overw_examples(self):

@@ -1,5 +1,7 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -11,7 +13,10 @@ from twistlab.funceq import (
     QParam,
     factor,
     load_datum,
+    zeta2_datum,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def make_datum(factors, q="pi^-1", omega=GaussianRational(1), pole_order=0):
@@ -94,8 +99,30 @@ class TestOtherData:
                 factor(Fraction(1, 2), GaussianRational(Fraction(1, 5), Fraction(-1, 6))),
             ]
         )
-        w = d.root_number_star()
-        assert abs(abs(w) - 1) < mp.mpf(2) ** (-200)
+        with mp.workprec(256):
+            w = d.root_number_star()
+            assert abs(abs(w) - 1) < mp.mpf(2) ** (-200)
+
+    @pytest.mark.parametrize("q", ["pi^-1", "5/2"])
+    def test_root_number_follows_the_working_precision(self, q):
+        # theta = 1; Q = 5/2 makes the conductor transcendental as well.  A
+        # datum precision of 256 bits used to cap this near 2^-256.
+        d = make_datum(
+            [factor(Fraction(1, 2), GaussianRational(0, Fraction(1, 2))), factor(Fraction(1, 2))],
+            q=q, omega=GaussianRational(Fraction(3, 5), Fraction(4, 5)),
+        )
+        assert d.theta == 1
+        with mp.workprec(512):
+            value = d.root_number_star()
+        with mp.workprec(1024):
+            q_f = (2 * mp.pi) ** 2 * QParam.parse(q).to_mpf() ** 2 / 4
+            closed = (
+                d.omega.to_mpc()
+                * mp.exp(-1j * mp.pi * (d.eta + 1) / 2)
+                * mp.power(q_f / (2 * mp.pi) ** 2, 1j * d.theta / 2)
+                * mp.power(mp.mpf(1) / 2, -2j * mp.mpf(1) / 2)
+            )
+            assert abs(value - closed) < mp.mpf(2) ** -500
 
     def test_h_matches_degree_and_xi_generally(self):
         data = [
@@ -126,7 +153,7 @@ class TestOtherData:
 
     def test_unimodular_gaussian_omega_accepted(self):
         d = make_datum([factor(1)], omega=GaussianRational(Fraction(3, 5), Fraction(4, 5)))
-        assert d.is_exact
+        assert d.root_number_star() == GaussianRational(Fraction(3, 5), Fraction(4, 5))
 
 
 class TestConfigLoading:
@@ -178,8 +205,19 @@ class TestConfigLoading:
             load_datum({"Q": "1"})
 
     def test_precision_override(self):
-        assert load_datum("zeta2", precision=320).precision == 320
+        # a datum carries no precision: the ambient mp.workprec is the only one
+        assert not hasattr(zeta2_datum(), "precision")
+        with pytest.raises(TypeError):
+            load_datum("zeta2", precision=320)
         cfg = {"Q": "1", "factors": [{"lambda": "1", "mu": "0"}], "precision": 192}
-        assert load_datum(cfg).precision == 192
-        with pytest.raises(DatumError):
-            load_datum({"Q": "1", "factors": [], "precision": 16})
+        with pytest.raises(DatumError, match=r"unknown keys \['precision'\]"):
+            load_datum(cfg)
+
+    def test_readme_datum_block_is_zeta2(self):
+        text = README.read_text().split("## Custom functional-equation data", 1)[1]
+        block = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+        d, ref = load_datum(json.loads(block)), zeta2_datum()
+        assert d.degree() == ref.degree()
+        assert d.conductor() == ref.conductor()
+        assert d.root_number_star() == ref.root_number_star()
+        assert d.pole_order == ref.pole_order
