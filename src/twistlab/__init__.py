@@ -29,7 +29,6 @@ from .special import (
     hurwitz_zeta,
 )
 from .twist import (
-    CoefficientStream,
     DivisorStream,
     divisor_stream,
     twist_direct,
@@ -66,7 +65,6 @@ __all__ = [
     "gamma_complex",
     "gauss_sum",
     "hurwitz_zeta",
-    "CoefficientStream",
     "DivisorStream",
     "divisor_stream",
     "twist_direct",

@@ -63,7 +63,12 @@ class RunConfig:
             ("k_terms", "an integer", type(self.k_terms) is int),
             ("q_max", "an integer", type(self.q_max) is int),
             ("out", "a string", self.out is None or isinstance(self.out, str)),
-            ("alphas", "a list", isinstance(self.alphas, tuple)),
+            # a JSON true in any of these four would parse as 1
+            ("alphas", "a list of rationals",
+             isinstance(self.alphas, tuple) and bool not in map(type, self.alphas)),
+            ("t", "a real number", type(self.t) is not bool),
+            ("tol", "a real number", type(self.tol) is not bool),
+            ("growth_h", "a rational", type(self.growth_h) is not bool),
             ("primes", "a list of integers",
              isinstance(self.primes, tuple) and all(type(p) is int for p in self.primes)),
             ("sigma_grid", "a list of finite real numbers",
@@ -142,7 +147,7 @@ class RunConfig:
 
     @property
     def growth_h_fraction(self) -> Fraction | None:
-        if not self.growth_h:
+        if self.growth_h is None:
             return None
         return _parse(Fraction, self.growth_h, "growth_h must be a rational such as 9/2")
 
@@ -300,8 +305,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         report.extend(polar)
     report.extend(transform.identity_reduction_check(datum))
 
-    stream = twist.divisor_stream()
-    bad = twist.half_twist_coefficient_identity(stream, 10_000)
+    bad = twist.half_twist_coefficient_identity(10_000)
     report.add(
         "half-twist coefficients (p=2)",
         "conversion identity holds coefficientwise as exact integers",
@@ -311,9 +315,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     )
     for p in cfg.primes:
         if p % 2 == 1:
-            check = twist.additive_from_mult_identity_check(
-                stream, mp.mpc(3), 1, p, n_max=20_000
-            )
+            check = twist.additive_from_mult_identity_check(mp.mpc(3), 1, p, n_max=20_000)
             report.add_bound(
                 f"conversion identity (p={p}, s=3)",
                 "additive twist reassembles from the multiplicative ones",
@@ -389,7 +391,7 @@ def cmd_euler(cfg: RunConfig) -> int:
 def cmd_twist_grid(cfg: RunConfig) -> int:
     t = cfg.t_value
     s_values = [mp.mpc(sigma, t) for sigma in cfg.sigma_grid]
-    rows = twist.twist_grid_rows(twist.divisor_stream(), s_values, cfg.alpha_fractions)
+    rows = twist.twist_grid_rows(s_values, cfg.alpha_fractions)
     header = ["sigma", "t", "alpha", "re", "im", "method"]
     if cfg.out:
         write_rows_csv(Path(cfg.out) / "twist_grid.csv", header, rows)

@@ -230,6 +230,13 @@ def zeta2_datum() -> FunctionalEquationDatum:
 
 BUILTIN_INSTANCES = {"zeta2": zeta2_datum}
 DATUM_KEYS = ("Q", "omega", "factors", "pole_order", "label")
+FACTOR_KEYS = ("lambda", "mu")
+
+
+def _check_keys(entry: dict, known: tuple, where: str) -> None:
+    unknown = [key for key in entry if key not in known]
+    if unknown:
+        raise DatumError(f"{where} has unknown keys {unknown}, known: {list(known)}")
 
 
 def load_datum(source) -> FunctionalEquationDatum:
@@ -237,7 +244,8 @@ def load_datum(source) -> FunctionalEquationDatum:
 
     Keys: ``Q`` (decimal/rational string or ``pi^<rational>``), ``omega``
     ("re" or "re,im"), ``factors`` (list of {"lambda": str, "mu": str}),
-    ``pole_order`` (a JSON integer) and ``label``; any other key is an error.
+    ``pole_order`` (a JSON integer) and ``label``; any other key, here or in a
+    factor, is an error.
     """
     if isinstance(source, str) and source in BUILTIN_INSTANCES:
         return BUILTIN_INSTANCES[source]()
@@ -247,10 +255,11 @@ def load_datum(source) -> FunctionalEquationDatum:
         data = source
     if not isinstance(data, dict):
         raise DatumError(f"datum config malformed: expected a JSON object, got {data!r}")
-    unknown = [key for key in data if key not in DATUM_KEYS]
-    if unknown:
-        raise DatumError(f"datum config has unknown keys {unknown}, known: {list(DATUM_KEYS)}")
+    _check_keys(data, DATUM_KEYS, "datum config")
     try:
+        for f in data["factors"]:
+            if isinstance(f, dict):  # any other entry is malformed below
+                _check_keys(f, FACTOR_KEYS, "datum config factor")
         factors = tuple(
             factor(as_fraction(f["lambda"]), _parse_complex(f.get("mu", "0")))
             for f in data["factors"]

@@ -34,9 +34,9 @@ from .expansion import q_poly
 from .exactpoly import scalar_to_mpc
 from .funceq import FunctionalEquationDatum
 from .reports import Report
-from .special import (PoleError, _hurwitz_series, characters_mod, dirichlet_l, gauss_sum,
+from .special import (PoleError, _hurwitz_series, characters_mod, dirichlet_l,
                       hurwitz_parameters, roots_of_unity)
-from .twist import reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle
+from .twist import character_twists, reduce_mod_one, zeta2_twist_oracle
 
 
 LAURENT_RADIUS = Fraction(1, 4)  # contour radius; a cross-radius check adds radius/2
@@ -362,26 +362,17 @@ def verify_beta_law(table: dict, tol=mp.mpf("1e-8")) -> Report:
 
 
 def verify_chi_holomorphy(p: int, tol=mp.mpf("1e-15")) -> Report:
-    """Character twists of the divisor stream are holomorphic at s = 1:
+    """Character twists of zeta(s)^2 are holomorphic at s = 1:
     for every non-principal chi mod p the contour integral and extracted
     principal-part coefficients vanish, and the assembled twist agrees with
     L(s, chi)^2 on the circle."""
     report = Report(f"character-twist holomorphy at s=1 (mod {p})")
     chars = characters_mod(p, include_principal=False)
-    chi_bars = [[chi.conjugate().value(a) for a in range(1, p + 1)] for chi in chars]
-    tau_bars = [gauss_sum(chi.conjugate()) for chi in chars]
     l_mismatch = [mp.mpf(0)] * len(chars)
     node = count()
 
     def assembled(s):
-        """F(s, chi) = tau(chi bar)^-1 sum_a chi bar(a) F(s, -a/p) per chi."""
-        twists = zeta2_twist_batch(s, p)  # F(s, b/p) for b = 0..p-1
-        values = []
-        for chi_bar, tau_bar in zip(chi_bars, tau_bars):
-            acc = mp.mpc(0)
-            for a, weight in enumerate(chi_bar, 1):
-                acc += weight * twists[-a % p]
-            values.append(acc / tau_bar)
+        values = character_twists(s, p)
         # _laurent_many calls f in node order, and the circles run one after
         # the other; the square law reads 8 evenly spaced nodes of each
         if next(node) % (CHI_NODES // 8) == 0:
@@ -494,22 +485,17 @@ def solve_local_factor(value_at_1, p: int, tol=mp.mpf("1e-8")) -> LocalFactorSol
 
 
 def degree_bound(h, q_f, p: int) -> int:
-    """floor(log(h/q_F)/log p), computed by exact comparison when h/q_F is
-    rational; requires h >= q_F > 0 and p >= 2."""
+    """floor(log(h/q_F)/log p) for rational h and q_F, by exact comparison;
+    requires h >= q_F > 0 and p >= 2."""
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
-    if q_f <= 0:
+    if not all(isinstance(x, (int, Fraction)) for x in (h, q_f)):
+        raise ValueError(f"h and q_F must be rationals (int or Fraction), got {h!r}, {q_f!r}")
+    if q_f <= 0 or h < q_f:
         raise ValueError("need h >= q_F > 0")
-    try:
-        ratio = Fraction(h) / Fraction(q_f)
-        exact = True
-    except (TypeError, ValueError):
-        ratio = mp.mpf(h) / mp.mpf(q_f)
-        exact = False
-    if ratio < 1:
-        raise ValueError("need h >= q_F > 0")
+    ratio = Fraction(h, q_f)
     k = 0
-    power = Fraction(p) if exact else mp.mpf(p)
+    power = Fraction(p)
     while power <= ratio:
         k += 1
         power *= p

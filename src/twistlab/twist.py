@@ -1,10 +1,11 @@
-"""Coefficient streams and twist evaluation.
+"""The divisor coefficients of zeta(s)^2 and their twists.
 
 A linear twist of a Dirichlet series with coefficients a(n) is
 F(s, alpha) = sum a(n) e(-n alpha) n^-s; the multiplicative twist by a
-character chi is F(s, chi) = sum a(n) chi(n) n^-s.  Twists are keyed by
-exact reduced fractions throughout (Fraction reduces automatically), and
-negative arguments use F(s, -a/q) = F(s, (q-a)/q).
+character chi is F(s, chi) = sum a(n) chi(n) n^-s.  Here a(n) = d(n), the
+number of divisors, so F(s) = zeta(s)^2.  Twists are keyed by exact reduced
+fractions throughout (Fraction reduces automatically), and negative
+arguments use F(s, -a/q) = F(s, (q-a)/q).
 
 In sigma > 1 every series sum is one pass over n <= N into the bucket sums
 B_r = sum_{n = r mod m} a(n) n^-s: e(-n a/q) depends only on n mod q, so any
@@ -24,30 +25,28 @@ the a(m P) m^-s of each residue class take one multiplication by it.  A
 smoothed sum reads exp(-n/X) as hi[n >> k] lo[n & mask] from two tables of
 about sqrt(N) entries.  Memory: N sieve bytes plus O(sqrt N) integers.
 
-For the divisor-coefficient stream (zeta(s)^2) the additive twist has a
-closed Hurwitz-zeta form that continues it to the whole plane minus the
-double pole at s = 1:
+The additive twist has a closed Hurwitz-zeta form that continues it to the
+whole plane minus the double pole at s = 1:
 
     sum d(n) e(-n a/q) n^-s
         = q^(-2s) sum_{u,v=1}^{q} e(-u v a/q) zeta(s, u/q) zeta(s, v/q),
 
-which is the oracle every continued-twist computation routes through.
-Generic streams only get direct/smoothed evaluation in sigma > 1.
+which is the oracle every continued-twist computation routes through; one
+batch of it mod p gives every character twist mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, lcm
-from typing import Callable
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .special import (
-    DirichletCharacter,
     PoleError,
     characters_mod,
     gauss_sum,
@@ -64,58 +63,15 @@ def reduce_mod_one(alpha) -> Fraction:
     return alpha - (alpha.numerator // alpha.denominator)
 
 
-class CoefficientStream:
-    """Dirichlet coefficients a(n) with an append-only cache.
+class DivisorStream:
+    """a(n) = d(n), the number of divisors; coefficients of zeta(s)^2.
 
-    The cache only ever grows (single writer extends, readers see complete
-    prefixes), so values up to any previously requested cap never change.
+    The cache only ever grows, so values up to any previously requested cap
+    never change.
     """
 
-    def __init__(self, fn: Callable[[int], complex], label: str = "custom"):
-        self._fn = fn
-        self.label = label
-        self._cache: list = [0]  # index 0 unused; a(n) at index n
-
-    def ensure(self, n_max: int) -> None:
-        for n in range(len(self._cache), n_max + 1):
-            self._cache.append(self._fn(n))
-
-    def a(self, n: int):
-        if n < 1:
-            raise ValueError("coefficients are indexed from n = 1")
-        self.ensure(n)
-        return self._cache[n]
-
-    def values(self, n_max: int) -> list:
-        """[a(1), ..., a(n_max)]."""
-        self.ensure(n_max)
-        return self._cache[1 : n_max + 1]
-
-    def tail_bound(self, n_max: int, sigma) -> mp.mpf:
-        """Crude estimate of sum_{n > N} |a(n)| n^-sigma assuming the cached
-        maximum modulus keeps holding."""
-        sigma = mp.mpf(sigma)
-        if sigma <= 1:
-            raise ValueError("tail estimate needs sigma > 1")
-        peak = max(abs(mp.mpmathify(v)) for v in self.values(n_max))
-        return peak * mp.mpf(n_max) ** (1 - sigma) / (sigma - 1)
-
-    # Hooks the evaluators use when available -------------------------------
-
-    #: analytic continuation of the additive twist, or None
-    twist_oracle: Callable | None = None
-
-    def euler_inverse_coefficients(self, p: int) -> dict[int, int] | None:
-        """Dirichlet coefficients of 1/F_p(s) supported on powers of p,
-        when the stream has a known Euler factor there."""
-        return None
-
-
-class DivisorStream(CoefficientStream):
-    """a(n) = d(n), the number of divisors; coefficients of zeta(s)^2."""
-
     def __init__(self):
-        super().__init__(fn=None, label="divisor function")
+        self._cache: list[int] = [0]  # index 0 unused; d(n) at index n
 
     def ensure(self, n_max: int) -> None:
         if n_max < len(self._cache):
@@ -130,6 +86,17 @@ class DivisorStream(CoefficientStream):
                 counts[n] += 2
         self._cache = counts
 
+    def a(self, n: int) -> int:
+        if n < 1:
+            raise ValueError("coefficients are indexed from n = 1")
+        self.ensure(n)
+        return self._cache[n]
+
+    def values(self, n_max: int) -> list[int]:
+        """[d(1), ..., d(n_max)]."""
+        self.ensure(n_max)
+        return self._cache[1 : n_max + 1]
+
     def tail_bound(self, n_max: int, sigma) -> mp.mpf:
         """Integral estimate of sum_{n>N} d(n) n^-sigma from the mean value
         d(n) ~ log n + 2*gamma."""
@@ -139,14 +106,6 @@ class DivisorStream(CoefficientStream):
         n = mp.mpf(n_max)
         shape = mp.log(n) / (sigma - 1) + 1 / (sigma - 1) ** 2
         return n ** (1 - sigma) * (shape + 2 * mp.euler / (sigma - 1))
-
-    @property
-    def twist_oracle(self):
-        return zeta2_twist_oracle
-
-    def euler_inverse_coefficients(self, p: int) -> dict[int, int]:
-        # 1/F_p(s) = (1 - p^-s)^2
-        return {1: 1, p: -2, p * p: 1}
 
 
 _divisor_singleton: DivisorStream | None = None
@@ -172,9 +131,9 @@ class TwistPartialSum:
     tail_estimate: mp.mpf
 
 
-#: Bits below 2^-bits carried by the prime powers, the smoothing weights and
-#: any non-integer coefficient of a series pass, so that their rounding stays a
-#: small part of the per-n error bound stated in `_residue_sums`.
+#: Bits below 2^-bits carried by the prime powers and the smoothing weights of
+#: a series pass, so that their rounding stays a small part of the per-n error
+#: bound stated in `_residue_sums`.
 _TABLE_GUARD = 8
 
 
@@ -209,28 +168,27 @@ def _prime_flags(limit: int) -> bytearray:
     return flags
 
 
-def _residue_sums(stream: CoefficientStream, s, modulus: int, n_max: int, decay=None):
-    """Bucket sums sum_{n <= n_max, n = r mod modulus} a(n) decay^n n^-s, each
-    converted to mpc once; a modulus above n_max gets one bucket per n.
+def _residue_sums(coeffs: list[int], s, modulus: int, decay=None):
+    """Bucket sums sum_{n <= N, n = r mod modulus} a(n) decay^n n^-s for the
+    integers a(n) = coeffs[n - 1], N = len(coeffs), each converted to mpc
+    once; a modulus above N gets one bucket per n.
 
     The pass (see the module docstring) runs in units of 2^-bits,
-    bits = prec + bit_length(N bit_length(N)) for N = n_max.  A table entry x
-    (p^-s, decay^i, a non-integer a(n)) is evaluated by mpmath at bits + 18
-    bits and rounded to the nearest multiple of 2^-(bits+8), so it is within
-    2^-(bits+8) max(1, |x|); a product m^-s p^-s is rounded to the nearest
-    multiple of 2^-bits, within 2^-bits/sqrt(2).  A smooth n^-s is Omega(n)
-    such products from 1^-s = 1, and the errors add: absolutely for
-    sigma >= 0, where every |p^-s| <= 1, relatively for sigma < 0, where every
-    |p^-s| >= 1.  The terms m P multiply m^-s by P^-s exactly.  So for any
-    sigma, per n, the term a(n) decay^n n^-s (decay <= 1) is within
+    bits = prec + bit_length(N bit_length(N)).  A table entry x (p^-s or
+    decay^i) is evaluated by mpmath at bits + 18 bits and rounded to the
+    nearest multiple of 2^-(bits+8), so it is within 2^-(bits+8) max(1, |x|);
+    a product m^-s p^-s is rounded to the nearest multiple of 2^-bits, within
+    2^-bits/sqrt(2).  A smooth n^-s is Omega(n) such products from 1^-s = 1,
+    and the errors add: absolutely for sigma >= 0, where every |p^-s| <= 1,
+    relatively for sigma < 0, where every |p^-s| >= 1.  The terms m P
+    multiply m^-s by P^-s exactly.  So for any sigma, per n, the term
+    a(n) decay^n n^-s (decay <= 1) is within
 
-        (Omega(n) + 1) 2^-bits max(1, n^-sigma) max(1, |a(n)|),
+        (Omega(n) + 1) 2^-bits max(1, n^-sigma) |a(n)|.
 
-    which is |a(n)| times (Omega(n) + 1) 2^-bits max(1, n^-sigma) for a
-    non-zero Gaussian-integer a(n).  As sum_{n <= N} (Omega(n) + 1) <=
-    N bit_length(N) <= 2^(bits - prec), the buckets are within
-    2^-prec max_n max(1, |a(n)|) max(1, n^-sigma) of the truth before their
-    one rounding at the working precision.
+    As sum_{n <= N} (Omega(n) + 1) <= N bit_length(N) <= 2^(bits - prec), the
+    buckets are within 2^-prec max_n |a(n)| max(1, n^-sigma) of the truth
+    before their one rounding at the working precision.
 
     For sigma > 0 a prime with p^-sigma < 2^-(bits+10) rounds to exactly 0,
     and so does every term it divides.  The pass stops streaming primes there
@@ -238,96 +196,77 @@ def _residue_sums(stream: CoefficientStream, s, modulus: int, n_max: int, decay=
     its result is bit for bit that of the full pass.
     """
     s = mp.mpc(s)
-    bits = mp.mp.prec + (n_max * n_max.bit_length()).bit_length()
-    values = stream.values(n_max)
-    with mp.workprec(bits + _TABLE_GUARD + 10):  # every table entry
-        if all(type(c) is int for c in values):
-            re, im, scale = _fixed_residue_pass(values, s, modulus, n_max, decay, bits)
-        else:  # sum a(n) x_n = sum Re a(n) x_n + i sum Im a(n) x_n
-            coeff_scale = bits + _TABLE_GUARD
-            values = [mp.mpc(c) for c in values]
-            re, im, scale = _fixed_residue_pass(
-                [_nearest(c.real, coeff_scale) for c in values], s, modulus, n_max, decay, bits)
-            im_re, im_im, _ = _fixed_residue_pass(
-                [_nearest(c.imag, coeff_scale) for c in values], s, modulus, n_max, decay, bits)
-            re = [x - y for x, y in zip(re, im_im)]
-            im = [x + y for x, y in zip(im, im_re)]
-            scale += coeff_scale
-    return [mp.mpc(mp.ldexp(x, -scale), mp.ldexp(y, -scale)) for x, y in zip(re, im)]
-
-
-def _fixed_residue_pass(coeffs: list, s, modulus: int, n_max: int, decay,
-                        bits: int) -> tuple[list, list, int]:
-    """(re, im, scale): the bucket sums of c_n decay^n n^-s for the integers
-    c_n = coeffs[n - 1], as integers in units of 2^-scale; the table entries
-    are evaluated at the working precision."""
+    n_max = len(coeffs)
     size = min(modulus, n_max + 1)
     sigma = s.real
+    bits = mp.mp.prec + (n_max * n_max.bit_length()).bit_length()
     table_scale = bits + _TABLE_GUARD
-    cut = _power_cut(sigma, table_scale, n_max)
-    flags = _prime_flags(cut)
     root = isqrt(n_max)
-    small = [p for p in range(2, min(root, cut) + 1) if flags[p]]
-    flags[: root + 1] = bytes(min(root, cut) + 1)  # the large phase streams P > L only
-    minus_s = -s if s.imag else -sigma  # a real exponent takes mpmath's real power
-    small_values = [_fixed_power(p, minus_s, table_scale) for p in small]
-    if decay is not None:
-        k = (n_max.bit_length() + 1) // 2
-        mask = (1 << k) - 1
-        lo = [_nearest(mp.power(decay, i), table_scale) for i in range(mask + 1)]
-        hi = [_nearest(mp.power(decay, j << k), table_scale) for j in range((n_max >> k) + 1)]
+    with mp.workprec(table_scale + 10):  # every table entry
+        cut = _power_cut(sigma, table_scale, n_max)
+        flags = _prime_flags(cut)
+        small = [p for p in range(2, min(root, cut) + 1) if flags[p]]
+        flags[: root + 1] = bytes(min(root, cut) + 1)  # the large phase streams P > L only
+        minus_s = -s if s.imag else -sigma  # a real exponent takes mpmath's real power
+        small_values = [_fixed_power(p, minus_s, table_scale) for p in small]
+        if decay is not None:
+            k = (n_max.bit_length() + 1) // 2
+            mask = (1 << k) - 1
+            lo = [_nearest(mp.power(decay, i), table_scale) for i in range(mask + 1)]
+            hi = [_nearest(mp.power(decay, j << k), table_scale) for j in range((n_max >> k) + 1)]
 
-    # L-smooth n, depth first: the children of n are n p for p >= its largest prime
-    table_re, table_im = [0] * (root + 1), [0] * (root + 1)
-    smooth_re, smooth_im = [0] * size, [0] * size
-    half = 1 << table_scale - 1
-    stack = [(1, 1 << bits, 0, 0)] if n_max >= 1 else []
-    while stack:
-        n, vr, vi, first = stack.pop()
-        if n <= root:
-            table_re[n], table_im[n] = vr, vi
-        c = coeffs[n - 1]
-        if c:
-            if decay is not None:
-                c *= hi[n >> k] * lo[n & mask]
-            r = n % modulus
-            smooth_re[r] += c * vr
-            smooth_im[r] += c * vi
-        for i in range(first, len(small)):
-            child = n * small[i]
-            if child > n_max:
-                break
-            pr, pi = small_values[i]
-            cr = vr * pr - vi * pi + half >> table_scale
-            ci = vr * pi + vi * pr + half >> table_scale
-            if cr or ci:  # a zero value has only zero multiples
-                stack.append((child, cr, ci, i))
-
-    # n = m P with one prime P > L: m <= N/P < L, and the class sums of one P
-    # (keyed by m mod modulus) take one multiplication by P^-s
-    large_re, large_im = [0] * size, [0] * size
-    for p in compress(range(cut + 1), flags):
-        pr, pi = _fixed_power(p, minus_s, table_scale)
-        top = n_max // p
-        width = min(modulus, top + 1)
-        acc_re, acc_im = [0] * width, [0] * width
-        for m, c in enumerate(coeffs[p - 1 : top * p : p], 1):
+        # L-smooth n, depth first: the children of n are n p for p >= its largest prime
+        table_re, table_im = [0] * (root + 1), [0] * (root + 1)
+        smooth_re, smooth_im = [0] * size, [0] * size
+        half = 1 << table_scale - 1
+        stack = [(1, 1 << bits, 0, 0)] if n_max >= 1 else []
+        while stack:
+            n, vr, vi, first = stack.pop()
+            if n <= root:
+                table_re[n], table_im[n] = vr, vi
+            c = coeffs[n - 1]
             if c:
                 if decay is not None:
-                    n = m * p
                     c *= hi[n >> k] * lo[n & mask]
-                j = m % modulus
-                acc_re[j] += c * table_re[m]
-                acc_im[j] += c * table_im[m]
-        for j in range(width):
-            xr, xi = acc_re[j], acc_im[j]
-            if xr or xi:
-                r = j * p % modulus
-                large_re[r] += xr * pr - xi * pi
-                large_im[r] += xr * pi + xi * pr
-    return ([(x << table_scale) + y for x, y in zip(smooth_re, large_re)],
-            [(x << table_scale) + y for x, y in zip(smooth_im, large_im)],
-            bits + table_scale + (2 * table_scale if decay is not None else 0))
+                r = n % modulus
+                smooth_re[r] += c * vr
+                smooth_im[r] += c * vi
+            for i in range(first, len(small)):
+                child = n * small[i]
+                if child > n_max:
+                    break
+                pr, pi = small_values[i]
+                cr = vr * pr - vi * pi + half >> table_scale
+                ci = vr * pi + vi * pr + half >> table_scale
+                if cr or ci:  # a zero value has only zero multiples
+                    stack.append((child, cr, ci, i))
+
+        # n = m P with one prime P > L: m <= N/P < L, and the class sums of one P
+        # (keyed by m mod modulus) take one multiplication by P^-s
+        large_re, large_im = [0] * size, [0] * size
+        for p in compress(range(cut + 1), flags):
+            pr, pi = _fixed_power(p, minus_s, table_scale)
+            top = n_max // p
+            width = min(modulus, top + 1)
+            acc_re, acc_im = [0] * width, [0] * width
+            for m, c in enumerate(coeffs[p - 1 : top * p : p], 1):
+                if c:
+                    if decay is not None:
+                        n = m * p
+                        c *= hi[n >> k] * lo[n & mask]
+                    j = m % modulus
+                    acc_re[j] += c * table_re[m]
+                    acc_im[j] += c * table_im[m]
+            for j in range(width):
+                xr, xi = acc_re[j], acc_im[j]
+                if xr or xi:
+                    r = j * p % modulus
+                    large_re[r] += xr * pr - xi * pi
+                    large_im[r] += xr * pi + xi * pr
+    re = [(x << table_scale) + y for x, y in zip(smooth_re, large_re)]
+    im = [(x << table_scale) + y for x, y in zip(smooth_im, large_im)]
+    scale = bits + table_scale + (2 * table_scale if decay is not None else 0)
+    return [mp.mpc(mp.ldexp(x, -scale), mp.ldexp(y, -scale)) for x, y in zip(re, im)]
 
 
 def _twist_from_residues(sums: list, alpha: Fraction) -> mp.mpc:
@@ -339,21 +278,18 @@ def _twist_from_residues(sums: list, alpha: Fraction) -> mp.mpc:
     return total
 
 
-def twist_direct(
-    stream: CoefficientStream, s, alpha, n_max: int = 100_000
-) -> TwistPartialSum:
+def twist_direct(s, alpha, n_max: int = 100_000) -> TwistPartialSum:
     """Partial sum of F(s, alpha) over n <= n_max; requires sigma > 1."""
     s = mp.mpc(s)
     if mp.re(s) <= 1:
         raise ValueError("direct twist evaluation needs sigma > 1")
     alpha = Fraction(alpha)
-    value = _twist_from_residues(_residue_sums(stream, s, alpha.denominator, n_max), alpha)
+    stream = divisor_stream()
+    value = _twist_from_residues(_residue_sums(stream.values(n_max), s, alpha.denominator), alpha)
     return TwistPartialSum(value, stream.tail_bound(n_max, mp.re(s)))
 
 
-def twist_smoothed(
-    stream: CoefficientStream, s, alpha, x_smoothing, tol: mp.mpf | None = None
-) -> mp.mpc:
+def twist_smoothed(s, alpha, x_smoothing, tol: mp.mpf | None = None) -> mp.mpc:
     """Smoothed twist sum sum a(n) exp(-n z) n^-s with z = 1/X + 2 pi i alpha.
 
     The truncation point is chosen so the discarded exp(-n/X) tail sits below
@@ -367,10 +303,11 @@ def twist_smoothed(
     if tol is None:
         tol = mp.mpf(2) ** (-(mp.mp.prec + 10))
     alpha = Fraction(alpha)
-    # |a(n)| growth is subsumed by a safety factor in the cutoff
+    # the growth of d(n) is subsumed by a safety factor in the cutoff
     n_max = int(mp.ceil(x_smoothing * (-mp.log(tol) + 2 * mp.log(x_smoothing + 2) + 5)))
-    sums = _residue_sums(stream, s, alpha.denominator, n_max, mp.exp(-1 / x_smoothing))
-    return _twist_from_residues(sums, alpha)
+    coeffs = divisor_stream().values(n_max)
+    return _twist_from_residues(
+        _residue_sums(coeffs, s, alpha.denominator, mp.exp(-1 / x_smoothing)), alpha)
 
 
 def _divisor_twist_kernel(s, q: int, numerators) -> list[mp.mpc]:
@@ -396,7 +333,7 @@ def _divisor_twist_kernel(s, q: int, numerators) -> list[mp.mpc]:
 
 
 def zeta2_twist_oracle(s, alpha) -> mp.mpc:
-    """Analytic continuation of the divisor-stream twist to s != 1.
+    """Analytic continuation of the twist F(s, alpha) to s != 1.
 
     Evaluates the q^2-term Hurwitz-zeta combination at the ambient
     precision; raises PoleError at the double pole s = 1.
@@ -411,36 +348,29 @@ def zeta2_twist_batch(s, q: int) -> list[mp.mpc]:
     return _divisor_twist_kernel(s, q, range(q))
 
 
-def mult_twist_from_additive(
-    stream: CoefficientStream,
-    s,
-    chi: DirichletCharacter,
-    n_max: int = 100_000,
-) -> mp.mpc:
-    """F(s, chi) = tau(conj chi)^-1 sum_a conj(chi)(a) F(s, -a/p).
+@lru_cache(maxsize=64)
+def _character_weights(p: int, prec: int) -> tuple[tuple, tuple]:
+    """(rows, taus) at ``prec`` bits, per non-principal chi mod p in
+    `characters_mod` order: the row conj chi(a) for a = 1..p and tau(conj chi)."""
+    with mp.workprec(prec):
+        bars = [chi.conjugate() for chi in characters_mod(p, include_principal=False)]
+        rows = tuple(tuple(chi_bar.value(a) for a in range(1, p + 1)) for chi_bar in bars)
+        return rows, tuple(gauss_sum(chi_bar) for chi_bar in bars)
 
-    Additive twist values come from the stream's continuation oracle when it
-    has one (any s != 1), else from one residue-class pass mod p of the direct
-    series (sigma > 1 only).
-    """
-    if chi.is_principal:
-        raise ValueError("conversion needs a non-principal character")
-    p = chi.modulus
-    chi_bar = chi.conjugate()
-    tau = gauss_sum(chi_bar)
-    alphas = [reduce_mod_one(Fraction(-a, p)) for a in range(1, p + 1)]
-    if stream.twist_oracle is not None:
-        values = [stream.twist_oracle(s, alpha) for alpha in alphas]
-    else:
-        s = mp.mpc(s)
-        if mp.re(s) <= 1:
-            raise ValueError("direct twist evaluation needs sigma > 1")
-        sums = _residue_sums(stream, s, p, n_max)
-        values = [_twist_from_residues(sums, alpha) for alpha in alphas]
-    total = mp.mpc(0)
-    for a, value in enumerate(values, 1):
-        total += chi_bar.value(a) * value
-    return total / tau
+
+def character_twists(s, p: int) -> list[mp.mpc]:
+    """F(s, chi) = tau(conj chi)^-1 sum_a conj chi(a) F(s, -a/p) for every
+    non-principal chi mod p, in `characters_mod` order, from one batch of the
+    continued twists mod p (any s != 1)."""
+    rows, taus = _character_weights(p, mp.mp.prec)
+    twists = zeta2_twist_batch(s, p)  # F(s, b/p) for b = 0..p-1
+    values = []
+    for row, tau in zip(rows, taus):
+        acc = mp.mpc(0)
+        for a, weight in enumerate(row, 1):
+            acc += weight * twists[-a % p]
+        values.append(acc / tau)
+    return values
 
 
 @dataclass(frozen=True)
@@ -453,9 +383,7 @@ class IdentityCheck:
         return abs(self.lhs - self.rhs)
 
 
-def additive_from_mult_identity_check(
-    stream: CoefficientStream, s, a: int, p: int, n_max: int = 100_000
-) -> IdentityCheck:
+def additive_from_mult_identity_check(s, a: int, p: int, n_max: int = 100_000) -> IdentityCheck:
     """Both sides of the additive-from-multiplicative identity
 
     F(s,-a/p) = (p-1)^-1 sum_{chi != chi0} chi(a) tau(conj chi) F(s,chi)
@@ -470,7 +398,7 @@ def additive_from_mult_identity_check(
         raise ValueError("identity check needs sigma > 1")
     if gcd(a, p) != 1:
         raise ValueError("need gcd(a, p) = 1")
-    residue_sums = _residue_sums(stream, s, p, n_max)
+    residue_sums = _residue_sums(divisor_stream().values(n_max), s, p)
     lhs = _twist_from_residues(residue_sums, Fraction(-a, p))
     f_full = mp.fsum(residue_sums)
     f_p_free = f_full - residue_sums[0]
@@ -484,29 +412,22 @@ def additive_from_mult_identity_check(
     return IdentityCheck(lhs, rhs)
 
 
-def p_free_coefficient(stream: CoefficientStream, n: int, p: int):
-    """Coefficient of n^-s in F(s)/F_p(s), via convolution with the known
-    inverse local factor."""
-    inverse = stream.euler_inverse_coefficients(p)
-    if inverse is None:
-        raise ValueError(f"stream {stream.label!r} has no known Euler factor at {p}")
-    total = 0
-    for pk, w in inverse.items():
-        if n % pk == 0:
-            total += w * stream.a(n // pk)
-    return total
+def p_free_coefficient(n: int, p: int) -> int:
+    """Coefficient of n^-s in F(s)/F_p(s): d convolved with the coefficients of
+    1/F_p(s) = (1 - p^-s)^2 = 1 - 2 p^-s + p^-2s."""
+    stream = divisor_stream()
+    return sum(w * stream.a(n // pk) for pk, w in ((1, 1), (p, -2), (p * p, 1)) if n % pk == 0)
 
 
-def half_twist_coefficient_identity(
-    stream: CoefficientStream, n_max: int = 10_000
-) -> list[int]:
+def half_twist_coefficient_identity(n_max: int = 10_000) -> list[int]:
     """Exact coefficient check of the identity at p = 2, where the character
     sum is empty and F(s,-1/2) = F(s) - 2 F(s)/F_2(s) termwise:
     a(n) - 2*(p-free part)(n) must equal a(n) (-1)^n.  Returns the list of
     failing n (empty = identity holds)."""
+    stream = divisor_stream()
     bad = []
     for n in range(1, n_max + 1):
-        rhs = stream.a(n) - 2 * p_free_coefficient(stream, n, 2)
+        rhs = stream.a(n) - 2 * p_free_coefficient(n, 2)
         lhs = stream.a(n) * (1 if n % 2 == 0 else -1)
         if lhs != rhs:
             bad.append(n)
@@ -514,16 +435,16 @@ def half_twist_coefficient_identity(
 
 
 def reconstruct_additive_twist(s, a: int, p: int) -> IdentityCheck:
-    """Round trip for the divisor stream: build every F(s, chi) from oracle
-    additive twists, then reassemble F(s, -a/p) from them together with the
-    closed forms F(s) = zeta(s)^2 and F_p(s) = (1 - p^-s)^-2; compares the
-    result against the oracle value directly."""
+    """Round trip: build every F(s, chi) from the continued additive twists,
+    then reassemble F(s, -a/p) from them together with the closed forms
+    F(s) = zeta(s)^2 and F_p(s) = (1 - p^-s)^-2; compares the result against
+    the oracle value directly."""
     s = mp.mpc(s)
-    stream = divisor_stream()
+    chars = characters_mod(p, include_principal=False)
+    _, taus = _character_weights(p, mp.mp.prec)
     char_part = mp.mpc(0)
-    for chi in characters_mod(p, include_principal=False):
-        f_chi = mult_twist_from_additive(stream, s, chi)
-        char_part += chi.value(a) * gauss_sum(chi.conjugate()) * f_chi
+    for chi, tau, f_chi in zip(chars, taus, character_twists(s, p)):
+        char_part += chi.value(a) * tau * f_chi
     zeta2 = hurwitz_zeta(s, 1) ** 2
     local = (1 - mp.power(p, -s)) ** -2
     rhs = char_part / (p - 1) - (mp.mpf(p) / (p - 1) / local - 1) * zeta2
@@ -531,16 +452,11 @@ def reconstruct_additive_twist(s, a: int, p: int) -> IdentityCheck:
     return IdentityCheck(lhs, rhs)
 
 
-def twist_grid_rows(
-    stream: CoefficientStream,
-    s_values,
-    alphas,
-    n_max: int = 100_000,
-) -> list[tuple]:
+def twist_grid_rows(s_values, alphas, n_max: int = 100_000) -> list[tuple]:
     """Rows (sigma, t, alpha, Re, Im, method) over an s-grid and alpha list.
 
     Points with sigma > 1 share one direct-series pass modulo the lcm of the
-    alpha denominators; other points need the stream's continuation oracle.
+    alpha denominators; the other points read the continuation oracle.
     """
     alphas = [Fraction(alpha) for alpha in alphas]
     modulus = lcm(*(alpha.denominator for alpha in alphas))
@@ -548,14 +464,10 @@ def twist_grid_rows(
     for s in s_values:
         s = mp.mpc(s)
         if mp.re(s) > 1:
-            sums = _residue_sums(stream, s, modulus, n_max)
+            sums = _residue_sums(divisor_stream().values(n_max), s, modulus)
             values = [(_twist_from_residues(sums, alpha), "direct") for alpha in alphas]
-        elif stream.twist_oracle is not None:
-            values = [(stream.twist_oracle(s, alpha), "oracle") for alpha in alphas]
         else:
-            raise ValueError(
-                f"sigma <= 1 needs a continuation oracle (stream {stream.label!r})"
-            )
+            values = [(zeta2_twist_oracle(s, alpha), "oracle") for alpha in alphas]
         for alpha, (value, method) in zip(alphas, values):
             rows.append(
                 (

@@ -151,7 +151,7 @@ def test_criterion_4_expansion_remainders(zeta2):
     )
 
 
-def test_criterion_5_oracle_agreement(divisors):
+def test_criterion_5_oracle_agreement():
     s = mp.mpc(3)
     worst = mp.mpf(0)
     for q in range(1, 7):
@@ -159,7 +159,7 @@ def test_criterion_5_oracle_agreement(divisors):
             if Fraction(a, q).denominator != q:
                 continue
             alpha = Fraction(a, q)
-            direct = twist_direct(divisors, s, alpha, 100_000).value
+            direct = twist_direct(s, alpha, 100_000).value
             continued = zeta2_twist_oracle(s, alpha)
             worst = max(worst, abs(direct - continued))
     criterion(
@@ -199,13 +199,11 @@ def test_criterion_6_laurent_laws(zeta2):
     )
 
 
-def test_criterion_7_twist_conversions(divisors):
-    ok = half_twist_coefficient_identity(divisors, 10_000) == []
+def test_criterion_7_twist_conversions():
+    ok = half_twist_coefficient_identity(10_000) == []
     for p in (3, 5):
         for sigma in ("2.5", "3"):
-            check = additive_from_mult_identity_check(
-                divisors, mp.mpc(sigma), 1, p, n_max=100_000
-            )
+            check = additive_from_mult_identity_check(mp.mpc(sigma), 1, p, n_max=100_000)
             ok = ok and check.difference <= mp.mpf("1e-8")
     for p in (3, 5):
         report = verify_chi_holomorphy(p, tol=mp.mpf("1e-15"))

@@ -32,6 +32,8 @@ class TestRunConfig:
             RunConfig(primes=(17,)).validate()
         with pytest.raises(ValueError):
             RunConfig(alphas=("1/0",)).validate()
+        with pytest.raises(ValueError, match="tol must be a real number, got True"):
+            RunConfig(tol=True).validate()  # validated with tolerance 1
         assert RunConfig().validate() is not None
 
 
@@ -263,6 +265,10 @@ class TestBadInstance:
             # int() made 2.9 into 2 and true into 1
             ({**ZETA2, "pole_order": 2.9}, "pole_order must be a nonnegative integer, got 2.9"),
             ({**ZETA2, "pole_order": True}, "pole_order must be a nonnegative integer, got True"),
+            # a misspelt "Mu" built mu = 0 silently
+            ({**ZETA2, "factors": [{"lambda": "1/2", "Mu": "0,1/2"}, {"lambda": "1/2"}]},
+             "datum config factor has unknown keys ['Mu']"),
+            ({**ZETA2, "factors": ["1/2", {"lambda": "1/2"}]}, "malformed"),
         ],
     )
     def test_invalid_datum_is_config_error(self, capsys, tmp_path, data, message):
@@ -415,12 +421,33 @@ class TestConfigFile:
             ([], "the config file must hold a JSON object"),
             ({"precision": "abc"}, "precision must be an integer"),
             ({"primes": "3,5"}, "primes must be a list of integers"),
+            # JSON true parsed as 1: tol 1 passed every record below 1
+            ({"tol": True}, "tol must be a real number, got True"),
+            ({"t": True}, "t must be a real number, got True"),
+            ({"growth_h": True}, "growth_h must be a rational, got True"),
+            ({"alphas": ["1/2", True]}, "alphas must be a list of rationals"),
         ],
     )
     def test_wrong_shape_or_type_is_config_error(self, capsys, tmp_path, data, message):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(data))
         code = main(["--config", str(cfg), "euler"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize(
+        "growth_h, message",
+        [
+            (0, "growth_h must be positive, got 0"),
+            ("", "growth_h must be a rational such as 9/2"),
+        ],
+    )
+    def test_falsy_growth_h_is_a_value(self, capsys, tmp_path, growth_h, message):
+        # 0 and "" were read as "no override" and the run used h = q^2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"growth_h": growth_h}))
+        code = main(["--config", str(cfg), "--qmax", "1", "--primes", "2", "verify"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith(f"config error: {message}")

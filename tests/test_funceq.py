@@ -204,6 +204,12 @@ class TestConfigLoading:
         with pytest.raises(DatumError):
             load_datum({"Q": "1"})
 
+    def test_unknown_factor_key_raises(self):
+        # "Mu" was read as a missing mu: mu = 0 and theta = 0, silently
+        cfg = {"Q": "pi^-1", "factors": [{"lambda": "1/2", "Mu": "0,1/2"}, {"lambda": "1/2"}]}
+        with pytest.raises(DatumError, match=r"factor has unknown keys \['Mu'\]"):
+            load_datum(cfg)
+
     def test_precision_override(self):
         # a datum carries no precision: the ambient mp.workprec is the only one
         assert not hasattr(zeta2_datum(), "precision")

@@ -5,7 +5,7 @@ from math import gcd
 import mpmath as mp
 import pytest
 
-from twistlab import special, transform
+from twistlab import special, transform, twist
 from twistlab.exactpoly import scalar_to_mpc
 from twistlab.expansion import q_poly
 from twistlab.special import PoleError
@@ -484,14 +484,14 @@ def refuse(*args):
 
 
 def count_batches(monkeypatch):
-    """Count zeta2_twist_batch calls made through transform, by q."""
-    calls, batch = Counter(), transform.zeta2_twist_batch
+    """Count zeta2_twist_batch calls, by q."""
+    calls, batch = Counter(), twist.zeta2_twist_batch
 
     def counted(s, q):
         calls[q] += 1
         return batch(s, q)
 
-    monkeypatch.setattr(transform, "zeta2_twist_batch", counted)
+    monkeypatch.setattr(twist, "zeta2_twist_batch", counted)
     return calls
 
 
@@ -567,17 +567,26 @@ class TestEulerEndgame:
         with pytest.raises(ValueError, match="p >= 2"):
             degree_bound(4, 1, p)
 
-    @pytest.mark.parametrize("q_f", (0, Fraction(0), mp.mpf(0), -1))
+    @pytest.mark.parametrize("q_f", (0, Fraction(0), -1))
     def test_degree_bound_rejects_nonpositive_conductor(self, q_f):
         with pytest.raises(ValueError, match="need h >= q_F > 0"):
             degree_bound(4, q_f, 2)
+
+    @pytest.mark.parametrize("h, q_f", [
+        pytest.param(mp.mpf(8.0), 1, id="mpf-h"),
+        pytest.param(4, mp.mpf(0), id="mpf-q_f"),
+        pytest.param(8, 1.0, id="float-q_f"),
+        pytest.param("8", 1, id="str-h"),
+    ])
+    def test_degree_bound_rejects_non_rationals(self, h, q_f):
+        with pytest.raises(ValueError, match="h and q_F must be rationals"):
+            degree_bound(h, q_f, 2)
 
     def test_degree_bound(self):
         for p in (2, 3, 5, 7, 11, 13):
             assert degree_bound(p * p, 1, p) == 2
         assert degree_bound(7, 7, 3) == 0
         assert degree_bound(8, 1, 2) == 3
-        assert degree_bound(mp.mpf(8.0), 1, 2) == 3
         assert degree_bound(Fraction(9, 2), Fraction(1, 2), 3) == 2
         with pytest.raises(ValueError):
             degree_bound(1, 2, 3)

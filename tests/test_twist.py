@@ -11,7 +11,6 @@ import pytest
 
 from twistlab import cli, twist
 from twistlab.special import (
-    DirichletCharacter,
     PoleError,
     characters_mod,
     dirichlet_l,
@@ -20,12 +19,11 @@ from twistlab.special import (
     unit_phase,
 )
 from twistlab.twist import (
-    CoefficientStream,
     _residue_sums,
     additive_from_mult_identity_check,
+    character_twists,
     divisor_stream,
     half_twist_coefficient_identity,
-    mult_twist_from_additive,
     p_free_coefficient,
     reconstruct_additive_twist,
     reduce_mod_one,
@@ -100,47 +98,47 @@ def test_cli_import_leaves_numpy_out(checkout_env):
 class TestTwistDirect:
     def test_integer_alpha_equals_untwisted(self, divisors):
         s = mp.mpc(3)
-        twisted = twist_direct(divisors, s, Fraction(2), 500).value
+        twisted = twist_direct(s, Fraction(2), 500).value
         plain = mp.fsum(divisors.a(n) * mp.power(n, -s) for n in range(1, 501))
         assert abs(twisted - plain) < mp.mpf("1e-35")
 
-    def test_against_oracle_at_half(self, divisors):
+    def test_against_oracle_at_half(self):
         s = mp.mpc(3)
-        result = twist_direct(divisors, s, Fraction(1, 2), 100_000)
+        result = twist_direct(s, Fraction(1, 2), 100_000)
         oracle = zeta2_twist_oracle(s, Fraction(1, 2))
         assert abs(result.value - oracle) <= mp.mpf("1e-8")
         assert abs(result.value - oracle) <= result.tail_estimate
 
-    def test_conjugate_symmetry(self, divisors):
+    def test_conjugate_symmetry(self):
         s = mp.mpc(2.5, 3)
-        lhs = twist_direct(divisors, s, Fraction(1, 3), 2000).value
-        rhs = mp.conj(twist_direct(divisors, mp.conj(s), Fraction(-1, 3), 2000).value)
+        lhs = twist_direct(s, Fraction(1, 3), 2000).value
+        rhs = mp.conj(twist_direct(mp.conj(s), Fraction(-1, 3), 2000).value)
         assert abs(lhs - rhs) < mp.mpf("1e-30")
 
-    def test_rejects_sigma_below_one(self, divisors):
+    def test_rejects_sigma_below_one(self):
         with pytest.raises(ValueError):
-            twist_direct(divisors, mp.mpc("0.9"), Fraction(1, 2), 100)
+            twist_direct(mp.mpc("0.9"), Fraction(1, 2), 100)
 
 
 class TestTwistSmoothed:
-    def test_alpha_zero_limit(self, divisors):
+    def test_alpha_zero_limit(self):
         s = mp.mpc(3)
         target = zeta2_twist_oracle(s, Fraction(0))
         errors = [
-            abs(twist_smoothed(divisors, s, Fraction(0), x, tol=mp.mpf("1e-25")) - target)
+            abs(twist_smoothed(s, Fraction(0), x, tol=mp.mpf("1e-25")) - target)
             for x in (200, 800, 3200)
         ]
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < mp.mpf("1e-3")
 
-    def test_cauchy_sequence_in_x(self, divisors):
+    def test_cauchy_sequence_in_x(self):
         s = mp.mpc(3)
         alpha = Fraction(1, 3)
         tol = mp.mpf("1e-12")
         diffs = [
             abs(
-                twist_smoothed(divisors, s, alpha, x, tol=tol)
-                - twist_smoothed(divisors, s, alpha, 2 * x, tol=tol)
+                twist_smoothed(s, alpha, x, tol=tol)
+                - twist_smoothed(s, alpha, 2 * x, tol=tol)
             )
             for x in (100, 1000, 10_000)
         ]
@@ -149,14 +147,14 @@ class TestTwistSmoothed:
     def test_small_x_first_term_dominates(self, divisors):
         s = mp.mpc(3)
         x = mp.mpf("0.05")
-        value = twist_smoothed(divisors, s, Fraction(1, 4), x)
+        value = twist_smoothed(s, Fraction(1, 4), x)
         z = 1 / x + 2j * mp.pi * mp.mpf(1) / 4
         first = divisors.a(1) * mp.exp(-z)
         assert abs(value - first) < abs(first) * mp.mpf("1e-3")
 
-    def test_rejects_nonpositive_x(self, divisors):
+    def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
-            twist_smoothed(divisors, mp.mpc(3), Fraction(1, 2), 0)
+            twist_smoothed(mp.mpc(3), Fraction(1, 2), 0)
 
 
 class TestOracle:
@@ -183,7 +181,7 @@ class TestOracle:
             s, Fraction(1, 3)
         )
 
-    def test_grid_agreement_with_direct(self, divisors):
+    def test_grid_agreement_with_direct(self):
         n_max = 20_000
         for sigma in (2, 3, 4):
             for t in (0, 5, 14):
@@ -193,7 +191,7 @@ class TestOracle:
                         if Fraction(a, q).denominator != q:
                             continue
                         alpha = Fraction(a, q)
-                        direct = twist_direct(divisors, s, alpha, n_max)
+                        direct = twist_direct(s, alpha, n_max)
                         oracle = zeta2_twist_oracle(s, alpha)
                         budget = mp.mpf("1.5") * direct.tail_estimate + mp.mpf("1e-12")
                         assert abs(direct.value - oracle) <= budget, (s, alpha)
@@ -236,67 +234,53 @@ class TestOracle:
 
 class TestMultiplicativeConversion:
     def test_matches_squared_l_function(self):
-        stream = divisor_stream()
-        for p, s in ((5, mp.mpc(3)), (3, mp.mpc(2))):
-            for chi in (DirichletCharacter(p, 1), DirichletCharacter(p, p - 2)):
-                if chi.is_principal:
-                    continue
-                assembled = mult_twist_from_additive(stream, s, chi)
-                target = dirichlet_l(s, chi) ** 2
-                assert abs(assembled - target) < mp.mpf("1e-20"), (p, s, chi.index)
+        # every odd prime of the --primes range, at a point on the series disc
+        # |s - 1| = 1/4 and at one off every disc
+        for bits in (128, 256):
+            with mp.workprec(bits):
+                for s in (mp.mpc(1, "0.25"), mp.mpc("0.5", 14)):
+                    for p in (3, 5, 7, 11, 13):
+                        chars = characters_mod(p, include_principal=False)
+                        values = character_twists(s, p)
+                        assert len(values) == len(chars) == p - 2
+                        for chi, value in zip(chars, values):
+                            target = dirichlet_l(s, chi) ** 2
+                            bound = mp.ldexp(max(1, abs(target)), 12 - bits)
+                            assert abs(value - target) <= bound, (bits, s, p, chi.index)
 
-    def test_rejects_principal(self):
-        with pytest.raises(ValueError):
-            mult_twist_from_additive(divisor_stream(), mp.mpc(3), DirichletCharacter(5, 0))
-
-    @pytest.mark.parametrize("p", (3, 5))
-    def test_one_pass_matches_per_residue_direct_twists(self, p):
-        # the route the single residue pass replaced: one twist_direct per a
-        stream, s, n_max = generic_stream(), mp.mpc(2, 14), 1500
-        for chi in characters_mod(p, include_principal=False):
-            chi_bar = chi.conjugate()
-            per_residue = mp.fsum(
-                chi_bar.value(a) * twist_direct(stream, s, Fraction(-a, p), n_max).value
-                for a in range(1, p + 1)
-            ) / gauss_sum(chi_bar)
-            assert_close(mult_twist_from_additive(stream, s, chi, n_max), per_residue)
-
-    def test_direct_route_rejects_sigma_below_one(self):
-        with pytest.raises(ValueError):
-            mult_twist_from_additive(generic_stream(), mp.mpc(1), DirichletCharacter(5, 1))
-
-    def test_linearity_in_coefficients(self, divisors):
-        divisors.ensure(3000)
-        doubled = CoefficientStream(lambda n: 2 * divisors.a(n), label="2*divisor")
-        plain = CoefficientStream(lambda n: divisors.a(n), label="divisor-copy")
-        chi = DirichletCharacter(5, 1)
-        s = mp.mpc(3)
-        lhs = mult_twist_from_additive(doubled, s, chi, n_max=3000)
-        rhs = 2 * mult_twist_from_additive(plain, s, chi, n_max=3000)
-        assert abs(lhs - rhs) < mp.mpf("1e-25")
+    def test_weights_are_cached_per_precision(self):
+        # weights cached at 256 bits would round the 128-bit sums differently
+        s = mp.mpc(2, 1)
+        twist._character_weights.cache_clear()
+        alone = [v._mpc_ for v in character_twists(s, 5)]
+        twist._character_weights.cache_clear()
+        with mp.workprec(256):
+            character_twists(s, 5)
+        assert [v._mpc_ for v in character_twists(s, 5)] == alone
 
 
 class TestConversionIdentity:
-    def test_numeric_examples(self, divisors):
-        check = additive_from_mult_identity_check(divisors, mp.mpc(3), 1, 3, n_max=100_000)
+    def test_numeric_examples(self):
+        check = additive_from_mult_identity_check(mp.mpc(3), 1, 3, n_max=100_000)
         assert check.difference <= mp.mpf("1e-10")
-        check = additive_from_mult_identity_check(divisors, mp.mpc("2.5"), 2, 5, n_max=100_000)
+        check = additive_from_mult_identity_check(mp.mpc("2.5"), 2, 5, n_max=100_000)
         assert check.difference <= mp.mpf("1e-8")
 
-    def test_rejects_bad_arguments(self, divisors):
+    def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            additive_from_mult_identity_check(divisors, mp.mpc(3), 3, 3)
+            additive_from_mult_identity_check(mp.mpc(3), 3, 3)
         with pytest.raises(ValueError):
-            additive_from_mult_identity_check(divisors, mp.mpc("0.5"), 1, 3)
+            additive_from_mult_identity_check(mp.mpc("0.5"), 1, 3)
 
-    def test_half_twist_coefficients_exact(self, divisors):
-        assert half_twist_coefficient_identity(divisors, 10_000) == []
+    def test_half_twist_coefficients_exact(self):
+        assert half_twist_coefficient_identity(10_000) == []
 
     def test_p_free_coefficients(self, divisors):
-        # coefficient of F/F_2: d(n) for odd n, 0 for even n
-        for n in (1, 2, 3, 4, 12, 15, 64):
-            expected = divisors.a(n) if n % 2 else 0
-            assert p_free_coefficient(divisors, n, 2) == expected
+        # coefficient of F/F_p: d(n) for n prime to p, 0 otherwise
+        for p in (2, 3, 5):
+            for n in (1, 2, 3, 4, 9, 12, 15, 25, 64, 75):
+                expected = divisors.a(n) if n % p else 0
+                assert p_free_coefficient(n, p) == expected, (n, p)
 
     def test_round_trip_reconstruction(self):
         for p in (3, 5):
@@ -308,28 +292,26 @@ class TestConversionIdentity:
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
-def generic_stream():
-    """Complex coefficients with a zero at every fourth n."""
-    return CoefficientStream(
-        lambda n: 0 if n % 4 == 0 else mp.mpc(n % 5 - 2, (-1) ** n), label="generic"
-    )
+def signed_coefficient(n):
+    """Signed integer coefficients with a zero at every fourth n."""
+    return 0 if n % 4 == 0 else n % 5 - 2
 
 
-def literal_buckets(stream, s, weight, n_max, modulus):
-    """sum_{n <= n_max, n = r mod modulus} a(n) weight(n) n^-s, one term and one
-    mp.power at a time: the per-n loop the fixed-point kernel replaced, kept as
-    the independent route."""
+def literal_buckets(coeff, s, weight, n_max, modulus):
+    """sum_{n <= n_max, n = r mod modulus} a(n) weight(n) n^-s for a(n) =
+    coeff(n), one term and one mp.power at a time: the per-n loop the
+    fixed-point kernel replaced, kept as the independent route."""
     sums = [mp.mpc(0)] * min(modulus, n_max + 1)
     for n in range(1, n_max + 1):
-        c = stream.a(n)
+        c = coeff(n)
         if c != 0:
             sums[n % modulus] += c * weight(n) * mp.power(n, -s)
     return sums
 
 
-def literal_series(stream, s, weight, n_max):
-    """sum_{n <= n_max} a(n) weight(n) n^-s by the literal route."""
-    return literal_buckets(stream, s, weight, n_max, 1)[0]
+def literal_series(s, weight, n_max):
+    """sum_{n <= n_max} d(n) weight(n) n^-s by the literal route."""
+    return literal_buckets(divisor_stream().a, s, weight, n_max, 1)[0]
 
 
 def big_omega(n):
@@ -343,81 +325,76 @@ def big_omega(n):
     return count + (n > 1)
 
 
-def fixed_point_bounds(stream, s, modulus, n_max):
+def fixed_point_bounds(coeff, s, modulus, n_max):
     """The error the kernel's docstring states per bucket before its rounding
     at the working precision: the sum over the bucket's n with a(n) != 0 of
-    (Omega(n) + 1) 2^-bits max(1, n^-sigma) max(1, |a(n)|), where
+    (Omega(n) + 1) 2^-bits max(1, n^-sigma) |a(n)|, where
     bits = prec + bit_length(N bit_length(N))."""
     bits = mp.mp.prec + (n_max * n_max.bit_length()).bit_length()
     bounds = [mp.mpf(0)] * min(modulus, n_max + 1)
     for n in range(1, n_max + 1):
-        c = stream.a(n)
+        c = coeff(n)
         if c != 0:
-            size = max(1, mp.power(n, -mp.re(s))) * max(1, abs(c))
+            size = max(1, mp.power(n, -mp.re(s))) * abs(c)
             bounds[n % modulus] += (big_omega(n) + 1) * size
     return [mp.ldexp(bound, -bits) for bound in bounds]
 
 
-def literal_twist(stream, s, alpha, n_max, x_smoothing=None):
-    """sum a(n) e(-n alpha) exp(-n/X) n^-s with the phase and the exponential
+def literal_twist(s, alpha, n_max, x_smoothing=None):
+    """sum d(n) e(-n alpha) exp(-n/X) n^-s with the phase and the exponential
     evaluated afresh for every n (no exponential when X is None)."""
 
     def weight(n):
         phase = unit_phase(reduce_mod_one(-n * alpha))
         return phase if x_smoothing is None else phase * mp.exp(-n / mp.mpf(x_smoothing))
-    return literal_series(stream, s, weight, n_max)
+    return literal_series(s, weight, n_max)
 
 
 def assert_close(got, want):
     assert abs(got - want) <= mp.mpf(2) ** -(mp.mp.prec - 20) * abs(want), (got, want)
 
 
-KERNEL_STREAMS = [
-    pytest.param(divisor_stream, id="divisor"),
-    pytest.param(generic_stream, id="generic"),
-]
-KERNEL_POINTS = [pytest.param(mp.mpc("2.5"), id="t0"), pytest.param(mp.mpc(2, 14), id="t14")]
+# the series of d(n) at t = 0 and at t = 14
+KERNEL_POINTS = [pytest.param(mp.mpc("2.5"), id="t0-divisor"),
+                 pytest.param(mp.mpc(2, 14), id="t14-divisor")]
 
 
 class TestResidueKernel:
-    @pytest.mark.parametrize("make_stream", KERNEL_STREAMS)
     @pytest.mark.parametrize("s", KERNEL_POINTS)
-    def test_direct_matches_literal_loop(self, make_stream, s):
-        stream = make_stream()
+    def test_direct_matches_literal_loop(self, s):
         for alpha in (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(-3, 7)):
-            got = twist_direct(stream, s, alpha, 1500).value
-            assert_close(got, literal_twist(stream, s, alpha, 1500))
+            got = twist_direct(s, alpha, 1500).value
+            assert_close(got, literal_twist(s, alpha, 1500))
 
-    @pytest.mark.parametrize("make_stream", KERNEL_STREAMS)
     @pytest.mark.parametrize("s", KERNEL_POINTS)
-    def test_smoothed_matches_literal_loop(self, make_stream, s):
-        stream = make_stream()
+    def test_smoothed_matches_literal_loop(self, s):
         x, tol = mp.mpf(20), mp.mpf(2) ** -(mp.mp.prec + 10)
         # exp(-n/X) falls below tol/X^2 well before this many terms
         n_max = int(x * (mp.mp.prec + 40))
         for alpha in (Fraction(1, 3), Fraction(5, 6)):
-            got = twist_smoothed(stream, s, alpha, x, tol=tol)
-            assert_close(got, literal_twist(stream, s, alpha, n_max, x_smoothing=x))
+            got = twist_smoothed(s, alpha, x, tol=tol)
+            assert_close(got, literal_twist(s, alpha, n_max, x_smoothing=x))
 
-    @pytest.mark.parametrize("make_stream", KERNEL_STREAMS)
     @pytest.mark.parametrize("s", KERNEL_POINTS)
-    def test_identity_sides_match_literal_loops(self, make_stream, s):
-        stream, n_max = make_stream(), 1500
+    def test_identity_sides_match_literal_loops(self, s):
+        n_max = 1500
         for a, p in ((1, 3), (2, 5)):
-            check = additive_from_mult_identity_check(stream, s, a, p, n_max=n_max)
-            f_full = literal_series(stream, s, lambda n: 1, n_max)
-            f_p_free = literal_series(stream, s, lambda n: n % p != 0, n_max)
+            check = additive_from_mult_identity_check(s, a, p, n_max=n_max)
+            f_full = literal_series(s, lambda n: 1, n_max)
+            f_p_free = literal_series(s, lambda n: n % p != 0, n_max)
             char_part = mp.fsum(
                 chi.value(a)
                 * gauss_sum(chi.conjugate())
-                * literal_series(stream, s, chi.value, n_max)
+                * literal_series(s, chi.value, n_max)
                 for chi in characters_mod(p, include_principal=False)
             )
             rhs = char_part / (p - 1) - (mp.mpf(p) / (p - 1) * f_p_free - f_full)
-            assert_close(check.lhs, literal_twist(stream, s, Fraction(-a, p), n_max))
+            assert_close(check.lhs, literal_twist(s, Fraction(-a, p), n_max))
             assert_close(check.rhs, rhs)
 
-    @pytest.mark.parametrize("make_stream", KERNEL_STREAMS)
+    @pytest.mark.parametrize(
+        "coeff", [pytest.param(lambda n: divisor_stream().a(n), id="divisor"),
+                  pytest.param(signed_coefficient, id="generic")])
     @pytest.mark.parametrize(
         "s, x_smoothing",
         [
@@ -427,20 +404,21 @@ class TestResidueKernel:
             pytest.param(mp.mpc(40, 3), None, id="sigma40"),  # primes stop at 13
         ],
     )
-    def test_buckets_within_stated_bound_of_literal_loop(self, make_stream, s, x_smoothing):
+    def test_buckets_within_stated_bound_of_literal_loop(self, coeff, s, x_smoothing):
         # n_max on both sides of the square and power-of-two boundaries of the
         # table sizes; modulus n_max + 1 gives one bucket per n
-        stream, prec = make_stream(), mp.mp.prec
+        prec = mp.mp.prec
         with mp.workprec(prec + 64):
             decay = None if x_smoothing is None else mp.exp(-1 / mp.mpf(x_smoothing))
         for n_max in (1, 2, 3, 4, 15, 16, 17, 1000, 1024, 2000):
             with mp.workprec(prec + 64):
                 weight = (lambda n: 1) if decay is None else (lambda n: decay**n)
-                terms = literal_buckets(stream, s, weight, n_max, n_max + 1)
+                terms = literal_buckets(coeff, s, weight, n_max, n_max + 1)
                 per_class = [mp.fsum(terms[r::6]) for r in range(min(6, n_max + 1))]
+            coeffs = [coeff(n) for n in range(1, n_max + 1)]
             for modulus, want in ((6, per_class), (n_max + 1, terms)):
-                got = _residue_sums(stream, s, modulus, n_max, decay)
-                bounds = fixed_point_bounds(stream, s, modulus, n_max)
+                got = _residue_sums(coeffs, s, modulus, decay)
+                bounds = fixed_point_bounds(coeff, s, modulus, n_max)
                 assert len(got) == len(want)
                 for r, (g, w, bound) in enumerate(zip(got, want, bounds)):
                     rounding = mp.ldexp(abs(w) + bound, 1 - prec)
@@ -450,47 +428,48 @@ class TestResidueKernel:
         s, cuts, power_cut = mp.mpc(40, 3), [], twist._power_cut
         monkeypatch.setattr(
             twist, "_power_cut", lambda *args: cuts.append(power_cut(*args)) or cuts[-1])
-        stopped = _residue_sums(divisors, s, 6, 2000)
+        stopped = _residue_sums(divisors.values(2000), s, 6)
         assert cuts == [14]  # no prime above 13 is streamed
         monkeypatch.setattr(twist, "_power_cut", lambda sigma, scale, n_max: n_max)
-        full = _residue_sums(divisors, s, 6, 2000)
+        full = _residue_sums(divisors.values(2000), s, 6)
         assert [v._mpc_ for v in stopped] == [v._mpc_ for v in full]
 
     def test_pass_leaves_no_garbage(self, divisors):
-        # a reference cycle would hold the pass's coefficient slice until the
+        # a reference cycle would hold the pass's coefficient list until the
         # cyclic collector happens to run
+        coeffs = divisors.values(2000)
         gc.collect()
         gc.disable()
         try:
-            _residue_sums(divisors, mp.mpc(2, 14), 6, 2000, mp.exp(mp.mpf(-1) / 20))
+            _residue_sums(coeffs, mp.mpc(2, 14), 6, mp.exp(mp.mpf(-1) / 20))
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_bucket_count_is_capped_by_the_terms(self, divisors):
-        assert len(_residue_sums(divisors, mp.mpc(3), 6, 2000)) == 6
-        assert len(_residue_sums(divisors, mp.mpc(3), 17017, 2000)) == 2001
+        assert len(_residue_sums(divisors.values(2000), mp.mpc(3), 6)) == 6
+        assert len(_residue_sums(divisors.values(2000), mp.mpc(3), 17017)) == 2001
 
 
 class TestGridRows:
-    def test_rows_cover_methods(self, divisors):
-        rows = twist_grid_rows(
-            divisors, [mp.mpc(3), mp.mpc("0.5", 5)], [Fraction(1, 2)], n_max=2000
-        )
+    def test_rows_cover_methods(self):
+        rows = twist_grid_rows([mp.mpc(3), mp.mpc("0.5", 5)], [Fraction(1, 2)], n_max=2000)
         assert [r[5] for r in rows] == ["direct", "oracle"]
         assert rows[0][2] == "1/2"
+        assert rows[1][3:5] == tuple(
+            mp.nstr(f(zeta2_twist_oracle(mp.mpc("0.5", 5), Fraction(1, 2))), 25)
+            for f in (mp.re, mp.im))
 
-    @pytest.mark.parametrize("make_stream", KERNEL_STREAMS)
     @pytest.mark.parametrize("s", KERNEL_POINTS)
-    def test_shared_pass_equals_per_alpha_direct(self, make_stream, s):
+    def test_shared_pass_equals_per_alpha_direct(self, s):
         # lcm(7, 11, 13, 17) = 17017 > n_max: one bucket per term
-        stream, n_max = make_stream(), 2000
+        n_max = 2000
         for alphas in (
             [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)],
             [Fraction(1, 7), Fraction(1, 11), Fraction(1, 13), Fraction(1, 17)],
         ):
-            rows = twist_grid_rows(stream, [s], alphas, n_max=n_max)
-            values = [twist_direct(stream, s, alpha, n_max).value for alpha in alphas]
+            rows = twist_grid_rows([s], alphas, n_max=n_max)
+            values = [twist_direct(s, alpha, n_max).value for alpha in alphas]
             assert [r[3:5] for r in rows] == [
                 (mp.nstr(mp.re(v), 25), mp.nstr(mp.im(v), 25)) for v in values
             ]
