@@ -75,13 +75,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "claim", "measured", "target", "status"])
-            for r in self.records:
-                writer.writerow(r.row())
+        write_rows_csv(path, ["name", "claim", "measured", "target", "status"],
+                       (r.row() for r in self.records))
 
 
 def write_rows_csv(path, header: list[str], rows) -> None:

@@ -185,6 +185,14 @@ def _series_value(s, c: int, a_mpf: tuple, prec: int) -> mp.mpc:
         return mp.mpc(mp.ldexp(re, -wp), mp.ldexp(im, -wp)) + mp.exp((1 - s) * log_n) / (s - 1)
 
 
+def _stieltjes_pair(a, prec: int) -> tuple:
+    """(p_0, p_1) = (-psi(a), -gamma_1(a)) of x zeta(1+x, a) = x E(x) + e^(-x L_N) =
+    1 + p_0 x + p_1 x^2 + ... for an mpf a, at the ambient precision from the
+    ``prec``-bit series at center 1: p_0 = E_0 - L_N and p_1 = E_1 + L_N^2/2."""
+    wp, log_n, coeffs = _hurwitz_series(1, a._mpf_, prec)
+    return mp.ldexp(coeffs[-1], -wp) - log_n, mp.ldexp(coeffs[-2], -wp) + log_n ** 2 / 2
+
+
 def hurwitz_zeta(s, a) -> mp.mpc:
     """Hurwitz zeta(s, a) for a > 0 (contract range a in (0, 1]);
     raises PoleError at s = 1.

@@ -32,7 +32,8 @@ whole plane minus the double pole at s = 1:
         = q^(-2s) sum_{u,v=1}^{q} e(-u v a/q) zeta(s, u/q) zeta(s, v/q),
 
 which is the oracle every continued-twist computation routes through; one
-batch of it mod p gives every character twist mod p.
+batch of it mod p gives every character twist mod p.  One pair sum, rounded once per
+group w = uv mod q and per root sum, serves the values and the Laurent data at s = 1.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ from mpmath.libmp import to_fixed
 
 from .special import (
     PoleError,
+    _stieltjes_pair,
     characters_mod,
     gauss_sum,
     hurwitz_parameters,
     hurwitz_zeta,
     roots_of_unity,
-    unit_phase,
 )
 
 
@@ -271,11 +272,10 @@ def _residue_sums(coeffs: list[int], s, modulus: int, decay=None):
 
 def _twist_from_residues(sums: list, alpha: Fraction) -> mp.mpc:
     """sum_r e(-r alpha) sums[r]; the denominator of alpha divides the bucket modulus."""
-    q = alpha.denominator
-    total = mp.mpc(0)
-    for r in range(min(q, len(sums))):
-        total += unit_phase(reduce_mod_one(-r * alpha)) * mp.fsum(sums[r::q])
-    return total
+    a, q = alpha.numerator, alpha.denominator
+    roots = roots_of_unity(q, mp.mp.prec)
+    return sum((roots[-r * a % q] * mp.fsum(sums[r::q]) for r in range(min(q, len(sums)))),
+               mp.mpc(0))
 
 
 def twist_direct(s, alpha, n_max: int = 100_000) -> TwistPartialSum:
@@ -310,26 +310,36 @@ def twist_smoothed(s, alpha, x_smoothing, tol: mp.mpf | None = None) -> mp.mpc:
         _residue_sums(coeffs, s, alpha.denominator, mp.exp(-1 / x_smoothing)), alpha)
 
 
+def _pair_sums(xs, q: int, numerators) -> list[list]:
+    """sum_w e(-wb/q) C_w for each b in ``numerators``, C_w = sum_{uv = w mod q} X_u X_v
+    with X_u = xs[u-1] a power series truncated to the common length of ``xs`` (a
+    value is a series of length 1).  The pairs u <= v (doubled if u < v) group by w;
+    each coefficient of C_w is one exact dot product rounded once, as is each root sum."""
+    doubled = [[2 * c for c in x] for x in xs]
+    terms = [[[] for _ in xs[0]] for _ in range(q)]  # the factor pairs of each C_w coefficient
+    for u in range(1, q + 1):
+        for v in range(u, q + 1):
+            x, y = (doubled if u < v else xs)[u - 1], xs[v - 1]
+            for k, pairs in enumerate(terms[u * v % q]):
+                pairs.extend(zip(x[:k + 1], y[k::-1]))
+    grouped = [[mp.fdot(pairs) for pairs in group] for group in terms]
+    roots = roots_of_unity(q, mp.mp.prec)
+    return [[mp.fdot([roots[-w * b % q] for w in range(q)], column) for column in zip(*grouped)]
+            for b in numerators]
+
+
 def _divisor_twist_kernel(s, q: int, numerators) -> list[mp.mpc]:
     """F(s, b/q) = q^(-2s) sum_{u,v=1}^{q} e(-u v b/q) zeta(s, u/q) zeta(s, v/q)
-    for each b in ``numerators``, grouped by w = uv mod q: the q(q+1)/2 products
-    zeta(s, u/q) zeta(s, v/q) (u <= v, doubled if u < v) sum to C_w once, and
-    each numerator reads sum_w e(-w b/q) C_w (zeta(s)^2 at q = 1); raises
-    PoleError at s = 1."""
+    for each b in ``numerators``, from one ``_pair_sums`` of the values
+    (zeta(s)^2 at q = 1, the same bits); raises PoleError at s = 1."""
     s = mp.mpc(s)
     if s == 1:
         raise PoleError("the twisted series has its double pole at s=1")
     hurwitz = [hurwitz_zeta(s, a) for a in hurwitz_parameters(q, mp.mp.prec)]
     if q == 1:
         return [hurwitz[0] * hurwitz[0]] * len(numerators)
-    roots = roots_of_unity(q, mp.mp.prec)
-    grouped = [mp.mpc(0)] * q
-    for u in range(1, q + 1):
-        for v in range(u, q + 1):
-            grouped[u * v % q] += hurwitz[u - 1] * hurwitz[v - 1] * (1 + (u < v))
     prefactor = mp.power(q, -2 * s)
-    return [prefactor * mp.fsum(roots[-w * b % q] * grouped[w] for w in range(q))
-            for b in numerators]
+    return [prefactor * sums[0] for sums in _pair_sums([[h] for h in hurwitz], q, numerators)]
 
 
 def zeta2_twist_oracle(s, alpha) -> mp.mpc:
@@ -348,6 +358,42 @@ def zeta2_twist_batch(s, q: int) -> list[mp.mpc]:
     return _divisor_twist_kernel(s, q, range(q))
 
 
+_LAURENT_GUARD = 40  # bits above prec for the closed-form Laurent data at s = 1
+
+
+def _laurent_at_1(q: int, numerators) -> list[dict[int, mp.mpc]]:
+    """{k: c_k} for k = -3..0 at s = 1 of F(s, b/q) for each b in
+    ``numerators``, in closed form.  With X_u(x) = x zeta(1+x, u/q) =
+    1 + p_0 x + p_1 x^2 + ...,
+
+      x^2 F(1+x, b/q) = q^-2 e^(-2x log q) sum_w e(-wb/q) sum_{uv = w mod q} X_u X_v,
+
+    so c_-3 = 0 and c_-2, c_-1, c_0 are the first three coefficients of
+    ``_pair_sums`` of the X_u times the decay.  p_0 = -psi(u/q) and
+    p_1 = -gamma_1(u/q) are generalized Stieltjes constants, read by
+    `special._stieltjes_pair` from the Hurwitz series at center 1 at the
+    parameters u/q of ``zeta2_twist_batch``, so that both read one series.
+
+    Error, against the twist the batch evaluates (u/q rounded to prec bits):
+    the series keeps E within eps = 2^-(prec+20) on |x| <= 0.26, and each
+    fixed-point coefficient adds at most eps, so by Cauchy's estimate p_0 and
+    p_1 lie within 2 eps and 5 eps.  With |p_0(a)| <= 1/a + gamma on (0, 1],
+    so that sum_u |p_0| <= q (log q + 2), the sums carry this to 4 eps in
+    c_-1 and (18 + 12 log q) eps in c_0; c_-2 only sees the roots of unity.
+    Working at prec + 40 bits adds less than eps for q <= 1000.  So each c_k
+    lies within 2^-prec |c_k| + (20 + 12 log q) 2^-(prec+20), the first term
+    being the one final rounding to prec bits.
+    """
+    prec = mp.mp.prec
+    with mp.workprec(prec + _LAURENT_GUARD):
+        xs = [(1, *_stieltjes_pair(a, prec)) for a in hurwitz_parameters(q, prec)]
+        log_q = mp.log(q)
+        decay = (1, -2 * log_q, 2 * log_q ** 2)  # e^(-2x log q)
+        expansions = [[mp.fdot(decay[:k + 1], sums[k::-1]) / q ** 2 for k in range(3)]
+                      for sums in _pair_sums(xs, q, numerators)]
+    return [{-3: mp.mpc(0)} | {k - 2: +c for k, c in enumerate(coeffs)} for coeffs in expansions]
+
+
 @lru_cache(maxsize=64)
 def _character_weights(p: int, prec: int) -> tuple[tuple, tuple]:
     """(rows, taus) at ``prec`` bits, per non-principal chi mod p in
@@ -364,13 +410,18 @@ def character_twists(s, p: int) -> list[mp.mpc]:
     continued twists mod p (any s != 1)."""
     rows, taus = _character_weights(p, mp.mp.prec)
     twists = zeta2_twist_batch(s, p)  # F(s, b/p) for b = 0..p-1
-    values = []
-    for row, tau in zip(rows, taus):
-        acc = mp.mpc(0)
-        for a, weight in enumerate(row, 1):
-            acc += weight * twists[-a % p]
-        values.append(acc / tau)
-    return values
+    reflected = [twists[-a % p] for a in range(1, p + 1)]
+    return [mp.fdot(row, reflected) / tau for row, tau in zip(rows, taus)]
+
+
+def _conversion_rhs(a: int, p: int, f_chis, f_full, f_p_free) -> mp.mpc:
+    """(p-1)^-1 sum_{chi != chi0} chi(a) tau(conj chi) F(s,chi) - (p/(p-1) F/F_p - F), the
+    identity's right-hand side, from F(s, chi) in `characters_mod` order, F and F/F_p;
+    tau(conj chi) and chi(a) = conj(conj chi(a)) come from `_character_weights`."""
+    rows, taus = _character_weights(p, mp.mp.prec)
+    char_part = mp.fdot([tau * f for tau, f in zip(taus, f_chis)], [row[a - 1] for row in rows],
+                        conjugate=True)
+    return char_part / (p - 1) - (mp.mpf(p) / (p - 1) * f_p_free - f_full)
 
 
 @dataclass(frozen=True)
@@ -401,15 +452,9 @@ def additive_from_mult_identity_check(s, a: int, p: int, n_max: int = 100_000) -
     residue_sums = _residue_sums(divisor_stream().values(n_max), s, p)
     lhs = _twist_from_residues(residue_sums, Fraction(-a, p))
     f_full = mp.fsum(residue_sums)
-    f_p_free = f_full - residue_sums[0]
-    char_part = mp.mpc(0)
-    for chi in characters_mod(p, include_principal=False):
-        f_chi = mp.mpc(0)
-        for r in range(1, len(residue_sums)):
-            f_chi += chi.value(r) * residue_sums[r]
-        char_part += chi.value(a) * gauss_sum(chi.conjugate()) * f_chi
-    rhs = char_part / (p - 1) - (mp.mpf(p) / (p - 1) * f_p_free - f_full)
-    return IdentityCheck(lhs, rhs)
+    rows, _ = _character_weights(p, mp.mp.prec)
+    f_chis = [mp.fdot(residue_sums[1:], row, conjugate=True) for row in rows]
+    return IdentityCheck(lhs, _conversion_rhs(a, p, f_chis, f_full, f_full - residue_sums[0]))
 
 
 def p_free_coefficient(n: int, p: int) -> int:
@@ -440,16 +485,10 @@ def reconstruct_additive_twist(s, a: int, p: int) -> IdentityCheck:
     F(s) = zeta(s)^2 and F_p(s) = (1 - p^-s)^-2; compares the result against
     the oracle value directly."""
     s = mp.mpc(s)
-    chars = characters_mod(p, include_principal=False)
-    _, taus = _character_weights(p, mp.mp.prec)
-    char_part = mp.mpc(0)
-    for chi, tau, f_chi in zip(chars, taus, character_twists(s, p)):
-        char_part += chi.value(a) * tau * f_chi
     zeta2 = hurwitz_zeta(s, 1) ** 2
-    local = (1 - mp.power(p, -s)) ** -2
-    rhs = char_part / (p - 1) - (mp.mpf(p) / (p - 1) / local - 1) * zeta2
-    lhs = zeta2_twist_oracle(s, Fraction(-a, p))
-    return IdentityCheck(lhs, rhs)
+    rhs = _conversion_rhs(a, p, character_twists(s, p), zeta2,
+                          zeta2 * (1 - mp.power(p, -s)) ** 2)
+    return IdentityCheck(zeta2_twist_oracle(s, Fraction(-a, p)), rhs)
 
 
 def twist_grid_rows(s_values, alphas, n_max: int = 100_000) -> list[tuple]:

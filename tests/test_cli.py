@@ -388,6 +388,14 @@ class TestRejectedBeforeAnyTwist:
         assert err == f"config error: out must name a directory, but {str(existing)!r} is not one\n"
         assert existing.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("t", ["20", "-20", "1e6"])
+    def test_t_beyond_the_sigma_grid(self, capsys, t):
+        # the growth certificate's envelope is the |sigma| >> |t| asymptotic;
+        # t = 1e6 failed at the correct h after a 148 s certificate at q = 4
+        err = self.rejected(capsys, f"--t={t}", "verify")
+        assert err == ("config error: |t| must be at most min|sigma| = 10 for verify (the growth "
+                       f"certificate's envelope is the |sigma| >> |t| asymptotic), got '{t}'\n")
+
     @pytest.mark.parametrize("command", ["verify", "twist-grid"])
     @pytest.mark.parametrize("t", ["1e40", "-1e40", "2e19"])
     def test_t_beyond_the_precision(self, capsys, command, t):

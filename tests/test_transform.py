@@ -558,7 +558,7 @@ class TestEulerEndgame:
             raise AssertionError("a twist was evaluated")
 
         monkeypatch.setattr(transform, "_laurent_at_1", no_twist)
-        monkeypatch.setattr(transform, "_hurwitz_series", no_twist)
+        monkeypatch.setattr(special, "_hurwitz_series", no_twist)
         with pytest.raises(ValueError, match="need a prime p"):
             euler_factor_at_1(p)
 
@@ -604,6 +604,22 @@ class TestGrowthCertificate:
         cert = growth_certificate(Fraction(1, 3), 1, t=5)
         assert not cert.passed
         assert abs(cert.slope - mp.log(9)) <= mp.mpf("0.2") * mp.log(9)
+
+    @pytest.mark.parametrize("q", (1, 4))
+    @pytest.mark.parametrize("t", (10, -10))
+    def test_correct_h_passes_at_t_up_to_min_sigma(self, q, t):
+        assert growth_certificate(Fraction(1, q), q * q, t=t).passed
+
+    @pytest.mark.parametrize("t", (20, -20, 10 ** 6))
+    def test_rejects_t_beyond_min_sigma(self, t, monkeypatch):
+        # the envelope is the |sigma| >> |t| asymptotic: t = +-20 failed at the
+        # correct h (slope 0.631), and t = 1e6 gave slope 21.3
+        def no_twist(s, alpha):
+            raise AssertionError("a twist was evaluated")
+
+        monkeypatch.setattr(transform, "zeta2_twist_oracle", no_twist)
+        with pytest.raises(ValueError, match=r"need \|t\| <= min\|sigma\| = 10\.0"):
+            growth_certificate(Fraction(1, 2), 4, t=t)
 
     def test_rejects_nonnegative_sigma(self):
         with pytest.raises(ValueError):

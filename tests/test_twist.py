@@ -217,19 +217,28 @@ class TestOracle:
         # Both routes round at the size of the summed terms, and the sum can
         # cancel far below it (q = 12, b = 0 at s = -3.1+0.2i: 6.5e-5 from
         # terms of 2e4), so "relative" is taken to q^(-2 sigma) (sum |zeta|)^2
-        bits = mp.mp.prec
-        for q in range(1, 13):
-            hurwitz = [hurwitz_zeta(s, Fraction(u, q)) for u in range(1, q + 1)]
-            scale = abs(mp.power(q, -2 * s)) * mp.fsum(abs(h) for h in hurwitz) ** 2
-            batch = zeta2_twist_batch(s, q)
-            for b in range(q):
-                total = mp.mpc(0)
-                for u in range(1, q + 1):
-                    for v in range(1, q + 1):
-                        phase = unit_phase(Fraction(-u * v * b, q))
-                        total += phase * hurwitz[u - 1] * hurwitz[v - 1]
-                want = mp.power(q, -2 * s) * total
-                assert abs(batch[b] - want) <= scale * mp.mpf(2) ** -(bits - 8), (q, b)
+        for bits in (64, 128, 256):
+            with mp.workprec(bits):
+                for q in range(1, 13):
+                    hurwitz = [hurwitz_zeta(s, Fraction(u, q)) for u in range(1, q + 1)]
+                    scale = abs(mp.power(q, -2 * s)) * mp.fsum(abs(h) for h in hurwitz) ** 2
+                    batch = zeta2_twist_batch(s, q)
+                    for b in range(q):
+                        total = mp.mpc(0)
+                        for u in range(1, q + 1):
+                            for v in range(1, q + 1):
+                                phase = unit_phase(Fraction(-u * v * b, q))
+                                total += phase * hurwitz[u - 1] * hurwitz[v - 1]
+                        want = mp.power(q, -2 * s) * total
+                        assert abs(batch[b] - want) <= scale * mp.mpf(2) ** -(bits - 8), \
+                            (bits, q, b)
+
+    @pytest.mark.parametrize("s", [mp.mpc("1.2", "0.1"), mp.mpc("-3.1", "0.2"), mp.mpc(2, 14)])
+    def test_untwisted_fast_path_is_the_pair_sum(self, s):
+        # q = 1 returns zeta(s)^2 without the grouping; one rounded product
+        # either way, so the bits agree
+        pair_sum = twist._pair_sums([[hurwitz_zeta(s, 1)]], 1, [0])[0][0]
+        assert zeta2_twist_oracle(s, 0)._mpc_ == pair_sum._mpc_
 
 
 class TestMultiplicativeConversion:
