@@ -111,10 +111,11 @@ class RunConfig:
         if command in ("twist-grid", "verify") and abs(self.t_value) > t_max:
             raise ValueError(f"|t| must be at most 2^(precision/2) = 2^{self.precision / 2:g} at "
                              f"precision {self.precision}, got {self.t!r}")
-        if command == "verify" and abs(self.t_value) > min(map(abs, self.sigma_grid)):
-            raise ValueError(f"|t| must be at most min|sigma| = {min(map(abs, self.sigma_grid)):g} "
-                             f"for verify (the growth certificate's envelope is the |sigma| >> "
-                             f"|t| asymptotic), got {self.t!r}")
+        if command == "verify" and abs(self.t_value) > transform.growth_t_max(self.sigma_grid):
+            raise ValueError(f"|t| must be at most sqrt(min|sigma| max|sigma|)/2 = "
+                             f"{float(transform.growth_t_max(self.sigma_grid)):g} for verify (the "
+                             f"growth certificate's envelope is the |sigma| >> |t| asymptotic), "
+                             f"got {self.t!r}")
         if self.out:
             out = Path(self.out)
             existing = next(path for path in (out, *out.parents) if path.exists())

@@ -460,6 +460,14 @@ class GrowthCertificate:
     passed: bool
 
 
+def growth_t_max(sigmas) -> mp.mpf:
+    """sqrt(min|sigma| max|sigma|) / 2, the largest |t| the growth certificate takes: the
+    envelope leaves out the -t^2/|sigma| of log|Gamma(1 - s)|^2, which tilts the fitted
+    slope by about t^2 / (min|sigma| max|sigma|), here at most SLOPE_TOL / 2."""
+    magnitudes = [abs(mp.mpf(sigma)) for sigma in sigmas]
+    return mp.sqrt(min(magnitudes) * max(magnitudes)) / 2
+
+
 def growth_certificate(
     alpha,
     h,
@@ -475,7 +483,7 @@ def growth_certificate(
     the correct h and grows like log(h_true/h) when h is wrong.  Needs h > 0
     and at least two distinct sigmas, all negative, none a trivial zero of
     F(s, alpha) (an even integer at t = 0 when 2 alpha is an integer), and
-    |t| <= min |sigma|: the envelope is the |sigma| >> |t| asymptotic.
+    |t| <= `growth_t_max`: the envelope is the |sigma| >> |t| asymptotic.
     """
     alpha = Fraction(alpha)
     h = Fraction(h)
@@ -487,9 +495,9 @@ def growth_certificate(
         raise ValueError("the certificate samples sigma < 0")
     if len(set(sigmas)) < 2:
         raise ValueError(f"the slope fit needs two distinct sigmas, got {len(set(sigmas))}")
-    if abs(t) > min(map(abs, sigmas)):
-        raise ValueError(f"the envelope is the |sigma| >> |t| asymptotic: need |t| <= min|sigma| "
-                         f"= {min(map(abs, sigmas))}, got t = {t}")
+    if abs(t) > growth_t_max(sigmas):
+        raise ValueError(f"the envelope is the |sigma| >> |t| asymptotic: need |t| <= "
+                         f"sqrt(min|sigma| max|sigma|)/2 = {growth_t_max(sigmas)}, got t = {t}")
     if t == 0 and (2 * alpha).denominator == 1 and any(sigma % 2 == 0 for sigma in sigmas):
         raise ValueError(f"F(s, {alpha}) vanishes at the trivial zeros s = -2, -4, ... that "
                          f"t = 0 and sigmas {[int(x) for x in sigmas if x % 2 == 0]} sample")
@@ -506,36 +514,20 @@ def growth_certificate(
                 f"{mp.mp.prec // 4} stable bits; raise the working precision"
             )
         envelope = 2 * abs(sigma) * mp.log(abs(sigma)) + abs(sigma) * mp.log(
-            mp.mpmathify(h) / (2 * mp.pi * mp.e) ** 2
-        )
+            mp.mpmathify(h) / (2 * mp.pi * mp.e) ** 2)
         deltas.append(mp.log(abs(value)) - envelope)
     abs_sigmas = [abs(s) for s in sigmas]
-    log_ratios = tuple(
-        abs(d) / mp.log(a) for d, a in zip(deltas, abs_sigmas)
-    )
+    log_ratios = tuple(abs(d) / mp.log(a) for d, a in zip(deltas, abs_sigmas))
     trends = tuple(d / (a * mp.log(a)) for d, a in zip(deltas, abs_sigmas))
     # least-squares slope of Delta against |sigma|
     n = len(sigmas)
     mean_x = mp.fsum(abs_sigmas) / n
     mean_y = mp.fsum(deltas) / n
-    slope = mp.fsum(
-        (x - mean_x) * (y - mean_y) for x, y in zip(abs_sigmas, deltas)
-    ) / mp.fsum((x - mean_x) ** 2 for x in abs_sigmas)
-    passed = abs(slope) <= SLOPE_TOL and abs(trends[-1]) <= max(
-        mp.mpf("0.05"), abs(trends[0])
-    )
-    return GrowthCertificate(
-        alpha,
-        h,
-        t,
-        sigmas,
-        tuple(deltas),
-        log_ratios,
-        trends,
-        max(log_ratios),
-        slope,
-        passed,
-    )
+    slope = mp.fsum((x - mean_x) * (y - mean_y) for x, y in zip(abs_sigmas, deltas)) / mp.fsum(
+        (x - mean_x) ** 2 for x in abs_sigmas)
+    passed = abs(slope) <= SLOPE_TOL and abs(trends[-1]) <= max(mp.mpf("0.05"), abs(trends[0]))
+    return GrowthCertificate(alpha, h, t, sigmas, tuple(deltas), log_ratios, trends,
+                             max(log_ratios), slope, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -330,14 +330,12 @@ def _pair_sums(xs, q: int, numerators) -> list[list]:
 
 def _divisor_twist_kernel(s, q: int, numerators) -> list[mp.mpc]:
     """F(s, b/q) = q^(-2s) sum_{u,v=1}^{q} e(-u v b/q) zeta(s, u/q) zeta(s, v/q)
-    for each b in ``numerators``, from one ``_pair_sums`` of the values
-    (zeta(s)^2 at q = 1, the same bits); raises PoleError at s = 1."""
+    for each b in ``numerators``, from one ``_pair_sums`` of the values;
+    raises PoleError at s = 1."""
     s = mp.mpc(s)
     if s == 1:
         raise PoleError("the twisted series has its double pole at s=1")
     hurwitz = [hurwitz_zeta(s, a) for a in hurwitz_parameters(q, mp.mp.prec)]
-    if q == 1:
-        return [hurwitz[0] * hurwitz[0]] * len(numerators)
     prefactor = mp.power(q, -2 * s)
     return [prefactor * sums[0] for sums in _pair_sums([[h] for h in hurwitz], q, numerators)]
 
@@ -419,8 +417,8 @@ def _conversion_rhs(a: int, p: int, f_chis, f_full, f_p_free) -> mp.mpc:
     identity's right-hand side, from F(s, chi) in `characters_mod` order, F and F/F_p;
     tau(conj chi) and chi(a) = conj(conj chi(a)) come from `_character_weights`."""
     rows, taus = _character_weights(p, mp.mp.prec)
-    char_part = mp.fdot([tau * f for tau, f in zip(taus, f_chis)], [row[a - 1] for row in rows],
-                        conjugate=True)
+    char_part = mp.fdot([tau * f for tau, f in zip(taus, f_chis)],
+                        [row[a % p - 1] for row in rows], conjugate=True)
     return char_part / (p - 1) - (mp.mpf(p) / (p - 1) * f_p_free - f_full)
 
 

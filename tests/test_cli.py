@@ -393,8 +393,9 @@ class TestRejectedBeforeAnyTwist:
         # the growth certificate's envelope is the |sigma| >> |t| asymptotic;
         # t = 1e6 failed at the correct h after a 148 s certificate at q = 4
         err = self.rejected(capsys, f"--t={t}", "verify")
-        assert err == ("config error: |t| must be at most min|sigma| = 10 for verify (the growth "
-                       f"certificate's envelope is the |sigma| >> |t| asymptotic), got '{t}'\n")
+        assert err == ("config error: |t| must be at most sqrt(min|sigma| max|sigma|)/2 = 10 for "
+                       "verify (the growth certificate's envelope is the |sigma| >> |t| "
+                       f"asymptotic), got '{t}'\n")
 
     @pytest.mark.parametrize("command", ["verify", "twist-grid"])
     @pytest.mark.parametrize("t", ["1e40", "-1e40", "2e19"])

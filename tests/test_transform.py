@@ -17,6 +17,7 @@ from twistlab.transform import (
     degree_bound,
     euler_factor_at_1,
     growth_certificate,
+    growth_t_max,
     identity_reduction_check,
     laurent_extract,
     solve_local_factor,
@@ -606,20 +607,31 @@ class TestGrowthCertificate:
         assert abs(cert.slope - mp.log(9)) <= mp.mpf("0.2") * mp.log(9)
 
     @pytest.mark.parametrize("q", (1, 4))
-    @pytest.mark.parametrize("t", (10, -10))
-    def test_correct_h_passes_at_t_up_to_min_sigma(self, q, t):
-        assert growth_certificate(Fraction(1, q), q * q, t=t).passed
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("sigmas", ((-10, -20, -30, -40), (-10, -11), (-40, -50),
+                                        (-20, -40, -60, -80)))
+    def test_correct_h_passes_at_t_max(self, q, sign, sigmas):
+        # t = +-10 on the default grid; on (-10, -11) and (-40, -50) the
+        # looser bound |t| <= min|sigma| admitted slopes 0.70 and 0.60
+        t = sign * growth_t_max(sigmas)
+        assert growth_certificate(Fraction(1, q), q * q, t=t, sigmas=sigmas).passed
 
-    @pytest.mark.parametrize("t", (20, -20, 10 ** 6))
-    def test_rejects_t_beyond_min_sigma(self, t, monkeypatch):
-        # the envelope is the |sigma| >> |t| asymptotic: t = +-20 failed at the
-        # correct h (slope 0.631), and t = 1e6 gave slope 21.3
+    @pytest.mark.parametrize("sigmas, t, t_max", (((-10, -20, -30, -40), 20, r"10\.0"),
+                                                  ((-10, -20, -30, -40), -20, r"10\.0"),
+                                                  ((-10, -20, -30, -40), 10 ** 6, r"10\.0"),
+                                                  ((-10, -11), 10, r"5\.244"),
+                                                  ((-40, -50), -40, r"22\.36")))
+    def test_rejects_t_beyond_t_max(self, sigmas, t, t_max, monkeypatch):
+        # the envelope is the |sigma| >> |t| asymptotic: on the default grid
+        # t = +-20 failed at the correct h (slope 0.631), and t = 1e6 gave
+        # slope 21.3
         def no_twist(s, alpha):
             raise AssertionError("a twist was evaluated")
 
         monkeypatch.setattr(transform, "zeta2_twist_oracle", no_twist)
-        with pytest.raises(ValueError, match=r"need \|t\| <= min\|sigma\| = 10\.0"):
-            growth_certificate(Fraction(1, 2), 4, t=t)
+        with pytest.raises(ValueError, match=r"need \|t\| <= sqrt\(min\|sigma\| max\|sigma\|\)"
+                                             r"/2 = " + t_max):
+            growth_certificate(Fraction(1, 2), 4, t=t, sigmas=sigmas)
 
     def test_rejects_nonnegative_sigma(self):
         with pytest.raises(ValueError):

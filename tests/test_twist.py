@@ -233,13 +233,6 @@ class TestOracle:
                         assert abs(batch[b] - want) <= scale * mp.mpf(2) ** -(bits - 8), \
                             (bits, q, b)
 
-    @pytest.mark.parametrize("s", [mp.mpc("1.2", "0.1"), mp.mpc("-3.1", "0.2"), mp.mpc(2, 14)])
-    def test_untwisted_fast_path_is_the_pair_sum(self, s):
-        # q = 1 returns zeta(s)^2 without the grouping; one rounded product
-        # either way, so the bits agree
-        pair_sum = twist._pair_sums([[hurwitz_zeta(s, 1)]], 1, [0])[0][0]
-        assert zeta2_twist_oracle(s, 0)._mpc_ == pair_sum._mpc_
-
 
 class TestMultiplicativeConversion:
     def test_matches_squared_l_function(self):
@@ -270,10 +263,12 @@ class TestMultiplicativeConversion:
 
 class TestConversionIdentity:
     def test_numeric_examples(self):
-        check = additive_from_mult_identity_check(mp.mpc(3), 1, 3, n_max=100_000)
-        assert check.difference <= mp.mpf("1e-10")
-        check = additive_from_mult_identity_check(mp.mpc("2.5"), 2, 5, n_max=100_000)
-        assert check.difference <= mp.mpf("1e-8")
+        for s, a, p, bound in ((mp.mpc(3), 1, 3, "1e-10"), (mp.mpc("2.5"), 2, 5, "1e-8")):
+            check = additive_from_mult_identity_check(s, a, p, n_max=100_000)
+            assert check.difference <= mp.mpf(bound)
+            # both sides read a mod p only, outside 1..p-1 too
+            for shifted in (a + p, a - 2 * p):
+                assert additive_from_mult_identity_check(s, shifted, p, n_max=100_000) == check
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -293,7 +288,7 @@ class TestConversionIdentity:
 
     def test_round_trip_reconstruction(self):
         for p in (3, 5):
-            for a in (1, p - 1):
+            for a in (1, p - 1, p + 1, -p - 1):
                 check = reconstruct_additive_twist(mp.mpc(3), a, p)
                 assert check.difference <= mp.mpf("1e-10"), (p, a)
 
