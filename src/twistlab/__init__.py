@@ -24,7 +24,6 @@ from .special import (
     PoleError,
     characters_mod,
     dirichlet_l,
-    gamma_complex,
     gauss_sum,
     hurwitz_zeta,
 )
@@ -32,7 +31,6 @@ from .twist import (
     DivisorStream,
     divisor_stream,
     twist_direct,
-    twist_smoothed,
     zeta2_twist_oracle,
 )
 from .transform import (
@@ -62,13 +60,11 @@ __all__ = [
     "PoleError",
     "characters_mod",
     "dirichlet_l",
-    "gamma_complex",
     "gauss_sum",
     "hurwitz_zeta",
     "DivisorStream",
     "divisor_stream",
     "twist_direct",
-    "twist_smoothed",
     "zeta2_twist_oracle",
     "LaurentExpansion",
     "LocalFactor",

@@ -10,8 +10,10 @@ verify      the full verification chain: Laurent laws, character-twist
             certificates; exit status is nonzero when any assertion fails
 euler       Euler-factor reconstruction at s=1 per prime plus the forced
             local factor and the local degree bound
-twist-grid  CSV of twist values over an s-grid and a list of rational twists;
-            the grid evaluates zeta(s)^2 only (--instance zeta2)
+twist-grid  CSV of twist values over an s-grid and a list of rational twists
+
+verify, euler and twist-grid evaluate zeta(s)^2 only (--instance zeta2); polys
+takes any datum.
 
 Configuration comes from an optional JSON file (--config) with the same keys
 as the flags; explicit flags win.  Reports are deterministic: a fixed config
@@ -87,23 +89,14 @@ class RunConfig:
             raise ValueError("primes must lie in 2..13")
         if not all(map(isprime, self.primes)) or len(set(self.primes)) < len(self.primes):
             raise ValueError(f"primes must be distinct primes, got {list(self.primes)}")
-        if command == "verify" and any(sigma >= 0 for sigma in self.sigma_grid):
-            raise ValueError(f"sigma_grid must be negative for verify (the growth "
-                             f"certificate samples sigma < 0), got {self.sigma_grid!r}")
-        if command == "verify" and len(set(self.sigma_grid)) < 2:
-            raise ValueError(f"sigma_grid needs two distinct values for verify (the growth "
-                             f"certificate fits a slope), got {self.sigma_grid!r}")
-        if command == "twist-grid" and self.instance != "zeta2":
-            raise ValueError("twist-grid evaluates zeta(s)^2 only")
+        # the twists, the Laurent laws and the Euler factors are those of zeta(s)^2
+        if command in ("verify", "euler", "twist-grid") and self.instance != "zeta2":
+            raise ValueError(f"{command} evaluates zeta(s)^2 only")
         # parsed here so a malformed value is a config error; the commands
         # parse t and tol again at the working precision
         self.alpha_fractions, self.tolerance, self.t_value, self.growth_h_fraction  # noqa: B018
         if not mp.isfinite(self.t_value):
             raise ValueError(f"t must be finite, got {self.t!r}")
-        if command == "verify" and self.t_value == 0 and 0 in (x % 2 for x in self.sigma_grid):
-            raise ValueError(f"sigma_grid must avoid the trivial zeros s = -2, -4, ... of "
-                             f"zeta(s)^2 at t = 0 (the growth certificate takes log|F|), "
-                             f"got {self.sigma_grid!r}")
         if not (mp.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         # the phases t log n keep about precision - log2|t| bits
@@ -111,11 +104,9 @@ class RunConfig:
         if command in ("twist-grid", "verify") and abs(self.t_value) > t_max:
             raise ValueError(f"|t| must be at most 2^(precision/2) = 2^{self.precision / 2:g} at "
                              f"precision {self.precision}, got {self.t!r}")
-        if command == "verify" and abs(self.t_value) > transform.growth_t_max(self.sigma_grid):
-            raise ValueError(f"|t| must be at most sqrt(min|sigma| max|sigma|)/2 = "
-                             f"{float(transform.growth_t_max(self.sigma_grid)):g} for verify (the "
-                             f"growth certificate's envelope is the |sigma| >> |t| asymptotic), "
-                             f"got {self.t!r}")
+        if command == "verify":  # the growth certificates of verify's alphas 1/q
+            for q in sorted({1, self.q_max}):
+                transform.growth_domain(Fraction(1, q), self.t_value, self.sigma_grid)
         if self.out:
             out = Path(self.out)
             existing = next(path for path in (out, *out.parents) if path.exists())
@@ -127,14 +118,7 @@ class RunConfig:
             raise ValueError(f"growth_h must be positive, got {self.growth_h!r}")
         if command == "twist-grid" and self.t_value == 0 and 1 in self.sigma_grid:
             raise ValueError("twist-grid cannot evaluate s = 1, the double pole of zeta(s)^2")
-        # the Laurent laws and the Euler factors are those of the double-pole
-        # instance, and verify's main term needs an exact degree-2 datum
-        datum = self.datum  # a missing or malformed instance reports its own error
-        if command in ("verify", "euler") and datum.pole_order != 2:
-            raise ValueError(f"{command} needs a double-pole instance (pole_order 2), "
-                             f"got pole_order {datum.pole_order}")
-        if command == "verify":
-            transform._exact_conductor(datum)
+        self.datum  # noqa: B018 -- a missing or malformed instance reports its own error
         return self
 
     @cached_property
@@ -187,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--instance",
         help="functional-equation instance: 'zeta2' or a JSON datum path "
-        "(verify and euler need pole_order 2; twist-grid accepts zeta2 only)",
+        "(polys only; verify, euler and twist-grid take zeta2 only)",
     )
     parser.add_argument("--K", dest="k_terms", type=int, help="truncation order (<= 16)")
     parser.add_argument("--qmax", dest="q_max", type=int, help="largest twist denominator (<= 24)")

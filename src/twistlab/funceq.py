@@ -1,6 +1,6 @@
 """Functional-equation data for Dirichlet series and the invariants derived
 from it: degree, conductor, xi-invariant, H-invariants, shifted root number
-and the tau-invariant.
+and the lambda-invariant.
 
 The reference instance is the square of the Riemann zeta function
 (r = 2, lambda_j = 1/2, mu_j = 0, Q = pi^-1, omega = 1, double pole at s = 1),
@@ -209,12 +209,6 @@ class FunctionalEquationDatum:
         if isinstance(w, GaussianRational):
             return GaussianRational(0, -1) * w
         return -1j * w
-
-    def tau_invariant(self):
-        """max_j |Im(mu_j) / lambda_j|; rejects an empty factor list."""
-        if not self.factors:
-            raise DatumError("tau-invariant needs at least one Gamma factor")
-        return max(abs(f.mu.im / f.lam) for f in self.factors)
 
 
 def zeta2_datum() -> FunctionalEquationDatum:

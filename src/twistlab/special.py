@@ -2,14 +2,14 @@
 
 Precision comes from the context: every value is computed at the ambient
 mpmath precision ``mp.mp.prec`` (wrap a call in ``mp.workprec`` for more
-bits), and every cache keys on it.  Gamma is delegated to mpmath.  Hurwitz
-zeta(s, a) has two routes.  When 0 < a <= 1 and s lies within 0.26 of an
-integer c in -3..17 (the discs of the verification chain: s = 1, the polar
-consistency contours at 1 - nu and their main-term shifts), one Taylor series
-per (c, a, precision) of the entire part of an Euler-Maclaurin sum, built once
-in fixed point with its truncation chosen from stated error bounds, is
-evaluated by Horner and the pole term (N+a)^(1-s)/(s-1) added in closed form.
-Every other (s, a) goes to mpmath's zeta, whose value is returned unchanged.
+bits), and every cache keys on it.  Hurwitz zeta(s, a) has two routes.  When
+0 < a <= 1 and s lies within 0.26 of an integer c in -3..17 (the discs of the
+verification chain: s = 1, the polar consistency contours at 1 - nu and their
+main-term shifts), one Taylor series per (c, a, precision) of the entire part
+of an Euler-Maclaurin sum, built once in fixed point with its truncation
+chosen from stated error bounds, is evaluated by Horner and the pole term
+(N+a)^(1-s)/(s-1) added in closed form.  Every other (s, a) goes to mpmath's
+zeta, whose value is returned unchanged.
 This module adds the pole signalling and argument contracts the rest of the
 package relies on, plus the character machinery (values, Gauss sums,
 L-functions) needed for the additive/multiplicative twist conversions.
@@ -59,19 +59,6 @@ def hurwitz_parameters(q: int, prec: int) -> tuple:
     """The Hurwitz parameters (1/q, 2/q, ..., q/q) as mpf at ``prec`` bits."""
     with mp.workprec(prec):
         return tuple(mp.mpmathify(Fraction(u, q)) for u in range(1, q + 1))
-
-
-def gamma_complex(s) -> mp.mpc:
-    """Gamma(s) for complex s; raises PoleError at nonpositive integers."""
-    s = mp.mpc(mp.mpmathify(s))
-    if mp.im(s) == 0:
-        re = mp.re(s)
-        if re <= 0 and re == mp.floor(re):
-            raise PoleError(f"gamma pole at s={s}")
-    try:
-        return mp.mpc(mp.gamma(s))
-    except ValueError as exc:  # mpmath's own pole detection
-        raise PoleError(f"gamma pole at s={s}") from exc
 
 
 #: Distinct Hurwitz values kept, about 0.5 kB each: `verify` at its defaults

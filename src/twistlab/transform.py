@@ -148,11 +148,11 @@ def _exact_conductor(datum: FunctionalEquationDatum) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _prefactor_invariants(datum: FunctionalEquationDatum, prec: int) -> tuple:
-    """(omega*, theta, sqrt(q_F)) of the prefactor at ``prec`` bits."""
+    """(lambda = -i omega*, theta, sqrt(q_F)) of the prefactor at ``prec`` bits."""
     with mp.workprec(prec):
         q_f = _exact_conductor(datum)
         return (
-            scalar_to_mpc(datum.root_number_star()),
+            scalar_to_mpc(datum.lambda_invariant()),
             mp.mpmathify(datum.theta),
             mp.sqrt(mp.mpmathify(q_f)),
         )
@@ -161,9 +161,9 @@ def _prefactor_invariants(datum: FunctionalEquationDatum, prec: int) -> tuple:
 def transformation_prefactor(datum: FunctionalEquationDatum, s, alpha) -> mp.mpc:
     """-i omega* (sqrt(q_F) alpha)^(2s - 1 + i theta)."""
     s = mp.mpc(s)
-    omega_star, theta, sqrt_q_f = _prefactor_invariants(datum, mp.mp.prec)
+    lam, theta, sqrt_q_f = _prefactor_invariants(datum, mp.mp.prec)
     base = sqrt_q_f * mp.mpmathify(Fraction(alpha))
-    return -1j * omega_star * mp.exp((2 * s - 1 + 1j * theta) * mp.log(base))
+    return lam * mp.exp((2 * s - 1 + 1j * theta) * mp.log(base))
 
 
 @lru_cache(maxsize=None)
@@ -359,12 +359,6 @@ class LocalFactor:
             if abs(mp.mpc(root)) > 1 + mp.mpf("1e-9"):
                 raise ValueError(f"inverse root {root} exceeds the unit disk")
 
-    def value_at(self, s) -> mp.mpc:
-        v = mp.mpc(1)
-        for root in self.roots:
-            v /= 1 - mp.mpc(root) * mp.power(self.prime, -mp.mpc(s))
-        return v
-
 
 def euler_factor_at_1(p: int) -> mp.mpc:
     """Solve the leading-coefficient relation for the local factor at s = 1
@@ -468,6 +462,42 @@ def growth_t_max(sigmas) -> mp.mpf:
     return mp.sqrt(min(magnitudes) * max(magnitudes)) / 2
 
 
+def growth_domain(alpha, t, sigmas) -> tuple:
+    """(t, sigmas) as mpf where the growth envelope applies to F(s, alpha);
+    raises ValueError elsewhere.  The slope fit needs two distinct sigmas, all
+    negative, and the envelope is the |sigma| >> |t| asymptotic, so |t| <=
+    `growth_t_max`.
+
+    At t = 0 and sigma = -n the envelope is the size of the leading term.  By
+    zeta(-n, a) = -B_{n+1}(a)/(n+1) (DLMF 25.11.14) and the Fourier series of
+    B_{n+1} (DLMF 24.8), F(-n, b/q) leads with S = sum_{u,v} e(-uvb/q) c(u) c(v),
+    c(u) = cos(2 pi u/q) for odd n and sin(2 pi u/q) for even n.  Summing over v
+    first, S = q cos(2 pi b'/q) for odd n and -i q sin(2 pi b'/q) for even n,
+    b' = b^-1 mod q.  So S = 0 exactly for even n at q <= 2 (the trivial zeros)
+    and for odd n at q = 4, and those points are rejected.
+    """
+    q = Fraction(alpha).denominator
+    t = mp.mpf(t)
+    sigmas = tuple(mp.mpf(sigma) for sigma in sigmas)
+    if any(sigma >= 0 for sigma in sigmas):
+        raise ValueError(f"the growth certificate samples sigma < 0, got "
+                         f"{[mp.nstr(x, 15) for x in sigmas]}")
+    if len(set(sigmas)) < 2:
+        raise ValueError(f"the growth certificate fits a slope: it needs two distinct sigmas, "
+                         f"got {len(set(sigmas))}")
+    if abs(t) > growth_t_max(sigmas):
+        raise ValueError(f"the growth envelope is the |sigma| >> |t| asymptotic: need |t| <= "
+                         f"sqrt(min|sigma| max|sigma|)/2 = {mp.nstr(growth_t_max(sigmas), 15)}, "
+                         f"got t = {mp.nstr(t, 15)}")
+    integers = [] if t else [int(x) for x in sigmas if x == int(x)]
+    lost = [n for n in integers if (q <= 2 if n % 2 == 0 else q == 4)]
+    if lost:
+        raise ValueError(f"F(s, {alpha}) loses its leading term S = sum_(u,v) e(-uvb/q) c(u) c(v) "
+                         f"at t = 0 and sigma {lost}: S = 0 for even sigma at q <= 2 and for odd "
+                         f"sigma at q = 4, where the growth envelope does not apply")
+    return t, sigmas
+
+
 def growth_certificate(
     alpha,
     h,
@@ -481,26 +511,13 @@ def growth_certificate(
     + |sigma| log(h/(2 pi e)^2)] must stay of size O(log|sigma|); the fitted
     per-|sigma| slope of Delta is the sensitivity statistic: it vanishes for
     the correct h and grows like log(h_true/h) when h is wrong.  Needs h > 0
-    and at least two distinct sigmas, all negative, none a trivial zero of
-    F(s, alpha) (an even integer at t = 0 when 2 alpha is an integer), and
-    |t| <= `growth_t_max`: the envelope is the |sigma| >> |t| asymptotic.
+    and (t, sigmas) in the `growth_domain` of alpha.
     """
+    t, sigmas = growth_domain(alpha, t, sigmas)
     alpha = Fraction(alpha)
     h = Fraction(h)
     if h <= 0:
         raise ValueError(f"the certificate needs h > 0, got {h}")
-    t = mp.mpf(t)
-    sigmas = tuple(mp.mpf(sigma) for sigma in sigmas)
-    if any(sigma >= 0 for sigma in sigmas):
-        raise ValueError("the certificate samples sigma < 0")
-    if len(set(sigmas)) < 2:
-        raise ValueError(f"the slope fit needs two distinct sigmas, got {len(set(sigmas))}")
-    if abs(t) > growth_t_max(sigmas):
-        raise ValueError(f"the envelope is the |sigma| >> |t| asymptotic: need |t| <= "
-                         f"sqrt(min|sigma| max|sigma|)/2 = {growth_t_max(sigmas)}, got t = {t}")
-    if t == 0 and (2 * alpha).denominator == 1 and any(sigma % 2 == 0 for sigma in sigmas):
-        raise ValueError(f"F(s, {alpha}) vanishes at the trivial zeros s = -2, -4, ... that "
-                         f"t = 0 and sigmas {[int(x) for x in sigmas if x % 2 == 0]} sample")
     deltas = []
     for sigma in sigmas:
         value = zeta2_twist_oracle(mp.mpc(sigma, t), alpha)

@@ -10,8 +10,8 @@ arguments use F(s, -a/q) = F(s, (q-a)/q).
 In sigma > 1 every series sum is one pass over n <= N into the bucket sums
 B_r = sum_{n = r mod m} a(n) n^-s: e(-n a/q) depends only on n mod q, so any
 twist with q | m is sum_r e(-r a/q) B_r.  A grid shares one pass per s (m =
-lcm of its denominators), a smoothed sum carries exp(-n/X) through the pass,
-and the additive/multiplicative identity reads every sum off the buckets mod p.
+lcm of its denominators), and the additive/multiplicative identity reads every
+sum off the buckets mod p.
 
 The pass runs on Gaussian integers: n^-s in units of 2^-bits, bits a few
 dozen above the working precision, and the bucket sums exact, each converted
@@ -21,9 +21,8 @@ kinds.  An L-smooth n is visited depth first from 1, multiplying by the
 primes p <= L in non-decreasing order, n^-s = (n/p)^-s p^-s rounded; m^-s is
 kept for every m <= L.  Any other n is m P with exactly one prime P > L and
 m <= N/P < L: P streams from a bytearray sieve, P^-s is evaluated once, and
-the a(m P) m^-s of each residue class take one multiplication by it.  A
-smoothed sum reads exp(-n/X) as hi[n >> k] lo[n & mask] from two tables of
-about sqrt(N) entries.  Memory: N sieve bytes plus O(sqrt N) integers.
+the a(m P) m^-s of each residue class take one multiplication by it.
+Memory: N sieve bytes plus O(sqrt N) integers.
 
 The additive twist has a closed Hurwitz-zeta form that continues it to the
 whole plane minus the double pole at s = 1:
@@ -132,9 +131,9 @@ class TwistPartialSum:
     tail_estimate: mp.mpf
 
 
-#: Bits below 2^-bits carried by the prime powers and the smoothing weights of
-#: a series pass, so that their rounding stays a small part of the per-n error
-#: bound stated in `_residue_sums`.
+#: Bits below 2^-bits carried by the prime powers of a series pass, so that
+#: their rounding stays a small part of the per-n error bound stated in
+#: `_residue_sums`.
 _TABLE_GUARD = 8
 
 
@@ -169,21 +168,21 @@ def _prime_flags(limit: int) -> bytearray:
     return flags
 
 
-def _residue_sums(coeffs: list[int], s, modulus: int, decay=None):
-    """Bucket sums sum_{n <= N, n = r mod modulus} a(n) decay^n n^-s for the
+def _residue_sums(coeffs: list[int], s, modulus: int):
+    """Bucket sums sum_{n <= N, n = r mod modulus} a(n) n^-s for the
     integers a(n) = coeffs[n - 1], N = len(coeffs), each converted to mpc
     once; a modulus above N gets one bucket per n.
 
     The pass (see the module docstring) runs in units of 2^-bits,
-    bits = prec + bit_length(N bit_length(N)).  A table entry x (p^-s or
-    decay^i) is evaluated by mpmath at bits + 18 bits and rounded to the
-    nearest multiple of 2^-(bits+8), so it is within 2^-(bits+8) max(1, |x|);
-    a product m^-s p^-s is rounded to the nearest multiple of 2^-bits, within
+    bits = prec + bit_length(N bit_length(N)).  A table entry x = p^-s is
+    evaluated by mpmath at bits + 18 bits and rounded to the nearest multiple
+    of 2^-(bits+8), so it is within 2^-(bits+8) max(1, |x|); a product
+    m^-s p^-s is rounded to the nearest multiple of 2^-bits, within
     2^-bits/sqrt(2).  A smooth n^-s is Omega(n) such products from 1^-s = 1,
     and the errors add: absolutely for sigma >= 0, where every |p^-s| <= 1,
     relatively for sigma < 0, where every |p^-s| >= 1.  The terms m P
     multiply m^-s by P^-s exactly.  So for any sigma, per n, the term
-    a(n) decay^n n^-s (decay <= 1) is within
+    a(n) n^-s is within
 
         (Omega(n) + 1) 2^-bits max(1, n^-sigma) |a(n)|.
 
@@ -210,11 +209,6 @@ def _residue_sums(coeffs: list[int], s, modulus: int, decay=None):
         flags[: root + 1] = bytes(min(root, cut) + 1)  # the large phase streams P > L only
         minus_s = -s if s.imag else -sigma  # a real exponent takes mpmath's real power
         small_values = [_fixed_power(p, minus_s, table_scale) for p in small]
-        if decay is not None:
-            k = (n_max.bit_length() + 1) // 2
-            mask = (1 << k) - 1
-            lo = [_nearest(mp.power(decay, i), table_scale) for i in range(mask + 1)]
-            hi = [_nearest(mp.power(decay, j << k), table_scale) for j in range((n_max >> k) + 1)]
 
         # L-smooth n, depth first: the children of n are n p for p >= its largest prime
         table_re, table_im = [0] * (root + 1), [0] * (root + 1)
@@ -227,8 +221,6 @@ def _residue_sums(coeffs: list[int], s, modulus: int, decay=None):
                 table_re[n], table_im[n] = vr, vi
             c = coeffs[n - 1]
             if c:
-                if decay is not None:
-                    c *= hi[n >> k] * lo[n & mask]
                 r = n % modulus
                 smooth_re[r] += c * vr
                 smooth_im[r] += c * vi
@@ -252,9 +244,6 @@ def _residue_sums(coeffs: list[int], s, modulus: int, decay=None):
             acc_re, acc_im = [0] * width, [0] * width
             for m, c in enumerate(coeffs[p - 1 : top * p : p], 1):
                 if c:
-                    if decay is not None:
-                        n = m * p
-                        c *= hi[n >> k] * lo[n & mask]
                     j = m % modulus
                     acc_re[j] += c * table_re[m]
                     acc_im[j] += c * table_im[m]
@@ -266,7 +255,7 @@ def _residue_sums(coeffs: list[int], s, modulus: int, decay=None):
                     large_im[r] += xr * pi + xi * pr
     re = [(x << table_scale) + y for x, y in zip(smooth_re, large_re)]
     im = [(x << table_scale) + y for x, y in zip(smooth_im, large_im)]
-    scale = bits + table_scale + (2 * table_scale if decay is not None else 0)
+    scale = bits + table_scale
     return [mp.mpc(mp.ldexp(x, -scale), mp.ldexp(y, -scale)) for x, y in zip(re, im)]
 
 
@@ -287,27 +276,6 @@ def twist_direct(s, alpha, n_max: int = 100_000) -> TwistPartialSum:
     stream = divisor_stream()
     value = _twist_from_residues(_residue_sums(stream.values(n_max), s, alpha.denominator), alpha)
     return TwistPartialSum(value, stream.tail_bound(n_max, mp.re(s)))
-
-
-def twist_smoothed(s, alpha, x_smoothing, tol: mp.mpf | None = None) -> mp.mpc:
-    """Smoothed twist sum sum a(n) exp(-n z) n^-s with z = 1/X + 2 pi i alpha.
-
-    The truncation point is chosen so the discarded exp(-n/X) tail sits below
-    ``tol`` (default: a comfortable margin below the working precision).
-    As X grows with sigma > 1 this converges to the direct-series limit.
-    """
-    s = mp.mpc(s)
-    x_smoothing = mp.mpf(x_smoothing)
-    if x_smoothing <= 0:
-        raise ValueError("smoothing parameter X must be positive")
-    if tol is None:
-        tol = mp.mpf(2) ** (-(mp.mp.prec + 10))
-    alpha = Fraction(alpha)
-    # the growth of d(n) is subsumed by a safety factor in the cutoff
-    n_max = int(mp.ceil(x_smoothing * (-mp.log(tol) + 2 * mp.log(x_smoothing + 2) + 5)))
-    coeffs = divisor_stream().values(n_max)
-    return _twist_from_residues(
-        _residue_sums(coeffs, s, alpha.denominator, mp.exp(-1 / x_smoothing)), alpha)
 
 
 def _pair_sums(xs, q: int, numerators) -> list[list]:
@@ -475,18 +443,6 @@ def half_twist_coefficient_identity(n_max: int = 10_000) -> list[int]:
         if lhs != rhs:
             bad.append(n)
     return bad
-
-
-def reconstruct_additive_twist(s, a: int, p: int) -> IdentityCheck:
-    """Round trip: build every F(s, chi) from the continued additive twists,
-    then reassemble F(s, -a/p) from them together with the closed forms
-    F(s) = zeta(s)^2 and F_p(s) = (1 - p^-s)^-2; compares the result against
-    the oracle value directly."""
-    s = mp.mpc(s)
-    zeta2 = hurwitz_zeta(s, 1) ** 2
-    rhs = _conversion_rhs(a, p, character_twists(s, p), zeta2,
-                          zeta2 * (1 - mp.power(p, -s)) ** 2)
-    return IdentityCheck(zeta2_twist_oracle(s, Fraction(-a, p)), rhs)
 
 
 def twist_grid_rows(s_values, alphas, n_max: int = 100_000) -> list[tuple]:

@@ -12,16 +12,7 @@ import mpmath as mp
 import pytest
 
 from twistlab.exactpoly import Polynomial
-from twistlab.expansion import (
-    c_coeff,
-    check_exp_expansion,
-    check_expansion_1overw,
-    check_expansion_1overw_mu,
-    check_expansion_shifted_mu,
-    q_poly,
-    r_poly,
-    r_poly_forms,
-)
+from twistlab.expansion import c_coeff, q_poly, r_poly, r_poly_forms
 from twistlab.transform import (
     degree_bound,
     euler_factor_at_1,
@@ -37,6 +28,13 @@ from twistlab.twist import (
     half_twist_coefficient_identity,
     twist_direct,
     zeta2_twist_oracle,
+)
+
+from paper_checks import (
+    check_exp_expansion,
+    check_expansion_1overw,
+    check_expansion_1overw_mu,
+    check_expansion_shifted_mu,
 )
 
 

@@ -12,6 +12,8 @@ from twistlab.cli import RunConfig, main
 
 ZETA2 = {"Q": "pi^-1", "omega": "1", "factors": [{"lambda": "1/2"}, {"lambda": "1/2"}],
          "pole_order": 2}
+# polys reads an --instance datum; the other commands reject any path unread
+ZETA2_ONLY = "config error: {} evaluates zeta(s)^2 only\n"
 
 
 def run_cli(capsys, *argv):
@@ -238,9 +240,11 @@ class TestBadInstance:
     def test_missing_path_is_config_error(self, capsys, tmp_path, command):
         code = main(["--instance", str(tmp_path / "missing.json"), command])
         out, err = capsys.readouterr()
-        assert code == 2
-        assert err.startswith("config error:") and "missing.json" in err
-        assert out == ""
+        assert code == 2 and out == ""
+        if command == "polys":
+            assert err.startswith("config error:") and "missing.json" in err
+        else:
+            assert err == ZETA2_ONLY.format(command)
 
     @pytest.mark.parametrize("command", ["polys", "verify", "euler"])
     def test_malformed_json_is_config_error(self, capsys, tmp_path, command):
@@ -248,8 +252,8 @@ class TestBadInstance:
         bad.write_text('{"Q": "pi^-1", "factors": [')
         code = main(["--instance", str(bad), command])
         out, err = capsys.readouterr()
-        assert code == 2
-        assert err.startswith("config error:") and out == ""
+        assert code == 2 and out == ""
+        assert err.startswith("config error:" if command == "polys" else ZETA2_ONLY.format(command))
 
     @pytest.mark.parametrize(
         "data, message",
@@ -287,7 +291,8 @@ class TestBadInstance:
         code = main(["--instance", str(bad), command])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err.startswith("config error: datum config has unknown keys ['precision']")
+        want = "config error: datum config has unknown keys ['precision']"
+        assert err.startswith(want if command == "polys" else ZETA2_ONLY.format(command))
 
 
 class TestRejectedBeforeAnyTwist:
@@ -309,19 +314,16 @@ class TestRejectedBeforeAnyTwist:
         return err
 
     def test_wrong_instance_rejected(self, capsys, tmp_path):
-        # the Laurent laws and the Euler factors are those of the double-pole
-        # instance zeta(s)^2; the main term needs an exactly rational conductor
-        factors = [{"lambda": "1/2"}, {"lambda": "1/2"}]
-        no_pole = tmp_path / "no_pole.json"
-        no_pole.write_text(json.dumps({"Q": "pi^-1", "factors": factors, "pole_order": 0}))
-        inexact = tmp_path / "inexact.json"
-        inexact.write_text(json.dumps({"Q": "1/3", "factors": factors, "pole_order": 2}))
-        for command in ("verify", "euler"):
-            err = self.rejected(capsys, "--instance", str(no_pole), command)
-            assert err == (f"config error: {command} needs a double-pole instance "
-                           "(pole_order 2), got pole_order 0\n")
-        err = self.rejected(capsys, "--instance", str(inexact), "verify")
-        assert err == "config error: the transformation formula needs an exactly rational conductor\n"
+        # the twists, the Laurent laws and the Euler factors are those of
+        # zeta(s)^2 whatever the datum: a theta = 0 datum with mu = +-i/2 printed
+        # 8 FAILs under verify, and euler passed with a datum it never read
+        factors = [{"lambda": "1/2", "mu": "0,1/2"}, {"lambda": "1/2", "mu": "0,-1/2"}]
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"Q": "pi^-1", "factors": factors, "pole_order": 2}))
+        for instance in (str(other), str(tmp_path / "missing.json")):
+            for command in ("verify", "euler"):
+                err = self.rejected(capsys, "--instance", instance, command)
+                assert err == ZETA2_ONLY.format(command)
 
     @pytest.mark.parametrize("command", ["verify", "euler"])
     @pytest.mark.parametrize("primes", ["4", "9", "2,2", "3,5,3"])
@@ -334,15 +336,19 @@ class TestRejectedBeforeAnyTwist:
         err = self.rejected(capsys, f"--growth-h={h}", "verify")
         assert err == f"config error: growth_h must be positive, got '{h}'\n"
 
-    @pytest.mark.parametrize("grid", ["-10,-21", "-11,-20.0", "-3,-4"])
+    @pytest.mark.parametrize("grid", ["-10,-21", "-11,-20.0", "-3,-4", "-12,-16,-26",
+                                      "-11,-15,-25"])
     def test_trivial_zero_at_t_zero(self, capsys, grid):
-        # log|F| at a zero of zeta(s)^2 printed slope nan, C*=+inf and exit 1
+        # log|F| at a zero of zeta(s)^2 printed slope nan, C*=+inf and exit 1; on the
+        # odd grid F(-n, 1/4) leads with S = q cos(2 pi b'/q) = 0, and the default
+        # --qmax 4 printed [FAIL] growth certificate (q=4, h=16) and exit 1
         err = self.rejected(capsys, "--t", "0", f"--sigma-grid={grid}", "verify")
-        assert err.startswith("config error: sigma_grid must avoid the trivial zeros")
+        alpha = "1/4" if grid == "-11,-15,-25" else "1"
+        assert err.startswith(f"config error: F(s, {alpha}) loses its leading term S = ")
 
     @pytest.mark.parametrize("alpha", ["1", "1/2", "3/2"])
     def test_certificate_rejects_trivial_zero(self, alpha):
-        with pytest.raises(ValueError, match=r"vanishes at the trivial zeros .* \[-10\]"):
+        with pytest.raises(ValueError, match=r"loses its leading term .* sigma \[-10\]"):
             transform.growth_certificate(alpha, 1, t=0, sigmas=(-10, -21))
 
     def test_certificate_samples_even_sigma_where_the_twist_is_nonzero(self):
@@ -354,14 +360,15 @@ class TestRejectedBeforeAnyTwist:
     def test_fewer_than_two_distinct_sigmas(self, capsys, grid):
         # the growth certificate's slope fit divided by zero after the chain ran
         err = self.rejected(capsys, f"--sigma-grid={grid}", "verify")
-        assert err.startswith("config error: sigma_grid needs two distinct values for verify")
+        assert err == "config error: the growth certificate fits a slope: it needs two " \
+                      "distinct sigmas, got 1\n"
 
     def test_empty_sigma_grid_in_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"sigma_grid": []}))
         err = self.rejected(capsys, "--config", str(cfg), "verify")
-        assert err == "config error: sigma_grid needs two distinct values for verify (the " \
-                      "growth certificate fits a slope), got ()\n"
+        assert err == "config error: the growth certificate fits a slope: it needs two " \
+                      "distinct sigmas, got 0\n"
 
     @pytest.mark.parametrize("command", ["verify", "euler", "twist-grid"])
     @pytest.mark.parametrize("option, value, message", [
@@ -393,9 +400,9 @@ class TestRejectedBeforeAnyTwist:
         # the growth certificate's envelope is the |sigma| >> |t| asymptotic;
         # t = 1e6 failed at the correct h after a 148 s certificate at q = 4
         err = self.rejected(capsys, f"--t={t}", "verify")
-        assert err == ("config error: |t| must be at most sqrt(min|sigma| max|sigma|)/2 = 10 for "
-                       "verify (the growth certificate's envelope is the |sigma| >> |t| "
-                       f"asymptotic), got '{t}'\n")
+        assert err == ("config error: the growth envelope is the |sigma| >> |t| asymptotic: "
+                       "need |t| <= sqrt(min|sigma| max|sigma|)/2 = 10.0, "
+                       f"got t = {float(t)}\n")
 
     @pytest.mark.parametrize("command", ["verify", "twist-grid"])
     @pytest.mark.parametrize("t", ["1e40", "-1e40", "2e19"])
@@ -475,7 +482,7 @@ class TestBadSigmaGrid:
         code = main([f"--sigma-grid={grid}", "verify"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err.startswith("config error: sigma_grid must be negative for verify")
+        assert err.startswith("config error: the growth certificate samples sigma < 0")
 
 
 class TestBenchmarkRecords:

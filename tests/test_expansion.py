@@ -10,12 +10,6 @@ from twistlab.expansion import (
     _shift_poly,
     a_coeff,
     c_coeff,
-    check_exp_expansion,
-    check_expansion_1overw,
-    check_expansion_1overw_mu,
-    p_poly,
-    phi_bound_check,
-    psi_bound_check,
     q_poly,
     r_poly,
     r_poly_forms,
@@ -23,6 +17,15 @@ from twistlab.expansion import (
 )
 from twistlab.funceq import DatumError, FunctionalEquationDatum, GammaFactor, QParam, factor
 from twistlab import bernoulli
+
+from paper_checks import (
+    check_exp_expansion,
+    check_expansion_1overw,
+    check_expansion_1overw_mu,
+    p_poly,
+    phi_bound_check,
+    psi_bound_check,
+)
 
 
 def synthetic_datum_real():

@@ -49,9 +49,6 @@ class TestZeta2Invariants:
         assert zeta2.root_number_star() == GaussianRational(0, 1)
         assert zeta2.lambda_invariant() == 1
 
-    def test_tau(self, zeta2):
-        assert zeta2.tau_invariant() == 0
-
 
 class TestOtherData:
     def test_zeta_datum_conductor_one(self):
@@ -63,8 +60,6 @@ class TestOtherData:
         d = make_datum([], q="1")
         assert d.degree() == 0
         assert d.conductor() == 1
-        with pytest.raises(DatumError):
-            d.tau_invariant()
 
     def test_single_factor_degree(self):
         assert make_datum([factor(1)]).degree() == 2
@@ -73,14 +68,6 @@ class TestOtherData:
         assert make_datum([factor(Fraction(1, 2), Fraction(1, 2))]).xi_invariant() == 0
         d = make_datum([factor(Fraction(1, 2), GaussianRational(0, 1))])
         assert d.xi_invariant() == GaussianRational(-1, 2)
-
-    def test_tau_examples(self):
-        d = make_datum([factor(Fraction(1, 2), GaussianRational(0, 1))])
-        assert d.tau_invariant() == 2
-        d2 = make_datum(
-            [factor(1, GaussianRational(0, 2)), factor(Fraction(1, 2), GaussianRational(0, 1))]
-        )
-        assert d2.tau_invariant() == 2
 
     def test_root_number_rejects_wrong_degree(self):
         with pytest.raises(DatumError):

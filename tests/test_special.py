@@ -11,7 +11,6 @@ from twistlab.special import (
     PoleError,
     characters_mod,
     dirichlet_l,
-    gamma_complex,
     gauss_sum,
     hurwitz_zeta,
     primitive_root,
@@ -19,47 +18,6 @@ from twistlab.special import (
 )
 
 TIGHT = mp.mpf("1e-30")
-
-
-class TestGamma:
-    def test_known_values(self):
-        assert abs(gamma_complex(mp.mpf("0.5")) - mp.sqrt(mp.pi)) < TIGHT
-        assert abs(gamma_complex(5) - 24) < TIGHT
-
-    def test_recurrence_random(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            s = mp.mpc(rng.uniform(-20, 20), rng.uniform(-20, 20))
-            if abs(mp.im(s)) < 0.1:
-                s += mp.mpc(0, 0.5)
-            lhs = gamma_complex(s + 1)
-            rhs = s * gamma_complex(s)
-            assert abs(lhs / rhs - 1) < mp.mpf("1e-30")
-
-    def test_reflection_random(self):
-        rng = random.Random(12)
-        for _ in range(100):
-            s = mp.mpc(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            if abs(mp.im(s)) < 0.1:
-                s += mp.mpc(0, 0.3)
-            product = gamma_complex(s) * gamma_complex(1 - s) * mp.sin(mp.pi * s) / mp.pi
-            assert abs(product - 1) < mp.mpf("1e-25")
-
-    def test_pole_signalled(self):
-        for s in (0, -1, -3, mp.mpc(-7, 0)):
-            with pytest.raises(PoleError):
-                gamma_complex(s)
-
-    def test_precision_override(self):
-        with mp.workprec(64):
-            coarse = gamma_complex(mp.mpc("0.5"))
-        assert abs(coarse - mp.sqrt(mp.pi)) < mp.mpf(2) ** -50
-
-    def test_rational_argument_converted_at_requested_precision(self):
-        with mp.workprec(256):
-            value = gamma_complex(Fraction(1, 3))
-            target = mp.gamma(mp.mpf(1) / 3)
-            assert abs(value - target) < mp.mpf(2) ** -250
 
 
 class TestHurwitzZeta:

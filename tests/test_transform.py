@@ -540,8 +540,7 @@ class TestEulerEndgame:
     def test_local_factor_invariant(self):
         with pytest.raises(ValueError):
             LocalFactor(2, 1, (mp.mpf("1.5"),))
-        lf = LocalFactor(2, 2, (1, 1))
-        assert abs(lf.value_at(1) - 4) < mp.mpf("1e-30")
+        assert LocalFactor(2, 2, (1, 1)).roots == (1, 1)
 
     def test_blowup_guard(self, monkeypatch):
         # every numerator shares c_-2 = 1, so alpha_F(1/p)/alpha_F = 1
@@ -646,6 +645,27 @@ class TestGrowthCertificate:
         monkeypatch.setattr(transform, "zeta2_twist_oracle", no_twist)
         with pytest.raises(ValueError, match="two distinct sigmas"):
             growth_certificate(Fraction(1, 2), 4, sigmas=sigmas)
+
+    @pytest.mark.parametrize("sigmas, rejected", (
+        ((-11, -15, -25), {Fraction(1, 4), Fraction(3, 4)}),
+        ((-12, -16, -26), {Fraction(1), Fraction(1, 2)}),
+    ))
+    def test_t_zero_passes_or_is_rejected_never_fails(self, sigmas, rejected):
+        # F(-n, b/q) leads with S = q cos(2 pi b'/q) at odd n and -i q sin(2 pi b'/q)
+        # at even n; where S = 0 the envelope overshoots (1/4 at odd sigma failed
+        # with slope -0.637), so each b/q with q <= 12 passes at the correct h or
+        # is rejected, and exactly the b/q with S = 0 are rejected
+        refused = set()
+        for q in range(1, 13):
+            for alpha in [Fraction(b, q) for b in range(1, q + 1) if gcd(b, q) == 1]:
+                try:
+                    cert = growth_certificate(alpha, q * q, t=0, sigmas=sigmas)
+                except ValueError as exc:
+                    assert "loses its leading term" in str(exc), alpha
+                    refused.add(alpha)
+                    continue
+                assert cert.passed, (alpha, cert.slope)
+        assert refused == rejected
 
     @pytest.mark.parametrize("h", (0, -4, Fraction(-1, 2)))
     def test_rejects_nonpositive_h(self, h):
