@@ -274,7 +274,6 @@ def cmd_polys(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    datum = cfg.datum
     tol = cfg.tolerance
     report = Report(
         f"verification chain (instance={cfg.instance}, precision={cfg.precision}, "
@@ -289,10 +288,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         if p % 2 == 1:
             report.extend(transform.verify_chi_holomorphy(p))
 
-    for polar in transform.transformation_polar_reports(datum, cfg.alpha_fractions,
-                                                        cfg.k_terms, tol):
+    for polar in transform.transformation_polar_reports(cfg.alpha_fractions, cfg.k_terms, tol):
         report.extend(polar)
-    report.extend(transform.identity_reduction_check(datum))
+    report.extend(transform.identity_reduction_check())
 
     bad = twist.half_twist_coefficient_identity(10_000)
     report.add(

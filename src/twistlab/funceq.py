@@ -1,6 +1,6 @@
 """Functional-equation data for Dirichlet series and the invariants derived
-from it: degree, conductor, xi-invariant, H-invariants, shifted root number
-and the lambda-invariant.
+from it that the transformation polynomials read: degree, xi-invariant and
+H-invariants.
 
 The reference instance is the square of the Riemann zeta function
 (r = 2, lambda_j = 1/2, mu_j = 0, Q = pi^-1, omega = 1, double pole at s = 1),
@@ -8,10 +8,10 @@ the unique known degree-2, conductor-1 example with a pole.
 
 A datum is immutable after construction and safe to share across workers.
 Every lambda_j is rational, every mu_j and omega Gaussian-rational, and the
-invariants are exact.  Two values can be transcendental: the conductor when
-the powers of pi or the lambda_j^(2 lambda_j) do not cancel, and the shifted
-root number when theta != 0 or some mu_j is not real.  Those are computed at
-the ambient mpmath precision.
+invariants are exact: this module does no floating-point arithmetic.  The
+transformation formula's main term is zeta(s)^2's (see ``transform``), so no
+command reads a datum's conductor, shifted root number or lambda-invariant;
+the tests compute them (``tests/paper_checks.py``).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-
-import mpmath as mp
 
 from . import bernoulli
 from .exactpoly import GaussianRational, as_fraction
@@ -60,12 +58,6 @@ class QParam:
         if text == "pi":
             return cls(Fraction(1), Fraction(1))
         return cls(as_fraction(text), Fraction(0))
-
-    def to_mpf(self) -> mp.mpf:
-        v = mp.mpmathify(self.coef)
-        if self.pi_exp:
-            v = v * mp.pi ** mp.mpmathify(self.pi_exp)
-        return v
 
     def __str__(self):
         if self.pi_exp:
@@ -132,28 +124,6 @@ class FunctionalEquationDatum:
         """2 * sum of the lambda_j."""
         return 2 * sum((f.lam for f in self.factors), start=Fraction(0))
 
-    def conductor(self):
-        """(2 pi)^degree * Q^2 * prod lambda_j^(2 lambda_j).
-
-        Returns an exact Fraction when the pi-powers cancel and every
-        2*lambda_j is an integer; otherwise an mpf at the ambient precision.
-        """
-        d = self.degree()
-        if (
-            d.denominator == 1
-            and d + 2 * self.q_param.pi_exp == 0
-            and all((2 * f.lam).denominator == 1 for f in self.factors)
-        ):
-            value = Fraction(2) ** int(d) * self.q_param.coef**2
-            for f in self.factors:
-                value *= f.lam ** int(2 * f.lam)
-            return value
-        v = (2 * mp.pi) ** mp.mpmathify(d) * self.q_param.to_mpf() ** 2
-        for f in self.factors:
-            lam = mp.mpmathify(f.lam)
-            v *= lam ** (2 * lam)
-        return v
-
     def xi_invariant(self) -> GaussianRational:
         """2 * sum (mu_j - 1/2); real part eta, imaginary part theta."""
         total = GaussianRational(0, 0)
@@ -178,37 +148,6 @@ class FunctionalEquationDatum:
         for f in self.factors:
             total = total + poly(f.mu) / f.lam ** (n - 1)
         return 2 * total
-
-    def root_number_star(self):
-        """omega * exp(-i pi (eta+1)/2) * (q/(2 pi)^2)^(i theta/2)
-        * prod lambda_j^(-2 i Im mu_j); requires degree 2.
-
-        Principal branches are used for the two non-elementary powers; they
-        only matter when theta != 0 or some mu_j is non-real, and then the
-        value is an mpc at the ambient precision.
-        """
-        if self.degree() != 2:
-            raise DatumError("shifted root number needs a degree-2 datum")
-        xi = self.xi_invariant()
-        eta, theta = xi.re, xi.im
-        if theta == 0 and all(f.mu.im == 0 for f in self.factors) and (eta + 1).denominator == 1:
-            # exp(-i pi (eta+1)/2) = (-i)^(eta+1)
-            return self.omega * GaussianRational(0, -1) ** (int(eta + 1) % 4)
-        value = self.omega.to_mpc() * mp.exp(-1j * mp.pi * (mp.mpmathify(eta) + 1) / 2)
-        if theta != 0:
-            q_f = mp.mpmathify(self.conductor())
-            value *= mp.exp(1j * (mp.mpmathify(theta) / 2) * mp.log(q_f / (2 * mp.pi) ** 2))
-        for f in self.factors:
-            if f.mu.im != 0:
-                value *= mp.exp(-2j * mp.mpmathify(f.mu.im) * mp.log(mp.mpmathify(f.lam)))
-        return value
-
-    def lambda_invariant(self):
-        """-i * root_number_star; equals 1 for the zeta^2 datum."""
-        w = self.root_number_star()
-        if isinstance(w, GaussianRational):
-            return GaussianRational(0, -1) * w
-        return -1j * w
 
 
 def zeta2_datum() -> FunctionalEquationDatum:

@@ -1,4 +1,4 @@
-"""Main term of the twist transformation formula, numerical Laurent
+"""Main term of the twist transformation formula for zeta(s)^2, numerical Laurent
 extraction, and the verification chain built on them: the Laurent-coefficient
 laws of the continued twists, holomorphy of the character twists at s = 1,
 Euler-factor reconstruction at s = 1 and the forced local-factor shape,
@@ -33,7 +33,7 @@ from mpmath.libmp import isprime
 
 from .expansion import q_poly
 from .exactpoly import scalar_to_mpc
-from .funceq import FunctionalEquationDatum
+from .funceq import zeta2_datum
 from .reports import Report
 from .special import PoleError, characters_mod, dirichlet_l, roots_of_unity
 from .twist import _laurent_at_1, character_twists, reduce_mod_one, zeta2_twist_oracle
@@ -137,40 +137,16 @@ def contour_integral(f, center, radius=LAURENT_RADIUS, nodes: int = 64) -> mp.mp
 # Transformation-formula main term
 # ---------------------------------------------------------------------------
 
-def _exact_conductor(datum: FunctionalEquationDatum) -> Fraction:
-    if datum.degree() != 2:
-        raise ValueError("the transformation formula needs a degree-2 datum")
-    q_f = datum.conductor()
-    if not isinstance(q_f, Fraction):
-        raise ValueError("the transformation formula needs an exactly rational conductor")
-    return q_f
+def transformation_prefactor(s, alpha) -> mp.mpc:
+    """alpha^(2s - 1), the prefactor of ``transformation_main_term``."""
+    return mp.exp((2 * mp.mpc(s) - 1) * mp.log(mp.mpmathify(Fraction(alpha))))
 
 
 @lru_cache(maxsize=None)
-def _prefactor_invariants(datum: FunctionalEquationDatum, prec: int) -> tuple:
-    """(lambda = -i omega*, theta, sqrt(q_F)) of the prefactor at ``prec`` bits."""
+def _q_coeffs(nu: int, prec: int) -> tuple:
+    """zeta(s)^2's Q_nu coefficients as mpc at ``prec`` bits, highest degree first."""
     with mp.workprec(prec):
-        q_f = _exact_conductor(datum)
-        return (
-            scalar_to_mpc(datum.lambda_invariant()),
-            mp.mpmathify(datum.theta),
-            mp.sqrt(mp.mpmathify(q_f)),
-        )
-
-
-def transformation_prefactor(datum: FunctionalEquationDatum, s, alpha) -> mp.mpc:
-    """-i omega* (sqrt(q_F) alpha)^(2s - 1 + i theta)."""
-    s = mp.mpc(s)
-    lam, theta, sqrt_q_f = _prefactor_invariants(datum, mp.mp.prec)
-    base = sqrt_q_f * mp.mpmathify(Fraction(alpha))
-    return lam * mp.exp((2 * s - 1 + 1j * theta) * mp.log(base))
-
-
-@lru_cache(maxsize=None)
-def _q_coeffs(datum: FunctionalEquationDatum, nu: int, prec: int) -> tuple:
-    """Q_nu's coefficients as mpc at ``prec`` bits, highest degree first."""
-    with mp.workprec(prec):
-        return tuple(scalar_to_mpc(c) for c in reversed(q_poly(datum, nu).coeffs))
+        return tuple(scalar_to_mpc(c) for c in reversed(q_poly(zeta2_datum(), nu).coeffs))
 
 
 def _q_values(table, s) -> list[mp.mpc]:
@@ -184,50 +160,50 @@ def _q_values(table, s) -> list[mp.mpc]:
     return [mp.fdot(coeffs, powers[len(coeffs) - 1::-1]) for coeffs in table]
 
 
-def _main_terms(datum: FunctionalEquationDatum, alphas, k_terms: int):
+def _main_terms(alphas, k_terms: int):
     """The main terms of every alpha in ``alphas`` as one vector-valued
     function of s.  Per node, every Q_nu(s) comes from one ``_q_values``
-    call, and T_nu(s) = Q_nu(s) Fbar(s + nu + i theta, beta) is built once
-    per distinct beta = -1/(q_F alpha) mod 1; each alpha reads its prefactor
-    times the dot product of T with its powers of (i q_F alpha / 2 pi)."""
+    call, and T_nu(s) = Q_nu(s) F(s + nu, beta) is built once per distinct
+    beta = -1/alpha mod 1; each alpha reads its prefactor times the dot
+    product of T with its powers of (i alpha / 2 pi)."""
     if k_terms < 0:
         raise ValueError("K must be nonnegative")
     alphas = [Fraction(alpha) for alpha in alphas]
     if any(alpha <= 0 for alpha in alphas):
         raise ValueError("the transformation formula needs alpha > 0")
-    q_f = _exact_conductor(datum)
-    theta = mp.mpmathify(datum.theta)
-    betas = [reduce_mod_one(Fraction(-1) / (q_f * alpha)) for alpha in alphas]
-    ratio_powers = [[(1j * mp.mpmathify(q_f * alpha) / (2 * mp.pi)) ** nu
+    betas = [reduce_mod_one(Fraction(-1) / alpha) for alpha in alphas]
+    ratio_powers = [[(1j * mp.mpmathify(alpha) / (2 * mp.pi)) ** nu
                      for nu in range(k_terms + 1)] for alpha in alphas]
-    table = [_q_coeffs(datum, nu, mp.mp.prec) for nu in range(k_terms + 1)]
+    table = [_q_coeffs(nu, mp.mp.prec) for nu in range(k_terms + 1)]
 
     def main_terms(s) -> list[mp.mpc]:
         s = mp.mpc(s)
-        shifted = [s + nu + 1j * theta for nu in range(k_terms + 1)]
+        shifted = [s + nu for nu in range(k_terms + 1)]
         if 1 in shifted:
-            raise PoleError(f"conjugate twist pole hit at nu={shifted.index(1)} (s+nu+i*theta=1)")
+            raise PoleError(f"conjugate twist pole hit at nu={shifted.index(1)} (s+nu=1)")
         q_values = _q_values(table, s)
         terms = {beta: [q * zeta2_twist_oracle(x, beta) for q, x in zip(q_values, shifted)]
                  for beta in dict.fromkeys(betas)}
-        return [transformation_prefactor(datum, s, alpha) * mp.fdot(powers, terms[beta])
+        return [transformation_prefactor(s, alpha) * mp.fdot(powers, terms[beta])
                 for alpha, beta, powers in zip(alphas, betas, ratio_powers)]
 
     return main_terms
 
 
-def transformation_main_term(datum: FunctionalEquationDatum, s, alpha, k_terms: int) -> mp.mpc:
-    """Truncated main term of the transformation formula:
+def transformation_main_term(s, alpha, k_terms: int) -> mp.mpc:
+    """Truncated main term of the transformation formula for zeta(s)^2:
 
-    prefactor * sum_{nu=0}^{K} (i q_F alpha / 2 pi)^nu Q_nu(s)
-               * Fbar(s + nu + i theta, -1/(q_F alpha)).
+    alpha^(2s - 1) * sum_{nu=0}^{K} (i alpha / 2 pi)^nu Q_nu(s) F(s + nu, -1/alpha).
 
-    The continued twist of the conjugate series is the divisor-stream
-    oracle (the reference series has real coefficients, so Fbar = F).
+    The paper's main term of a degree-2 F is -i omega* (sqrt(q_F) alpha)^(2s - 1 + i theta)
+    * sum_nu (i q_F alpha / 2 pi)^nu Q_nu(s) Fbar(s + nu + i theta, -1/(q_F alpha)).
+    The package has one coefficient sequence, d(n), whose conjugate twists
+    Fbar = F come from ``zeta2_twist_oracle``; so the datum is zeta(s)^2's,
+    q_F = 1, theta = 0 and -i omega* = 1, which gives the form above.
     Raises PoleError when a required twist value sits at its pole.  The
     scalar view of ``_main_terms``.
     """
-    return _main_terms(datum, [alpha], k_terms)(s)[0]
+    return _main_terms([alpha], k_terms)(s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +444,16 @@ def growth_domain(alpha, t, sigmas) -> tuple:
     negative, and the envelope is the |sigma| >> |t| asymptotic, so |t| <=
     `growth_t_max`.
 
-    At t = 0 and sigma = -n the envelope is the size of the leading term.  By
-    zeta(-n, a) = -B_{n+1}(a)/(n+1) (DLMF 25.11.14) and the Fourier series of
-    B_{n+1} (DLMF 24.8), F(-n, b/q) leads with S = sum_{u,v} e(-uvb/q) c(u) c(v),
-    c(u) = cos(2 pi u/q) for odd n and sin(2 pi u/q) for even n.  Summing over v
-    first, S = q cos(2 pi b'/q) for odd n and -i q sin(2 pi b'/q) for even n,
-    b' = b^-1 mod q.  So S = 0 exactly for even n at q <= 2 (the trivial zeros)
-    and for odd n at q = 4, and those points are rejected.
+    The envelope is the size of F's leading Fourier term.  By Hurwitz's formula (DLMF
+    25.11.9), F(s, b/q) = q^-2s sum_{u,v} e(-uvb/q) zeta(s, u/q) zeta(s, v/q) is
+    (2 Gamma(1 - s) (2 pi)^(s-1) q^-s)^2 (S + R), S(s) = sum_{u,v} e(-uvb/q) sin(pi s/2
+    + 2 pi u/q) sin(pi s/2 + 2 pi v/q), |R| <= q^2 cosh^2(pi t/2) (zeta(1 - sigma)^2 - 1).
+    A sigma where |S| is no larger is rejected (S = 0 at the trivial zeros and, for
+    q = 4, at t = 0 and odd sigma).  S is evaluated at 192 bits and counts as 0 below
+    2^-128 q^2 cosh^2(pi t/2), so exact zeros stay rejected and all callers agree.
     """
-    q = Fraction(alpha).denominator
+    alpha = Fraction(alpha)
+    q, b = alpha.denominator, alpha.numerator
     t = mp.mpf(t)
     sigmas = tuple(mp.mpf(sigma) for sigma in sigmas)
     if any(sigma >= 0 for sigma in sigmas):
@@ -489,12 +466,21 @@ def growth_domain(alpha, t, sigmas) -> tuple:
         raise ValueError(f"the growth envelope is the |sigma| >> |t| asymptotic: need |t| <= "
                          f"sqrt(min|sigma| max|sigma|)/2 = {mp.nstr(growth_t_max(sigmas), 15)}, "
                          f"got t = {mp.nstr(t, 15)}")
-    integers = [] if t else [int(x) for x in sigmas if x == int(x)]
-    lost = [n for n in integers if (q <= 2 if n % 2 == 0 else q == 4)]
+    lost = []
+    with mp.workprec(192):
+        for sigma in sigmas:
+            row = [mp.sinpi(mp.mpc(sigma, t) / 2 + mp.mpf(2 * u) / q) for u in range(q)]
+            lead = mp.fsum(mp.expjpi(-2 * mp.mpf(u * v * b % q) / q) * row[u] * row[v]
+                           for u in range(q) for v in range(q))
+            rest = mp.zeta(1 - sigma, 2)  # zeta(1 - sigma) - 1, free of cancellation
+            if abs(lead) <= q * q * mp.cosh(mp.pi * t / 2) ** 2 * max(rest * (rest + 2),
+                                                                     mp.mpf(2) ** -128):
+                lost.append(int(sigma) if sigma == int(sigma) else float(sigma))
     if lost:
-        raise ValueError(f"F(s, {alpha}) loses its leading term S = sum_(u,v) e(-uvb/q) c(u) c(v) "
-                         f"at t = 0 and sigma {lost}: S = 0 for even sigma at q <= 2 and for odd "
-                         f"sigma at q = 4, where the growth envelope does not apply")
+        raise ValueError(f"F(s, {alpha}) loses its leading term S = sum_(u,v) e(-uvb/q) sin(pi s/2 "
+                         f"+ 2 pi u/q) sin(pi s/2 + 2 pi v/q) at t = {mp.nstr(t, 15)} and sigma "
+                         f"{lost}: |S| <= q^2 cosh^2(pi t/2) (zeta(1 - sigma)^2 - 1) bounds the "
+                         f"other terms, so the growth envelope does not apply")
     return t, sigmas
 
 
@@ -542,7 +528,8 @@ def growth_certificate(
     mean_y = mp.fsum(deltas) / n
     slope = mp.fsum((x - mean_x) * (y - mean_y) for x, y in zip(abs_sigmas, deltas)) / mp.fsum(
         (x - mean_x) ** 2 for x in abs_sigmas)
-    passed = abs(slope) <= SLOPE_TOL and abs(trends[-1]) <= max(mp.mpf("0.05"), abs(trends[0]))
+    far, near = (trends[abs_sigmas.index(pick(abs_sigmas))] for pick in (max, min))
+    passed = abs(slope) <= SLOPE_TOL and abs(far) <= max(mp.mpf("0.05"), abs(near))
     return GrowthCertificate(alpha, h, t, sigmas, tuple(deltas), log_ratios, trends,
                              max(log_ratios), slope, passed)
 
@@ -551,41 +538,41 @@ def growth_certificate(
 # Polar consistency of the transformation formula
 # ---------------------------------------------------------------------------
 
-def transformation_polar_reports(datum: FunctionalEquationDatum, alphas, k_terms: int,
-                                 tol=mp.mpf("1e-8"), nodes: int = 32) -> list[Report]:
+def transformation_polar_reports(alphas, k_terms: int, tol=mp.mpf("1e-8"),
+                                 nodes: int = 32) -> list[Report]:
     """One report per alpha, in order: D(s) = F(s, alpha) - main_term(s) must
     be holomorphic at s = 1 - nu (the divisibility of Q_nu kills the shifted
     twist poles) and its principal parts at s = 1 must cancel.  Each circle
     is sampled once: one ``_main_terms`` pass per node serves every alpha."""
     alphas = [Fraction(alpha) for alpha in alphas]
     distinct = list(dict.fromkeys(alphas))
-    main_terms = _main_terms(datum, distinct, k_terms)
+    main_terms = _main_terms(distinct, k_terms)
 
     def differences(s):
         return [zeta2_twist_oracle(s, a) - main for a, main in zip(distinct, main_terms(s))]
 
     reports = [Report(f"transformation-formula polar consistency (alpha={a})") for a in distinct]
     for nu in range(1, min(k_terms - 1, MAX_SHIFT) + 1):
-        for report, c in zip(reports, _laurent_many(differences, 1 - nu, 1, LAURENT_RADIUS,
-                                                    nodes, -1)):
-            report.add_bound(f"contour at s={1 - nu}", "difference has no residue where "
-                             "the shifted twists blow up", abs(2j * mp.pi * c[-1]), tol)
-    for report, c in zip(reports, _laurent_many(differences, 1, 2, LAURENT_RADIUS, 64, 0)):
+        circle = _laurent_many(differences, 1 - nu, 1, LAURENT_RADIUS, nodes, -1)
+        for a, report, c in zip(distinct, reports, circle):
+            report.add_bound(f"contour at s={1 - nu}", f"F(s, {a}) minus its main term has no "
+                             "residue where the shifted twists blow up", abs(2j * mp.pi * c[-1]),
+                             tol)
+    circle = _laurent_many(differences, 1, 2, LAURENT_RADIUS, 64, 0)
+    for a, report, c in zip(distinct, reports, circle):
         for k in (-2, -1):
-            report.add_bound(f"principal c_{k} at s=1", "polar parts of the twist and the "
-                             "main term cancel", abs(c[k]), tol)
+            report.add_bound(f"principal c_{k} at s=1", f"polar parts of F(s, {a}) and its main "
+                             "term cancel", abs(c[k]), tol)
     return [reports[distinct.index(alpha)] for alpha in alphas]
 
 
-def transformation_polar_consistency(datum: FunctionalEquationDatum, alpha, k_terms: int,
-                                     tol=mp.mpf("1e-8"), nodes: int = 32) -> Report:
+def transformation_polar_consistency(alpha, k_terms: int, tol=mp.mpf("1e-8"),
+                                     nodes: int = 32) -> Report:
     """The polar-consistency report of one alpha (see ``transformation_polar_reports``)."""
-    return transformation_polar_reports(datum, [alpha], k_terms, tol, nodes)[0]
+    return transformation_polar_reports([alpha], k_terms, tol, nodes)[0]
 
 
-def identity_reduction_check(
-    datum: FunctionalEquationDatum, n_points: int = 20, tol=mp.mpf("1e-12")
-) -> Report:
+def identity_reduction_check(n_points: int = 20, tol=mp.mpf("1e-12")) -> Report:
     """At alpha = 1 and K = 0 the main term must reproduce the series
     identically (the residual transformation term vanishes for the
     reference instance); sampled on sigma > 1/2 points."""
@@ -596,10 +583,7 @@ def identity_reduction_check(
                    mp.mpf(-3) + mp.mpf(6 * (j // 5)) / 3)
         if abs(s - 1) < mp.mpf("0.1"):
             s += mp.mpc("0.05", "0.21")
-        diff = abs(
-            zeta2_twist_oracle(s, Fraction(1))
-            - transformation_main_term(datum, s, Fraction(1), 0)
-        )
+        diff = abs(zeta2_twist_oracle(s, Fraction(1)) - transformation_main_term(s, Fraction(1), 0))
         worst = max(worst, diff)
     report.add_bound(
         "alpha=1, K=0", "main term reproduces the untwisted series identically", worst, tol

@@ -8,7 +8,9 @@ acceptance suite (pytest does not collect this module).
   accept any admissible w and the suites pick them on the ray arg(w) = 3*pi/4
   scaled by powers of two;
 * the round trip of the additive/multiplicative conversion identity through
-  the continued twists.
+  the continued twists;
+* the invariants of a datum that the transformation formula's general main
+  term reads: conductor, shifted root number and lambda-invariant.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import mpmath as mp
 from twistlab import bernoulli
 from twistlab.exactpoly import GaussianRational, Polynomial
 from twistlab.expansion import a_coeff, c_coeff, q_poly, r_poly
-from twistlab.funceq import FunctionalEquationDatum
+from twistlab.funceq import DatumError, FunctionalEquationDatum, QParam
 from twistlab.special import hurwitz_zeta
 from twistlab.twist import (
     IdentityCheck,
@@ -216,3 +218,71 @@ def reconstruct_additive_twist(s, a: int, p: int) -> IdentityCheck:
     rhs = _conversion_rhs(a, p, character_twists(s, p), zeta2,
                           zeta2 * (1 - mp.power(p, -s)) ** 2)
     return IdentityCheck(zeta2_twist_oracle(s, Fraction(-a, p)), rhs)
+
+
+# ---------------------------------------------------------------------------
+# Invariants of the general main term
+# ---------------------------------------------------------------------------
+
+def q_param_value(q_param: QParam) -> mp.mpf:
+    """Q = coef * pi^pi_exp at the ambient precision."""
+    v = mp.mpmathify(q_param.coef)
+    if q_param.pi_exp:
+        v = v * mp.pi ** mp.mpmathify(q_param.pi_exp)
+    return v
+
+
+def conductor(datum: FunctionalEquationDatum):
+    """(2 pi)^degree * Q^2 * prod lambda_j^(2 lambda_j).
+
+    Returns an exact Fraction when the pi-powers cancel and every
+    2*lambda_j is an integer; otherwise an mpf at the ambient precision.
+    """
+    d = datum.degree()
+    if (
+        d.denominator == 1
+        and d + 2 * datum.q_param.pi_exp == 0
+        and all((2 * f.lam).denominator == 1 for f in datum.factors)
+    ):
+        value = Fraction(2) ** int(d) * datum.q_param.coef**2
+        for f in datum.factors:
+            value *= f.lam ** int(2 * f.lam)
+        return value
+    v = (2 * mp.pi) ** mp.mpmathify(d) * q_param_value(datum.q_param) ** 2
+    for f in datum.factors:
+        lam = mp.mpmathify(f.lam)
+        v *= lam ** (2 * lam)
+    return v
+
+
+def root_number_star(datum: FunctionalEquationDatum):
+    """omega * exp(-i pi (eta+1)/2) * (q/(2 pi)^2)^(i theta/2)
+    * prod lambda_j^(-2 i Im mu_j); requires degree 2.
+
+    Principal branches are used for the two non-elementary powers; they
+    only matter when theta != 0 or some mu_j is non-real, and then the
+    value is an mpc at the ambient precision.
+    """
+    if datum.degree() != 2:
+        raise DatumError("shifted root number needs a degree-2 datum")
+    xi = datum.xi_invariant()
+    eta, theta = xi.re, xi.im
+    if theta == 0 and all(f.mu.im == 0 for f in datum.factors) and (eta + 1).denominator == 1:
+        # exp(-i pi (eta+1)/2) = (-i)^(eta+1)
+        return datum.omega * GaussianRational(0, -1) ** (int(eta + 1) % 4)
+    value = datum.omega.to_mpc() * mp.exp(-1j * mp.pi * (mp.mpmathify(eta) + 1) / 2)
+    if theta != 0:
+        q_f = mp.mpmathify(conductor(datum))
+        value *= mp.exp(1j * (mp.mpmathify(theta) / 2) * mp.log(q_f / (2 * mp.pi) ** 2))
+    for f in datum.factors:
+        if f.mu.im != 0:
+            value *= mp.exp(-2j * mp.mpmathify(f.mu.im) * mp.log(mp.mpmathify(f.lam)))
+    return value
+
+
+def lambda_invariant(datum: FunctionalEquationDatum):
+    """-i * root_number_star; equals 1 for the zeta^2 datum."""
+    w = root_number_star(datum)
+    if isinstance(w, GaussianRational):
+        return GaussianRational(0, -1) * w
+    return -1j * w

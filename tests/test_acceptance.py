@@ -235,12 +235,12 @@ def test_criterion_8_euler_endgame(zeta2):
     )
 
 
-def test_criterion_9_polar_consistency(zeta2):
+def test_criterion_9_polar_consistency():
     ok = True
     for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)):
-        report = transformation_polar_consistency(zeta2, alpha, 8, tol=mp.mpf("1e-8"))
+        report = transformation_polar_consistency(alpha, 8, tol=mp.mpf("1e-8"))
         ok = ok and report.passed
-    reduction = identity_reduction_check(zeta2, n_points=20, tol=mp.mpf("1e-12"))
+    reduction = identity_reduction_check(n_points=20, tol=mp.mpf("1e-12"))
     ok = ok and reduction.passed
     criterion(
         9,

@@ -32,6 +32,8 @@ from twistlab.transform import (
 )
 from twistlab.twist import zeta2_twist_batch, zeta2_twist_oracle
 
+from paper_checks import conductor, lambda_invariant, root_number_star
+
 
 class TestLaurentExtract:
     def test_simple_pole(self):
@@ -150,13 +152,13 @@ class TestMainTerm:
         with mp.workprec(bits):
             points = [mp.mpc("-2.75", "0.25"), mp.mpc(1, "-0.25"), mp.mpc("0.5", 14)]
             for nu in range(9):
-                coeffs = transform._q_coeffs(zeta2, nu, bits)
+                coeffs = transform._q_coeffs(nu, bits)
                 for s in points:
                     value = mp.polyval(coeffs, s)
                     assert value._mpc_ == q_poly(zeta2, nu).eval_mpc(s)._mpc_, (nu, s)
 
-    def test_alpha_one_reduction(self, zeta2):
-        report = identity_reduction_check(zeta2)
+    def test_alpha_one_reduction(self):
+        report = identity_reduction_check()
         assert report.passed
 
     @pytest.mark.parametrize("bits", (64, 128, 256))
@@ -164,17 +166,17 @@ class TestMainTerm:
         with mp.workprec(bits):
             for s in (mp.mpc("1.7", "0.4"), mp.mpc("-2.75", "0.25"), mp.mpc(3)):
                 for alpha in (Fraction(1), Fraction(1, 2), Fraction(2, 3)):
-                    omega_star = scalar_to_mpc(zeta2.root_number_star())
+                    omega_star = scalar_to_mpc(root_number_star(zeta2))
                     theta = mp.mpmathify(zeta2.theta)
-                    base = mp.sqrt(mp.mpmathify(zeta2.conductor())) * mp.mpmathify(alpha)
+                    base = mp.sqrt(mp.mpmathify(conductor(zeta2))) * mp.mpmathify(alpha)
                     want = -1j * omega_star * mp.exp((2 * s - 1 + 1j * theta) * mp.log(base))
-                    got = transformation_prefactor(zeta2, s, alpha)
+                    got = transformation_prefactor(s, alpha)
                     assert got._mpc_ == want._mpc_, (s, alpha)
 
-    def test_prefactor_homogeneity(self, zeta2):
+    def test_prefactor_homogeneity(self):
         s = mp.mpc("1.7", "0.4")
         a1, a2 = Fraction(1, 2), Fraction(3, 4)
-        lhs = transformation_prefactor(zeta2, s, a1) / transformation_prefactor(zeta2, s, a2)
+        lhs = transformation_prefactor(s, a1) / transformation_prefactor(s, a2)
         rhs = mp.exp((2 * s - 1) * mp.log(mp.mpmathify(a1 / a2)))
         assert abs(lhs - rhs) < mp.mpf("1e-30")
 
@@ -185,12 +187,12 @@ class TestMainTerm:
 
         s = mp.mpc(3)
         alpha = Fraction(1, 2)
-        values = {k: transformation_main_term(zeta2, s, alpha, k) for k in range(5, 13)}
+        values = {k: transformation_main_term(s, alpha, k) for k in range(5, 13)}
         print("\nmain-term increment table (K -> K+1):")
         for k in range(5, 12):
             increment = abs(values[k + 1] - values[k])
             predicted = (
-                abs(transformation_prefactor(zeta2, s, alpha))
+                abs(transformation_prefactor(s, alpha))
                 * (mp.mpmathify(alpha) / (2 * mp.pi)) ** (k + 1)
                 * abs(q_poly(zeta2, k + 1).eval_mpc(s))
                 * abs(mp.zeta(s + k + 1) ** 2)
@@ -198,34 +200,36 @@ class TestMainTerm:
             print(f"  K={k}: increment {mp.nstr(increment, 6)}")
             assert abs(increment - predicted) <= mp.mpf("1e-20") * max(1, predicted)
 
-    def test_pole_signal(self, zeta2):
+    def test_pole_signal(self):
         with pytest.raises(PoleError):
-            transformation_main_term(zeta2, mp.mpc(1), Fraction(1, 2), 2)
+            transformation_main_term(mp.mpc(1), Fraction(1, 2), 2)
         with pytest.raises(PoleError):
-            transformation_main_term(zeta2, mp.mpc(-1), Fraction(1, 2), 4)
+            transformation_main_term(mp.mpc(-1), Fraction(1, 2), 4)
 
-    def test_rejects_nonpositive_alpha(self, zeta2):
+    def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
-            transformation_main_term(zeta2, mp.mpc(3), Fraction(-1, 2), 2)
+            transformation_main_term(mp.mpc(3), Fraction(-1, 2), 2)
 
-    def test_rejects_wrong_degree(self):
-        from twistlab.exactpoly import GaussianRational
-        from twistlab.funceq import FunctionalEquationDatum, QParam, factor
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_main_term_is_the_general_formula_at_zeta2(self, zeta2, bits):
+        # the general formula at zeta2's own invariants (q_F = 1, theta = 0,
+        # lambda = 1), within the bound of test_vector_main_terms_match_literal_formula
+        with mp.workprec(bits):
+            for center, radius in ((-3, Fraction(1, 4)), (1, Fraction(1, 8)), (3, 1)):
+                for s in circle_nodes(center, radius, 4):
+                    for alpha in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)):
+                        want, scale = literal_main_term(zeta2, s, alpha, 8)
+                        got = transformation_main_term(s, alpha, 8)
+                        assert abs(got - want) <= scale * mp.mpf(2) ** -(bits - 8), (s, alpha)
 
-        degree_one = FunctionalEquationDatum(
-            QParam.parse("pi^-1/2"), GaussianRational(1), (factor(Fraction(1, 2)),)
-        )
-        with pytest.raises(ValueError):
-            transformation_main_term(degree_one, mp.mpc(3), Fraction(1, 2), 2)
 
-
-def scalar_polar_values(datum, alpha, k_terms):
+def scalar_polar_values(alpha, k_terms):
     """The per-alpha reference route: one closure D(s) = F(s, alpha) -
     main_term(s) per alpha, through the scalar contour_integral and
     laurent_extract; (record name, measured value) in report order."""
 
     def difference(s):
-        return zeta2_twist_oracle(s, alpha) - transformation_main_term(datum, s, alpha, k_terms)
+        return zeta2_twist_oracle(s, alpha) - transformation_main_term(s, alpha, k_terms)
 
     values = [
         (f"contour at s={1 - nu}", abs(contour_integral(difference, center=1 - nu, nodes=32)))
@@ -236,16 +240,22 @@ def scalar_polar_values(datum, alpha, k_terms):
 
 
 def literal_main_term(datum, s, alpha, k_terms):
-    """prefactor * sum_nu (i alpha / 2 pi)^nu Q_nu(s) F(s + nu, -1/alpha) term
-    by term, with Horner's Q_nu (q_F = 1 and theta = 0 for zeta2); returns
-    the value and its rounding scale, the same sum with |Q_nu(s)| replaced
-    by sum_j |q_j| |s|^j and every other factor by its absolute value."""
-    prefactor = transformation_prefactor(datum, s, alpha)
-    ratio = 1j * mp.mpmathify(alpha) / (2 * mp.pi)
+    """The general main term lambda (sqrt(q_F) alpha)^(2s - 1 + i theta)
+    * sum_nu (i q_F alpha / 2 pi)^nu Q_nu(s) Fbar(s + nu + i theta, -1/(q_F alpha))
+    term by term, with the datum's invariants (lambda = -i omega*, exact q_F)
+    and Horner's Q_nu; Fbar = F is the divisor-twist oracle.  Returns the
+    value and its rounding scale, the same sum with |Q_nu(s)| replaced by
+    sum_j |q_j| |s|^j and every other factor by its absolute value."""
+    q_f, theta = conductor(datum), mp.mpmathify(datum.theta)
+    base = mp.sqrt(mp.mpmathify(q_f)) * mp.mpmathify(alpha)
+    prefactor = scalar_to_mpc(lambda_invariant(datum)) * mp.exp(
+        (2 * s - 1 + 1j * theta) * mp.log(base))
+    ratio = 1j * mp.mpmathify(q_f * alpha) / (2 * mp.pi)
     value = scale = 0
     for nu in range(k_terms + 1):
         q = q_poly(datum, nu)
-        outer = prefactor * ratio**nu * zeta2_twist_oracle(s + nu, Fraction(-1) / alpha)
+        outer = prefactor * ratio**nu * zeta2_twist_oracle(s + nu + 1j * theta,
+                                                           Fraction(-1) / (q_f * alpha))
         value += outer * q.eval_mpc(s)
         scale += abs(outer) * mp.fsum(abs(scalar_to_mpc(c)) * abs(s) ** j
                                       for j, c in enumerate(q.coeffs))
@@ -261,14 +271,14 @@ class TestPolarConsistency:
     # mixes beta = -1/alpha mod 1 = 0 (1/2, 1/3) with beta = 1/2 (2/3), and a duplicate
     ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 2))
 
-    def test_alpha_half_at_tight_tolerance(self, zeta2):
+    def test_alpha_half_at_tight_tolerance(self):
         report = transformation_polar_consistency(
-            zeta2, Fraction(1, 2), 6, tol=mp.mpf("1e-10"), nodes=16
+            Fraction(1, 2), 6, tol=mp.mpf("1e-10"), nodes=16
         )
         assert report.passed
         assert len(report.records) == 6  # four circles + two principal parts
 
-    def test_vector_route_matches_per_alpha_scalar_route(self, zeta2):
+    def test_vector_route_matches_per_alpha_scalar_route(self):
         # The routes differ at most in how D(s) rounds.  On these circles the
         # main term's rounding scale (see literal_main_term) stays below 2^12
         # (at most about 3.9e3) and _main_terms rounds within 2^5 2^-prec of
@@ -278,10 +288,10 @@ class TestPolarConsistency:
         # at most 2^-(prec-19).  The records print 6 digits: add 1e-5 of the
         # value.
         bound = mp.mpf(2) ** -(mp.mp.prec - 19)
-        reports = transformation_polar_reports(zeta2, self.ALPHAS, 8)
+        reports = transformation_polar_reports(self.ALPHAS, 8)
         assert len(reports) == len(self.ALPHAS)
         for alpha, report in zip(self.ALPHAS, reports):
-            want = scalar_polar_values(zeta2, alpha, 8)
+            want = scalar_polar_values(alpha, 8)
             assert report.title == f"transformation-formula polar consistency (alpha={alpha})"
             assert [r.name for r in report.records] == [name for name, _ in want]
             for record, (name, value) in zip(report.records, want):
@@ -295,7 +305,7 @@ class TestPolarConsistency:
         # (2d + 1) 2^-prec of sum_j |q_j| |s|^j; the products and the 9-term
         # sums add about 12 roundings more, so the routes agree within
         # 2^-(prec-8) of the rounding scale (measured: below 4 2^-prec)
-        main_terms = transform._main_terms(zeta2, self.ALPHAS, 8)
+        main_terms = transform._main_terms(self.ALPHAS, 8)
         for center, radius in ((-3, Fraction(1, 4)), (0, Fraction(1, 4)), (1, Fraction(1, 8))):
             for s in circle_nodes(center, radius, 8):
                 for alpha, got in zip(self.ALPHAS, main_terms(s)):
@@ -309,7 +319,7 @@ class TestPolarConsistency:
         # about (2d + 1) 2^-prec of the same sum, so the routes agree within
         # 2^-(prec-7) of it.  Nodes reach |s| = 3.25 on the circle at s = -3.
         with mp.workprec(bits):
-            table = [transform._q_coeffs(zeta2, nu, bits) for nu in range(17)]
+            table = [transform._q_coeffs(nu, bits) for nu in range(17)]
             for center in (1, 0, -1, -2, -3):
                 for s in circle_nodes(center, Fraction(1, 4), 8):
                     for nu, got in enumerate(transform._q_values(table, s)):
@@ -318,7 +328,7 @@ class TestPolarConsistency:
                         want = q_poly(zeta2, nu).eval_mpc(s)
                         assert abs(got - want) <= scale * mp.mpf(2) ** -(bits - 7), (s, nu)
 
-    def test_one_main_term_pass_per_node(self, zeta2, monkeypatch):
+    def test_one_main_term_pass_per_node(self, monkeypatch):
         # alphas 1/2 and 1/3 share beta = 0: per node, Q_0..Q_8 come from one
         # _q_values call and each conjugate twist F(s + nu, 0) is requested
         # once, not once per alpha; F(s, alpha) once per alpha.  A request is
@@ -336,7 +346,7 @@ class TestPolarConsistency:
 
         monkeypatch.setattr(transform, "_q_values", counted_q_values)
         monkeypatch.setattr(transform, "zeta2_twist_oracle", counted_oracle)
-        reports = transformation_polar_reports(zeta2, (Fraction(1, 2), Fraction(1, 3)), 8)
+        reports = transformation_polar_reports((Fraction(1, 2), Fraction(1, 3)), 8)
         assert all(report.passed for report in reports)
         assert len(nodes) == 4 * 32 + 64
         assert set(requests.values()) == {1}
@@ -467,7 +477,7 @@ class TestLaurentLaws:
     def test_lambda_reality_chain(self, zeta2, table):
         # alpha_F = lambda_F conj(alpha_F) with lambda_F = 1
         alpha_f = table[(1, 1)][-2]
-        lam = zeta2.lambda_invariant()
+        lam = lambda_invariant(zeta2)
         assert lam == 1
         assert abs(alpha_f - mp.conj(alpha_f)) < mp.mpf("1e-12")
         assert abs(table[(1, 1)][-3]) < mp.mpf("1e-10")
@@ -666,6 +676,29 @@ class TestGrowthCertificate:
                     continue
                 assert cert.passed, (alpha, cert.slope)
         assert refused == rejected
+
+    @pytest.mark.parametrize("t", (0, mp.mpf("1e-4"), mp.mpf("1e-2")))
+    @pytest.mark.parametrize("sigmas", ((-11, -15, -25), (-12, -16, -26)))
+    def test_near_a_lost_leading_term_passes_or_is_rejected(self, sigmas, t):
+        # a rule for the exact zeros of S alone let t = 1e-4 through, where
+        # F(s, 1/4) on the odd grid failed at the correct h with slope -0.616
+        for q in range(1, 9):
+            for alpha in [Fraction(b, q) for b in range(1, q + 1) if gcd(b, q) == 1]:
+                try:
+                    cert = growth_certificate(alpha, q * q, t=t, sigmas=sigmas)
+                except ValueError as exc:
+                    assert "loses its leading term" in str(exc), alpha
+                    continue
+                assert cert.passed, (alpha, t, cert.slope)
+
+    @pytest.mark.parametrize("q", (1, 4))
+    def test_verdict_does_not_depend_on_grid_order(self, q):
+        # the trend check compared the last sigma's trend with the first's, so
+        # (-40, -30, -20, -10) failed at the correct h with the passing slopes
+        orders = ((-10, -20, -30, -40), (-40, -30, -20, -10), (-30, -10, -40, -20))
+        certs = [growth_certificate(Fraction(1, q), q * q, t=5, sigmas=o) for o in orders]
+        assert all(cert.passed for cert in certs)
+        assert len({cert.slope for cert in certs}) == 1
 
     @pytest.mark.parametrize("h", (0, -4, Fraction(-1, 2)))
     def test_rejects_nonpositive_h(self, h):
