@@ -13,7 +13,7 @@ euler       Euler-factor reconstruction at s=1 per prime plus the forced
 twist-grid  CSV of twist values over an s-grid and a list of rational twists
 
 verify, euler and twist-grid evaluate zeta(s)^2 only (--instance zeta2); polys
-takes any datum.
+takes any degree-2 datum.
 
 Configuration comes from an optional JSON file (--config) with the same keys
 as the flags; explicit flags win.  Reports are deterministic: a fixed config
@@ -114,11 +114,21 @@ class RunConfig:
                 raise ValueError(f"out must name a directory, but {str(existing)!r} is not one")
         if command == "verify" and any(alpha <= 0 for alpha in self.alpha_fractions):
             raise ValueError(f"alphas must be positive for verify, got {self.alphas!r}")
+        # twists mod q take q Hurwitz values, and verify also reads beta = -1/alpha,
+        # whose denominator is alpha's numerator
+        terms = "numerator and denominator" if command == "verify" else "denominator"
+        for raw, alpha in zip(self.alphas, self.alpha_fractions):
+            if max(alpha.denominator, alpha.numerator if command == "verify" else 0) > 1000:
+                raise ValueError(f"alphas must have {terms} at most 1000, got {raw!r}; "
+                                 "write a decimal such as 0.1 as the fraction 1/10")
         if self.growth_h_fraction is not None and self.growth_h_fraction <= 0:
             raise ValueError(f"growth_h must be positive, got {self.growth_h!r}")
         if command == "twist-grid" and self.t_value == 0 and 1 in self.sigma_grid:
             raise ValueError("twist-grid cannot evaluate s = 1, the double pole of zeta(s)^2")
-        self.datum  # noqa: B018 -- a missing or malformed instance reports its own error
+        # a missing or malformed instance reports its own error; Q/R/V are degree 2's
+        if (degree := self.datum.degree()) != 2:
+            raise ValueError(f"the transformation polynomials need a degree-2 datum, got "
+                             f"degree {degree}")
         return self
 
     @cached_property
@@ -171,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--instance",
         help="functional-equation instance: 'zeta2' or a JSON datum path "
-        "(polys only; verify, euler and twist-grid take zeta2 only)",
+        "(polys: any degree-2 datum; verify, euler and twist-grid take zeta2 only)",
     )
     parser.add_argument("--K", dest="k_terms", type=int, help="truncation order (<= 16)")
     parser.add_argument("--qmax", dest="q_max", type=int, help="largest twist denominator (<= 24)")

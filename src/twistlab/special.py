@@ -62,8 +62,8 @@ def hurwitz_parameters(q: int, prec: int) -> tuple:
 
 
 #: Distinct Hurwitz values kept, about 0.5 kB each: `verify` at its defaults
-#: keeps 2 168, and the two 64-node circles of its largest character check
-#: (mod 13) take 1 664.
+#: keeps 1 052, and the 16 square-law nodes of its largest character check
+#: (mod 13) take 208.
 _HURWITZ_CACHE_SIZE = 1 << 13
 
 
@@ -79,7 +79,7 @@ _SERIES_GUARD = 20
 
 #: Series kept, one per (center, a, precision), about 2.5 kB each at 128
 #: bits: every numerator of every q <= 24 at s = 1 plus a few alphas' polar
-#: centers fit; `verify` at its defaults builds 34.
+#: centers fit; `verify` at its defaults builds 40.
 @lru_cache(maxsize=512)
 def _hurwitz_series(c: int, a_mpf: tuple, prec: int) -> tuple:
     """(wp, L_N, coeffs): zeta(c+x, a) = E(x) + (N+a)^(1-s)/(s-1) within

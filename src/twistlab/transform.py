@@ -5,27 +5,23 @@ Euler-factor reconstruction at s = 1 and the forced local-factor shape,
 the local-degree bound, the left-half-plane growth certificate, and the
 polar-consistency checks of the transformation formula.
 
-The Laurent data of the divisor twists F(s, b/q) at s = 1, which serve both
-Laurent laws and the Euler solve, are closed form (``twist._laurent_at_1``):
-the twists' one pair sum over the Hurwitz series at s = 1 (the generalized
-Stieltjes constants), rounded once per group and per root sum; no contour.
-Every other Laurent coefficient and closed contour integral comes
-from one core that averages over one circle by the trapezoid rule, which
-converges geometrically for functions analytic in an annulus, so
-node-halving disagreement flags insufficient analyticity; only a record that
-reads the cross-radius disagreement samples a second circle, of half the
-radius.  The core takes a vector-valued function, so a single batched twist
-evaluation per node serves every character twist mod p.  Likewise one
+The Laurent data of the divisor twists F(s, b/q) at s = 1 are closed form
+(``twist._laurent_at_1``): the twists' one pair sum over the Hurwitz series at
+s = 1 (the generalized Stieltjes constants), rounded once per group and per
+root sum.  They serve both Laurent laws, the Euler solve, the character twists
+(whose c_k are the character combination of those of F(s, b/p)) and the
+principal parts of the polar check; no circle about s = 1 is sampled.  The
+residue contours at s = 1 - nu average a vector-valued function over one circle
+by the trapezoid rule, which converges geometrically for functions analytic in
+an annulus, so node-halving disagreement flags insufficient analyticity.  One
 main-term pass per node (every Q_nu(s) from one table of powers of s, each
-conjugate twist once per distinct beta) serves every alpha of the
-polar-consistency check."""
+conjugate twist once per distinct beta) serves every alpha there."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import gcd
 
 import mpmath as mp
@@ -36,12 +32,12 @@ from .exactpoly import scalar_to_mpc
 from .funceq import zeta2_datum
 from .reports import Report
 from .special import PoleError, characters_mod, dirichlet_l, roots_of_unity
-from .twist import _laurent_at_1, character_twists, reduce_mod_one, zeta2_twist_oracle
+from .twist import (_laurent_at_1, character_twists, reduce_mod_one, zeta2_twist_batch,
+                    zeta2_twist_oracle)
 
 
-LAURENT_RADIUS = Fraction(1, 4)  # contour radius; a cross-radius check adds radius/2
+LAURENT_RADIUS = Fraction(1, 4)  # contour radius; laurent_extract also reads radius/2
 LAURENT_NODES = 128
-CHI_NODES = 64  # a multiple of 8: the square law reads 8 evenly spaced nodes
 PAIR_TOL = mp.mpf("1e-10")  # agreement across numerators and reality of beta
 MAX_SHIFT = 4  # polar consistency checks the shifted poles s = 0..1-MAX_SHIFT
 PARTIAL_DEGREE_MAX = 2  # the degree of F caps every local partial degree
@@ -278,35 +274,33 @@ def verify_beta_law(table: dict, tol=mp.mpf("1e-8")) -> Report:
 
 
 def verify_chi_holomorphy(p: int, tol=mp.mpf("1e-15")) -> Report:
-    """Character twists of zeta(s)^2 are holomorphic at s = 1:
-    for every non-principal chi mod p the contour integral and extracted
-    principal-part coefficients vanish, and the assembled twist agrees with
-    L(s, chi)^2 on the circle."""
+    """Character twists of zeta(s)^2 are holomorphic at s = 1: for every
+    non-principal chi mod p, c_-2 and c_-1 of F(s, chi) there, the character
+    combination of the closed-form Laurent data of F(s, b/p), vanish (c_-1 also
+    at 64 more bits), and the assembled twist agrees with L(s, chi)^2 at 8
+    nodes on each circle of radius 1/4 and 1/8 about s = 1."""
     report = Report(f"character-twist holomorphy at s=1 (mod {p})")
     chars = characters_mod(p, include_principal=False)
+    laurent = _laurent_at_1(p, range(p))
+    polar = [character_twists([c[k] for c in laurent], p) for k in (-2, -1)]
+    with mp.workprec(mp.mp.prec + 64):
+        shadow = character_twists([c[-1] for c in _laurent_at_1(p, range(p))], p)
     l_mismatch = [mp.mpf(0)] * len(chars)
-    node = count()
-
-    def assembled(s):
-        values = character_twists(s, p)
-        # _laurent_many calls f in node order, and the circles run one after
-        # the other; the square law reads 8 evenly spaced nodes of each
-        if next(node) % (CHI_NODES // 8) == 0:
-            for i, chi in enumerate(chars):
-                l_mismatch[i] = max(l_mismatch[i], abs(values[i] - dirichlet_l(s, chi) ** 2))
-        return values
-
-    outer, inner = (_laurent_many(assembled, 1, 2, radius, CHI_NODES, 0)
-                    for radius in (LAURENT_RADIUS, LAURENT_RADIUS / 2))
-    for chi, c, c_inner, mismatch in zip(chars, outer, inner, l_mismatch):
+    for r in (LAURENT_RADIUS, LAURENT_RADIUS / 2):
+        for s in (mp.mpc(1) + mp.mpmathify(r) * w for w in roots_of_unity(8, mp.mp.prec)):
+            for i, value in enumerate(character_twists(zeta2_twist_batch(s, p), p)):
+                l_mismatch[i] = max(l_mismatch[i], abs(value - dirichlet_l(s, chars[i]) ** 2))
+    for chi, c_m2, c_m1, c_m1_shadow, mismatch in zip(chars, *polar, shadow, l_mismatch):
         label = f"chi_{chi.index} mod {p}"
-        for name, measured in (
-            (f"contour integral ({label})", abs(2j * mp.pi * c[-1])),
-            (f"c_-1 ({label})", abs(c[-1])),
-            (f"c_-2 ({label})", abs(c[-2])),
-            (f"c_-1 cross-radius ({label})", abs(c[-1] - c_inner[-1])),
+        for name, claim, measured in (
+            (f"contour integral ({label})", "the residue 2 pi i c_-1 vanishes", 2 * mp.pi * c_m1),
+            (f"c_-1 ({label})", "c_-1 vanishes", c_m1),
+            (f"c_-2 ({label})", "c_-2 vanishes", c_m2),
+            (f"c_-1 cross-radius ({label})", "c_-1 agrees with its value at 64 more bits",
+             c_m1 - c_m1_shadow),
         ):
-            report.add_bound(name, "character twist has no pole at s=1", measured, tol)
+            report.add_bound(name, f"character twist has no pole at s=1: {claim}", abs(measured),
+                             tol)
         report.add_bound(
             f"square law ({label})",
             "assembled twist equals the squared L-function on the circle",
@@ -542,8 +536,11 @@ def transformation_polar_reports(alphas, k_terms: int, tol=mp.mpf("1e-8"),
                                  nodes: int = 32) -> list[Report]:
     """One report per alpha, in order: D(s) = F(s, alpha) - main_term(s) must
     be holomorphic at s = 1 - nu (the divisibility of Q_nu kills the shifted
-    twist poles) and its principal parts at s = 1 must cancel.  Each circle
-    is sampled once: one ``_main_terms`` pass per node serves every alpha."""
+    twist poles), on one circle each, where one ``_main_terms`` pass per node
+    serves every alpha; and its principal parts at s = 1 must cancel.  There,
+    with Q_0 = 1, only the nu = 0 term alpha^(2s - 1) F(s, beta) is singular,
+    and alpha^(1 + 2x) = alpha (1 + 2x log alpha + ...), so c_-2 and c_-1 of D
+    come from ``_laurent_at_1`` at alpha mod 1 and at beta = -1/alpha mod 1."""
     alphas = [Fraction(alpha) for alpha in alphas]
     distinct = list(dict.fromkeys(alphas))
     main_terms = _main_terms(distinct, k_terms)
@@ -558,11 +555,13 @@ def transformation_polar_reports(alphas, k_terms: int, tol=mp.mpf("1e-8"),
             report.add_bound(f"contour at s={1 - nu}", f"F(s, {a}) minus its main term has no "
                              "residue where the shifted twists blow up", abs(2j * mp.pi * c[-1]),
                              tol)
-    circle = _laurent_many(differences, 1, 2, LAURENT_RADIUS, 64, 0)
-    for a, report, c in zip(distinct, reports, circle):
-        for k in (-2, -1):
-            report.add_bound(f"principal c_{k} at s=1", f"polar parts of F(s, {a}) and its main "
-                             "term cancel", abs(c[k]), tol)
+    for a, report in zip(distinct, reports):
+        own, conj = (_laurent_at_1(b.denominator, [b.numerator])[0]
+                     for b in (reduce_mod_one(a), reduce_mod_one(-1 / a)))
+        x = mp.mpmathify(a)
+        for k, main in ((-2, x * conj[-2]), (-1, x * (conj[-1] + 2 * mp.log(x) * conj[-2]))):
+            report.add_bound(f"principal c_{k} at s=1", f"closed-form polar parts of F(s, {a}) "
+                             "and its main term cancel", abs(own[k] - main), tol)
     return [reports[distinct.index(alpha)] for alpha in alphas]
 
 

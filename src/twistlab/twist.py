@@ -370,12 +370,12 @@ def _character_weights(p: int, prec: int) -> tuple[tuple, tuple]:
         return rows, tuple(gauss_sum(chi_bar) for chi_bar in bars)
 
 
-def character_twists(s, p: int) -> list[mp.mpc]:
-    """F(s, chi) = tau(conj chi)^-1 sum_a conj chi(a) F(s, -a/p) for every
-    non-principal chi mod p, in `characters_mod` order, from one batch of the
-    continued twists mod p (any s != 1)."""
+def character_twists(twists, p: int) -> list[mp.mpc]:
+    """tau(conj chi)^-1 sum_a conj chi(a) twists[-a mod p] for every non-principal chi
+    mod p, in `characters_mod` order, where twists[b] stands for F(., b/p), b = 0..p-1.
+    The map is linear: ``zeta2_twist_batch(s, p)`` gives F(s, chi) (any s != 1), and
+    the c_k of ``_laurent_at_1(p, range(p))`` give c_k of F(s, chi) at s = 1."""
     rows, taus = _character_weights(p, mp.mp.prec)
-    twists = zeta2_twist_batch(s, p)  # F(s, b/p) for b = 0..p-1
     reflected = [twists[-a % p] for a in range(1, p + 1)]
     return [mp.fdot(row, reflected) / tau for row, tau in zip(rows, taus)]
 

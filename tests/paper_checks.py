@@ -29,6 +29,7 @@ from twistlab.twist import (
     IdentityCheck,
     _conversion_rhs,
     character_twists,
+    zeta2_twist_batch,
     zeta2_twist_oracle,
 )
 
@@ -215,7 +216,7 @@ def reconstruct_additive_twist(s, a: int, p: int) -> IdentityCheck:
     the oracle value directly."""
     s = mp.mpc(s)
     zeta2 = hurwitz_zeta(s, 1) ** 2
-    rhs = _conversion_rhs(a, p, character_twists(s, p), zeta2,
+    rhs = _conversion_rhs(a, p, character_twists(zeta2_twist_batch(s, p), p), zeta2,
                           zeta2 * (1 - mp.power(p, -s)) ** 2)
     return IdentityCheck(zeta2_twist_oracle(s, Fraction(-a, p)), rhs)
 

@@ -197,6 +197,14 @@ class TestBadAlphas:
         assert err.startswith("config error: alphas must be rationals")
 
 
+def test_alpha_denominators_up_to_1000_run(capsys):
+    # only verify reads beta = -1/alpha, whose denominator is alpha's numerator
+    code, out = run_cli(capsys, "--sigma-grid", "2", "--t", "0", "--alphas", "1/1000,1001/2",
+                        "twist-grid")
+    assert code == 0
+    assert [row.split(",")[2] for row in out.splitlines()[1:]] == ["1/1000", "1/2"]
+
+
 class TestBadNumbers:
     @pytest.mark.parametrize(
         "option, command, message",
@@ -312,6 +320,36 @@ class TestRejectedBeforeAnyTwist:
         out, err = capsys.readouterr()
         assert code == 2 and out == "", (argv, out)
         return err
+
+    @pytest.mark.parametrize("argv", [
+        ("--sigma-grid", "2", "--t", "0", "--alphas", "1e-300", "twist-grid"),
+        ("--qmax", "1", "--primes", "2", "--alphas", "1/2,1e-300", "verify"),
+        ("--alphas", "1001/2", "verify"),  # beta = -1/alpha has denominator 1001
+    ])
+    def test_huge_alpha_denominator(self, capsys, argv):
+        # a twist mod q takes q Hurwitz values: the first two ran past 10 s
+        err = self.rejected(capsys, *argv)
+        assert err.startswith("config error: alphas must have") and "fraction 1/10" in err
+
+    @pytest.mark.parametrize("command", ["twist-grid", "verify"])
+    def test_float_alpha_in_config_file(self, capsys, tmp_path, command):
+        # JSON's 0.1 is the binary fraction 3602879701896397/2^55
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"alphas": [0.1]}))
+        err = self.rejected(capsys, "--config", str(cfg), command)
+        terms = "numerator and denominator" if command == "verify" else "denominator"
+        assert err == (f"config error: alphas must have {terms} at most 1000, got 0.1; "
+                       "write a decimal such as 0.1 as the fraction 1/10\n")
+
+    @pytest.mark.parametrize("factors", [1, 4])
+    def test_datum_of_degree_other_than_2(self, capsys, tmp_path, factors):
+        # the Q/R/V apparatus is the degree-2 formula: polys printed FAILs for these
+        datum = tmp_path / "datum.json"
+        datum.write_text(json.dumps({"Q": "pi^-1/2", "factors": [{"lambda": "1/2"}] * factors,
+                                     "pole_order": factors}))
+        err = self.rejected(capsys, "--instance", str(datum), "polys")
+        assert err == ("config error: the transformation polynomials need a degree-2 datum, "
+                       f"got degree {factors}\n")
 
     def test_wrong_instance_rejected(self, capsys, tmp_path):
         # the twists, the Laurent laws and the Euler factors are those of

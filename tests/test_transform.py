@@ -5,7 +5,7 @@ from math import gcd
 import mpmath as mp
 import pytest
 
-from twistlab import special, transform, twist
+from twistlab import cli, special, transform, twist
 from twistlab.exactpoly import scalar_to_mpc
 from twistlab.expansion import q_poly
 from twistlab.special import PoleError
@@ -30,7 +30,7 @@ from twistlab.transform import (
     verify_beta_law,
     verify_chi_holomorphy,
 )
-from twistlab.twist import zeta2_twist_batch, zeta2_twist_oracle
+from twistlab.twist import character_twists, zeta2_twist_batch, zeta2_twist_oracle
 
 from paper_checks import conductor, lambda_invariant, root_number_star
 
@@ -224,19 +224,17 @@ class TestMainTerm:
 
 
 def scalar_polar_values(alpha, k_terms):
-    """The per-alpha reference route: one closure D(s) = F(s, alpha) -
-    main_term(s) per alpha, through the scalar contour_integral and
-    laurent_extract; (record name, measured value) in report order."""
+    """The per-alpha reference route of the s = 1 - nu records: one closure
+    D(s) = F(s, alpha) - main_term(s) per alpha, through the scalar
+    contour_integral; (record name, measured value) in report order."""
 
     def difference(s):
         return zeta2_twist_oracle(s, alpha) - transformation_main_term(s, alpha, k_terms)
 
-    values = [
+    return [
         (f"contour at s={1 - nu}", abs(contour_integral(difference, center=1 - nu, nodes=32)))
         for nu in range(1, min(k_terms - 1, transform.MAX_SHIFT) + 1)
     ]
-    expansion = laurent_extract(difference, center=1, max_pole_order=2, nodes=64, k_max=0)
-    return values + [(f"principal c_{k} at s=1", abs(expansion.coefficient(k))) for k in (-2, -1)]
 
 
 def literal_main_term(datum, s, alpha, k_terms):
@@ -279,6 +277,8 @@ class TestPolarConsistency:
         assert len(report.records) == 6  # four circles + two principal parts
 
     def test_vector_route_matches_per_alpha_scalar_route(self):
+        # The s = 1 - nu records; the principal parts at s = 1 follow them and
+        # are held against a contour in TestClosedFormLaurent.
         # The routes differ at most in how D(s) rounds.  On these circles the
         # main term's rounding scale (see literal_main_term) stays below 2^12
         # (at most about 3.9e3) and _main_terms rounds within 2^5 2^-prec of
@@ -293,7 +293,8 @@ class TestPolarConsistency:
         for alpha, report in zip(self.ALPHAS, reports):
             want = scalar_polar_values(alpha, 8)
             assert report.title == f"transformation-formula polar consistency (alpha={alpha})"
-            assert [r.name for r in report.records] == [name for name, _ in want]
+            assert [r.name for r in report.records] == [name for name, _ in want] + [
+                "principal c_-2 at s=1", "principal c_-1 at s=1"]
             for record, (name, value) in zip(report.records, want):
                 assert record.passed
                 assert abs(mp.mpf(record.measured) - value) <= bound + value * mp.mpf("1e-5"), (
@@ -348,7 +349,7 @@ class TestPolarConsistency:
         monkeypatch.setattr(transform, "zeta2_twist_oracle", counted_oracle)
         reports = transformation_polar_reports((Fraction(1, 2), Fraction(1, 3)), 8)
         assert all(report.passed for report in reports)
-        assert len(nodes) == 4 * 32 + 64
+        assert len(nodes) == 4 * 32  # the principal parts at s = 1 are closed form
         assert set(requests.values()) == {1}
         alphas = Counter(alpha for _, _, alpha in requests)
         assert alphas == {0: len(nodes) * 9, Fraction(1, 2): len(nodes), Fraction(1, 3): len(nodes)}
@@ -365,9 +366,9 @@ def table():
 
 
 def contour_bound(c):
-    """Closed form against a 128-node contour of radius 1/4 at s = 1: F grows
-    like 1/r^2 = 16 on the circle, so the contour's rounding alone reaches a
-    few ulps of c_0; its aliasing is far smaller."""
+    """Closed form against a 64- or 128-node contour of radius 1/4 at s = 1: F
+    grows like 1/r^2 = 16 on the circle, so the contour's rounding alone
+    reaches a few ulps of c_0; its aliasing is far smaller."""
     return mp.mpf(2) ** -(mp.mp.prec - 10) * max(1, abs(c))
 
 
@@ -438,6 +439,49 @@ class TestClosedFormLaurent:
                         for u in range(1, q + 1) for v in range(1, q + 1)) / q ** 2
                     assert abs(c[0] - want) <= laurent_bound(want, q, prec), (q, a)
 
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_character_twists_match_contour(self, bits):
+        # c_k of F(s, chi) as verify_chi_holomorphy reads them: the character
+        # combination of the closed-form c_k of F(s, b/p)
+        with mp.workprec(bits):
+            for p in (3, 5, 7, 11, 13):
+                contours = transform._laurent_many(
+                    lambda s: character_twists(zeta2_twist_batch(s, p), p),
+                    1, 2, Fraction(1, 4), 64, 0)
+                laurent = transform._laurent_at_1(p, range(p))
+                closed = {k: character_twists([c[k] for c in laurent], p) for k in (-2, -1, 0)}
+                for i, want in enumerate(contours):
+                    for k, got in closed.items():
+                        assert abs(got[i] - want[k]) <= contour_bound(got[i]), (bits, p, i, k)
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_principal_parts_match_contour(self, bits):
+        # both sides of D(s) = F(s, alpha) - main term at s = 1: F's c_k from
+        # _laurent_at_1 at alpha, and the main term's from alpha^(2s - 1)
+        # F(s, beta) (Q_0 = 1), alpha^(1 + 2x) = alpha (1 + 2x log alpha); the
+        # principal records print |c_k(D)| to 6 digits
+        alphas = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2)]
+        with mp.workprec(bits):
+            assert transform._q_coeffs(0, bits) == (1,)
+            reports = transformation_polar_reports(alphas, 8)
+            for alpha, report in zip(alphas, reports):
+                main_terms = transform._main_terms([alpha], 8)
+                twist_contour, main_contour = transform._laurent_many(
+                    lambda s: [zeta2_twist_oracle(s, alpha), main_terms(s)[0]],
+                    1, 2, Fraction(1, 4), 64, 0)
+                (own,), (conj,) = (
+                    transform._laurent_at_1(b.denominator, [b.numerator])
+                    for b in (twist.reduce_mod_one(alpha), twist.reduce_mod_one(-1 / alpha)))
+                x = mp.mpmathify(alpha)
+                main = {-2: x * conj[-2], -1: x * (conj[-1] + 2 * mp.log(x) * conj[-2])}
+                records = {r.name: mp.mpf(r.measured) for r in report.records}
+                for k in (-2, -1):
+                    assert abs(own[k] - twist_contour[k]) <= contour_bound(own[k]), (alpha, k)
+                    assert abs(main[k] - main_contour[k]) <= contour_bound(main[k]), (alpha, k)
+                    contour = abs(twist_contour[k] - main_contour[k])
+                    assert abs(records[f"principal c_{k} at s=1"] - contour) <= (
+                        contour_bound(own[k]) + contour * mp.mpf("1e-5")), (alpha, k)
+
     def test_second_table_builds_no_series(self):
         twist_laurent_table(24)
         misses = special._hurwitz_series.cache_info().misses
@@ -495,21 +539,22 @@ def refuse(*args):
 
 
 def count_batches(monkeypatch):
-    """Count zeta2_twist_batch calls, by q."""
+    """Count zeta2_twist_batch calls, by q, from twist and from transform."""
     calls, batch = Counter(), twist.zeta2_twist_batch
 
     def counted(s, q):
         calls[q] += 1
         return batch(s, q)
 
-    monkeypatch.setattr(twist, "zeta2_twist_batch", counted)
+    for module in (twist, transform):
+        monkeypatch.setattr(module, "zeta2_twist_batch", counted)
     return calls
 
 
 class TestOneCirclePerExtraction:
-    # the second radius is sampled only where a record reads it: the
-    # cross-radius record of verify_chi_holomorphy; the Laurent table and
-    # the Euler solve sample no circle, reading s = 1 in closed form
+    # no command samples a circle about s = 1: the Laurent table, the Euler
+    # solve, the character twists and the polar parts there read s = 1 in
+    # closed form; only the square law samples 8 nodes on each of two circles
 
     def test_laurent_table(self, monkeypatch):
         calls = count_batches(monkeypatch)
@@ -526,7 +571,18 @@ class TestOneCirclePerExtraction:
     def test_chi_holomorphy_samples_two_circles(self, monkeypatch):
         calls = count_batches(monkeypatch)
         verify_chi_holomorphy(5)
-        assert calls == {5: 2 * 64}
+        assert calls == {5: 2 * 8}
+
+    def test_verify_samples_no_circle_at_1(self, monkeypatch, capsys):
+        contour = transform._laurent_many
+
+        def away_from_1(f, center, *args):
+            assert center != 1, "a contour about s = 1 was sampled"
+            return contour(f, center, *args)
+
+        monkeypatch.setattr(transform, "_laurent_many", away_from_1)
+        assert cli.main(["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3"]) == 0
+        assert "-- 57 checks, 0 failed --" in capsys.readouterr().out
 
 
 class TestEulerEndgame:

@@ -238,7 +238,7 @@ class TestMultiplicativeConversion:
                 for s in (mp.mpc(1, "0.25"), mp.mpc("0.5", 14)):
                     for p in (3, 5, 7, 11, 13):
                         chars = characters_mod(p, include_principal=False)
-                        values = character_twists(s, p)
+                        values = character_twists(zeta2_twist_batch(s, p), p)
                         assert len(values) == len(chars) == p - 2
                         for chi, value in zip(chars, values):
                             target = dirichlet_l(s, chi) ** 2
@@ -249,11 +249,32 @@ class TestMultiplicativeConversion:
         # weights cached at 256 bits would round the 128-bit sums differently
         s = mp.mpc(2, 1)
         twist._character_weights.cache_clear()
-        alone = [v._mpc_ for v in character_twists(s, 5)]
+        twists = zeta2_twist_batch(s, 5)
+        alone = [v._mpc_ for v in character_twists(twists, 5)]
         twist._character_weights.cache_clear()
         with mp.workprec(256):
-            character_twists(s, 5)
-        assert [v._mpc_ for v in character_twists(s, 5)] == alone
+            character_twists(zeta2_twist_batch(s, 5), 5)
+        assert [v._mpc_ for v in character_twists(twists, 5)] == alone
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_constant_terms_match_squared_l_at_1(self, bits):
+        # c_0 of F(s, chi) at s = 1 is the character combination of the c_0 of
+        # the F(s, b/p) (the map is linear); L(1, chi)^2 comes through mp.psi
+        # and shares none of the Hurwitz-series arithmetic.  Bound:
+        # _laurent_at_1's stated error on each of the p - 1 weighted c_0, plus
+        # 2^8 ulps of max(1, |L^2|) for the rounding of either side (p - 1
+        # digamma values of size up to p + 1 summed in order, and p - 1
+        # weighted products; measured below 2^6)
+        with mp.workprec(bits):
+            for p in (3, 5, 7, 11, 13):
+                laurent = twist._laurent_at_1(p, range(p))
+                stated = mp.fsum(mp.ldexp(abs(c[0]), -bits)
+                                 + mp.ldexp(20 + 12 * mp.log(p), -bits - 20) for c in laurent[1:])
+                values = character_twists([c[0] for c in laurent], p)
+                for chi, value in zip(characters_mod(p, include_principal=False), values):
+                    target = dirichlet_l(1, chi) ** 2
+                    bound = stated + mp.ldexp(max(1, abs(target)), 8 - bits)
+                    assert abs(value - target) <= bound, (bits, p, chi.index)
 
 
 class TestConversionIdentity:
