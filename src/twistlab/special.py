@@ -6,10 +6,10 @@ bits), and every cache keys on it.  Hurwitz zeta(s, a) has two routes.  When
 0 < a <= 1 and s lies within 0.26 of an integer c in -3..17 (the discs of the
 verification chain: s = 1, the polar consistency contours at 1 - nu and their
 main-term shifts), one Taylor series per (c, a, precision) of the entire part
-of an Euler-Maclaurin sum, built once in fixed point with its truncation
-chosen from stated error bounds, is evaluated by Horner and the pole term
-(N+a)^(1-s)/(s-1) added in closed form.  Every other (s, a) goes to mpmath's
-zeta, whose value is returned unchanged.
+of an Euler-Maclaurin sum, built once in fixed point with its sizes from
+log-space error bounds, is evaluated by Horner and the pole term
+(N+a)^(1-s)/(s-1) added in closed form, within 2^-(prec+20) max(1, |zeta|).
+Every other (s, a) goes to mpmath's zeta, whose value is returned unchanged.
 This module adds the pole signalling and argument contracts the rest of the
 package relies on, plus the character machinery (values, Gauss sums,
 L-functions) needed for the additive/multiplicative twist conversions.
@@ -32,10 +32,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd
-from operator import mul
+from math import ceil, exp, factorial, fsum, gcd, lgamma, log, pi
 
 import mpmath as mp
+from mpmath.libmp import to_rational
 
 
 class PoleError(ArithmeticError):
@@ -62,8 +62,8 @@ def hurwitz_parameters(q: int, prec: int) -> tuple:
 
 
 #: Distinct Hurwitz values kept, about 0.5 kB each: `verify` at its defaults
-#: keeps 1 052, and the 16 square-law nodes of its largest character check
-#: (mod 13) take 208.
+#: keeps 1 052 and `euler` none, and the 16 square-law nodes of its largest
+#: character check (mod 13) take 208.
 _HURWITZ_CACHE_SIZE = 1 << 13
 
 
@@ -77,14 +77,47 @@ _SERIES_CENTERS = range(-3, 18)
 _SERIES_GUARD = 20
 
 
-#: Series kept, one per (center, a, precision), about 2.5 kB each at 128
-#: bits: every numerator of every q <= 24 at s = 1 plus a few alphas' polar
-#: centers fit; `verify` at its defaults builds 40.
+def _log_sum(logs) -> float:  # log sum exp(logs), in floats free of under- and overflow
+    return (top := max(logs)) + log(fsum(exp(x - top) for x in logs))
+
+
+def _series_size(c: int, a: float, prec: int) -> tuple[int, int, int]:
+    """(N, M, wp) of ``_hurwitz_series`` from its bounds in floats in log space
+    (lgamma; |B_2j|/(2j)! = 2 zeta(2j)/(2 pi)^2j, DLMF 25.6.2, zeta(2j) <= 1 +
+    4^-j + 9^-j (1 + 3/(2j-1))): nothing underflows, and a bit of margin on
+    each half of the target keeps every size at or above the exact bounds'."""
+    rho, log_2pi, log_target = _SERIES_RADIUS, log(2 * pi), -(prec + _SERIES_GUARD + 2) * log(2)
+    low = c - rho - 1  # Re(s) + 2J - 1 >= 2J + low on the disc
+    big_j = max(1, int(-low) // 2 + 1)
+    while (log(4) + lgamma(abs(c) + rho + 2 * big_j) - lgamma(abs(c) + rho) - 2 * big_j * log_2pi
+           - log(2 * big_j + low) - (2 * big_j + low) * log(2 * big_j + a)) > log_target:
+        big_j += 1
+    n, m = 2 * big_j, 2 * big_j - 1
+    logs = [log(k + a) for k in range(n + 1)]
+    lam = max(abs(logs[0]), logs[n])
+    weights = [log(2 + 2 * (4.0 ** -j + 9.0 ** -j * (1 + 3 / (2 * j - 1))))
+               - 2 * j * log_2pi + (1 - 2 * j) * logs[n] for j in range(1, big_j + 1)]
+
+    def log_tail(m):
+        y = abs(c) + (m + 1) / lam
+        bracket = _log_sum([-log(2)] + [w + lgamma(y + 2 * j - 1) - lgamma(y)
+                                        for j, w in enumerate(weights, 1)])
+        return (_log_sum([-c * x for x in logs[:n]] + [bracket - c * logs[n]])
+                + (m + 1) * log(lam * rho) - lgamma(m + 2) + lam * rho)
+    while log_tail(m) > log_target:
+        m += 1
+    cancel = 0 if c > 1 else ceil(_log_sum([(rho - c) * x for x in logs[:n]]) / log(2) + 1e-9)
+    return n, m, prec + _SERIES_GUARD + (n * (m + 1)).bit_length() + cancel
+
+
+#: Series kept, one per (center, a, precision), 2-2.6 kB each at 128 bits:
+#: every numerator of every q <= 24 at s = 1 plus a few alphas' polar
+#: centers fit; `verify` at its defaults builds 40 and `euler` none.
 @lru_cache(maxsize=512)
 def _hurwitz_series(c: int, a_mpf: tuple, prec: int) -> tuple:
     """(wp, L_N, coeffs): zeta(c+x, a) = E(x) + (N+a)^(1-s)/(s-1) within
-    2^-(prec+guard) on |x| <= rho, coeffs being E's Taylor coefficients as
-    integers in units of 2^-wp, highest degree first.
+    2^-(prec+guard) max(1, |zeta|) on |x| <= rho, coeffs being E's Taylor
+    coefficients as integers in units of 2^-wp, highest degree first.
 
     Euler-Maclaurin with shift N = 2J and J Bernoulli terms (F. Johansson,
     Numer. Algorithms 2015), L_k = log(k+a), keeps the pole term closed and
@@ -100,28 +133,15 @@ def _hurwitz_series(c: int, a_mpf: tuple, prec: int) -> tuple:
     Lam = max |L_k| and S = sum_{k<N} (k+a)^-c + |P|((M+1)/Lam), |P| taking
     (|c| + y)_(2j-1) for each product.  Fixed point at wp bits adds
     bit_length(N (M+1)) bits for its truncations and, for c <= 1, where the
-    terms cancel against the pole term, log2 sum_{k<N} (k+a)^(rho-c).
+    terms cancel against the pole term, log2 sum_{k<N} (k+a)^(rho-c); at c = 1
+    these also cover the rows' rounding of (k+a)^-c at wp bits relative, which
+    elsewhere makes the error relative to max(1, |zeta|).  P is built on
+    integers: its weights are rounded once at wp + e bits, 2^e > (N+|c|)! >=
+    twice any rising-factorial coefficient sum, and P is shifted down once,
+    rounded, to within (J+3)/4 <= N/2 units of 2^-wp per coefficient, which
+    the bit_length(N (M+1)) bits cover.
     """
-    with mp.workprec(53):  # the bounds; mpf exponents cannot underflow
-        a, rho = mp.make_mpf(a_mpf), mp.mpf(_SERIES_RADIUS)
-        half_eps = mp.ldexp(1, -prec - _SERIES_GUARD - 1)
-        low = c - rho - 1  # Re(s) + 2J - 1 >= 2J + low on the disc
-        big_j = max(1, int(-low) // 2 + 1)
-        while 4 * mp.rf(abs(c) + rho, 2 * big_j) / (
-            (2 * mp.pi) ** (2 * big_j) * (2 * big_j + low) * (2 * big_j + a) ** (2 * big_j + low)
-        ) > half_eps:
-            big_j += 1
-        n, m = 2 * big_j, 2 * big_j - 1
-        lam = max(abs(mp.log(a)), mp.log(n + a))
-        head = mp.fsum((k + a) ** -c for k in range(n))
-        weights = [abs(mp.bernoulli(2 * j)) / mp.factorial(2 * j) * (n + a) ** (1 - 2 * j)
-                   for j in range(1, big_j + 1)]
-        while (head + (n + a) ** -c * (0.5 + mp.fdot(weights, list(accumulate(
-            (abs(c) + (m + 1) / lam + i for i in range(n - 1)), mul))[::2]
-        ))) * (lam * rho) ** (m + 1) / mp.factorial(m + 1) * mp.exp(lam * rho) > half_eps:
-            m += 1
-        cancel = 0 if c > 1 else mp.log(mp.fsum((k + a) ** (rho - c) for k in range(n)), 2)
-        wp = prec + _SERIES_GUARD + (n * (m + 1)).bit_length() + int(mp.ceil(cancel))
+    n, m, wp = _series_size(c, float(mp.make_mpf(a_mpf)), prec)
     with mp.workprec(wp):
         a = mp.make_mpf(a_mpf)
         rows = []  # coefficients of (k+a)^-c e^(-x L_k) for k < N, then e^(-x L_N)
@@ -131,16 +151,20 @@ def _hurwitz_series(c: int, a_mpf: tuple, prec: int) -> tuple:
                 range(1, m + 1), lambda term, i: term * minus_log // i >> wp,
                 initial=int(mp.ldexp((k + a) ** -c if k < n else 1, wp)),
             )))
-        scale = (n + a) ** -c
-        bracket = [scale / 2] + [mp.mpf(0)] * (n - 1)  # P(x)
+        num, den = to_rational(a_mpf)
+        num, extra = num + n * den, factorial(n + abs(c)).bit_length()  # N + a = num/den
+        top, bottom = (den ** c, num ** c) if c >= 0 else (num ** -c, den ** -c)  # (N+a)^-c
+        bracket = [((top << wp + extra) + bottom) // (2 * bottom)] + [0] * (n - 1)  # P(x)
         rising = [1]  # prod_{i' <= i} (x+c+i'), exact integer coefficients
         for i in range(n - 1):
             rising = [lo + (c + i) * hi for lo, hi in zip([0] + rising, rising + [0])]
-            if i % 2 == 0:
-                weight = mp.bernoulli(i + 2) / mp.factorial(i + 2) * scale / (n + a) ** (i + 1)
+            top, bottom = top * den, bottom * num * (i + 2)  # (N+a)^(-c-i-1)/(i+2)!
+            if i % 2 == 0:  # B_2j/(2j)! (N+a)^(1-2j-c) at 2^-(wp+extra), to nearest
+                p, q = mp.bernfrac(i + 2)
+                weight = ((p * top << wp + extra + 1) + q * bottom) // (2 * q * bottom)
                 for d, r in enumerate(rising):
                     bracket[d] += weight * r
-        bracket, exp_row = [int(mp.ldexp(b, wp)) for b in bracket], rows.pop()
+        bracket, exp_row = [b + (1 << extra - 1) >> extra for b in bracket], rows.pop()
         return wp, mp.log(n + a), tuple(
             sum(row[i] for row in rows)
             + (sum(bracket[d] * exp_row[i - d] for d in range(min(i + 1, n))) >> wp)

@@ -337,7 +337,7 @@ def euler_factor_at_1(p: int) -> mp.mpc:
     alpha_F(1/p) read as c_-2 at b = 0 and b = 1 of ``_laurent_at_1``."""
     if not isprime(p):
         raise ValueError(f"need a prime p, got {p}")
-    untwisted, twisted = _laurent_at_1(p, [0, 1])
+    untwisted, twisted = _laurent_at_1(p, [0, 1], -2)
     ratio = twisted[-2] / untwisted[-2]
     if abs(1 - ratio) < mp.mpf("1e-6"):
         raise ArithmeticError(

@@ -327,17 +327,17 @@ def zeta2_twist_batch(s, q: int) -> list[mp.mpc]:
 _LAURENT_GUARD = 40  # bits above prec for the closed-form Laurent data at s = 1
 
 
-def _laurent_at_1(q: int, numerators) -> list[dict[int, mp.mpc]]:
-    """{k: c_k} for k = -3..0 at s = 1 of F(s, b/q) for each b in
-    ``numerators``, in closed form.  With X_u(x) = x zeta(1+x, u/q) =
+def _laurent_at_1(q: int, numerators, k_max: int = 0) -> list[dict[int, mp.mpc]]:
+    """{k: c_k} for k = -3..k_max (k_max in -2..0) at s = 1 of F(s, b/q) for
+    each b in ``numerators``, in closed form.  With X_u(x) = x zeta(1+x, u/q) =
     1 + p_0 x + p_1 x^2 + ...,
 
       x^2 F(1+x, b/q) = q^-2 e^(-2x log q) sum_w e(-wb/q) sum_{uv = w mod q} X_u X_v,
 
-    so c_-3 = 0 and c_-2, c_-1, c_0 are the first three coefficients of
-    ``_pair_sums`` of the X_u times the decay.  p_0 = -psi(u/q) and
-    p_1 = -gamma_1(u/q) are generalized Stieltjes constants, read by
-    `special._stieltjes_pair` from the Hurwitz series at center 1 at the
+    so c_-3 = 0 and c_-2..c_{k_max} are the first k_max + 3 coefficients of
+    ``_pair_sums`` of the X_u, cut to that length, times the decay.  p_0 =
+    -psi(u/q) and p_1 = -gamma_1(u/q) are generalized Stieltjes constants, read
+    by `special._stieltjes_pair` from the Hurwitz series at center 1 at the
     parameters u/q of ``zeta2_twist_batch``, so that both read one series.
 
     Error, against the twist the batch evaluates (u/q rounded to prec bits):
@@ -350,12 +350,13 @@ def _laurent_at_1(q: int, numerators) -> list[dict[int, mp.mpc]]:
     lies within 2^-prec |c_k| + (20 + 12 log q) 2^-(prec+20), the first term
     being the one final rounding to prec bits.
     """
-    prec = mp.mp.prec
+    prec, depth = mp.mp.prec, k_max + 3
     with mp.workprec(prec + _LAURENT_GUARD):
-        xs = [(1, *_stieltjes_pair(a, prec)) for a in hurwitz_parameters(q, prec)]
+        xs = [(1, *_stieltjes_pair(a, prec))[:depth] if depth > 1 else (1,)
+              for a in hurwitz_parameters(q, prec)]
         log_q = mp.log(q)
         decay = (1, -2 * log_q, 2 * log_q ** 2)  # e^(-2x log q)
-        expansions = [[mp.fdot(decay[:k + 1], sums[k::-1]) / q ** 2 for k in range(3)]
+        expansions = [[mp.fdot(decay[:k + 1], sums[k::-1]) / q ** 2 for k in range(depth)]
                       for sums in _pair_sums(xs, q, numerators)]
     return [{-3: mp.mpc(0)} | {k - 2: +c for k, c in enumerate(coeffs)} for coeffs in expansions]
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from twistlab import transform, twist
+from twistlab import special, transform, twist
 from twistlab.cli import RunConfig, main
 
 
@@ -112,6 +112,15 @@ class TestEuler:
         assert lines[0] == "prime,value_re,value_im,status,degree_bound"
         assert len(lines) == 4
         assert all(line.endswith(",forced,2") for line in lines[1:])
+
+    def test_reads_no_hurwitz_series(self, capsys, monkeypatch):
+        # F_p(1) reads c_-2 alone, an integer count of roots of unity
+        def built(*args):
+            raise AssertionError("a Hurwitz series was built")
+
+        monkeypatch.setattr(special, "_hurwitz_series", built)
+        code, out = run_cli(capsys, "euler", "--primes", "2,3,5,7,11,13")
+        assert code == 0 and "FAIL" not in out
 
 
 class TestTwistGrid:
@@ -548,3 +557,15 @@ class TestBenchmarkRecords:
         assert [name for _, name in records] == [name for _, name in golden]
         assert [name for status, name in records if status != "PASS"] == []
         assert code == 0
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["euler", "--primes", "2,3,5"], 0),
+        (["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3"], 40),
+    ])
+    def test_series_builds_per_command(self, capsys, argv, builds):
+        # a later change that builds more Hurwitz series per command shows here
+        special._hurwitz_memo.cache_clear()
+        special._hurwitz_series.cache_clear()
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert special._hurwitz_series.cache_info().misses == builds

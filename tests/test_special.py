@@ -1,5 +1,8 @@
 import random
+import sys
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import mpmath as mp
 import pytest
@@ -234,6 +237,53 @@ class TestHurwitzSeries:
             s = mp.mpc(-2, "0.1")
             uncached = mp.mpc(mp.zeta(s, mp.mpf(3) / 2))
             assert hurwitz_zeta(s, Fraction(3, 2))._mpc_ == uncached._mpc_
+
+
+def reference_series_size(c, a_mpf, prec):
+    """(N, M, wp) of ``special._series_size``'s bounds, evaluated directly in
+    53-bit mpmath: the exact bounds up to ordinary rounding."""
+    with mp.workprec(53):  # mpf exponents cannot underflow
+        a, rho = mp.make_mpf(a_mpf), mp.mpf(special._SERIES_RADIUS)
+        half_eps = mp.ldexp(1, -prec - special._SERIES_GUARD - 1)
+        low = c - rho - 1
+        big_j = max(1, int(-low) // 2 + 1)
+        while 4 * mp.rf(abs(c) + rho, 2 * big_j) / (
+            (2 * mp.pi) ** (2 * big_j) * (2 * big_j + low) * (2 * big_j + a) ** (2 * big_j + low)
+        ) > half_eps:
+            big_j += 1
+        n, m = 2 * big_j, 2 * big_j - 1
+        lam = max(abs(mp.log(a)), mp.log(n + a))
+        head = mp.fsum((k + a) ** -c for k in range(n))
+        weights = [abs(mp.bernoulli(2 * j)) / mp.factorial(2 * j) * (n + a) ** (1 - 2 * j)
+                   for j in range(1, big_j + 1)]
+        while (head + (n + a) ** -c * (0.5 + mp.fdot(weights, list(accumulate(
+            (abs(c) + (m + 1) / lam + i for i in range(n - 1)), mul))[::2]
+        ))) * (lam * rho) ** (m + 1) / mp.factorial(m + 1) * mp.exp(lam * rho) > half_eps:
+            m += 1
+        cancel = 0 if c > 1 else mp.log(mp.fsum((k + a) ** (rho - c) for k in range(n)), 2)
+        wp = prec + special._SERIES_GUARD + (n * (m + 1)).bit_length() + int(mp.ceil(cancel))
+    return n, m, wp
+
+
+class TestSeriesSize:
+    """The log-space float sizes against the same bounds in mpmath."""
+
+    A_VALUES = sorted({Fraction(u, q) for q in range(1, 9) for u in range(1, q + 1)})
+
+    @pytest.mark.parametrize("bits", (64, 128, 256, 1024))
+    def test_never_below_the_mpmath_bounds_and_at_most_two_above(self, bits):
+        if bits == 1024:
+            # the target itself is below the normal floats there: only the
+            # log-space route can compare against it
+            target = mp.ldexp(1, -bits - special._SERIES_GUARD - 1)
+            assert target < sys.float_info.min
+        with mp.workprec(bits):
+            params = [mp.mpmathify(a) for a in self.A_VALUES]
+        for c in special._SERIES_CENTERS:
+            for a in params:
+                want = reference_series_size(c, a._mpf_, bits)
+                got = special._series_size(c, float(a), bits)
+                assert all(0 <= g - w <= 2 for g, w in zip(got, want)), (c, a, got, want)
 
 
 class TestCharacters:

@@ -482,6 +482,18 @@ class TestClosedFormLaurent:
                     assert abs(records[f"principal c_{k} at s=1"] - contour) <= (
                         contour_bound(own[k]) + contour * mp.mpf("1e-5")), (alpha, k)
 
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_shallow_data_equal_the_full_data_bit_for_bit(self, bits):
+        # cutting the X_u to k_max + 3 terms changes no c_k up to k_max
+        with mp.workprec(bits):
+            for q in range(1, 14):
+                full = transform._laurent_at_1(q, range(q))
+                for k_max in (-2, -1, 0):
+                    shallow = transform._laurent_at_1(q, range(q), k_max)
+                    for got, want in zip(shallow, full, strict=True):
+                        assert sorted(got) == list(range(-3, k_max + 1))
+                        assert all(got[k]._mpc_ == want[k]._mpc_ for k in got), (q, k_max)
+
     def test_second_table_builds_no_series(self):
         twist_laurent_table(24)
         misses = special._hurwitz_series.cache_info().misses
@@ -610,7 +622,7 @@ class TestEulerEndgame:
 
     def test_blowup_guard(self, monkeypatch):
         # every numerator shares c_-2 = 1, so alpha_F(1/p)/alpha_F = 1
-        def shared_pole(q, numerators):
+        def shared_pole(q, numerators, k_max=0):
             return [{-3: 0, -2: mp.mpc(1), -1: mp.mpc(0), 0: mp.mpc(0)} for _ in numerators]
 
         monkeypatch.setattr(transform, "_laurent_at_1", shared_pole)
