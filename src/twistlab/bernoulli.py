@@ -3,14 +3,15 @@
 Conventions: B_n denotes B_n(0), so B_1 = -1/2; B_n(x) is monic of degree n.
 The table up to degree MAX_DEGREE is built once, on first use, from the
 number recursion sum_{k=0}^{n} C(n+1,k) B_k = 0 and the addition formula
-B_n(x) = sum_k C(n,k) B_k x^{n-k}, and is immutable afterwards.
+B_n(x) = sum_k C(n,k) B_k x^{n-k}, both on integer numerators over the
+common denominator of B_0..B_n, and is immutable afterwards.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 from .exactpoly import Polynomial
 
@@ -21,14 +22,20 @@ MAX_DEGREE = 64
 def default_table() -> tuple[tuple[Fraction, ...], tuple[Polynomial, ...]]:
     """(B_0..B_MAX_DEGREE, B_0(x)..B_MAX_DEGREE(x))."""
     numbers = [Fraction(1)]
+    polynomials = [Polynomial((1,))]
+    den, scaled = 1, [1]  # scaled[k] = B_k * den, den the lcm of their denominators
     for n in range(1, MAX_DEGREE + 1):
-        acc = sum(comb(n + 1, k) * numbers[k] for k in range(n))
-        numbers.append(Fraction(-acc, n + 1))
-    polynomials = tuple(
-        Polynomial(comb(n, j) * numbers[n - j] for j in range(n + 1))
-        for n in range(MAX_DEGREE + 1)
-    )
-    return tuple(numbers), polynomials
+        acc = sum(comb(n + 1, k) * scaled[k] for k in range(n))
+        b = Fraction(-acc, (n + 1) * den)
+        numbers.append(b)
+        step = b.denominator // gcd(den, b.denominator)
+        if step != 1:
+            den *= step
+            scaled = [x * step for x in scaled]
+        scaled.append(b.numerator * (den // b.denominator))
+        polynomials.append(Polynomial.from_rows(
+            [comb(n, j) * scaled[n - j] for j in range(n + 1)], (), den))
+    return tuple(numbers), tuple(polynomials)
 
 
 def bernoulli_number(n: int) -> Fraction:

@@ -1,15 +1,19 @@
 """Exact scalars and dense univariate polynomials.
 
-Coefficients are ``int``, ``fractions.Fraction`` or :class:`GaussianRational`
-(a + bi with rational a, b).  All arithmetic, composition and
-division-with-remainder stay exact, so zero-remainder divisibility can be
-asserted literally.  Numeric evaluation happens through mpmath at the
-ambient working precision.
+Scalars are ``int``, ``fractions.Fraction`` or :class:`GaussianRational`
+(a + bi with rational a, b).  A :class:`Polynomial` keeps its coefficients
+as integer numerator rows over one positive common denominator in lowest
+terms, so each ring operation, composition and evaluation is an integer
+loop with one gcd per result.  All of it stays exact, so zero-remainder
+divisibility can be asserted literally.  Numeric evaluation happens through
+mpmath at the ambient working precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 
 import mpmath as mp
 
@@ -169,43 +173,117 @@ def _exact_div(a, b):
     return a / b
 
 
-class Polynomial:
-    """Dense univariate polynomial; ``coeffs[k]`` is the coefficient of x^k.
+_SCALAR_TYPES = (int, Fraction, GaussianRational)
 
-    The trailing coefficient is nonzero except for the zero polynomial,
-    whose degree is reported as -1.  A real :class:`GaussianRational` is
-    stored as its ``Fraction`` real part: it compares, hashes and prints the
-    same, and products of real data then run on plain Fractions.
+
+def _parts(c) -> tuple[int, int, int]:
+    """(re, im, den): an exact scalar as (re + i im)/den with den > 0."""
+    if isinstance(c, int):
+        return c, 0, 1
+    if isinstance(c, Fraction):
+        return c.numerator, 0, c.denominator
+    if not isinstance(c, GaussianRational):
+        raise TypeError(f"not an exact scalar: {c!r}")
+    den = lcm(c.re.denominator, c.im.denominator)
+    return (c.re.numerator * (den // c.re.denominator),
+            c.im.numerator * (den // c.im.denominator), den)
+
+
+def _convolve(a, b) -> list:
+    """Coefficient row of the product of two integer rows."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _combine(a, fa, b, fb) -> list:
+    """fa * a + fb * b for integer rows of any lengths."""
+    return [x * fa + y * fb for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _product(ar, ai, br, bi) -> tuple[list, list]:
+    """Rows (re, im) of (ar + i ai)(br + i bi); an empty row is zero."""
+    re = _convolve(ar, br)
+    if not (ai or bi):
+        return re, []
+    return (_combine(re, 1, _convolve(ai, bi), -1),
+            _combine(_convolve(ar, bi), 1, _convolve(ai, br), 1))
+
+
+class Polynomial:
+    """Dense univariate polynomial with exact scalar coefficients.
+
+    The coefficients are kept as integer numerator rows over one positive
+    common denominator in lowest terms: ``re[k]`` and ``im[k]`` over ``den``
+    are the real and imaginary parts of the coefficient of x^k, and ``im``
+    is empty unless some coefficient is non-real.  The top coefficient is
+    nonzero except for the zero polynomial, whose degree is reported as -1.
+    This form is canonical, so equality compares rows.
+
+    ``coeffs`` gives the coefficients as scalars: a real one as a
+    ``Fraction`` and a non-real one as a :class:`GaussianRational`.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("re", "im", "den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        coeffs = [
-            c.re if isinstance(c, GaussianRational) and not c.im else c for c in coeffs
-        ]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        parts = [_parts(c) for c in coeffs]
+        den = lcm(*(d for _, _, d in parts))
+        self._set([r * (den // d) for r, _, d in parts],
+                  [i * (den // d) for _, i, d in parts], den)
+
+    @classmethod
+    def from_rows(cls, re, im, den) -> "Polynomial":
+        """The polynomial (re + i im)/den from integer rows, ``im`` empty or
+        no longer than ``re``, and an integer den > 0."""
+        poly = object.__new__(cls)
+        poly._set(re, im, den)
+        return poly
+
+    def _set(self, re, im, den) -> None:
+        """Store the rows trimmed and in lowest terms: one gcd per polynomial."""
+        im = list(im) + [0] * (len(re) - len(im)) if any(im) else ()
+        n = len(re)
+        while n and not re[n - 1] and not (im and im[n - 1]):
+            n -= 1
+        g = gcd(den, *re, *im)
+        if g != 1:
+            den //= g
+            re = [x // g for x in re]
+            im = [x // g for x in im]
+        setattr_ = object.__setattr__
+        setattr_(self, "re", tuple(re[:n]))
+        setattr_(self, "im", tuple(im[:n]))
+        setattr_(self, "den", den)
+        setattr_(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def monomial(cls, c, k: int) -> "Polynomial":
-        return cls((0,) * k + (c,))
-
     # -- structure ------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as scalars, lowest power first."""
+        if self._coeffs is None:
+            den = self.den
+            coeffs = tuple(
+                GaussianRational(Fraction(r, den), Fraction(i, den)) if i else Fraction(r, den)
+                for r, i in zip_longest(self.re, self.im, fillvalue=0)
+            )
+            object.__setattr__(self, "_coeffs", coeffs)
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     @property
     def leading(self):
@@ -214,18 +292,21 @@ class Polynomial:
         return self.coeffs[-1]
 
     def coefficient(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+        return self.coeffs[k] if 0 <= k < len(self.re) else 0
 
     # -- ring operations --------------------------------------------------------
+
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        return Polynomial.from_rows(_combine(self.re, fa, other.re, fb),
+                                    _combine(self.im, fa, other.im, fb), self.den * fa)
 
     def __add__(self, other):
         other = self._as_poly(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.coefficient(k) + other.coefficient(k) for k in range(n)
-        )
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -233,32 +314,27 @@ class Polynomial:
         other = self._as_poly(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.coefficient(k) - other.coefficient(k) for k in range(n)
-        )
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = self._as_poly(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return other._plus(self, -1)
 
     def __neg__(self):
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial.from_rows([-x for x in self.re], [-x for x in self.im], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Polynomial(out)
-        return Polynomial(other * c for c in self.coeffs)
+            re, im = _product(self.re, self.im, other.re, other.im)
+            return Polynomial.from_rows(re, im, self.den * other.den)
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
+        sr, si, sd = _parts(other)
+        re = [x * sr - y * si for x, y in zip_longest(self.re, self.im, fillvalue=0)]
+        im = [x * si + y * sr for x, y in zip_longest(self.re, self.im, fillvalue=0)]
+        return Polynomial.from_rows(re, im, self.den * sd)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -279,7 +355,7 @@ class Polynomial:
     def _as_poly(x):
         if isinstance(x, Polynomial):
             return x
-        if isinstance(x, (int, Fraction, GaussianRational)):
+        if isinstance(x, _SCALAR_TYPES):
             return Polynomial((x,))
         return None
 
@@ -307,23 +383,45 @@ class Polynomial:
         return r.is_zero
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(x)) by Horner on polynomials."""
-        result = Polynomial()
-        for c in reversed(self.coeffs):
-            result = result * inner + Polynomial((c,))
-        return result
+        """self(inner(x)) by Horner on the rows.
+
+        With self = N/d and inner = P/e this is
+        sum_k N_k P^k e^(m-k) / (d e^m), m = deg self: integer Horner steps
+        and one reduction at the end.
+        """
+        if self.degree < 1 or inner.degree < 1:
+            return Polynomial((self(inner.coefficient(0)),))
+        re, im = [self.re[-1]], [self.im[-1]] if self.im else []
+        scale = 1
+        for k in range(self.degree - 1, -1, -1):
+            scale *= inner.den
+            re, im = _product(re, im, inner.re, inner.im)
+            re[0] += self.re[k] * scale
+            if self.im:
+                im[0] += self.im[k] * scale
+        return Polynomial.from_rows(re, im, self.den * scale)
 
     def conjugate(self) -> "Polynomial":
-        return Polynomial(c.conjugate() for c in self.coeffs)
+        return Polynomial.from_rows(list(self.re), [-x for x in self.im], self.den)
 
     # -- evaluation ---------------------------------------------------------------
 
     def __call__(self, x):
-        """Exact Horner evaluation (x exact scalar keeps the result exact)."""
-        result = 0
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
+        """Exact Horner evaluation at an exact scalar x.
+
+        The value is a ``GaussianRational`` when x or a coefficient is
+        non-real, a ``Fraction`` otherwise.
+        """
+        xr, xi, xd = _parts(x)
+        re = im = 0
+        scale = 1
+        for r, i in zip_longest(reversed(self.re), reversed(self.im), fillvalue=0):
+            re, im = re * xr - im * xi + r * scale, re * xi + im * xr + i * scale
+            scale *= xd
+        den = self.den * scale // xd if self.re else 1
+        if self.im or isinstance(x, GaussianRational):
+            return GaussianRational(Fraction(re, den), Fraction(im, den))
+        return Fraction(re, den)
 
     def eval_mpc(self, z) -> mp.mpc:
         """Numeric Horner evaluation at the ambient mpmath precision."""
@@ -339,14 +437,16 @@ class Polynomial:
         other = self._as_poly(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.re == other.re and self.im == other.im and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as its scalar, which it equals
+        if self.degree < 1:
+            return hash(self.coefficient(0))
+        return hash((self.re, self.im, self.den))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
-
     def pretty(self) -> str:
         """Human-readable form, highest power first, e.g. ``-s^2 + 1/2``."""
         if self.is_zero:

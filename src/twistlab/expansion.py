@@ -3,28 +3,31 @@
 Builds, in exact arithmetic over the Gaussian rationals, the polynomial
 apparatus
 
-* C(mu, ell)    -- rational coefficients converting 1/w^mu into sums of
-                   1/((w-1)...(w-ell)),
+* C(mu, ell)    -- integer coefficients converting 1/w^mu into sums of
+                   1/((w-1)...(w-ell)): C(mu, ell) = s(ell, mu), the signed
+                   Stirling numbers of the first kind, one integer row per ell,
 * A_{mu,nu}(s)  -- the same conversion for 1/(w + 2s - 1 + i*theta)^mu,
 * R_nu(s)       -- Bernoulli-sum polynomials attached to the Gamma data,
                    computed through two independent closed forms that are
-                   compared coefficient by coefficient on every call,
+                   compared exactly on every call, each H-invariant computed
+                   once per datum,
 * V_mu(s)       -- exponential-composition polynomials, the coefficients of
                    exp(sum_nu (-1)^nu R_nu x^nu / (nu(nu+1))), built by the
                    power-series recurrence for exp,
 * Q_nu(s)       -- the transformation-formula polynomials
                    Q_nu = sum_mu V_mu * A_{mu,nu}, with Q_0 = 1.
 
-Everything here is exact; the numeric remainder checks of the finite
-expansions behind C/A and the Q-sum, and the factorial inequalities that
-control them, are checks of the paper that live with the tests.
+Everything here is exact, on the integer rows of ``exactpoly.Polynomial``;
+the numeric remainder checks of the finite expansions behind C/A and the
+Q-sum, and the factorial inequalities that control them, are checks of the
+paper that live with the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from . import bernoulli
 from .exactpoly import GaussianRational, Polynomial
@@ -35,33 +38,28 @@ from .funceq import FunctionalEquationDatum
 # C coefficients
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def c_coeff(mu: int, ell: int) -> Fraction:
-    """C(mu, ell) in closed form; C(1, ell) = (-1)^(ell-1) (ell-1)!,
-    C(mu, ell) = (-1)^(ell-mu) (ell-1)! * e_{mu-1}(1, 1/2, ..., 1/(ell-1))
-    for mu >= 2, where e_k is the elementary symmetric polynomial.
-    """
+    """C(mu, ell), the coefficient of 1/((w-1)...(w-ell)) in 1/w^mu: the
+    signed Stirling number of the first kind s(ell, mu) (DLMF 26.8)."""
     if mu < 1 or ell < mu:
         raise ValueError(f"need 1 <= mu <= ell, got mu={mu}, ell={ell}")
-    sign = -1 if (ell - mu) % 2 else 1
-    return sign * factorial(ell - 1) * _elementary_symmetric_reciprocal(mu - 1, ell - 1)
+    return Fraction(_stirling_row(ell)[mu])
 
 
-def _elementary_symmetric_reciprocal(k: int, n: int) -> Fraction:
-    """e_k(1/1, 1/2, ..., 1/n) by the standard one-row DP."""
-    e = [Fraction(0)] * (k + 1)
-    e[0] = Fraction(1)
-    for j in range(1, n + 1):
-        x = Fraction(1, j)
-        for i in range(min(k, j), 0, -1):
-            e[i] += e[i - 1] * x
-    return e[k]
+@lru_cache(maxsize=None)
+def _stirling_row(n: int) -> tuple[int, ...]:
+    """(s(n, 0), ..., s(n, n)) by s(n+1, k) = s(n, k-1) - n s(n, k)."""
+    row = [1]
+    for m in range(n):
+        row = [a - m * b for a, b in zip([0] + row, row + [0])]
+    return tuple(row)
 
 
 # ---------------------------------------------------------------------------
 # Datum-dependent polynomials
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _shift_poly(datum: FunctionalEquationDatum) -> Polynomial:
     """2s - 1 + i*theta as a polynomial in s."""
     return Polynomial((GaussianRational(-1, datum.theta), 2))
@@ -110,13 +108,11 @@ def r_poly_forms(
     shifted = b_poly.compose(Polynomial((GaussianRational(1, -datum.theta), -2)))
     base = shifted + Polynomial((b_poly(1),))
 
-    one_minus_s = Polynomial((1, -1))
+    # h(y) = sum_k binom(n, k) H(k) y^(n-k); the H form reads h at y = s and
+    # its conjugate at y = 1 - s
+    h = Polynomial(comb(n, k) * _h_invariant(datum, n - k) for k in range(n + 1))
     sign = -1 if nu % 2 else 1
-    h_sum = Polynomial()
-    for k in range(n + 1):
-        h_k = datum.h_invariant(k)
-        term = Polynomial.monomial(sign * h_k, n - k) - h_k.conjugate() * one_minus_s ** (n - k)
-        h_sum = h_sum + comb(n, k) * term
+    h_sum = sign * h - h.conjugate().compose(Polynomial((1, -1)))
     via_h = base + Fraction(1, 2) * h_sum
 
     factor_sum = Polynomial()
@@ -126,6 +122,12 @@ def r_poly_forms(
         factor_sum = factor_sum + (left + right) * (1 / f.lam**nu)
     via_gamma = base - factor_sum
     return via_h, via_gamma
+
+
+@lru_cache(maxsize=None)
+def _h_invariant(datum: FunctionalEquationDatum, k: int) -> GaussianRational:
+    """H(k) of ``datum``, computed once for every R_nu that reads it."""
+    return datum.h_invariant(k)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import pytest
 
 from twistlab.exactpoly import GaussianRational, Polynomial
+
+from scalar_polynomial import ScalarPolynomial
 
 
 class TestGaussianRational:
@@ -128,3 +131,114 @@ class TestPolynomial:
         assert Polynomial((0, 0, -1)).pretty() == "-s^2"
         assert Polynomial((Fraction(1, 6), -1, 1)).pretty() == "s^2 - s + 1/6"
         assert Polynomial().pretty() == "0"
+
+    def test_constant_hashes_as_its_scalar(self):
+        # equal objects hash equal, so a constant and its scalar share a set slot
+        assert Polynomial((3,)) == 3 and hash(Polynomial((3,))) == hash(3)
+        assert len({Polynomial((3,)), 3}) == 1
+        assert len({Polynomial(), 0}) == 1
+        half, z = Fraction(1, 2), GaussianRational(Fraction(1, 2), -1)
+        assert len({Polynomial((half,)), half}) == 1
+        assert len({Polynomial((z,)), z}) == 1
+
+
+def _random_scalar(rng, kind):
+    """A small exact scalar of the given kind; zeros and negative
+    denominators are drawn on purpose."""
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, -4, 6, -7, 12]))
+
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "fraction":
+        return rational()
+    return GaussianRational(rational(), rational() if rng.random() < 0.8 else 0)
+
+
+def _random_coeffs(rng, kind):
+    coeffs = [_random_scalar(rng, kind) for _ in range(rng.randint(0, 6))]
+    if coeffs and rng.random() < 0.3:
+        coeffs += [0] * rng.randint(1, 2)  # trailing zeros to trim
+    return coeffs
+
+
+def _random_pair(rng):
+    """Coefficient lists of two operands, each int, Fraction or Gaussian;
+    mixed real and non-real pairs included."""
+    kinds = ("int", "fraction", "gaussian")
+    return _random_coeffs(rng, rng.choice(kinds)), _random_coeffs(rng, rng.choice(kinds))
+
+
+def _same(rows: Polynomial, ref: ScalarPolynomial) -> bool:
+    """Equal coefficients printing the same strings, in canonical rows."""
+    assert rows.den > 0 and gcd(rows.den, *rows.re, *rows.im) == 1
+    assert not rows.re or rows.re[-1] or rows.im[-1]
+    assert not rows.im or (any(rows.im) and len(rows.im) == len(rows.re))
+    return (rows.coeffs == ref.coeffs
+            and [str(c) for c in rows.coeffs] == [str(c) for c in ref.coeffs])
+
+
+class TestRowsAgainstScalarLoops:
+    """Every row operation against the per-coefficient loops it replaced."""
+
+    CASES = 300
+
+    def _operands(self):
+        rng = random.Random(2024)
+        fixed = [([], []), ([], [1]), ([5], []), ([0, 0], [1, 0, 0]),
+                 ([Fraction(1, -2), 3], [GaussianRational(0, 1)]),
+                 ([GaussianRational(1, 1), 2], [GaussianRational(1, -1), -2])]
+        return fixed + [_random_pair(rng) for _ in range(self.CASES)]
+
+    def test_ring_operations(self):
+        rng = random.Random(7)
+        for a, b in self._operands():
+            pa, pb, ra, rb = Polynomial(a), Polynomial(b), ScalarPolynomial(a), ScalarPolynomial(b)
+            assert _same(pa, ra) and _same(pb, rb), (a, b)
+            c = _random_scalar(rng, rng.choice(("int", "fraction", "gaussian")))
+            assert _same(pa + pb, ra + rb), (a, b)
+            assert _same(pa - pb, ra - rb), (a, b)
+            assert _same(pa - pa, ra - ra), a
+            assert _same(-pa, -ra), a
+            assert _same(pa * pb, ra * rb), (a, b)
+            assert _same(c * pa, c * ra) and _same(pa * c, ra * c), (a, c)
+            assert _same(pa + c, ra + c) and _same(c - pa, c - ra), (a, c)
+            assert _same(pa ** 3, ra ** 3), a
+            assert _same(pa.compose(pb), ra.compose(rb)), (a, b)
+            assert _same(pa.conjugate(), ra.conjugate()), a
+
+    def test_evaluation(self):
+        rng = random.Random(11)
+        for a, _ in self._operands():
+            for kind in ("int", "fraction", "gaussian"):
+                x = _random_scalar(rng, kind)
+                value, expected = Polynomial(a)(x), ScalarPolynomial(a)(x)
+                assert value == expected, (a, x)
+                complex_value = kind == "gaussian" or any(
+                    isinstance(c, GaussianRational) and c.im for c in a)
+                assert type(value) is (GaussianRational if complex_value else Fraction), (a, x)
+
+    def test_equality_and_hash(self):
+        for a, b in self._operands():
+            pa, pb = Polynomial(a), Polynomial(b)
+            same = ScalarPolynomial(a).coeffs == ScalarPolynomial(b).coeffs
+            assert (pa == pb) is same, (a, b)
+            assert pa == Polynomial(list(a) + [0]) and hash(pa) == hash(Polynomial(list(a) + [0]))
+            if len(ScalarPolynomial(a).coeffs) <= 1:
+                scalar = ScalarPolynomial(a).coefficient(0)
+                assert pa == scalar and hash(pa) == hash(scalar), a
+
+    def test_coefficients_keep_their_scalar_form(self):
+        for a, _ in self._operands():
+            for c in Polynomial(a).coeffs:
+                if isinstance(c, GaussianRational):
+                    assert c.im != 0
+                else:
+                    assert type(c) is Fraction
+
+    def test_divmod(self):
+        for a, b in self._operands():
+            if ScalarPolynomial(b).coeffs:
+                quot, rem = divmod(Polynomial(a), Polynomial(b))
+                assert quot * Polynomial(b) + rem == Polynomial(a), (a, b)
+                assert rem.degree < Polynomial(b).degree, (a, b)

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from math import factorial, comb
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -10,6 +12,7 @@ from twistlab.expansion import (
     _shift_poly,
     a_coeff,
     c_coeff,
+    polynomial_table,
     q_poly,
     r_poly,
     r_poly_forms,
@@ -18,6 +21,7 @@ from twistlab.expansion import (
 from twistlab.funceq import DatumError, FunctionalEquationDatum, GammaFactor, QParam, factor
 from twistlab import bernoulli
 
+from scalar_polynomial import c_coeff_by_symmetric_functions
 from paper_checks import (
     check_exp_expansion,
     check_expansion_1overw,
@@ -122,6 +126,13 @@ class TestCCoefficients:
             for mu in range(1, ell + 1):
                 cap = Fraction(factorial(ell - 1), factorial(mu - 1)) * comb(ell - 1, mu - 1)
                 assert abs(c_coeff(mu, ell)) <= cap, (mu, ell)
+
+    def test_stirling_rows_equal_symmetric_function_form(self):
+        # the integer Stirling recurrence against the closed form it replaced
+        for ell in range(1, 40):
+            for mu in range(1, ell + 1):
+                assert c_coeff(mu, ell) == c_coeff_by_symmetric_functions(mu, ell), (mu, ell)
+        assert type(c_coeff(2, 5)) is Fraction
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -271,6 +282,17 @@ class TestQPolynomials:
             ratios.append(float((sup * factorial(nu)) ** (mp.mpf(1) / (2 * nu)) / (nu + 1)))
         print("\nQ growth trend ratios:", [f"{r:.4f}" for r in ratios])
         assert max(ratios) < 20
+
+
+class TestGoldenTable:
+    def test_non_real_datum_matches_the_recorded_table(self):
+        # Q, R and V up to K = 16 of the theta != 0, complex-mu datum, recorded
+        # from the per-coefficient arithmetic: the only table that exercises
+        # the imaginary rows
+        golden = json.loads((Path(__file__).parent / "data"
+                             / "polynomial_table_synthetic_complex_k16.json").read_text())
+        rows = polynomial_table(synthetic_datum_complex(label="golden-complex"), 16)
+        assert [list(row) for row in rows] == golden
 
 
 class TestNumericRegime:

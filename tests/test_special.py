@@ -6,6 +6,7 @@ from operator import mul
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import to_rational
 
 from twistlab import special
 from twistlab.bernoulli import bernoulli_polynomial
@@ -222,6 +223,31 @@ class TestHurwitzSeries:
                     hurwitz_zeta(s, Fraction(3, 7))
                 info = special._hurwitz_series.cache_info()
                 assert (info.misses, info.hits) == (1, 3), center
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_nonpositive_centers_against_the_exact_bernoulli_layer(self, bits):
+        # zeta(c, a) = -B_{1-c}(a)/(1-c) for c = 0..-3, a = u/q with q <= 8.
+        # The target is exact at the binary a the series sees, so the
+        # unrounded series may differ from it only by its stated
+        # 2^-(bits+guard) max(1, |zeta|), and the value by that plus the
+        # rounding of the result to ``bits``.
+        def exact(x):
+            return Fraction(*to_rational(x._mpf_))
+
+        guard = special._SERIES_GUARD
+        alphas = sorted({Fraction(u, q) for q in range(1, 9) for u in range(1, q + 1)})
+        with mp.workprec(bits):
+            for c in (0, -1, -2, -3):
+                for a in alphas:
+                    a_mpf = mp.mpmathify(a)
+                    target = -bernoulli_polynomial(1 - c)(exact(a_mpf)) / (1 - c)
+                    stated = Fraction(2) ** -(bits + guard) * max(1, abs(target))
+                    raw = special._series_value(mp.mpc(c), c, a_mpf._mpf_, bits)
+                    assert abs(exact(raw.real) - target) + abs(exact(raw.imag)) <= stated, (c, a)
+                    value = hurwitz_zeta(c, a)
+                    got, im = exact(value.real), exact(value.imag)
+                    rounding = Fraction(2) ** -bits * abs(got)
+                    assert abs(got - target) + abs(im) <= stated + rounding, (c, a)
 
     def test_off_the_series_route_is_mpmath_bit_for_bit(self):
         with mp.workprec(128):
