@@ -25,6 +25,7 @@ paper that live with the tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -116,10 +117,10 @@ def r_poly_forms(
     via_h = base + Fraction(1, 2) * h_sum
 
     factor_sum = Polynomial()
-    for f in datum.factors:
+    for f, count in Counter(datum.factors).items():  # equal factors once, with their multiplicity
         left = b_poly.compose(Polynomial((f.lam + f.mu.conjugate(), -f.lam)))
         right = b_poly.compose(Polynomial((1 - f.mu, -f.lam)))
-        factor_sum = factor_sum + (left + right) * (1 / f.lam**nu)
+        factor_sum = factor_sum + (left + right) * (count / f.lam**nu)
     via_gamma = base - factor_sum
     return via_h, via_gamma
 

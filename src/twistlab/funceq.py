@@ -17,7 +17,7 @@ the tests compute them (``tests/paper_checks.py``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,6 +113,10 @@ class FunctionalEquationDatum:
             raise DatumError(f"omega must be a GaussianRational, got {self.omega!r}")
         if self.omega.norm() != 1:
             raise DatumError("|omega| must equal 1")
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:  # the exact layer's lru_caches key on a datum
+        return self._hash
 
     @property
     def r(self) -> int:

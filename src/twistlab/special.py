@@ -7,9 +7,10 @@ bits), and every cache keys on it.  Hurwitz zeta(s, a) has two routes.  When
 verification chain: s = 1, the polar consistency contours at 1 - nu and their
 main-term shifts), one Taylor series per (c, a, precision) of the entire part
 of an Euler-Maclaurin sum, built once in fixed point with its sizes from
-log-space error bounds, is evaluated by Horner and the pole term
-(N+a)^(1-s)/(s-1) added in closed form, within 2^-(prec+20) max(1, |zeta|).
-Every other (s, a) goes to mpmath's zeta, whose value is returned unchanged.
+log-space error bounds, is evaluated by Horner beside the pole term's row
+(N+a)^(1-s), divided once by s - 1, within 2^-(prec+20) max(1, |zeta|).
+Every other (s, a) goes to mpmath's zeta, whose value is returned unchanged;
+below the real axis a value is the conjugate of its mirror's (Schwarz).
 This module adds the pole signalling and argument contracts the rest of the
 package relies on, plus the character machinery (values, Gauss sums,
 L-functions) needed for the additive/multiplicative twist conversions.
@@ -62,7 +63,7 @@ def hurwitz_parameters(q: int, prec: int) -> tuple:
 
 
 #: Distinct Hurwitz values kept, about 0.5 kB each: `verify` at its defaults
-#: keeps 1 052 and `euler` none, and the 16 square-law nodes of its largest
+#: keeps 563 and `euler` none, and the 16 square-law nodes of its largest
 #: character check (mod 13) take 208.
 _HURWITZ_CACHE_SIZE = 1 << 13
 
@@ -97,12 +98,13 @@ def _series_size(c: int, a: float, prec: int) -> tuple[int, int, int]:
     lam = max(abs(logs[0]), logs[n])
     weights = [log(2 + 2 * (4.0 ** -j + 9.0 ** -j * (1 + 3 / (2 * j - 1))))
                - 2 * j * log_2pi + (1 - 2 * j) * logs[n] for j in range(1, big_j + 1)]
+    pole = (1 - c) * logs[n] - log(abs(c - 1) - rho if c != 1 else rho)  # log (N+a)^(1-c)/d
 
     def log_tail(m):
         y = abs(c) + (m + 1) / lam
         bracket = _log_sum([-log(2)] + [w + lgamma(y + 2 * j - 1) - lgamma(y)
                                         for j, w in enumerate(weights, 1)])
-        return (_log_sum([-c * x for x in logs[:n]] + [bracket - c * logs[n]])
+        return (_log_sum([-c * x for x in logs[:n]] + [bracket - c * logs[n], pole])
                 + (m + 1) * log(lam * rho) - lgamma(m + 2) + lam * rho)
     while log_tail(m) > log_target:
         m += 1
@@ -115,9 +117,10 @@ def _series_size(c: int, a: float, prec: int) -> tuple[int, int, int]:
 #: centers fit; `verify` at its defaults builds 40 and `euler` none.
 @lru_cache(maxsize=512)
 def _hurwitz_series(c: int, a_mpf: tuple, prec: int) -> tuple:
-    """(wp, L_N, coeffs): zeta(c+x, a) = E(x) + (N+a)^(1-s)/(s-1) within
-    2^-(prec+guard) max(1, |zeta|) on |x| <= rho, coeffs being E's Taylor
-    coefficients as integers in units of 2^-wp, highest degree first.
+    """(wp, L_N, coeffs, pole_row): zeta(c+x, a) = E(x) + (N+a)^(1-s)/(s-1)
+    within 2^-(prec+guard) max(1, |zeta|) on |x| <= rho, coeffs being E's
+    Taylor coefficients and pole_row those of (N+a)^(1-s) = (N+a)^(1-c)
+    e^(-x L_N), both as integers in units of 2^-wp, highest degree first.
 
     Euler-Maclaurin with shift N = 2J and J Bernoulli terms (F. Johansson,
     Numer. Algorithms 2015), L_k = log(k+a), keeps the pole term closed and
@@ -130,8 +133,9 @@ def _hurwitz_series(c: int, a_mpf: tuple, prec: int) -> tuple:
     4 (|c|+rho)_2J / ((2 pi)^2J (2J+c-rho-1) (N+a)^(2J+c-rho-1)) is below
     half the target, and M >= 2J-1 the first degree whose Taylor tail bound
     S (Lam rho)^(M+1)/(M+1)! e^(Lam rho) is below the other half, with
-    Lam = max |L_k| and S = sum_{k<N} (k+a)^-c + |P|((M+1)/Lam), |P| taking
-    (|c| + y)_(2j-1) for each product.  Fixed point at wp bits adds
+    Lam = max |L_k| and S = sum_{k<N} (k+a)^-c + |P|((M+1)/Lam) + (N+a)^(1-c)/d,
+    |P| taking (|c| + y)_(2j-1) for each product and d = |c-1| - rho <= |s-1|
+    (or rho at c = 1, the pole row's tail being O(x^(M+1))).  Fixed point at wp bits adds
     bit_length(N (M+1)) bits for its truncations and, for c <= 1, where the
     terms cancel against the pole term, log2 sum_{k<N} (k+a)^(rho-c); at c = 1
     these also cover the rows' rounding of (k+a)^-c at wp bits relative, which
@@ -139,7 +143,11 @@ def _hurwitz_series(c: int, a_mpf: tuple, prec: int) -> tuple:
     integers: its weights are rounded once at wp + e bits, 2^e > (N+|c|)! >=
     twice any rising-factorial coefficient sum, and P is shifted down once,
     rounded, to within (J+3)/4 <= N/2 units of 2^-wp per coefficient, which
-    the bit_length(N (M+1)) bits cover.
+    the bit_length(N (M+1)) bits cover.  The pole row, the last row times the
+    exact (N+a)^(1-c), errs by about 10 (N+a)^(1-c) units, under 40 2^cancel for
+    c <= 0 (N >= 14: compare the integral of the increasing terms), and is
+    divided by |s-1| >= 0.74 off c = 1; at c = 1 its error is relative to
+    |1/x| <= |zeta| + 2^cancel.  The same bits cover it, one mpc division included.
     """
     n, m, wp = _series_size(c, float(mp.make_mpf(a_mpf)), prec)
     with mp.workprec(wp):
@@ -165,11 +173,12 @@ def _hurwitz_series(c: int, a_mpf: tuple, prec: int) -> tuple:
                 for d, r in enumerate(rising):
                     bracket[d] += weight * r
         bracket, exp_row = [b + (1 << extra - 1) >> extra for b in bracket], rows.pop()
+        top, bottom = (num, den) if c <= 1 else (den, num)  # (N+a)^(1-c) = (top/bottom)^|1-c|
         return wp, mp.log(n + a), tuple(
             sum(row[i] for row in rows)
             + (sum(bracket[d] * exp_row[i - d] for d in range(min(i + 1, n))) >> wp)
             for i in reversed(range(m + 1))
-        )
+        ), tuple(x * top ** abs(1 - c) // bottom ** abs(1 - c) for x in reversed(exp_row))
 
 
 @lru_cache(maxsize=_HURWITZ_CACHE_SIZE)
@@ -186,21 +195,24 @@ def _hurwitz_memo(s_mpc: tuple, a_mpf: tuple, prec: int) -> mp.mpc:
 
 
 def _series_value(s, c: int, a_mpf: tuple, prec: int) -> mp.mpc:
-    """zeta(s, a) by the series at c, unrounded at its wp bits."""
-    wp, log_n, coeffs = _hurwitz_series(c, a_mpf, prec)
+    """zeta(s, a) by the series at c, unrounded at its wp bits: E and the pole
+    row by one Horner loop in fixed point, then one mpc division by s - 1."""
+    wp, _, coeffs, pole_row = _hurwitz_series(c, a_mpf, prec)
     x_re, x_im = (int(mp.ldexp(part, wp)) for part in (s.real - c, s.imag))
-    re = im = 0
-    for coeff in coeffs:  # Horner in fixed point
+    re = im = p_re = p_im = 0
+    for coeff, pole in zip(coeffs, pole_row):
         re, im = coeff + (x_re * re - x_im * im >> wp), x_re * im + x_im * re >> wp
+        p_re, p_im = pole + (x_re * p_re - x_im * p_im >> wp), x_re * p_im + x_im * p_re >> wp
     with mp.workprec(wp):
-        return mp.mpc(mp.ldexp(re, -wp), mp.ldexp(im, -wp)) + mp.exp((1 - s) * log_n) / (s - 1)
+        return (mp.mpc(mp.ldexp(re, -wp), mp.ldexp(im, -wp))
+                + mp.mpc(mp.ldexp(p_re, -wp), mp.ldexp(p_im, -wp)) / (s - 1))
 
 
 def _stieltjes_pair(a, prec: int) -> tuple:
     """(p_0, p_1) = (-psi(a), -gamma_1(a)) of x zeta(1+x, a) = x E(x) + e^(-x L_N) =
     1 + p_0 x + p_1 x^2 + ... for an mpf a, at the ambient precision from the
     ``prec``-bit series at center 1: p_0 = E_0 - L_N and p_1 = E_1 + L_N^2/2."""
-    wp, log_n, coeffs = _hurwitz_series(1, a._mpf_, prec)
+    wp, log_n, coeffs, _ = _hurwitz_series(1, a._mpf_, prec)
     return mp.ldexp(coeffs[-1], -wp) - log_n, mp.ldexp(coeffs[-2], -wp) + log_n ** 2 / 2
 
 
@@ -219,6 +231,8 @@ def hurwitz_zeta(s, a) -> mp.mpc:
         raise ValueError(f"need a > 0, got a={a}")
     if s == 1:
         raise PoleError("Hurwitz zeta pole at s=1")
+    if s.imag < 0:  # Schwarz reflection, a being real: zeta(conj s, a) = conj zeta(s, a)
+        return mp.conj(_hurwitz_memo(mp.conj(s)._mpc_, a._mpf_, mp.mp.prec))
     return _hurwitz_memo(s._mpc_, a._mpf_, mp.mp.prec)
 
 

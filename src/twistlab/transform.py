@@ -15,7 +15,8 @@ residue contours at s = 1 - nu average a vector-valued function over one circle
 by the trapezoid rule, which converges geometrically for functions analytic in
 an annulus, so node-halving disagreement flags insufficient analyticity.  One
 main-term pass per node (every Q_nu(s) from one table of powers of s, each
-conjugate twist once per distinct beta) serves every alpha there."""
+conjugate twist once per distinct beta and argument) serves every alpha there.
+The growth certificate reads Hurwitz's formula, with a stated error radius."""
 
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ from .exactpoly import scalar_to_mpc
 from .funceq import zeta2_datum
 from .reports import Report
 from .special import PoleError, characters_mod, dirichlet_l, roots_of_unity
-from .twist import (_laurent_at_1, character_twists, reduce_mod_one, zeta2_twist_batch,
-                    zeta2_twist_oracle)
+from .twist import (_laurent_at_1, _reflected_twist_kernel, character_twists, reduce_mod_one,
+                    zeta2_twist_batch, zeta2_twist_oracle)
 
 
 LAURENT_RADIUS = Fraction(1, 4)  # contour radius; laurent_extract also reads radius/2
@@ -161,7 +162,8 @@ def _main_terms(alphas, k_terms: int):
     function of s.  Per node, every Q_nu(s) comes from one ``_q_values``
     call, and T_nu(s) = Q_nu(s) F(s + nu, beta) is built once per distinct
     beta = -1/alpha mod 1; each alpha reads its prefactor times the dot
-    product of T with its powers of (i alpha / 2 pi)."""
+    product of T with its powers of (i alpha / 2 pi).  Each distinct F(x, beta)
+    is evaluated once: the shifts of one circle's nodes are other circles' nodes."""
     if k_terms < 0:
         raise ValueError("K must be nonnegative")
     alphas = [Fraction(alpha) for alpha in alphas]
@@ -171,6 +173,12 @@ def _main_terms(alphas, k_terms: int):
     ratio_powers = [[(1j * mp.mpmathify(alpha) / (2 * mp.pi)) ** nu
                      for nu in range(k_terms + 1)] for alpha in alphas]
     table = [_q_coeffs(nu, mp.mp.prec) for nu in range(k_terms + 1)]
+    twists = {}  # F(x, beta), keyed by the exact x and beta
+
+    def twist(x, beta):
+        if (key := (x._mpc_, beta)) not in twists:
+            twists[key] = zeta2_twist_oracle(x, beta)
+        return twists[key]
 
     def main_terms(s) -> list[mp.mpc]:
         s = mp.mpc(s)
@@ -178,7 +186,7 @@ def _main_terms(alphas, k_terms: int):
         if 1 in shifted:
             raise PoleError(f"conjugate twist pole hit at nu={shifted.index(1)} (s+nu=1)")
         q_values = _q_values(table, s)
-        terms = {beta: [q * zeta2_twist_oracle(x, beta) for q, x in zip(q_values, shifted)]
+        terms = {beta: [q * twist(x, beta) for q, x in zip(q_values, shifted)]
                  for beta in dict.fromkeys(betas)}
         return [transformation_prefactor(s, alpha) * mp.fdot(powers, terms[beta])
                 for alpha, beta, powers in zip(alphas, betas, ratio_powers)]
@@ -491,7 +499,9 @@ def growth_certificate(
     + |sigma| log(h/(2 pi e)^2)] must stay of size O(log|sigma|); the fitted
     per-|sigma| slope of Delta is the sensitivity statistic: it vanishes for
     the correct h and grows like log(h_true/h) when h is wrong.  Needs h > 0
-    and (t, sigmas) in the `growth_domain` of alpha.
+    and (t, sigmas) in the `growth_domain` of alpha.  F comes from Hurwitz's
+    formula, whose sums can cancel: a radius above 2^-(prec/4) |F| (fewer than
+    prec/4 stable bits) raises PrecisionExhaustedError.
     """
     t, sigmas = growth_domain(alpha, t, sigmas)
     alpha = Fraction(alpha)
@@ -500,12 +510,9 @@ def growth_certificate(
         raise ValueError(f"the certificate needs h > 0, got {h}")
     deltas = []
     for sigma in sigmas:
-        value = zeta2_twist_oracle(mp.mpc(sigma, t), alpha)
-        # deep in the left half-plane the evaluation cancels heavily; a
-        # higher-precision shadow evaluation certifies the digits used
-        with mp.workprec(mp.mp.prec + 64):
-            shadow = zeta2_twist_oracle(mp.mpc(sigma, t), alpha)
-        if abs(value - shadow) > abs(shadow) * mp.mpf(2) ** (-mp.mp.prec // 4):
+        (value,), radius = _reflected_twist_kernel(mp.mpc(sigma, t), alpha.denominator,
+                                                   [alpha.numerator])
+        if radius > abs(value) * mp.mpf(2) ** (-mp.mp.prec // 4):
             raise PrecisionExhaustedError(
                 f"twist value at sigma={sigma} carries fewer than "
                 f"{mp.mp.prec // 4} stable bits; raise the working precision"

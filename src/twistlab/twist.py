@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
@@ -168,10 +168,11 @@ def _prime_flags(limit: int) -> bytearray:
     return flags
 
 
-def _residue_sums(coeffs: list[int], s, modulus: int):
+def _residue_sums(coeffs: list[int], s, modulus: int, folds=None):
     """Bucket sums sum_{n <= N, n = r mod modulus} a(n) n^-s for the
     integers a(n) = coeffs[n - 1], N = len(coeffs), each converted to mpc
-    once; a modulus above N gets one bucket per n.
+    once; a modulus above N gets one bucket per n.  ``folds``, divisors p of
+    ``modulus``, gives instead the buckets mod p of each p, bit for bit a pass mod p.
 
     The pass (see the module docstring) runs in units of 2^-bits,
     bits = prec + bit_length(N bit_length(N)).  A table entry x = p^-s is
@@ -256,6 +257,9 @@ def _residue_sums(coeffs: list[int], s, modulus: int):
     re = [(x << table_scale) + y for x, y in zip(smooth_re, large_re)]
     im = [(x << table_scale) + y for x, y in zip(smooth_im, large_im)]
     scale = bits + table_scale
+    if folds is not None:
+        return [[mp.mpc(mp.ldexp(sum(re[r::p]), -scale), mp.ldexp(sum(im[r::p]), -scale))
+                 for r in range(p)] for p in folds]
     return [mp.mpc(mp.ldexp(x, -scale), mp.ldexp(y, -scale)) for x, y in zip(re, im)]
 
 
@@ -306,6 +310,31 @@ def _divisor_twist_kernel(s, q: int, numerators) -> list[mp.mpc]:
     hurwitz = [hurwitz_zeta(s, a) for a in hurwitz_parameters(q, mp.mp.prec)]
     prefactor = mp.power(q, -2 * s)
     return [prefactor * sums[0] for sums in _pair_sums([[h] for h in hurwitz], q, numerators)]
+
+
+def _reflected_twist_kernel(s, q: int, numerators) -> tuple[list[mp.mpc], mp.mpf]:
+    """(values, radius): F(s, b/q), sigma < 0, for each b in ``numerators`` by Hurwitz's
+    formula (DLMF 25.11.9) from q Hurwitz values at Re(1 - s) > 1: F(s, b/q) is
+    (2 Gamma(1-s) (2 pi)^(s-1) / q)^2 sum_{u,v} e(-uvb/q) Z_u Z_v (``_pair_sums``, index
+    q standing for 0), Z_u = sum_{i=1..q} sin(pi s/2 + 2 pi i u/q) zeta(1-s, i/q).
+    Error, with eps = 2^-prec, m = cosh(pi t/2) >= |sin|, |cos| and H = sum_i |zeta(1-s, i/q)|:
+    the sines (at prec + 10 bits) err by eps m/32; each zeta by 2 eps relative, plus
+    3.4 |1-s| eps from its rounded parameter (|zeta(2-s, a)| <= 3.4 |zeta(1-s, a)|/a for
+    sigma <= -1); so each Z_u by (3.1 + 4|1-s|) eps m H; the pair sums (roots within
+    4.2 eps, three roundings) by (12.4 + 8|1-s|) eps (q m H)^2; P and the product by
+    1.1 eps.  So radius = (16 + 8|1-s|) eps |P| (q m H)^2 bounds the error: only the
+    sums can cancel."""
+    s, prec = mp.mpc(s), mp.mp.prec
+    hurwitz = [hurwitz_zeta(1 - s, a) for a in hurwitz_parameters(q, prec)]
+    with mp.workprec(prec + 10):  # sin(pi s/2 + 2 pi k/q) for k = 0..q-1
+        sin, cos = mp.sinpi(s / 2), mp.cospi(s / 2)
+        rows = [sin * root.real + cos * root.imag for root in roots_of_unity(q, prec + 10)]
+    zs = [[mp.fdot([rows[i * u % q] for i in range(1, q + 1)], hurwitz)] for u in range(1, q + 1)]
+    with mp.workprec(prec + 10 + max(0, mp.mag(s))):
+        prefactor = (2 * mp.gamma(1 - s) * mp.power(2 * mp.pi, s - 1) / q) ** 2
+    size = q * mp.cosh(mp.pi * s.imag / 2) * mp.fsum(map(abs, hurwitz))  # q m H
+    return ([prefactor * sums[0] for sums in _pair_sums(zs, q, numerators)],
+            (16 + 8 * abs(1 - s)) * mp.ldexp(abs(prefactor) * size ** 2, -prec))
 
 
 def zeta2_twist_oracle(s, alpha) -> mp.mpc:
@@ -401,27 +430,28 @@ class IdentityCheck:
         return abs(self.lhs - self.rhs)
 
 
-def additive_from_mult_identity_check(s, a: int, p: int, n_max: int = 100_000) -> IdentityCheck:
-    """Both sides of the additive-from-multiplicative identity
+def additive_from_mult_identity_check(s, a: int, primes, n_max: int = 100_000) -> list:
+    """Both sides of the additive-from-multiplicative identity for each p in ``primes``
 
     F(s,-a/p) = (p-1)^-1 sum_{chi != chi0} chi(a) tau(conj chi) F(s,chi)
                 - (p/(p-1) 1/F_p(s) - 1) F(s)
 
     evaluated as truncated series over n <= n_max with sigma > 1.
-    F(s)/F_p(s) is the p-free part of the series, so every sum shares one
-    pass over the coefficients grouped by residue class mod p.
+    F(s)/F_p(s) is the p-free part of the series, so every sum reads one pass
+    over the coefficients modulo the product of the primes, folded mod p.
     """
     s = mp.mpc(s)
     if mp.re(s) <= 1:
         raise ValueError("identity check needs sigma > 1")
-    if gcd(a, p) != 1:
+    if any(gcd(a, p) != 1 for p in primes):
         raise ValueError("need gcd(a, p) = 1")
-    residue_sums = _residue_sums(divisor_stream().values(n_max), s, p)
-    lhs = _twist_from_residues(residue_sums, Fraction(-a, p))
-    f_full = mp.fsum(residue_sums)
-    rows, _ = _character_weights(p, mp.mp.prec)
-    f_chis = [mp.fdot(residue_sums[1:], row, conjugate=True) for row in rows]
-    return IdentityCheck(lhs, _conversion_rhs(a, p, f_chis, f_full, f_full - residue_sums[0]))
+    checks, coeffs = [], divisor_stream().values(n_max)
+    for p, sums in zip(primes, _residue_sums(coeffs, s, prod(primes), primes) if primes else []):
+        f_full, (rows, _) = mp.fsum(sums), _character_weights(p, mp.mp.prec)
+        f_chis = [mp.fdot(sums[1:], row, conjugate=True) for row in rows]
+        checks.append(IdentityCheck(_twist_from_residues(sums, Fraction(-a, p)),
+                                    _conversion_rhs(a, p, f_chis, f_full, f_full - sums[0])))
+    return checks
 
 
 def p_free_coefficient(n: int, p: int) -> int:

@@ -201,7 +201,7 @@ def test_criterion_7_twist_conversions():
     ok = half_twist_coefficient_identity(10_000) == []
     for p in (3, 5):
         for sigma in ("2.5", "3"):
-            check = additive_from_mult_identity_check(mp.mpc(sigma), 1, p, n_max=100_000)
+            (check,) = additive_from_mult_identity_check(mp.mpc(sigma), 1, [p], n_max=100_000)
             ok = ok and check.difference <= mp.mpf("1e-8")
     for p in (3, 5):
         report = verify_chi_holomorphy(p, tol=mp.mpf("1e-15"))

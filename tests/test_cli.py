@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from twistlab import special, transform, twist
@@ -322,6 +323,7 @@ class TestRejectedBeforeAnyTwist:
             raise AssertionError("a twist was evaluated")
 
         monkeypatch.setattr(twist, "_divisor_twist_kernel", evaluated)
+        monkeypatch.setattr(transform, "_reflected_twist_kernel", evaluated)
         monkeypatch.setattr(transform, "_laurent_at_1", evaluated)
 
     def rejected(self, capsys, *argv):
@@ -399,7 +401,8 @@ class TestRejectedBeforeAnyTwist:
             transform.growth_certificate(alpha, 1, t=0, sigmas=(-10, -21))
 
     def test_certificate_samples_even_sigma_where_the_twist_is_nonzero(self):
-        # F(-10, 1/3) is about -1.3e6 i: the certificate goes on to evaluate it
+        # F(-10, 1/3) is about -1.3e6 i: the certificate goes on to evaluate it,
+        # by the reflected route
         with pytest.raises(AssertionError, match="a twist was evaluated"):
             transform.growth_certificate("1/3", 9, t=0, sigmas=(-10, -20))
 
@@ -569,3 +572,13 @@ class TestBenchmarkRecords:
         code, _ = run_cli(capsys, *argv)
         assert code == 0
         assert special._hurwitz_series.cache_info().misses == builds
+
+    def test_verify_calls_mp_zeta_nowhere_in_the_left_half_plane(self, capsys, monkeypatch):
+        # the growth certificate reads its Hurwitz values at 1 - s, and the
+        # contours about s = 0..-3 sit on the series discs
+        points, zeta = [], mp.zeta
+        monkeypatch.setattr(mp, "zeta", lambda s, *args: points.append(mp.mpc(s)) or zeta(s, *args))
+        special._hurwitz_memo.cache_clear()
+        code, _ = run_cli(capsys, "verify")
+        assert code == 0
+        assert points and min(point.real for point in points) >= 0

@@ -179,6 +179,27 @@ class TestRPolynomials:
                 via_h, via_gamma = r_poly_forms(datum, nu)
                 assert via_h == via_gamma, (datum.label, nu)
 
+    def test_gamma_form_groups_equal_factors(self, zeta2, monkeypatch):
+        # zeta(s)^2's two factors are equal: the Gamma form composes B_{nu+1}
+        # once per distinct factor (two compositions), and equals the sum
+        # over every factor, repeats included
+        for datum in (zeta2, synthetic_datum_complex()):
+            for nu in range(1, 9):
+                b_poly = bernoulli.bernoulli_polynomial(nu + 1)
+                per_factor = sum(
+                    ((b_poly.compose(Polynomial((f.lam + f.mu.conjugate(), -f.lam)))
+                      + b_poly.compose(Polynomial((1 - f.mu, -f.lam)))) * (1 / f.lam**nu)
+                     for f in datum.factors), Polynomial())
+                shifted = b_poly.compose(Polynomial((GaussianRational(1, -datum.theta), -2)))
+                base = shifted + Polynomial((b_poly(1),))
+                assert r_poly_forms(datum, nu)[1] == base - per_factor, (datum.label, nu)
+        compositions = []
+        compose = Polynomial.compose
+        monkeypatch.setattr(Polynomial, "compose",
+                            lambda self, inner: compositions.append(inner) or compose(self, inner))
+        r_poly_forms(zeta2, 5)
+        assert len(compositions) == 1 + 1 + 2  # shifted, the H form's conj(h)(1 - s), one factor
+
     def test_rejects_nu_zero(self, zeta2):
         with pytest.raises(ValueError):
             r_poly(zeta2, 0)

@@ -52,6 +52,20 @@ class TestZeta2Invariants:
         assert lambda_invariant(zeta2) == 1
 
 
+class TestDatumHash:
+    def test_equal_data_hash_equally_and_the_fields_are_hashed_once(self, monkeypatch):
+        calls, field_hash = [], QParam.__hash__
+        monkeypatch.setattr(QParam, "__hash__", lambda self: calls.append(self) or field_hash(self))
+        first, second = zeta2_datum(), zeta2_datum()
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert len(calls) == 2  # once per instance
+        assert hash(first) == hash(second) and {first: 1}[second] == 1
+        assert len(calls) == 2
+        other = load_datum({"Q": "pi^-1", "factors": [{"lambda": "1/2"}] * 2})  # pole order 0
+        assert other != first and first not in {other: 1}
+
+
 class TestOtherData:
     def test_zeta_datum_conductor_one(self):
         d = make_datum([factor(Fraction(1, 2))], q="pi^-1/2")

@@ -18,6 +18,7 @@ from twistlab.special import (
     gauss_sum,
     hurwitz_zeta,
     primitive_root,
+    roots_of_unity,
     unit_phase,
 )
 
@@ -153,7 +154,7 @@ class TestHurwitzSeriesAtOne:
         with mp.workprec(bits):
             for a in self.A_VALUES:
                 a_bin = mp.mpmathify(a)
-                wp, log_n, coeffs = special._hurwitz_series(1, a_bin._mpf_, bits)
+                wp, log_n, coeffs, _ = special._hurwitz_series(1, a_bin._mpf_, bits)
                 with mp.workprec(bits + 64):
                     e0, e1 = (mp.ldexp(coeffs[-1 - i], -wp) for i in (0, 1))
                     gamma0 = mp.stieltjes(0, a_bin)
@@ -265,6 +266,55 @@ class TestHurwitzSeries:
             assert hurwitz_zeta(s, Fraction(3, 2))._mpc_ == uncached._mpc_
 
 
+class TestSchwarzReflection:
+    """Below the real axis hurwitz_zeta reads the memoised value at the mirror
+    point: zeta(conj s, a) = conj zeta(s, a) for real a."""
+
+    def test_mirror_is_the_exact_conjugate_and_the_memo_keeps_the_upper_point(self, monkeypatch):
+        keys, memo = [], special._hurwitz_memo
+        monkeypatch.setattr(special, "_hurwitz_memo",
+                            lambda s, a, prec: keys.append(s) or memo(s, a, prec))
+        with mp.workprec(128):
+            rho = mp.mpf(1) / 4
+            on_discs = [c + rho * mp.expjpi(mp.mpf(j) / 16) for c in (-3, 0, 1, 5, 17)
+                        for j in range(1, 16, 2)]
+            off_discs = [mp.mpc(-10, 5), mp.mpc("0.5", 14), mp.mpc("2.5", "0.75"),
+                         mp.mpc(-4, "0.2")]
+            for s in on_discs + off_discs:
+                for a in (Fraction(1), Fraction(1, 3), Fraction(5, 7)):
+                    below = hurwitz_zeta(mp.conj(s), a)
+                    assert below._mpc_ == mp.conj(hurwitz_zeta(s, a))._mpc_, (s, a)
+        assert len(keys) == 2 * 3 * len(on_discs + off_discs)
+        assert all(mp.make_mpc(key).imag >= 0 for key in keys)
+
+
+class TestSeriesPoleTerm:
+    """The pole term (N+a)^(1-c) e^(-x L_N)/(s - 1), Horner-evaluated beside E in
+    fixed point, at the nodes the verification chain samples.  Nodes below the
+    real axis read their mirror, so the upper half of each circle, real axis
+    included, is every node the series serves."""
+
+    A_VALUES = sorted({Fraction(u, q) for q in range(1, 6) for u in range(1, q + 1)})
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_raw_series_within_its_stated_bound(self, bits):
+        guard = special._SERIES_GUARD
+        with mp.workprec(bits):
+            params = [mp.mpmathify(a) for a in self.A_VALUES]
+            # the polar circles and their main-term shifts (radius 1/4, 32 nodes),
+            # each center seeing every a, and the character circles (radius 1/8, 8 nodes)
+            cases = [(c, c + w / 4, params[(j + c) % len(params)])
+                     for c in special._SERIES_CENTERS
+                     for j, w in enumerate(roots_of_unity(32, bits)[:17])]
+            cases += [(1, 1 + w / 8, a) for w in roots_of_unity(8, bits)[:5] for a in params]
+            for c, s, a in cases:
+                raw = special._series_value(s, c, a._mpf_, bits)
+                with mp.workprec(bits + 64):
+                    target = mp.zeta(s, a)
+                    assert abs(raw - target) <= mp.ldexp(max(1, abs(target)), -bits - guard), \
+                        (c, s, a)
+
+
 def reference_series_size(c, a_mpf, prec):
     """(N, M, wp) of ``special._series_size``'s bounds, evaluated directly in
     53-bit mpmath: the exact bounds up to ordinary rounding."""
@@ -280,6 +330,7 @@ def reference_series_size(c, a_mpf, prec):
         n, m = 2 * big_j, 2 * big_j - 1
         lam = max(abs(mp.log(a)), mp.log(n + a))
         head = mp.fsum((k + a) ** -c for k in range(n))
+        head += (n + a) ** (1 - c) / (abs(c - 1) - rho if c != 1 else rho)  # the pole row
         weights = [abs(mp.bernoulli(2 * j)) / mp.factorial(2 * j) * (n + a) ** (1 - 2 * j)
                    for j in range(1, big_j + 1)]
         while (head + (n + a) ** -c * (0.5 + mp.fdot(weights, list(accumulate(

@@ -331,9 +331,10 @@ class TestPolarConsistency:
 
     def test_one_main_term_pass_per_node(self, monkeypatch):
         # alphas 1/2 and 1/3 share beta = 0: per node, Q_0..Q_8 come from one
-        # _q_values call and each conjugate twist F(s + nu, 0) is requested
-        # once, not once per alpha; F(s, alpha) once per alpha.  A request is
-        # keyed by the number of Q passes so far and its exact argument.
+        # _q_values call; each distinct shifted argument s + nu of the pass is
+        # requested once as F(s + nu, 0), not once per alpha, node or circle
+        # (the shifts of one circle's nodes are nodes of the others); F(s, alpha)
+        # once per node and alpha.  A request is keyed by its exact argument.
         nodes, requests = [], Counter()
         q_values, oracle = transform._q_values, transform.zeta2_twist_oracle
 
@@ -342,7 +343,7 @@ class TestPolarConsistency:
             return q_values(table, s)
 
         def counted_oracle(s, alpha):
-            requests[len(nodes), mp.mpc(s)._mpc_, Fraction(alpha)] += 1
+            requests[mp.mpc(s)._mpc_, Fraction(alpha)] += 1
             return oracle(s, alpha)
 
         monkeypatch.setattr(transform, "_q_values", counted_q_values)
@@ -351,8 +352,11 @@ class TestPolarConsistency:
         assert all(report.passed for report in reports)
         assert len(nodes) == 4 * 32  # the principal parts at s = 1 are closed form
         assert set(requests.values()) == {1}
-        alphas = Counter(alpha for _, _, alpha in requests)
-        assert alphas == {0: len(nodes) * 9, Fraction(1, 2): len(nodes), Fraction(1, 3): len(nodes)}
+        shifted = {mp.mpc(s + nu)._mpc_ for s in nodes for nu in range(9)}
+        assert {x for x, alpha in requests if alpha == 0} == shifted
+        assert len(shifted) == 512  # of 128 nodes times 9 shifts
+        alphas = Counter(alpha for _, alpha in requests)
+        assert alphas == {0: 512, Fraction(1, 2): len(nodes), Fraction(1, 3): len(nodes)}
 
 
 @pytest.fixture(scope="module")
@@ -775,16 +779,16 @@ class TestGrowthCertificate:
             growth_certificate(Fraction(1, 2), h)
 
     def test_precision_exhaustion_signal(self, monkeypatch):
-        # the shadow evaluation at raised precision certifies the digits;
-        # an evaluator whose answer moves with the precision must be refused
-        import twistlab.transform as transform_module
+        # the reflected route's stated radius certifies the digits; inputs whose
+        # Z-sums cancel must be refused.  At q = 2, b = 1 the u, v sum is
+        # -Z_1^2 + 2 Z_1 Z_2 + Z_2^2, which vanishes at Z_2/Z_1 = sqrt(2) - 1;
+        # zeta(1-s, 1/2) = 1 - sqrt(2) and zeta(1-s, 1) = 1 give that ratio.
         from twistlab.transform import PrecisionExhaustedError
 
-        base = mp.mp.prec
+        def cancelling(s, a):
+            return 1 - mp.sqrt(2) if a < 1 else mp.mpc(1)
 
-        def unstable(s, alpha):
-            return mp.mpf("1.01") if mp.mp.prec == base + 64 else mp.mpf(1)
-
-        monkeypatch.setattr(transform_module, "zeta2_twist_oracle", unstable)
-        with pytest.raises(PrecisionExhaustedError):
-            growth_certificate(Fraction(1, 3), 9, t=5, sigmas=(-10, -20))
+        assert growth_certificate(Fraction(1, 2), 4, t=5, sigmas=(-10, -20)).passed
+        monkeypatch.setattr(twist, "hurwitz_zeta", cancelling)
+        with pytest.raises(PrecisionExhaustedError, match="stable bits"):
+            growth_certificate(Fraction(1, 2), 4, t=5, sigmas=(-10, -20))

@@ -1,3 +1,4 @@
+import functools
 import gc
 import subprocess
 import sys
@@ -229,6 +230,46 @@ class TestOracle:
                             (bits, q, b)
 
 
+class TestReflectedKernel:
+    """Hurwitz's formula (the growth certificate's route, Hurwitz values at 1 - s)
+    against the oracle, whose Hurwitz values sit at s itself."""
+
+    # the certificate's default grid at its default t, and an odd grid near the axis
+    POINTS = ([mp.mpc(sigma, 5) for sigma in (-10, -20, -30, -40)]
+              + [mp.mpc(sigma, 0.5) for sigma in (-10.5, -15.5, -25.5)])
+    REFERENCE_BITS = 288
+
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def reference(cls, q, index):
+        """F(s, b/q) for b = 0..q-1 by the oracle at 288 bits, and an allowance for
+        its error: 2^10 ulps of q^-2sigma (sum_u |zeta(s, u/q)|)^2, the scale of its
+        sums, each Hurwitz value being within a few ulps."""
+        s, bits = cls.POINTS[index], cls.REFERENCE_BITS
+        with mp.workprec(bits):
+            values = zeta2_twist_batch(s, q)
+            sizes = mp.fsum(abs(hurwitz_zeta(s, Fraction(u, q))) for u in range(1, q + 1))
+            return values, mp.ldexp(abs(mp.power(q, -2 * s)) * sizes ** 2, 10 - bits)
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_agrees_with_the_oracle_within_the_stated_radius(self, bits):
+        for q in range(1, 13):
+            for index, s in enumerate(self.POINTS):
+                want, allowance = self.reference(q, index)
+                with mp.workprec(bits):
+                    got, radius = twist._reflected_twist_kernel(s, q, range(q))
+                for b, (value, target) in enumerate(zip(got, want)):
+                    assert abs(value - target) <= radius + allowance, (bits, q, b, s)
+
+    def test_radius_leaves_the_certificate_most_of_the_bits(self):
+        # on the default grid the radius is far below |F| for alpha = 1/q
+        with mp.workprec(128):
+            for q in (1, 2, 3, 4, 7, 12):
+                for s in self.POINTS[:4]:
+                    (value,), radius = twist._reflected_twist_kernel(s, q, [1])
+                    assert radius <= abs(value) * mp.mpf(2) ** -100, (q, s)
+
+
 class TestMultiplicativeConversion:
     def test_matches_squared_l_function(self):
         # every odd prime of the --primes range, at a point on the series disc
@@ -280,17 +321,26 @@ class TestMultiplicativeConversion:
 class TestConversionIdentity:
     def test_numeric_examples(self):
         for s, a, p, bound in ((mp.mpc(3), 1, 3, "1e-10"), (mp.mpc("2.5"), 2, 5, "1e-8")):
-            check = additive_from_mult_identity_check(s, a, p, n_max=100_000)
+            (check,) = additive_from_mult_identity_check(s, a, [p], n_max=100_000)
             assert check.difference <= mp.mpf(bound)
             # both sides read a mod p only, outside 1..p-1 too
             for shifted in (a + p, a - 2 * p):
-                assert additive_from_mult_identity_check(s, shifted, p, n_max=100_000) == check
+                assert additive_from_mult_identity_check(s, shifted, [p], n_max=100_000) == [check]
+
+    def test_one_pass_serves_every_prime_bit_for_bit(self):
+        s, primes = mp.mpc("2.5", 1), (3, 5, 7)
+        checks = additive_from_mult_identity_check(s, 2, primes, n_max=5000)
+        assert checks == [additive_from_mult_identity_check(s, 2, [p], n_max=5000)[0]
+                          for p in primes]
+        assert additive_from_mult_identity_check(s, 2, [], n_max=5000) == []
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            additive_from_mult_identity_check(mp.mpc(3), 3, 3)
+            additive_from_mult_identity_check(mp.mpc(3), 3, [3])
         with pytest.raises(ValueError):
-            additive_from_mult_identity_check(mp.mpc("0.5"), 1, 3)
+            additive_from_mult_identity_check(mp.mpc(3), 5, [3, 5])
+        with pytest.raises(ValueError):
+            additive_from_mult_identity_check(mp.mpc("0.5"), 1, [3])
 
     def test_half_twist_coefficients_exact(self):
         assert half_twist_coefficient_identity(10_000) == []
@@ -385,7 +435,7 @@ class TestResidueKernel:
     def test_identity_sides_match_literal_loops(self, s):
         n_max = 1500
         for a, p in ((1, 3), (2, 5)):
-            check = additive_from_mult_identity_check(s, a, p, n_max=n_max)
+            (check,) = additive_from_mult_identity_check(s, a, [p], n_max=n_max)
             f_full = literal_series(s, lambda n: 1, n_max)
             f_p_free = literal_series(s, lambda n: n % p != 0, n_max)
             char_part = mp.fsum(
@@ -436,6 +486,13 @@ class TestResidueKernel:
         monkeypatch.setattr(twist, "_power_cut", lambda sigma, scale, n_max: n_max)
         full = _residue_sums(divisors.values(2000), s, 6)
         assert [v._mpc_ for v in stopped] == [v._mpc_ for v in full]
+
+    @pytest.mark.parametrize("s", KERNEL_POINTS)
+    def test_folded_buckets_are_a_pass_mod_p_bit_for_bit(self, divisors, s):
+        coeffs = divisors.values(2000)
+        folded = _residue_sums(coeffs, s, 105, folds=(3, 5, 7))
+        for p, buckets in zip((3, 5, 7), folded):
+            assert [v._mpc_ for v in buckets] == [v._mpc_ for v in _residue_sums(coeffs, s, p)]
 
     def test_pass_leaves_no_garbage(self, divisors):
         # a reference cycle would hold the pass's coefficient list until the
