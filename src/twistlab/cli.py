@@ -414,16 +414,14 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    commands = {"polys": cmd_polys, "verify": cmd_verify, "euler": cmd_euler,
+                "twist-grid": cmd_twist_grid}
     with mp.workprec(cfg.precision):
-        if args.command == "polys":
-            return cmd_polys(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "euler":
-            return cmd_euler(cfg)
-        if args.command == "twist-grid":
-            return cmd_twist_grid(cfg)
-    raise AssertionError("unreachable")
+        try:
+            return commands[args.command](cfg)
+        except twist.PrecisionExhaustedError as exc:
+            print(f"precision error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -41,6 +41,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
+        return GaussianRational, (self.re, self.im)
+
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:

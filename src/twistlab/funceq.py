@@ -118,6 +118,9 @@ class FunctionalEquationDatum:
     def __hash__(self) -> int:  # the exact layer's lru_caches key on a datum
         return self._hash
 
+    def __reduce__(self):  # rebuilt from its fields: a str's hash is salted per process
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     @property
     def r(self) -> int:
         return len(self.factors)

@@ -33,8 +33,8 @@ from .exactpoly import scalar_to_mpc
 from .funceq import zeta2_datum
 from .reports import Report
 from .special import PoleError, characters_mod, dirichlet_l, roots_of_unity
-from .twist import (_laurent_at_1, _reflected_twist_kernel, character_twists, reduce_mod_one,
-                    zeta2_twist_batch, zeta2_twist_oracle)
+from .twist import (PrecisionExhaustedError, _laurent_at_1, _stable_reflected_twists,
+                    character_twists, reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle)
 
 
 LAURENT_RADIUS = Fraction(1, 4)  # contour radius; laurent_extract also reads radius/2
@@ -47,10 +47,6 @@ SLOPE_TOL = mp.mpf("0.5")  # growth certificate: |fitted slope of Delta| bound
 
 class LaurentConvergenceError(ArithmeticError):
     """Node doubling did not converge: f is not analytic on the circle."""
-
-
-class PrecisionExhaustedError(ArithmeticError):
-    """The working precision cannot support the requested evaluation."""
 
 
 @dataclass(frozen=True)
@@ -510,13 +506,8 @@ def growth_certificate(
         raise ValueError(f"the certificate needs h > 0, got {h}")
     deltas = []
     for sigma in sigmas:
-        (value,), radius = _reflected_twist_kernel(mp.mpc(sigma, t), alpha.denominator,
-                                                   [alpha.numerator])
-        if radius > abs(value) * mp.mpf(2) ** (-mp.mp.prec // 4):
-            raise PrecisionExhaustedError(
-                f"twist value at sigma={sigma} carries fewer than "
-                f"{mp.mp.prec // 4} stable bits; raise the working precision"
-            )
+        (value,) = _stable_reflected_twists(mp.mpc(sigma, t), alpha.denominator,
+                                            [alpha.numerator])
         envelope = 2 * abs(sigma) * mp.log(abs(sigma)) + abs(sigma) * mp.log(
             mp.mpmathify(h) / (2 * mp.pi * mp.e) ** 2)
         deltas.append(mp.log(abs(value)) - envelope)

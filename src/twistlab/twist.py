@@ -8,21 +8,24 @@ fractions throughout (Fraction reduces automatically), and negative
 arguments use F(s, -a/q) = F(s, (q-a)/q).
 
 In sigma > 1 every series sum is one pass over n <= N into the bucket sums
-B_r = sum_{n = r mod m} a(n) n^-s: e(-n a/q) depends only on n mod q, so any
+B_r = sum_{n = r mod m} d(n) n^-s: e(-n a/q) depends only on n mod q, so any
 twist with q | m is sum_r e(-r a/q) B_r.  A grid shares one pass per s (m =
 lcm of its denominators), and the additive/multiplicative identity reads every
 sum off the buckets mod p.
 
 The pass runs on Gaussian integers: n^-s in units of 2^-bits, bits a few
 dozen above the working precision, and the bucket sums exact, each converted
-to mpc once.  n^-s is completely multiplicative, so only primes get a
-transcendental evaluation.  With L = isqrt(N), every n <= N is one of two
-kinds.  An L-smooth n is visited depth first from 1, multiplying by the
-primes p <= L in non-decreasing order, n^-s = (n/p)^-s p^-s rounded; m^-s is
-kept for every m <= L.  Any other n is m P with exactly one prime P > L and
-m <= N/P < L: P streams from a bytearray sieve, P^-s is evaluated once, and
-the a(m P) m^-s of each residue class take one multiplication by it.
-Memory: N sieve bytes plus O(sqrt N) integers.
+to mpc once.  It reads no coefficient list.  n^-s is completely
+multiplicative, so only primes get a transcendental evaluation.  With L =
+isqrt(N), every n <= N is one of two kinds.  An L-smooth n is visited depth
+first from 1, multiplying by the primes p <= L in non-decreasing order, n^-s
+= (n/p)^-s p^-s rounded, and d(n) follows from d(n/p) and the exponent of p;
+w(m) = d(m) m^-s is kept for every m <= L.  Any other n is m P with exactly
+one prime P > L and m <= N/P < P, so d(m P) = 2 d(m).  P streams from a
+bytearray sieve in descending order, so that N/P rises through 1..L and
+extends running sums of w(m) per residue class; the P^-s of the primes
+sharing N/P and P mod m add first, and each class takes one multiplication
+by that sum.  Memory: N sieve bytes plus O(sqrt N) integers.
 
 The additive twist has a closed Hurwitz-zeta form that continues it to the
 whole plane minus the double pole at s = 1:
@@ -30,9 +33,12 @@ whole plane minus the double pole at s = 1:
     sum d(n) e(-n a/q) n^-s
         = q^(-2s) sum_{u,v=1}^{q} e(-u v a/q) zeta(s, u/q) zeta(s, v/q),
 
-which is the oracle every continued-twist computation routes through; one
-batch of it mod p gives every character twist mod p.  One pair sum, rounded once per
-group w = uv mod q and per root sum, serves the values and the Laurent data at s = 1.
+the oracle of the continued twists; one batch of it mod p gives every
+character twist mod p.  One pair sum, rounded once per group w = uv mod q and
+per root sum, serves the values and the Laurent data at s = 1.  At sigma <= -1,
+where its Hurwitz values would sit deep in the left half-plane, the twist grid
+and the growth certificate read Hurwitz's formula instead, from Hurwitz values
+at 1 - s, with a stated error radius.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_int, fzero, mpc_pow, mpf_pow, round_nearest, to_fixed
 
 from .special import (
     PoleError,
@@ -133,20 +139,23 @@ class TwistPartialSum:
 
 #: Bits below 2^-bits carried by the prime powers of a series pass, so that
 #: their rounding stays a small part of the per-n error bound stated in
-#: `_residue_sums`.
+#: `_divisor_sums`.
 _TABLE_GUARD = 8
 
 
 def _nearest(x, scale: int) -> int:
-    """The integer nearest x * 2^scale for an mpf x (ties round up)."""
-    return to_fixed(x._mpf_, scale + 1) + 1 >> 1
+    """The integer nearest x * 2^scale for an mpf value tuple x (ties round up)."""
+    return to_fixed(x, scale + 1) + 1 >> 1
 
 
 def _fixed_power(p: int, minus_s, scale: int) -> tuple[int, int]:
     """p^minus_s at the working precision, as the Gaussian integer nearest
-    p^minus_s 2^scale."""
-    v = mp.power(p, minus_s)
-    return _nearest(v.real, scale), _nearest(v.imag, scale)
+    p^minus_s 2^scale.  It calls the libmp routine that mp.power dispatches to,
+    mpf_pow for a real exponent and mpc_pow otherwise, rounding to nearest."""
+    if isinstance(minus_s, mp.mpf):
+        return _nearest(mpf_pow(from_int(p), minus_s._mpf_, mp.mp.prec, round_nearest), scale), 0
+    re, im = mpc_pow((from_int(p), fzero), minus_s._mpc_, mp.mp.prec, round_nearest)
+    return _nearest(re, scale), _nearest(im, scale)
 
 
 def _power_cut(sigma, scale: int, n_max: int) -> int:
@@ -168,11 +177,11 @@ def _prime_flags(limit: int) -> bytearray:
     return flags
 
 
-def _residue_sums(coeffs: list[int], s, modulus: int, folds=None):
-    """Bucket sums sum_{n <= N, n = r mod modulus} a(n) n^-s for the
-    integers a(n) = coeffs[n - 1], N = len(coeffs), each converted to mpc
-    once; a modulus above N gets one bucket per n.  ``folds``, divisors p of
-    ``modulus``, gives instead the buckets mod p of each p, bit for bit a pass mod p.
+def _divisor_sums(n_max: int, s, modulus: int, folds=None):
+    """Bucket sums sum_{n <= N, n = r mod modulus} d(n) n^-s, N = n_max, each
+    converted to mpc once; a modulus above N gets one bucket per n.  ``folds``,
+    divisors p of ``modulus``, gives instead the buckets mod p of each p, bit
+    for bit a pass mod p.
 
     The pass (see the module docstring) runs in units of 2^-bits,
     bits = prec + bit_length(N bit_length(N)).  A table entry x = p^-s is
@@ -183,12 +192,12 @@ def _residue_sums(coeffs: list[int], s, modulus: int, folds=None):
     and the errors add: absolutely for sigma >= 0, where every |p^-s| <= 1,
     relatively for sigma < 0, where every |p^-s| >= 1.  The terms m P
     multiply m^-s by P^-s exactly.  So for any sigma, per n, the term
-    a(n) n^-s is within
+    d(n) n^-s is within
 
-        (Omega(n) + 1) 2^-bits max(1, n^-sigma) |a(n)|.
+        (Omega(n) + 1) 2^-bits max(1, n^-sigma) d(n).
 
     As sum_{n <= N} (Omega(n) + 1) <= N bit_length(N) <= 2^(bits - prec), the
-    buckets are within 2^-prec max_n |a(n)| max(1, n^-sigma) of the truth
+    buckets are within 2^-prec max_n d(n) max(1, n^-sigma) of the truth
     before their one rounding at the working precision.
 
     For sigma > 0 a prime with p^-sigma < 2^-(bits+10) rounds to exactly 0,
@@ -197,7 +206,6 @@ def _residue_sums(coeffs: list[int], s, modulus: int, folds=None):
     its result is bit for bit that of the full pass.
     """
     s = mp.mpc(s)
-    n_max = len(coeffs)
     size = min(modulus, n_max + 1)
     sigma = s.real
     bits = mp.mp.prec + (n_max * n_max.bit_length()).bit_length()
@@ -207,53 +215,65 @@ def _residue_sums(coeffs: list[int], s, modulus: int, folds=None):
         cut = _power_cut(sigma, table_scale, n_max)
         flags = _prime_flags(cut)
         small = [p for p in range(2, min(root, cut) + 1) if flags[p]]
-        flags[: root + 1] = bytes(min(root, cut) + 1)  # the large phase streams P > L only
         minus_s = -s if s.imag else -sigma  # a real exponent takes mpmath's real power
         small_values = [_fixed_power(p, minus_s, table_scale) for p in small]
 
-        # L-smooth n, depth first: the children of n are n p for p >= its largest prime
-        table_re, table_im = [0] * (root + 1), [0] * (root + 1)
+        # L-smooth n, depth first from 1: the children of n are n p for p >= its
+        # largest prime, each summed as it is made.  An entry carries d(n) and the
+        # exponent e of that prime: a child by the same prime has d (e + 2)/(e + 1),
+        # by a larger one 2 d.  Only a child with children (n p^2 <= N) is visited.
+        weight_re, weight_im = [0] * (root + 1), [0] * (root + 1)  # d(m) m^-s, m <= L
         smooth_re, smooth_im = [0] * size, [0] * size
         half = 1 << table_scale - 1
-        stack = [(1, 1 << bits, 0, 0)] if n_max >= 1 else []
+        stack = []
+        if n_max >= 1:
+            smooth_re[1 % modulus] = weight_re[1] = 1 << bits
+            stack.append((1, 1 << bits, 0, 0, 1, 0))
         while stack:
-            n, vr, vi, first = stack.pop()
-            if n <= root:
-                table_re[n], table_im[n] = vr, vi
-            c = coeffs[n - 1]
-            if c:
-                r = n % modulus
-                smooth_re[r] += c * vr
-                smooth_im[r] += c * vi
+            n, vr, vi, first, d, e = stack.pop()
             for i in range(first, len(small)):
-                child = n * small[i]
+                p = small[i]
+                child = n * p
                 if child > n_max:
                     break
                 pr, pi = small_values[i]
                 cr = vr * pr - vi * pi + half >> table_scale
                 ci = vr * pi + vi * pr + half >> table_scale
-                if cr or ci:  # a zero value has only zero multiples
-                    stack.append((child, cr, ci, i))
+                if not (cr or ci):  # a zero value has only zero multiples
+                    continue
+                dc, ec = (d * (e + 2) // (e + 1), e + 1) if i == first else (2 * d, 1)
+                r = child % modulus
+                smooth_re[r] += dc * cr
+                smooth_im[r] += dc * ci
+                if child <= root:
+                    weight_re[child], weight_im[child] = dc * cr, dc * ci
+                if child * p <= n_max:
+                    stack.append((child, cr, ci, i, dc, ec))
 
-        # n = m P with one prime P > L: m <= N/P < L, and the class sums of one P
-        # (keyed by m mod modulus) take one multiplication by P^-s
+        # n = m P with one prime P > L: m <= top = N // P < P, so d(m P) = 2 d(m).
+        # As P falls, top rises through 1..L and extends the running class sums
+        # acc_j = sum_{m <= top, m = j mod modulus} w(m); the primes of one top
+        # add their 2 P^-s per class c = P mod modulus, and each (c, j) takes one
+        # product into the bucket of j c
+        width = min(modulus, root + 1)
+        acc_re, acc_im = [0] * width, [0] * width
         large_re, large_im = [0] * size, [0] * size
-        for p in compress(range(cut + 1), flags):
-            pr, pi = _fixed_power(p, minus_s, table_scale)
-            top = n_max // p
-            width = min(modulus, top + 1)
-            acc_re, acc_im = [0] * width, [0] * width
-            for m, c in enumerate(coeffs[p - 1 : top * p : p], 1):
-                if c:
-                    j = m % modulus
-                    acc_re[j] += c * table_re[m]
-                    acc_im[j] += c * table_im[m]
-            for j in range(width):
-                xr, xi = acc_re[j], acc_im[j]
-                if xr or xi:
-                    r = j * p % modulus
-                    large_re[r] += xr * pr - xi * pi
-                    large_im[r] += xr * pi + xi * pr
+        for top in range(1, root + 1):
+            acc_re[top % modulus] += weight_re[top]
+            acc_im[top % modulus] += weight_im[top]
+            low, high = max(root, n_max // (top + 1)), min(cut, n_max // top)
+            groups = {}
+            for p in compress(range(high, low, -1), flags[high:low:-1]):
+                pr, pi = _fixed_power(p, minus_s, table_scale)
+                gr, gi = groups.get(p % modulus, (0, 0))
+                groups[p % modulus] = gr + 2 * pr, gi + 2 * pi
+            for c, (gr, gi) in groups.items():
+                for j in range(min(width, top + 1)):
+                    xr, xi = acc_re[j], acc_im[j]
+                    if xr or xi:
+                        r = j * c % modulus
+                        large_re[r] += xr * gr - xi * gi
+                        large_im[r] += xr * gi + xi * gr
     re = [(x << table_scale) + y for x, y in zip(smooth_re, large_re)]
     im = [(x << table_scale) + y for x, y in zip(smooth_im, large_im)]
     scale = bits + table_scale
@@ -278,7 +298,7 @@ def twist_direct(s, alpha, n_max: int = 100_000) -> TwistPartialSum:
         raise ValueError("direct twist evaluation needs sigma > 1")
     alpha = Fraction(alpha)
     stream = divisor_stream()
-    value = _twist_from_residues(_residue_sums(stream.values(n_max), s, alpha.denominator), alpha)
+    value = _twist_from_residues(_divisor_sums(n_max, s, alpha.denominator), alpha)
     return TwistPartialSum(value, stream.tail_bound(n_max, mp.re(s)))
 
 
@@ -335,6 +355,22 @@ def _reflected_twist_kernel(s, q: int, numerators) -> tuple[list[mp.mpc], mp.mpf
     size = q * mp.cosh(mp.pi * s.imag / 2) * mp.fsum(map(abs, hurwitz))  # q m H
     return ([prefactor * sums[0] for sums in _pair_sums(zs, q, numerators)],
             (16 + 8 * abs(1 - s)) * mp.ldexp(abs(prefactor) * size ** 2, -prec))
+
+
+class PrecisionExhaustedError(ArithmeticError):
+    """The working precision cannot support the requested evaluation."""
+
+
+def _stable_reflected_twists(s, q: int, numerators) -> list[mp.mpc]:
+    """The values of `_reflected_twist_kernel`, whose sums can cancel: a radius
+    above 2^-(prec/4) |F| (fewer than prec/4 stable bits) raises
+    PrecisionExhaustedError."""
+    values, radius = _reflected_twist_kernel(s, q, numerators)
+    if any(radius > abs(value) * mp.mpf(2) ** (-mp.mp.prec // 4) for value in values):
+        raise PrecisionExhaustedError(
+            f"a twist value F(s, b/{q}) at s = {mp.nstr(s, 15)} carries fewer than "
+            f"{mp.mp.prec // 4} stable bits; raise the working precision")
+    return values
 
 
 def zeta2_twist_oracle(s, alpha) -> mp.mpc:
@@ -445,8 +481,8 @@ def additive_from_mult_identity_check(s, a: int, primes, n_max: int = 100_000) -
         raise ValueError("identity check needs sigma > 1")
     if any(gcd(a, p) != 1 for p in primes):
         raise ValueError("need gcd(a, p) = 1")
-    checks, coeffs = [], divisor_stream().values(n_max)
-    for p, sums in zip(primes, _residue_sums(coeffs, s, prod(primes), primes) if primes else []):
+    checks = []
+    for p, sums in zip(primes, _divisor_sums(n_max, s, prod(primes), primes) if primes else []):
         f_full, (rows, _) = mp.fsum(sums), _character_weights(p, mp.mp.prec)
         f_chis = [mp.fdot(sums[1:], row, conjugate=True) for row in rows]
         checks.append(IdentityCheck(_twist_from_residues(sums, Fraction(-a, p)),
@@ -454,53 +490,42 @@ def additive_from_mult_identity_check(s, a: int, primes, n_max: int = 100_000) -
     return checks
 
 
-def p_free_coefficient(n: int, p: int) -> int:
-    """Coefficient of n^-s in F(s)/F_p(s): d convolved with the coefficients of
-    1/F_p(s) = (1 - p^-s)^2 = 1 - 2 p^-s + p^-2s."""
-    stream = divisor_stream()
-    return sum(w * stream.a(n // pk) for pk, w in ((1, 1), (p, -2), (p * p, 1)) if n % pk == 0)
-
-
 def half_twist_coefficient_identity(n_max: int = 10_000) -> list[int]:
     """Exact coefficient check of the identity at p = 2, where the character
-    sum is empty and F(s,-1/2) = F(s) - 2 F(s)/F_2(s) termwise:
-    a(n) - 2*(p-free part)(n) must equal a(n) (-1)^n.  Returns the list of
-    failing n (empty = identity holds)."""
-    stream = divisor_stream()
-    bad = []
-    for n in range(1, n_max + 1):
-        rhs = stream.a(n) - 2 * p_free_coefficient(n, 2)
-        lhs = stream.a(n) * (1 if n % 2 == 0 else -1)
-        if lhs != rhs:
-            bad.append(n)
-    return bad
+    sum is empty and F(s,-1/2) = F(s) - 2 F(s)/F_2(s) termwise: the p-free
+    part of d (d convolved with (1 - 2^-s)^2) is d(n) - 2 d(n/2) [2|n] +
+    d(n/4) [4|n], and d(n) minus twice it must equal d(n) (-1)^n.  Returns the
+    list of failing n (empty = identity holds)."""
+    d = [0, *divisor_stream().values(n_max)]
+    p_free = d[:]
+    p_free[2::2] = [x - 2 * y for x, y in zip(p_free[2::2], d[1:])]
+    p_free[4::4] = [x + y for x, y in zip(p_free[4::4], d[1:])]
+    return [n for n in range(1, n_max + 1) if d[n] * (-1) ** n != d[n] - 2 * p_free[n]]
 
 
 def twist_grid_rows(s_values, alphas, n_max: int = 100_000) -> list[tuple]:
     """Rows (sigma, t, alpha, Re, Im, method) over an s-grid and alpha list.
 
     Points with sigma > 1 share one direct-series pass modulo the lcm of the
-    alpha denominators; the other points read the continuation oracle.
+    alpha denominators.  The other points read the continuation ("oracle"),
+    one kernel call per denominator q: Hurwitz's formula at sigma <= -1, the
+    domain of its stated radius, else the Hurwitz pair sum at s itself.
     """
-    alphas = [Fraction(alpha) for alpha in alphas]
-    modulus = lcm(*(alpha.denominator for alpha in alphas))
+    alphas = [reduce_mod_one(alpha) for alpha in alphas]
+    numerators = {q: sorted({alpha.numerator for alpha in alphas if alpha.denominator == q})
+                  for q in {alpha.denominator for alpha in alphas}}
     rows = []
     for s in s_values:
         s = mp.mpc(s)
-        if mp.re(s) > 1:
-            sums = _residue_sums(divisor_stream().values(n_max), s, modulus)
-            values = [(_twist_from_residues(sums, alpha), "direct") for alpha in alphas]
+        if s.real > 1:
+            sums = _divisor_sums(n_max, s, lcm(*numerators))
+            values = {alpha: _twist_from_residues(sums, alpha) for alpha in alphas}
         else:
-            values = [(zeta2_twist_oracle(s, alpha), "oracle") for alpha in alphas]
-        for alpha, (value, method) in zip(alphas, values):
-            rows.append(
-                (
-                    mp.nstr(mp.re(s), 17),
-                    mp.nstr(mp.im(s), 17),
-                    str(reduce_mod_one(alpha)),
-                    mp.nstr(mp.re(value), 25),
-                    mp.nstr(mp.im(value), 25),
-                    method,
-                )
-            )
+            kernel = _stable_reflected_twists if s.real <= -1 else _divisor_twist_kernel
+            values = {Fraction(b, q): value for q, bs in numerators.items()
+                      for b, value in zip(bs, kernel(s, q, bs))}
+        method = "direct" if s.real > 1 else "oracle"
+        rows.extend((mp.nstr(s.real, 17), mp.nstr(s.imag, 17), str(alpha),
+                     mp.nstr(values[alpha].real, 25), mp.nstr(values[alpha].imag, 25), method)
+                    for alpha in alphas)
     return rows

@@ -8,7 +8,8 @@ acceptance suite (pytest does not collect this module).
   accept any admissible w and the suites pick them on the ray arg(w) = 3*pi/4
   scaled by powers of two;
 * the round trip of the additive/multiplicative conversion identity through
-  the continued twists;
+  the continued twists, and the coefficients of the p-free part F/F_p;
+* the generic coefficient pass the divisor pass replaced, kept as its reference;
 * the invariants of a datum that the transformation formula's general main
   term reads: conductor, shifted root number and lambda-invariant.
 """
@@ -16,11 +17,12 @@ acceptance suite (pytest does not collect this module).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import compress
+from math import factorial, isqrt
 
 import mpmath as mp
 
-from twistlab import bernoulli
+from twistlab import bernoulli, twist
 from twistlab.exactpoly import GaussianRational, Polynomial
 from twistlab.expansion import a_coeff, c_coeff, q_poly, r_poly
 from twistlab.funceq import DatumError, FunctionalEquationDatum, QParam
@@ -30,6 +32,7 @@ from twistlab.twist import (
     _conversion_rhs,
     character_twists,
     zeta2_twist_batch,
+    divisor_stream,
     zeta2_twist_oracle,
 )
 
@@ -219,6 +222,92 @@ def reconstruct_additive_twist(s, a: int, p: int) -> IdentityCheck:
     rhs = _conversion_rhs(a, p, character_twists(zeta2_twist_batch(s, p), p), zeta2,
                           zeta2 * (1 - mp.power(p, -s)) ** 2)
     return IdentityCheck(zeta2_twist_oracle(s, Fraction(-a, p)), rhs)
+
+
+def p_free_coefficient(n: int, p: int) -> int:
+    """Coefficient of n^-s in F(s)/F_p(s): d convolved with the coefficients of
+    1/F_p(s) = (1 - p^-s)^2 = 1 - 2 p^-s + p^-2s."""
+    stream = divisor_stream()
+    return sum(w * stream.a(n // pk) for pk, w in ((1, 1), (p, -2), (p * p, 1)) if n % pk == 0)
+
+
+# ---------------------------------------------------------------------------
+# The generic coefficient pass
+# ---------------------------------------------------------------------------
+
+def _mp_power_fixed(p: int, minus_s, scale: int) -> tuple[int, int]:
+    """p^minus_s by mp.power at the working precision, as the Gaussian integer
+    nearest p^minus_s 2^scale."""
+    v = mp.power(p, minus_s)
+    return tuple(twist._nearest(x._mpf_, scale) for x in (v.real, v.imag))
+
+
+def residue_sums_reference(coeffs: list[int], s, modulus: int, folds=None):
+    """`twist._divisor_sums` for any integer coefficients a(n) = coeffs[n - 1],
+    N = len(coeffs): the same units, table and prime stop, with every p^-s by
+    mp.power, a coefficient read per term, and each large prime P looping over
+    its m <= N/P.  Its buckets are the divisor pass's bit for bit when the
+    coefficients are d(n)."""
+    s = mp.mpc(s)
+    n_max = len(coeffs)
+    size = min(modulus, n_max + 1)
+    sigma = s.real
+    bits = mp.mp.prec + (n_max * n_max.bit_length()).bit_length()
+    table_scale = bits + twist._TABLE_GUARD
+    root = isqrt(n_max)
+    with mp.workprec(table_scale + 10):
+        cut = twist._power_cut(sigma, table_scale, n_max)
+        flags = twist._prime_flags(cut)
+        small = [p for p in range(2, min(root, cut) + 1) if flags[p]]
+        flags[: root + 1] = bytes(min(root, cut) + 1)
+        minus_s = -s if s.imag else -sigma
+        small_values = [_mp_power_fixed(p, minus_s, table_scale) for p in small]
+        table_re, table_im = [0] * (root + 1), [0] * (root + 1)
+        smooth_re, smooth_im = [0] * size, [0] * size
+        half = 1 << table_scale - 1
+        stack = [(1, 1 << bits, 0, 0)] if n_max >= 1 else []
+        while stack:
+            n, vr, vi, first = stack.pop()
+            if n <= root:
+                table_re[n], table_im[n] = vr, vi
+            c = coeffs[n - 1]
+            if c:
+                r = n % modulus
+                smooth_re[r] += c * vr
+                smooth_im[r] += c * vi
+            for i in range(first, len(small)):
+                child = n * small[i]
+                if child > n_max:
+                    break
+                pr, pi = small_values[i]
+                cr = vr * pr - vi * pi + half >> table_scale
+                ci = vr * pi + vi * pr + half >> table_scale
+                if cr or ci:
+                    stack.append((child, cr, ci, i))
+        large_re, large_im = [0] * size, [0] * size
+        for p in compress(range(cut + 1), flags):
+            pr, pi = _mp_power_fixed(p, minus_s, table_scale)
+            top = n_max // p
+            width = min(modulus, top + 1)
+            acc_re, acc_im = [0] * width, [0] * width
+            for m, c in enumerate(coeffs[p - 1 : top * p : p], 1):
+                if c:
+                    j = m % modulus
+                    acc_re[j] += c * table_re[m]
+                    acc_im[j] += c * table_im[m]
+            for j in range(width):
+                xr, xi = acc_re[j], acc_im[j]
+                if xr or xi:
+                    r = j * p % modulus
+                    large_re[r] += xr * pr - xi * pi
+                    large_im[r] += xr * pi + xi * pr
+    re = [(x << table_scale) + y for x, y in zip(smooth_re, large_re)]
+    im = [(x << table_scale) + y for x, y in zip(smooth_im, large_im)]
+    scale = bits + table_scale
+    if folds is not None:
+        return [[mp.mpc(mp.ldexp(sum(re[r::p]), -scale), mp.ldexp(sum(im[r::p]), -scale))
+                 for r in range(p)] for p in folds]
+    return [mp.mpc(mp.ldexp(x, -scale), mp.ldexp(y, -scale)) for x, y in zip(re, im)]
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,13 @@ class TestTwistGrid:
         assert code == 0
         assert out.splitlines()[1].endswith(",oracle")
 
+    def test_value_without_stable_bits_is_an_error(self, capsys):
+        # F(s, 1/2) vanishes at s = -2, so Hurwitz's formula certifies no digit of it
+        code = main(["--sigma-grid=-2", "--t", "0", "--alphas", "1/2", "twist-grid"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("precision error: ") and "stable bits" in err
+
     def test_help_says_zeta2_only(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
@@ -323,7 +330,7 @@ class TestRejectedBeforeAnyTwist:
             raise AssertionError("a twist was evaluated")
 
         monkeypatch.setattr(twist, "_divisor_twist_kernel", evaluated)
-        monkeypatch.setattr(transform, "_reflected_twist_kernel", evaluated)
+        monkeypatch.setattr(twist, "_reflected_twist_kernel", evaluated)
         monkeypatch.setattr(transform, "_laurent_at_1", evaluated)
 
     def rejected(self, capsys, *argv):
@@ -582,3 +589,19 @@ class TestBenchmarkRecords:
         code, _ = run_cli(capsys, "verify")
         assert code == 0
         assert points and min(point.real for point in points) >= 0
+
+
+def test_readme_commands_need_only_mpmath(checkout_env):
+    # the runtime dependency is mpmath alone: numpy, scipy and sympy cannot be imported
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [line.split("#")[0].split()[1:] for line in readme.splitlines()
+                if line.startswith("twistlab ")]
+    assert [argv[0] for argv in commands] == ["polys", "verify", "euler", "twist-grid"]
+    code = ("import sys\n"
+            "sys.modules.update(numpy=None, scipy=None, sympy=None)\n"
+            "from twistlab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    for argv in commands:
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                text=True, env=checkout_env)
+        assert result.returncode == 0, (argv, result.stderr[-2000:])

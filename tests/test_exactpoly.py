@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -49,6 +51,11 @@ class TestGaussianRational:
     def test_hash_consistency(self):
         assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
         assert GaussianRational(Fraction(1, 2)) == Fraction(1, 2)
+
+    def test_pickle_and_copy(self):
+        z = GaussianRational(Fraction(1, 3), -2)
+        for twin in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
+            assert twin == z and type(twin) is GaussianRational
 
 
 class TestPolynomial:

@@ -1,5 +1,10 @@
+import copy
 import json
+import os
+import pickle
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,6 +69,28 @@ class TestDatumHash:
         assert len(calls) == 2
         other = load_datum({"Q": "pi^-1", "factors": [{"lambda": "1/2"}] * 2})  # pole order 0
         assert other != first and first not in {other: 1}
+
+
+    def test_pickle_round_trip_in_another_process(self, checkout_env):
+        # the label is a str, whose hash is salted per process: the child must
+        # rebuild the cached hash, not copy the parent's
+        code = (
+            "import pickle, sys\n"
+            "from twistlab.funceq import zeta2_datum\n"
+            "datum, fresh = pickle.loads(sys.stdin.buffer.read()), zeta2_datum()\n"
+            "print(datum == fresh, hash(datum) == hash(fresh), {fresh: 1}.get(datum))\n"
+        )
+        blob = pickle.dumps(zeta2_datum())
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        result = subprocess.run([sys.executable, "-c", code], input=blob, capture_output=True,
+                                check=True, env={**checkout_env, "PYTHONHASHSEED": seed})
+        assert result.stdout.decode().split() == ["True", "True", "1"]
+
+    def test_deepcopy_is_an_equal_datum(self):
+        datum = zeta2_datum()
+        twin = copy.deepcopy(datum)
+        assert twin == datum and twin is not datum and hash(twin) == hash(datum)
+        assert twin.omega == datum.omega and twin.omega is not datum.omega
 
 
 class TestOtherData:

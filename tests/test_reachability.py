@@ -16,6 +16,7 @@ KEPT = {
     "twist.twist_direct": "the benchmark's tracer wraps it and binds n_max",
     "twist.TwistPartialSum": "the value twist_direct returns",
     "twist.DivisorStream.tail_bound": "the benchmark's grid check calls it",
+    "twist.DivisorStream.a": "the tests' per-n reference routes read one coefficient at a time",
     "transform.laurent_extract": "the benchmark's tracer wraps it",
     "transform.LaurentExpansion": "the value laurent_extract returns",
     "transform.contour_integral": "the benchmark's tracer wraps it",

@@ -3,14 +3,14 @@ import gc
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from twistlab import cli, twist
+from twistlab import cli, special, twist
 from twistlab.bernoulli import bernoulli_polynomial
 from twistlab.special import (
     PoleError,
@@ -22,12 +22,12 @@ from twistlab.special import (
     unit_phase,
 )
 from twistlab.twist import (
-    _residue_sums,
+    PrecisionExhaustedError,
+    _divisor_sums,
     additive_from_mult_identity_check,
     character_twists,
     divisor_stream,
     half_twist_coefficient_identity,
-    p_free_coefficient,
     reduce_mod_one,
     twist_direct,
     twist_grid_rows,
@@ -35,7 +35,7 @@ from twistlab.twist import (
     zeta2_twist_oracle,
 )
 
-from paper_checks import reconstruct_additive_twist
+from paper_checks import p_free_coefficient, reconstruct_additive_twist, residue_sums_reference
 
 
 class TestDivisorStream:
@@ -449,8 +449,12 @@ class TestResidueKernel:
             assert_close(check.rhs, rhs)
 
     @pytest.mark.parametrize(
-        "coeff", [pytest.param(lambda n: divisor_stream().a(n), id="divisor"),
-                  pytest.param(signed_coefficient, id="generic")])
+        "coeff, buckets",
+        [pytest.param(lambda n: divisor_stream().a(n),
+                      lambda coeffs, s, modulus: _divisor_sums(len(coeffs), s, modulus),
+                      id="divisor"),
+         # any other coefficients only the tests' generic reference pass accepts
+         pytest.param(signed_coefficient, residue_sums_reference, id="generic")])
     @pytest.mark.parametrize(
         "s",
         [
@@ -460,7 +464,7 @@ class TestResidueKernel:
             pytest.param(mp.mpc(40, 3), id="sigma40"),  # primes stop at 13
         ],
     )
-    def test_buckets_within_stated_bound_of_literal_loop(self, coeff, s):
+    def test_buckets_within_stated_bound_of_literal_loop(self, coeff, buckets, s):
         # n_max on both sides of the square and power-of-two boundaries of the
         # table sizes; modulus n_max + 1 gives one bucket per n
         prec = mp.mp.prec
@@ -470,45 +474,90 @@ class TestResidueKernel:
                 per_class = [mp.fsum(terms[r::6]) for r in range(min(6, n_max + 1))]
             coeffs = [coeff(n) for n in range(1, n_max + 1)]
             for modulus, want in ((6, per_class), (n_max + 1, terms)):
-                got = _residue_sums(coeffs, s, modulus)
+                got = buckets(coeffs, s, modulus)
                 bounds = fixed_point_bounds(coeff, s, modulus, n_max)
                 assert len(got) == len(want)
                 for r, (g, w, bound) in enumerate(zip(got, want, bounds)):
                     rounding = mp.ldexp(abs(w) + bound, 1 - prec)
                     assert abs(g - w) <= bound + rounding, (n_max, modulus, r)
 
-    def test_prime_stop_is_bit_identical_to_the_full_pass(self, divisors, monkeypatch):
+    # the prime stop at sigma = 40, sigma < 0, and both sides of the real/complex power
+    REFERENCE_POINTS = (mp.mpc("2.5"), mp.mpc(2, 14), mp.mpc(-1, 2), mp.mpc(40, 3), mp.mpc(3),
+                        mp.mpc("1.5", -7))
+    SIZES = (1, 2, 3, 4, 15, 16, 17, 1000, 1024, 2000)
+
+    @pytest.mark.parametrize("bits, sizes, points", [
+        pytest.param(64, SIZES, REFERENCE_POINTS, id="64"),
+        pytest.param(128, SIZES, REFERENCE_POINTS, id="128"),
+        pytest.param(256, SIZES, REFERENCE_POINTS, id="256"),
+        pytest.param(128, (20_000,), REFERENCE_POINTS[:2], id="128-20000")])
+    def test_divisor_pass_is_the_generic_pass_bit_for_bit(self, divisors, bits, sizes, points):
+        # every modulus class: one bucket, a few, more than sqrt(N), one per n, above N
+        with mp.workprec(bits):
+            for n_max in sizes:
+                coeffs = divisors.values(n_max)
+                for s in points:
+                    for modulus in (1, 6, 105, n_max + 1, 17017):
+                        got = _divisor_sums(n_max, s, modulus)
+                        want = residue_sums_reference(coeffs, s, modulus)
+                        assert [v._mpc_ for v in got] == [v._mpc_ for v in want], (n_max, s, modulus)
+                    got = _divisor_sums(n_max, s, 105, folds=(3, 5, 7))
+                    want = residue_sums_reference(coeffs, s, 105, folds=(3, 5, 7))
+                    assert [[v._mpc_ for v in f] for f in got] == [[v._mpc_ for v in f] for f in want]
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_prime_powers_are_mp_power_bit_for_bit(self, bits):
+        primes = [p for p in range(2, 20_001) if all(p % d for d in range(2, isqrt(p) + 1))]
+        scale = bits + 30
+        with mp.workprec(bits):
+            for s in self.REFERENCE_POINTS:
+                minus_s = -s if s.imag else -s.real
+                for p in primes:
+                    v = mp.power(p, minus_s)
+                    want = (twist._nearest(v.real._mpf_, scale), twist._nearest(v.imag._mpf_, scale))
+                    assert twist._fixed_power(p, minus_s, scale) == want, (p, s)
+
+    def test_prime_stop_is_bit_identical_to_the_full_pass(self, monkeypatch):
         s, cuts, power_cut = mp.mpc(40, 3), [], twist._power_cut
         monkeypatch.setattr(
             twist, "_power_cut", lambda *args: cuts.append(power_cut(*args)) or cuts[-1])
-        stopped = _residue_sums(divisors.values(2000), s, 6)
+        stopped = _divisor_sums(2000, s, 6)
         assert cuts == [14]  # no prime above 13 is streamed
         monkeypatch.setattr(twist, "_power_cut", lambda sigma, scale, n_max: n_max)
-        full = _residue_sums(divisors.values(2000), s, 6)
+        full = _divisor_sums(2000, s, 6)
         assert [v._mpc_ for v in stopped] == [v._mpc_ for v in full]
 
     @pytest.mark.parametrize("s", KERNEL_POINTS)
-    def test_folded_buckets_are_a_pass_mod_p_bit_for_bit(self, divisors, s):
-        coeffs = divisors.values(2000)
-        folded = _residue_sums(coeffs, s, 105, folds=(3, 5, 7))
+    def test_folded_buckets_are_a_pass_mod_p_bit_for_bit(self, s):
+        folded = _divisor_sums(2000, s, 105, folds=(3, 5, 7))
         for p, buckets in zip((3, 5, 7), folded):
-            assert [v._mpc_ for v in buckets] == [v._mpc_ for v in _residue_sums(coeffs, s, p)]
+            assert [v._mpc_ for v in buckets] == [v._mpc_ for v in _divisor_sums(2000, s, p)]
 
-    def test_pass_leaves_no_garbage(self, divisors):
-        # a reference cycle would hold the pass's coefficient list until the
-        # cyclic collector happens to run
-        coeffs = divisors.values(2000)
+    def test_pass_leaves_no_garbage(self):
+        # a reference cycle would hold the pass's tables until the cyclic
+        # collector happens to run
         gc.collect()
         gc.disable()
         try:
-            _residue_sums(coeffs, mp.mpc(2, 14), 6)
+            _divisor_sums(2000, mp.mpc(2, 14), 6)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
-    def test_bucket_count_is_capped_by_the_terms(self, divisors):
-        assert len(_residue_sums(divisors.values(2000), mp.mpc(3), 6)) == 6
-        assert len(_residue_sums(divisors.values(2000), mp.mpc(3), 17017)) == 2001
+    def test_bucket_count_is_capped_by_the_terms(self):
+        assert len(_divisor_sums(2000, mp.mpc(3), 6)) == 6
+        assert len(_divisor_sums(2000, mp.mpc(3), 17017)) == 2001
+
+    def test_series_sums_build_no_coefficient_list(self, monkeypatch):
+        def refuse(self, n_max):
+            raise AssertionError("a series pass built the coefficient list")
+
+        monkeypatch.setattr(twist.DivisorStream, "ensure", refuse)
+        s = mp.mpc(3)
+        rows = twist_grid_rows([s], [Fraction(1, 2), Fraction(1, 3)], n_max=2000)
+        assert [r[5] for r in rows] == ["direct", "direct"]
+        twist_direct(s, Fraction(1, 2), 2000)
+        additive_from_mult_identity_check(s, 1, [3, 5], n_max=2000)
 
 
 class TestGridRows:
@@ -533,6 +582,48 @@ class TestGridRows:
             assert [r[3:5] for r in rows] == [
                 (mp.nstr(mp.re(v), 25), mp.nstr(mp.im(v), 25)) for v in values
             ]
+
+    LEFT = [mp.mpc(-1, 5), mp.mpc("-3.5", 5), mp.mpc("-10.5", "0.5"), mp.mpc(-20, 5)]
+    LEFT_ALPHAS = [Fraction(1, 7), Fraction(1, 11), Fraction(2, 7), Fraction(0), Fraction(3, 2)]
+
+    def test_left_half_plane_rows_agree_with_the_oracle_within_the_radius(self):
+        # sigma <= -1 reads Hurwitz's formula; the oracle at 64 more bits is the reference,
+        # and each printed part is off by at most half a unit in its 25th digit
+        rows = twist_grid_rows(self.LEFT, self.LEFT_ALPHAS)
+        assert {r[5] for r in rows} == {"oracle"}
+        for i, s in enumerate(self.LEFT):
+            for alpha, row in zip(self.LEFT_ALPHAS, rows[i * len(self.LEFT_ALPHAS):]):
+                alpha = reduce_mod_one(alpha)
+                assert row[2] == str(alpha)
+                (_,), radius = twist._reflected_twist_kernel(s, alpha.denominator, [alpha.numerator])
+                with mp.workprec(mp.mp.prec + 64):
+                    want = zeta2_twist_oracle(s, alpha)
+                printing = mp.mpf(10) ** -24 * (abs(want.real) + abs(want.imag))
+                assert abs(mp.mpc(row[3], row[4]) - want) <= radius + printing, (s, alpha)
+
+    def test_left_half_plane_calls_mp_zeta_nowhere_left_of_zero(self, monkeypatch):
+        points, zeta = [], mp.zeta
+        monkeypatch.setattr(mp, "zeta", lambda s, *args: points.append(mp.mpc(s)) or zeta(s, *args))
+        special._hurwitz_memo.cache_clear()
+        twist_grid_rows(self.LEFT + [mp.mpc(-40, 5)], self.LEFT_ALPHAS)
+        assert points and min(point.real for point in points) >= 0
+
+    def test_one_kernel_call_per_point_and_denominator(self, monkeypatch):
+        calls = []
+        for name in ("_reflected_twist_kernel", "_divisor_twist_kernel"):
+            kernel = getattr(twist, name)
+            monkeypatch.setattr(twist, name, lambda s, q, bs, kernel=kernel, name=name: calls.append(
+                (name, mp.mpc(s).real, q, list(bs))) or kernel(s, q, bs))
+        twist_grid_rows([mp.mpc(-2, 5), mp.mpc("0.5", 5)], self.LEFT_ALPHAS + [Fraction(-5, 7)])
+        assert sorted(calls) == sorted(
+            (name, mp.mpf(sigma), q, bs) for name, sigma in (("_reflected_twist_kernel", -2),
+                                                            ("_divisor_twist_kernel", "0.5"))
+            for q, bs in ((7, [1, 2]), (11, [1]), (1, [0]), (2, [1])))
+
+    def test_a_value_without_stable_bits_is_refused(self):
+        # F(s, 1/2) has zeta(s)^2's double zero at s = -2: no digit of it is stable
+        with pytest.raises(PrecisionExhaustedError, match="stable bits"):
+            twist_grid_rows([mp.mpc(-2)], [Fraction(1, 2)])
 
     def test_cli_rows_equal_reference(self, capsys):
         # the numerators of the benchmark's even and odd seeds; each run reads
