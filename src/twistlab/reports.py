@@ -44,7 +44,9 @@ class Report:
         return rec
 
     def add_bound(self, name, claim, measured, bound) -> CheckRecord:
-        """A record of the number ``measured`` held to ``measured <= bound``."""
+        """A record of the number ``measured`` (an mpmath number or an exact
+        rational) held to ``measured <= bound``."""
+        measured = mp.mpmathify(measured)
         return self.add(
             name, claim, mp.nstr(measured, 6), f"<= {mp.nstr(bound, 3)}", measured <= bound
         )

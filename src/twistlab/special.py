@@ -9,6 +9,8 @@ main-term shifts), one Taylor series per (c, a, precision) of the entire part
 of an Euler-Maclaurin sum, built once in fixed point with its sizes from
 log-space error bounds, is evaluated by Horner beside the pole term's row
 (N+a)^(1-s), divided once by s - 1, within 2^-(prec+20) max(1, |zeta|).
+The series at center 1 also gives gamma_0(a) = -psi(a), the constant term of
+zeta(s, a) - 1/(s-1), which the twists' c_-1 at s = 1 read.
 Every other (s, a) goes to mpmath's zeta, whose value is returned unchanged;
 below the real axis a value is the conjugate of its mirror's (Schwarz).
 This module adds the pole signalling and argument contracts the rest of the
@@ -208,12 +210,12 @@ def _series_value(s, c: int, a_mpf: tuple, prec: int) -> mp.mpc:
                 + mp.mpc(mp.ldexp(p_re, -wp), mp.ldexp(p_im, -wp)) / (s - 1))
 
 
-def _stieltjes_pair(a, prec: int) -> tuple:
-    """(p_0, p_1) = (-psi(a), -gamma_1(a)) of x zeta(1+x, a) = x E(x) + e^(-x L_N) =
-    1 + p_0 x + p_1 x^2 + ... for an mpf a, at the ambient precision from the
-    ``prec``-bit series at center 1: p_0 = E_0 - L_N and p_1 = E_1 + L_N^2/2."""
+def _stieltjes_0(a, prec: int) -> mp.mpf:
+    """p_0 = -psi(a) of x zeta(1+x, a) = x E(x) + e^(-x L_N) = 1 + p_0 x + ... for
+    an mpf a, at the ambient precision from the ``prec``-bit series at center 1:
+    p_0 = E_0 - L_N."""
     wp, log_n, coeffs, _ = _hurwitz_series(1, a._mpf_, prec)
-    return mp.ldexp(coeffs[-1], -wp) - log_n, mp.ldexp(coeffs[-2], -wp) + log_n ** 2 / 2
+    return mp.ldexp(coeffs[-1], -wp) - log_n
 
 
 def hurwitz_zeta(s, a) -> mp.mpc:

@@ -6,11 +6,13 @@ the local-degree bound, the left-half-plane growth certificate, and the
 polar-consistency checks of the transformation formula.
 
 The Laurent data of the divisor twists F(s, b/q) at s = 1 are closed form
-(``twist._laurent_at_1``): the twists' one pair sum over the Hurwitz series at
-s = 1 (the generalized Stieltjes constants), rounded once per group and per
-root sum.  They serve both Laurent laws, the Euler solve, the character twists
+(``twist._laurent_at_1``): c_-2 is the exact count gcd(b, q)/q
+(``twist.leading_coefficient``), and c_-1 the twists' one pair sum over the
+Hurwitz series at s = 1 (the Stieltjes constants gamma_0(u/q)), rounded once
+per group and per root sum.  They serve both Laurent laws, the character twists
 (whose c_k are the character combination of those of F(s, b/p)) and the
 principal parts of the polar check; no circle about s = 1 is sampled.  The
+Euler solve reads c_-2 alone, so it runs in rationals.  The
 residue contours at s = 1 - nu average a vector-valued function over one circle
 by the trapezoid rule, which converges geometrically for functions analytic in
 an annulus, so node-halving disagreement flags insufficient analyticity.  One
@@ -34,7 +36,8 @@ from .funceq import zeta2_datum
 from .reports import Report
 from .special import PoleError, characters_mod, dirichlet_l, roots_of_unity
 from .twist import (PrecisionExhaustedError, _laurent_at_1, _stable_reflected_twists,
-                    character_twists, reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle)
+                    character_twists, leading_coefficient, reduce_mod_one, zeta2_twist_batch,
+                    zeta2_twist_oracle)
 
 
 LAURENT_RADIUS = Fraction(1, 4)  # contour radius; laurent_extract also reads radius/2
@@ -210,8 +213,8 @@ def transformation_main_term(s, alpha, k_terms: int) -> mp.mpc:
 # Laurent laws of the continued twists (reference instance)
 # ---------------------------------------------------------------------------
 
-def twist_laurent_table(q_max: int) -> dict[tuple[int, int], dict[int, mp.mpc]]:
-    """Laurent coefficients {k: c_k}, k = -3..0, at s = 1 of the continued
+def twist_laurent_table(q_max: int) -> dict[tuple[int, int], dict]:
+    """Laurent coefficients {k: c_k}, k = -3..-1, at s = 1 of the continued
     divisor twists F(s, a/q) for every q <= q_max and a coprime to q (a = q
     meaning the untwisted series), from one ``_laurent_at_1`` call per q."""
     table = {}
@@ -238,14 +241,15 @@ def _numerator_law(report, table, tol, label, claim, agree_claim, value, target)
 
 def verify_alpha_law(table: dict, tol=mp.mpf("1e-8")) -> Report:
     """Leading Laurent coefficient law on a ``twist_laurent_table``: c_-2 of
-    F(s, a/q) equals alpha_F / q with alpha_F = 1, independently of a."""
+    F(s, a/q) equals alpha_F / q with alpha_F = 1, independently of a; both
+    sides are exact rationals."""
     report = Report("leading Laurent coefficient law")
     _numerator_law(
         report, table, tol, "alpha",
         "leading coefficient equals 1/q",
         "extracted leading coefficients agree across numerators",
         lambda c: c[-2],
-        lambda q: mp.mpf(1) / q,
+        lambda q: Fraction(1, q),
     )
     return report
 
@@ -334,62 +338,42 @@ class LocalFactor:
                 raise ValueError(f"inverse root {root} exceeds the unit disk")
 
 
-def euler_factor_at_1(p: int) -> mp.mpc:
+def euler_factor_at_1(p: int) -> Fraction:
     """Solve the leading-coefficient relation for the local factor at s = 1
-    of the double-pole reference series zeta(s)^2:
-    F_p(1) = (p/(p-1)) / (1 - alpha_F(1/p) / alpha_F), with alpha_F and
-    alpha_F(1/p) read as c_-2 at b = 0 and b = 1 of ``_laurent_at_1``."""
+    of the double-pole reference series zeta(s)^2, exactly:
+    F_p(1) = (p/(p-1)) / (1 - alpha_F(1/p) / alpha_F), with alpha_F = 1 and
+    alpha_F(1/p) = 1/p the c_-2 at b = 0 and b = 1 (`leading_coefficient`)."""
     if not isprime(p):
         raise ValueError(f"need a prime p, got {p}")
-    untwisted, twisted = _laurent_at_1(p, [0, 1], -2)
-    ratio = twisted[-2] / untwisted[-2]
-    if abs(1 - ratio) < mp.mpf("1e-6"):
-        raise ArithmeticError(
-            "alpha_F(1/p)/alpha_F is too close to 1; the solve would blow up"
-        )
-    return mp.mpf(p) / (p - 1) / (1 - ratio)
+    return Fraction(p, p - 1) / (1 - leading_coefficient(1, p) / leading_coefficient(0, p))
 
 
 @dataclass(frozen=True)
 class LocalFactorSolution:
     status: str  # "forced" | "infeasible" | "underdetermined"
     factor: LocalFactor | None
-    bound: mp.mpf
+    bound: Fraction  # the cap (1 - 1/p)^-PARTIAL_DEGREE_MAX
     detail: str
 
 
-def solve_local_factor(value_at_1, p: int, tol=mp.mpf("1e-8")) -> LocalFactorSolution:
-    """Equality-forcing argument at s = 1.
+def solve_local_factor(value_at_1, p: int) -> LocalFactorSolution:
+    """Equality-forcing argument at s = 1, on an exact rational local value.
 
     The local value is capped by (1 - 1/p)^-PARTIAL_DEGREE_MAX when all
-    inverse roots sit in the closed unit disk; meeting the cap within
-    tolerance forces partial degree 2 with both roots equal to 1, exceeding
-    it is infeasible, and anything strictly inside is under-determined.
+    inverse roots sit in the closed unit disk; meeting the cap exactly
+    forces partial degree 2 with both roots equal to 1, exceeding it is
+    infeasible, and anything strictly inside is under-determined.
     """
-    value = mp.mpc(value_at_1)
-    bound = (1 - mp.mpf(1) / p) ** (-PARTIAL_DEGREE_MAX)
-    measured = abs(value)
-    if measured > bound + tol:
-        return LocalFactorSolution(
-            "infeasible",
-            None,
-            bound,
-            f"|F_p(1)| = {mp.nstr(measured, 12)} exceeds the cap {mp.nstr(bound, 12)}",
-        )
-    if abs(measured - bound) <= tol:
+    measured, cap = abs(Fraction(value_at_1)), Fraction(p, p - 1) ** PARTIAL_DEGREE_MAX
+    if measured > cap:
+        return LocalFactorSolution("infeasible", None, cap,
+                                   f"|F_p(1)| = {measured} exceeds the cap {cap}")
+    if measured == cap:
         factor = LocalFactor(p, PARTIAL_DEGREE_MAX, (1,) * PARTIAL_DEGREE_MAX)
-        return LocalFactorSolution(
-            "forced",
-            factor,
-            bound,
-            "value meets the cap: all inverse roots forced to 1",
-        )
-    return LocalFactorSolution(
-        "underdetermined",
-        None,
-        bound,
-        "value sits strictly inside the cap; the root configuration is free",
-    )
+        return LocalFactorSolution("forced", factor, cap,
+                                   "value meets the cap: all inverse roots forced to 1")
+    return LocalFactorSolution("underdetermined", None, cap,
+                               "value sits strictly inside the cap; the root configuration is free")
 
 
 def degree_bound(h, q_f, p: int) -> int:
@@ -538,7 +522,8 @@ def transformation_polar_reports(alphas, k_terms: int, tol=mp.mpf("1e-8"),
     serves every alpha; and its principal parts at s = 1 must cancel.  There,
     with Q_0 = 1, only the nu = 0 term alpha^(2s - 1) F(s, beta) is singular,
     and alpha^(1 + 2x) = alpha (1 + 2x log alpha + ...), so c_-2 and c_-1 of D
-    come from ``_laurent_at_1`` at alpha mod 1 and at beta = -1/alpha mod 1."""
+    come from ``_laurent_at_1`` at alpha mod 1 and at beta = -1/alpha mod 1; c_-2
+    of both sides is an exact rational."""
     alphas = [Fraction(alpha) for alpha in alphas]
     distinct = list(dict.fromkeys(alphas))
     main_terms = _main_terms(distinct, k_terms)
@@ -557,7 +542,7 @@ def transformation_polar_reports(alphas, k_terms: int, tol=mp.mpf("1e-8"),
         own, conj = (_laurent_at_1(b.denominator, [b.numerator])[0]
                      for b in (reduce_mod_one(a), reduce_mod_one(-1 / a)))
         x = mp.mpmathify(a)
-        for k, main in ((-2, x * conj[-2]), (-1, x * (conj[-1] + 2 * mp.log(x) * conj[-2]))):
+        for k, main in ((-2, a * conj[-2]), (-1, x * (conj[-1] + 2 * mp.log(x) * conj[-2]))):
             report.add_bound(f"principal c_{k} at s=1", f"closed-form polar parts of F(s, {a}) "
                              "and its main term cancel", abs(own[k] - main), tol)
     return [reports[distinct.index(alpha)] for alpha in alphas]

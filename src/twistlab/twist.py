@@ -35,7 +35,8 @@ whole plane minus the double pole at s = 1:
 
 the oracle of the continued twists; one batch of it mod p gives every
 character twist mod p.  One pair sum, rounded once per group w = uv mod q and
-per root sum, serves the values and the Laurent data at s = 1.  At sigma <= -1,
+per root sum, serves the values and c_-1 at s = 1; c_-2 there is the count
+q^-2 sum_{u,v} e(-uvb/q) = gcd(b, q)/q, an exact fraction.  At sigma <= -1,
 where its Hurwitz values would sit deep in the left half-plane, the twist grid
 and the growth certificate read Hurwitz's formula instead, from Hurwitz values
 at 1 - s, with a stated error radius.
@@ -54,7 +55,7 @@ from mpmath.libmp import from_int, fzero, mpc_pow, mpf_pow, round_nearest, to_fi
 
 from .special import (
     PoleError,
-    _stieltjes_pair,
+    _stieltjes_0,
     characters_mod,
     gauss_sum,
     hurwitz_parameters,
@@ -343,12 +344,16 @@ def _reflected_twist_kernel(s, q: int, numerators) -> tuple[list[mp.mpc], mp.mpf
     sigma <= -1); so each Z_u by (3.1 + 4|1-s|) eps m H; the pair sums (roots within
     4.2 eps, three roundings) by (12.4 + 8|1-s|) eps (q m H)^2; P and the product by
     1.1 eps.  So radius = (16 + 8|1-s|) eps |P| (q m H)^2 bounds the error: only the
-    sums can cancel."""
+    sums can cancel.  Every sine row is exactly 0 only at t = 0, s/2 an integer
+    and q <= 2 (sinpi of an exact integer, roots +-1): there F is exactly 0,
+    returned with radius 0."""
     s, prec = mp.mpc(s), mp.mp.prec
     hurwitz = [hurwitz_zeta(1 - s, a) for a in hurwitz_parameters(q, prec)]
     with mp.workprec(prec + 10):  # sin(pi s/2 + 2 pi k/q) for k = 0..q-1
         sin, cos = mp.sinpi(s / 2), mp.cospi(s / 2)
         rows = [sin * root.real + cos * root.imag for root in roots_of_unity(q, prec + 10)]
+    if not any(rows):
+        return [mp.mpc(0)] * len(numerators), mp.mpf(0)
     zs = [[mp.fdot([rows[i * u % q] for i in range(1, q + 1)], hurwitz)] for u in range(1, q + 1)]
     with mp.workprec(prec + 10 + max(0, mp.mag(s))):
         prefactor = (2 * mp.gamma(1 - s) * mp.power(2 * mp.pi, s - 1) / q) ** 2
@@ -392,38 +397,40 @@ def zeta2_twist_batch(s, q: int) -> list[mp.mpc]:
 _LAURENT_GUARD = 40  # bits above prec for the closed-form Laurent data at s = 1
 
 
-def _laurent_at_1(q: int, numerators, k_max: int = 0) -> list[dict[int, mp.mpc]]:
-    """{k: c_k} for k = -3..k_max (k_max in -2..0) at s = 1 of F(s, b/q) for
-    each b in ``numerators``, in closed form.  With X_u(x) = x zeta(1+x, u/q) =
-    1 + p_0 x + p_1 x^2 + ...,
+def leading_coefficient(b: int, q: int) -> Fraction:
+    """c_-2 of F(s, b/q) at s = 1, exactly: q^-2 sum_{u,v=1}^{q} e(-uvb/q) =
+    gcd(b, q)/q, since sum_v e(-uvb/q) = q [q | ub] and gcd(b, q) of the u
+    in 1..q have q | ub."""
+    return Fraction(gcd(b, q), q)
+
+
+def _laurent_at_1(q: int, numerators) -> list[dict]:
+    """{k: c_k} for k = -3..-1 at s = 1 of F(s, b/q) for each b in ``numerators``:
+    c_-3 = 0, c_-2 the exact `leading_coefficient` and c_-1 in closed form.  With
+    X_u(x) = x zeta(1+x, u/q) = 1 + p_0 x + O(x^2),
 
       x^2 F(1+x, b/q) = q^-2 e^(-2x log q) sum_w e(-wb/q) sum_{uv = w mod q} X_u X_v,
 
-    so c_-3 = 0 and c_-2..c_{k_max} are the first k_max + 3 coefficients of
-    ``_pair_sums`` of the X_u, cut to that length, times the decay.  p_0 =
-    -psi(u/q) and p_1 = -gamma_1(u/q) are generalized Stieltjes constants, read
-    by `special._stieltjes_pair` from the Hurwitz series at center 1 at the
-    parameters u/q of ``zeta2_twist_batch``, so that both read one series.
+    so c_-1 = q^-2 (S_1 - 2 log q S_0), S_0 and S_1 being ``_pair_sums`` of the
+    X_u cut to (1, p_0).  p_0 = -psi(u/q) is the generalized Stieltjes constant
+    gamma_0(u/q), read by `special._stieltjes_0` from the Hurwitz series at
+    center 1 at the parameters u/q of ``zeta2_twist_batch``, so that both read
+    one series.
 
     Error, against the twist the batch evaluates (u/q rounded to prec bits):
     the series keeps E within eps = 2^-(prec+20) on |x| <= 0.26, and each
-    fixed-point coefficient adds at most eps, so by Cauchy's estimate p_0 and
-    p_1 lie within 2 eps and 5 eps.  With |p_0(a)| <= 1/a + gamma on (0, 1],
-    so that sum_u |p_0| <= q (log q + 2), the sums carry this to 4 eps in
-    c_-1 and (18 + 12 log q) eps in c_0; c_-2 only sees the roots of unity.
-    Working at prec + 40 bits adds less than eps for q <= 1000.  So each c_k
-    lies within 2^-prec |c_k| + (20 + 12 log q) 2^-(prec+20), the first term
-    being the one final rounding to prec bits.
+    fixed-point coefficient adds at most eps, so by Cauchy's estimate p_0 lies
+    within 2 eps.  Each p_0 enters 2q of the q^2 products, so the sums carry
+    this to 4 eps in c_-1; working at prec + 40 bits adds less than eps for
+    q <= 1000.  So c_-1 lies within 2^-prec |c_-1| + 5 2^-(prec+20), the first
+    term being the one final rounding to prec bits.
     """
-    prec, depth = mp.mp.prec, k_max + 3
+    prec = mp.mp.prec
     with mp.workprec(prec + _LAURENT_GUARD):
-        xs = [(1, *_stieltjes_pair(a, prec))[:depth] if depth > 1 else (1,)
-              for a in hurwitz_parameters(q, prec)]
-        log_q = mp.log(q)
-        decay = (1, -2 * log_q, 2 * log_q ** 2)  # e^(-2x log q)
-        expansions = [[mp.fdot(decay[:k + 1], sums[k::-1]) / q ** 2 for k in range(depth)]
-                      for sums in _pair_sums(xs, q, numerators)]
-    return [{-3: mp.mpc(0)} | {k - 2: +c for k, c in enumerate(coeffs)} for coeffs in expansions]
+        xs = [(1, _stieltjes_0(a, prec)) for a in hurwitz_parameters(q, prec)]
+        decay = (1, -2 * mp.log(q))  # e^(-2x log q)
+        residues = [mp.fdot(decay, sums[::-1]) / q ** 2 for sums in _pair_sums(xs, q, numerators)]
+    return [{-3: 0, -2: leading_coefficient(b, q), -1: +c} for b, c in zip(numerators, residues)]
 
 
 @lru_cache(maxsize=64)

@@ -177,21 +177,19 @@ def test_criterion_6_laurent_laws(zeta2):
     ok = ok and abs(mp.im(beta)) <= pair_tol
     ok = ok and abs(table[(1, 1)][-3]) <= pair_tol
     for q in range(1, 7):
-        leadings, ratios = [], []
+        ratios = []
         for (qq, a), expn in table.items():
             if qq != q:
                 continue
             c2, c1 = expn[-2], expn[-1]
-            leadings.append(c2)
             ratios.append(c1 / c2)
-            ok = ok and abs(c2 - mp.mpf(1) / q) <= tol
+            ok = ok and c2 == Fraction(1, q)
             ok = ok and abs(c1 / c2 - (beta - 2 * mp.log(q))) <= tol
-        for group in (leadings, ratios):
-            if len(group) > 1:
-                ok = ok and max(abs(x - y) for x in group for y in group) <= pair_tol
+        if len(ratios) > 1:
+            ok = ok and max(abs(x - y) for x in ratios for y in ratios) <= pair_tol
     criterion(
         6,
-        "Laurent laws for q <= 6: leading coefficient 1/q, subleading ratio "
+        "Laurent laws for q <= 6: leading coefficient exactly 1/q, subleading ratio "
         "2*gamma - 2 log q, a-independent, real, no third-order pole",
         ok,
     )
@@ -219,8 +217,7 @@ def test_criterion_8_euler_endgame(zeta2):
     ok = True
     for p in (2, 3, 5):
         value = euler_factor_at_1(p)
-        target = (1 - mp.mpf(1) / p) ** -2
-        ok = ok and abs(value - target) <= mp.mpf("1e-8")
+        ok = ok and value == Fraction(p, p - 1) ** 2
         solution = solve_local_factor(value, p)
         ok = ok and solution.status == "forced"
         ok = ok and solution.factor.partial_degree == 2
@@ -229,7 +226,7 @@ def test_criterion_8_euler_endgame(zeta2):
         ok = ok and degree_bound(p * p, 1, p) == 2
     criterion(
         8,
-        "local values solve to (1-1/p)^-2 within 1e-8, the equality-forcing "
+        "local values solve to (1-1/p)^-2 exactly, the equality-forcing "
         "argument returns partial degree 2 with unit roots, degree bound 2",
         ok,
     )

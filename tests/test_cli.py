@@ -176,11 +176,25 @@ class TestTwistGrid:
         assert out.splitlines()[1].endswith(",oracle")
 
     def test_value_without_stable_bits_is_an_error(self, capsys):
-        # F(s, 1/2) vanishes at s = -2, so Hurwitz's formula certifies no digit of it
-        code = main(["--sigma-grid=-2", "--t", "0", "--alphas", "1/2", "twist-grid"])
+        # F(s, 1/2) vanishes at s = -2, so near it 64 bits certify fewer than 16
+        # bits of the value; 128 bits certify it
+        argv = ["--sigma-grid=-2", "--t", "1e-10", "--alphas", "1/2", "twist-grid"]
+        code = main(["--precision", "64", *argv])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("precision error: ") and "stable bits" in err
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[3] == "1.576084513302592286907829e-22"
+
+    @pytest.mark.parametrize("sigma, alphas", [(-2, "1/2"), (-4, "1"), (-6, "1,3/2")])
+    def test_trivial_zero_prints_exact_zero(self, capsys, sigma, alphas):
+        for precision in ("64", "128"):
+            code, out = run_cli(capsys, "--precision", precision, f"--sigma-grid={sigma}",
+                                "--t", "0", "--alphas", alphas, "twist-grid")
+            rows = out.splitlines()[1:]
+            assert code == 0 and len(rows) == alphas.count(",") + 1
+            assert all(row.endswith(",0.0,0.0,oracle") for row in rows), rows
 
     def test_help_says_zeta2_only(self, capsys):
         with pytest.raises(SystemExit):

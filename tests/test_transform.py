@@ -376,9 +376,9 @@ def contour_bound(c):
     return mp.mpf(2) ** -(mp.mp.prec - 10) * max(1, abs(c))
 
 
-def laurent_bound(c, q, bits):
-    """``_laurent_at_1``'s stated bound 2^-prec |c| + (20 + 12 log q) 2^-(prec+20)."""
-    return mp.ldexp(abs(c), -bits) + mp.ldexp(20 + 12 * mp.log(q), -bits - 20)
+def laurent_bound(c, bits):
+    """``_laurent_at_1``'s stated bound on c_-1, 2^-prec |c| + 5 2^-(prec+20)."""
+    return mp.ldexp(abs(c), -bits) + mp.ldexp(5, -bits - 20)
 
 
 def coprime_numerators(q):
@@ -393,55 +393,35 @@ class TestClosedFormLaurent:
         # memo key does not record the route, so it is cleared on both sides
         special._hurwitz_memo.cache_clear()
         monkeypatch.setattr(special, "_SERIES_CENTERS", range(0))
+        # the coprime numerators feed the laws, and every b = 0..q-1 the character twists
         try:
             for q in range(1, 5):
-                numerators = coprime_numerators(q)
-                contours = transform._laurent_many(
-                    lambda s: [zeta2_twist_batch(s, q)[a % q] for a in numerators],
-                    1, 3, Fraction(1, 4), 128, 0)
-                closed = transform._laurent_at_1(q, numerators)
-                for a, want, got in zip(numerators, contours, closed):
-                    for k in range(-3, 1):
-                        assert abs(got[k] - want[k]) <= contour_bound(got[k]), (q, a, k)
+                for numerators in (coprime_numerators(q), range(q)):
+                    contours = transform._laurent_many(
+                        lambda s: [zeta2_twist_batch(s, q)[a % q] for a in numerators],
+                        1, 3, Fraction(1, 4), 128, -1)
+                    closed = transform._laurent_at_1(q, numerators)
+                    for a, want, got in zip(numerators, contours, closed, strict=True):
+                        assert sorted(got) == [-3, -2, -1]
+                        for k in got:
+                            assert abs(want[k] - got[k]) <= contour_bound(got[k]), (q, a, k)
         finally:
             special._hurwitz_memo.cache_clear()
 
     @pytest.mark.parametrize("bits", (64, 128, 256))
     def test_polar_coefficients_are_exact(self, bits):
-        # c_-2 = 1/q and c_-1 = (2 gamma - 2 log q)/q for a coprime to q,
-        # within the kernel's stated bound: rounding u/q moves neither, since
+        # c_-2 = 1/q exactly and c_-1 = (2 gamma - 2 log q)/q for a coprime to q,
+        # within the kernel's stated bound: rounding u/q does not move it, as
         # each p_0(u/q) with u < q enters c_-1 through sum_v e(-uva/q) = 0
         with mp.workprec(bits):
             for q in range(1, 13):
                 numerators = coprime_numerators(q)
                 expansions = transform._laurent_at_1(q, numerators)
                 with mp.workprec(bits + 40):
-                    want = {-2: mp.mpf(1) / q, -1: (2 * mp.euler - 2 * mp.log(q)) / q}
+                    want = (2 * mp.euler - 2 * mp.log(q)) / q
                 for a, c in zip(numerators, expansions):
-                    assert c[-3] == 0
-                    for k, w in want.items():
-                        bound = laurent_bound(w, q, bits)
-                        assert abs(c[k] - w) <= bound, (bits, q, a, k)
-
-    def test_constant_term_matches_digamma_and_stieltjes(self):
-        # the same double sum over u, v, fed by p_0 = -psi(u/q) and
-        # p_1 = -gamma_1(u/q) at the kernel's parameters, 40 bits higher
-        prec = mp.mp.prec
-        for q in range(1, 7):
-            numerators = coprime_numerators(q)
-            expansions = transform._laurent_at_1(q, numerators)
-            with mp.workprec(prec + 40):
-                params = special.hurwitz_parameters(q, prec)
-                p0 = [-mp.digamma(a) for a in params]
-                p1 = [-mp.stieltjes(1, a) for a in params]
-                log_q = mp.log(q)
-                for a, c in zip(numerators, expansions):
-                    want = mp.fsum(
-                        special.unit_phase(Fraction(-u * v * a, q))
-                        * (p1[u - 1] + p1[v - 1] + p0[u - 1] * p0[v - 1]
-                           - 2 * log_q * (p0[u - 1] + p0[v - 1]) + 2 * log_q ** 2)
-                        for u in range(1, q + 1) for v in range(1, q + 1)) / q ** 2
-                    assert abs(c[0] - want) <= laurent_bound(want, q, prec), (q, a)
+                    assert c[-3] == 0 and c[-2] == Fraction(1, q), (bits, q, a)
+                    assert abs(c[-1] - want) <= laurent_bound(want, bits), (bits, q, a)
 
     @pytest.mark.parametrize("bits", (64, 128, 256))
     def test_character_twists_match_contour(self, bits):
@@ -451,9 +431,9 @@ class TestClosedFormLaurent:
             for p in (3, 5, 7, 11, 13):
                 contours = transform._laurent_many(
                     lambda s: character_twists(zeta2_twist_batch(s, p), p),
-                    1, 2, Fraction(1, 4), 64, 0)
+                    1, 2, Fraction(1, 4), 64, -1)
                 laurent = transform._laurent_at_1(p, range(p))
-                closed = {k: character_twists([c[k] for c in laurent], p) for k in (-2, -1, 0)}
+                closed = {k: character_twists([c[k] for c in laurent], p) for k in (-2, -1)}
                 for i, want in enumerate(contours):
                     for k, got in closed.items():
                         assert abs(got[i] - want[k]) <= contour_bound(got[i]), (bits, p, i, k)
@@ -480,23 +460,11 @@ class TestClosedFormLaurent:
                 main = {-2: x * conj[-2], -1: x * (conj[-1] + 2 * mp.log(x) * conj[-2])}
                 records = {r.name: mp.mpf(r.measured) for r in report.records}
                 for k in (-2, -1):
-                    assert abs(own[k] - twist_contour[k]) <= contour_bound(own[k]), (alpha, k)
+                    assert abs(twist_contour[k] - own[k]) <= contour_bound(own[k]), (alpha, k)
                     assert abs(main[k] - main_contour[k]) <= contour_bound(main[k]), (alpha, k)
                     contour = abs(twist_contour[k] - main_contour[k])
                     assert abs(records[f"principal c_{k} at s=1"] - contour) <= (
                         contour_bound(own[k]) + contour * mp.mpf("1e-5")), (alpha, k)
-
-    @pytest.mark.parametrize("bits", (64, 128, 256))
-    def test_shallow_data_equal_the_full_data_bit_for_bit(self, bits):
-        # cutting the X_u to k_max + 3 terms changes no c_k up to k_max
-        with mp.workprec(bits):
-            for q in range(1, 14):
-                full = transform._laurent_at_1(q, range(q))
-                for k_max in (-2, -1, 0):
-                    shallow = transform._laurent_at_1(q, range(q), k_max)
-                    for got, want in zip(shallow, full, strict=True):
-                        assert sorted(got) == list(range(-3, k_max + 1))
-                        assert all(got[k]._mpc_ == want[k]._mpc_ for k in got), (q, k_max)
 
     def test_second_table_builds_no_series(self):
         twist_laurent_table(24)
@@ -520,11 +488,11 @@ class TestLaurentLaws:
                 max_pole_order=3,
                 radius=Fraction(1, 4),
                 nodes=128,
-                k_max=0,
+                k_max=-1,
             )
-            assert sorted(got) == sorted(want.coefficients) == [-3, -2, -1, 0]
+            assert sorted(got) == sorted(want.coefficients) == [-3, -2, -1]
             for k, c in got.items():
-                assert abs(c - want.coefficient(k)) <= contour_bound(c), (q, a, k)
+                assert abs(want.coefficient(k) - c) <= contour_bound(c), (q, a, k)
 
     def test_alpha_law(self, table):
         report = verify_alpha_law(table)
@@ -535,12 +503,36 @@ class TestLaurentLaws:
         assert report.passed
 
     def test_lambda_reality_chain(self, zeta2, table):
-        # alpha_F = lambda_F conj(alpha_F) with lambda_F = 1
+        # alpha_F = lambda_F conj(alpha_F) with lambda_F = 1, exactly
         alpha_f = table[(1, 1)][-2]
         lam = lambda_invariant(zeta2)
         assert lam == 1
-        assert abs(alpha_f - mp.conj(alpha_f)) < mp.mpf("1e-12")
-        assert abs(table[(1, 1)][-3]) < mp.mpf("1e-10")
+        assert alpha_f == lam * alpha_f.conjugate() == 1
+        assert table[(1, 1)][-3] == 0
+
+
+class TestExactLeadingCoefficient:
+    def test_is_the_root_of_unity_sum(self):
+        # q^-2 sum_{u,v} e(-uvb/q) summed at 256 bits, every b = 0..q-1
+        with mp.workprec(256):
+            for q in range(1, 13):
+                for b in range(q):
+                    total = mp.fsum(special.unit_phase(Fraction(-u * v * b, q))
+                                    for u in range(q) for v in range(q)) / q ** 2
+                    exact = twist.leading_coefficient(b, q)
+                    assert abs(total - exact) <= mp.mpf(2) ** -240, (q, b)
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_records_print_exact_zero(self, bits):
+        # alpha, alpha a-independence (q <= 12) and principal c_-2 compare rationals
+        alphas = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2)]
+        with mp.workprec(bits):
+            report = verify_alpha_law(twist_laurent_table(12))
+            for polar in transformation_polar_reports(alphas, 1):
+                report.extend(polar)
+        records = [r for r in report.records if r.name.startswith(("alpha", "principal c_-2"))]
+        assert len(records) == 46 + 10 + 4
+        assert all(r.measured == "0.0" and r.passed for r in records), bits
 
 
 class TestChiHolomorphy:
@@ -602,11 +594,18 @@ class TestOneCirclePerExtraction:
 
 
 class TestEulerEndgame:
-    def test_local_values(self):
-        for p in (2, 3, 5):
-            value = euler_factor_at_1(p)
-            target = (1 - mp.mpf(1) / p) ** -2
-            assert abs(value - target) <= mp.mpf("1e-8"), p
+    def test_local_values(self, monkeypatch):
+        # exact, from no root of unity, Hurwitz series or pair sum
+        def refused(*args):
+            raise AssertionError("a root of unity, Hurwitz series or pair sum was evaluated")
+
+        for module in (special, twist, transform):
+            for name in ("roots_of_unity", "_hurwitz_series", "_pair_sums"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        for p in (2, 3, 5, 7, 11, 13):
+            assert euler_factor_at_1(p) == Fraction(p, p - 1) ** 2, p
+            assert solve_local_factor(euler_factor_at_1(p), p).status == "forced", p
 
     def test_solver_cases(self):
         forced = solve_local_factor(4, 2)
@@ -618,20 +617,16 @@ class TestEulerEndgame:
         assert infeasible.factor is None
         free = solve_local_factor(2, 2)
         assert free.status == "underdetermined"
+        # the comparison with the cap (1 - 1/p)^-2 is exact
+        cap = Fraction(9, 4)
+        assert solve_local_factor(cap, 3).status == "forced"
+        for near in (cap + Fraction(1, 10 ** 40), cap - Fraction(1, 10 ** 40)):
+            assert solve_local_factor(near, 3).status != "forced", near
 
     def test_local_factor_invariant(self):
         with pytest.raises(ValueError):
             LocalFactor(2, 1, (mp.mpf("1.5"),))
         assert LocalFactor(2, 2, (1, 1)).roots == (1, 1)
-
-    def test_blowup_guard(self, monkeypatch):
-        # every numerator shares c_-2 = 1, so alpha_F(1/p)/alpha_F = 1
-        def shared_pole(q, numerators, k_max=0):
-            return [{-3: 0, -2: mp.mpc(1), -1: mp.mpc(0), 0: mp.mpc(0)} for _ in numerators]
-
-        monkeypatch.setattr(transform, "_laurent_at_1", shared_pole)
-        with pytest.raises(ArithmeticError, match="too close to 1"):
-            euler_factor_at_1(2)
 
     @pytest.mark.parametrize("p", (4, 9, 1, 0, -3))
     def test_non_prime_rejected_before_any_twist(self, p, monkeypatch):
@@ -639,6 +634,7 @@ class TestEulerEndgame:
         def no_twist(*args):
             raise AssertionError("a twist was evaluated")
 
+        monkeypatch.setattr(transform, "leading_coefficient", no_twist)
         monkeypatch.setattr(transform, "_laurent_at_1", no_twist)
         monkeypatch.setattr(special, "_hurwitz_series", no_twist)
         with pytest.raises(ValueError, match="need a prime p"):
