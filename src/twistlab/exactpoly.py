@@ -5,8 +5,8 @@ Scalars are ``int``, ``fractions.Fraction`` or :class:`GaussianRational`
 as integer numerator rows over one positive common denominator in lowest
 terms, so each ring operation, composition and evaluation is an integer
 loop with one gcd per result.  All of it stays exact, so zero-remainder
-divisibility can be asserted literally.  Numeric evaluation happens through
-mpmath at the ambient working precision.
+divisibility can be asserted literally.  Nothing here is numeric: a caller
+that needs floating-point values rounds the integer rows itself.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-
-import mpmath as mp
 
 _RATIONAL_TYPES = (int, Fraction)
 
@@ -79,9 +77,6 @@ class GaussianRational:
             return NotImplemented
         return GaussianRational(o.re - self.re, o.im - self.im)
 
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -104,26 +99,6 @@ class GaussianRational:
             (self.im * o.re - self.re * o.im) / n,
         )
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return 1 / (self ** (-n))
-        result = GaussianRational(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
@@ -144,12 +119,6 @@ class GaussianRational:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    def to_mpc(self) -> mp.mpc:
-        return mp.mpc(mp.mpmathify(self.re), mp.mpmathify(self.im))
-
-    def __complex__(self) -> complex:
-        return float(self.re) + 1j * float(self.im)
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
@@ -160,20 +129,6 @@ class GaussianRational:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-
-def scalar_to_mpc(c):
-    """Convert an exact scalar to mpc at ambient precision."""
-    if isinstance(c, GaussianRational):
-        return c.to_mpc()
-    return mp.mpc(mp.mpmathify(c))
-
-
-def _exact_div(a, b):
-    """Scalar division that keeps int/int exact instead of going float."""
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    return a / b
 
 
 _SCALAR_TYPES = (int, Fraction, GaussianRational)
@@ -288,12 +243,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.re
 
-    @property
-    def leading(self):
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def coefficient(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.re) else 0
 
@@ -318,15 +267,6 @@ class Polynomial:
         if other is None:
             return NotImplemented
         return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        other = self._as_poly(other)
-        if other is None:
-            return NotImplemented
-        return other._plus(self, -1)
-
-    def __neg__(self):
-        return Polynomial.from_rows([-x for x in self.re], [-x for x in self.im], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -371,9 +311,10 @@ class Polynomial:
         if dd < dv:
             return Polynomial(), self
         quot = [0] * (dd - dv + 1)
-        lead = other.coeffs[-1]
+        lead = other.coeffs[-1]  # a Fraction has no division by a GaussianRational
+        inverse = lead.conjugate() / lead.norm() if isinstance(lead, GaussianRational) else 1 / lead
         for k in range(dd - dv, -1, -1):
-            c = _exact_div(rem[dv + k], lead)
+            c = rem[dv + k] * inverse
             quot[k] = c
             if c != 0:
                 for j, b in enumerate(other.coeffs):
@@ -425,14 +366,6 @@ class Polynomial:
         if self.im or isinstance(x, GaussianRational):
             return GaussianRational(Fraction(re, den), Fraction(im, den))
         return Fraction(re, den)
-
-    def eval_mpc(self, z) -> mp.mpc:
-        """Numeric Horner evaluation at the ambient mpmath precision."""
-        z = mp.mpmathify(z)
-        result = mp.mpc(0)
-        for c in reversed(self.coeffs):
-            result = result * z + scalar_to_mpc(c)
-        return result
 
     # -- misc ----------------------------------------------------------------------
 

@@ -59,12 +59,6 @@ class QParam:
             return cls(Fraction(1), Fraction(1))
         return cls(as_fraction(text), Fraction(0))
 
-    def __str__(self):
-        if self.pi_exp:
-            base = f"pi^{self.pi_exp}"
-            return base if self.coef == 1 else f"{self.coef}*{base}"
-        return str(self.coef)
-
 
 @dataclass(frozen=True)
 class GammaFactor:
@@ -121,10 +115,6 @@ class FunctionalEquationDatum:
     def __reduce__(self):  # rebuilt from its fields: a str's hash is salted per process
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-    @property
-    def r(self) -> int:
-        return len(self.factors)
-
     # -- invariants ----------------------------------------------------------
 
     def degree(self) -> Fraction:
@@ -137,10 +127,6 @@ class FunctionalEquationDatum:
         for f in self.factors:
             total = total + (f.mu - Fraction(1, 2))
         return 2 * total
-
-    @property
-    def eta(self) -> Fraction:
-        return self.xi_invariant().re
 
     @property
     def theta(self) -> Fraction:

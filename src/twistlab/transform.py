@@ -25,19 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 
 import mpmath as mp
-from mpmath.libmp import isprime
+from mpmath.libmp import from_rational, isprime, round_down
 
 from .expansion import q_poly
-from .exactpoly import scalar_to_mpc
+from .exactpoly import GaussianRational
 from .funceq import zeta2_datum
 from .reports import Report
 from .special import PoleError, characters_mod, dirichlet_l, roots_of_unity
-from .twist import (PrecisionExhaustedError, _laurent_at_1, _stable_reflected_twists,
-                    character_twists, leading_coefficient, reduce_mod_one, zeta2_twist_batch,
-                    zeta2_twist_oracle)
+from .twist import (_laurent_at_1, _stable_reflected_twists, character_twists, leading_coefficient,
+                    reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle)
 
 
 LAURENT_RADIUS = Fraction(1, 4)  # contour radius; laurent_extract also reads radius/2
@@ -140,9 +140,13 @@ def transformation_prefactor(s, alpha) -> mp.mpc:
 
 @lru_cache(maxsize=None)
 def _q_coeffs(nu: int, prec: int) -> tuple:
-    """zeta(s)^2's Q_nu coefficients as mpc at ``prec`` bits, highest degree first."""
-    with mp.workprec(prec):
-        return tuple(scalar_to_mpc(c) for c in reversed(q_poly(zeta2_datum(), nu).coeffs))
+    """zeta(s)^2's Q_nu coefficients as mpc at ``prec`` bits, highest degree first:
+    each part of Q_nu's integer rows over its denominator, rounded once toward
+    zero (as mpmath rounds a Fraction)."""
+    q = q_poly(zeta2_datum(), nu)
+    return tuple(mp.make_mpc((from_rational(re, q.den, prec, round_down),
+                              from_rational(im, q.den, prec, round_down)))
+                 for re, im in zip_longest(reversed(q.re), reversed(q.im), fillvalue=0))
 
 
 def _q_values(table, s) -> list[mp.mpc]:
@@ -334,7 +338,10 @@ class LocalFactor:
         if self.partial_degree != len(self.roots):
             raise ValueError("partial degree must match the number of roots")
         for root in self.roots:
-            if abs(mp.mpc(root)) > 1 + mp.mpf("1e-9"):
+            if not isinstance(root, (int, Fraction, GaussianRational)):
+                raise ValueError(f"inverse root {root!r} is not an exact int, Fraction or "
+                                 "GaussianRational")
+            if (root.norm() if isinstance(root, GaussianRational) else root * root) > 1:
                 raise ValueError(f"inverse root {root} exceeds the unit disk")
 
 
@@ -352,7 +359,6 @@ def euler_factor_at_1(p: int) -> Fraction:
 class LocalFactorSolution:
     status: str  # "forced" | "infeasible" | "underdetermined"
     factor: LocalFactor | None
-    bound: Fraction  # the cap (1 - 1/p)^-PARTIAL_DEGREE_MAX
     detail: str
 
 
@@ -366,13 +372,13 @@ def solve_local_factor(value_at_1, p: int) -> LocalFactorSolution:
     """
     measured, cap = abs(Fraction(value_at_1)), Fraction(p, p - 1) ** PARTIAL_DEGREE_MAX
     if measured > cap:
-        return LocalFactorSolution("infeasible", None, cap,
+        return LocalFactorSolution("infeasible", None,
                                    f"|F_p(1)| = {measured} exceeds the cap {cap}")
     if measured == cap:
         factor = LocalFactor(p, PARTIAL_DEGREE_MAX, (1,) * PARTIAL_DEGREE_MAX)
-        return LocalFactorSolution("forced", factor, cap,
+        return LocalFactorSolution("forced", factor,
                                    "value meets the cap: all inverse roots forced to 1")
-    return LocalFactorSolution("underdetermined", None, cap,
+    return LocalFactorSolution("underdetermined", None,
                                "value sits strictly inside the cap; the root configuration is free")
 
 

@@ -93,12 +93,6 @@ class DivisorStream:
                 counts[n] += 2
         self._cache = counts
 
-    def a(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("coefficients are indexed from n = 1")
-        self.ensure(n)
-        return self._cache[n]
-
     def values(self, n_max: int) -> list[int]:
         """[d(1), ..., d(n_max)]."""
         self.ensure(n_max)

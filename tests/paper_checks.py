@@ -11,7 +11,9 @@ acceptance suite (pytest does not collect this module).
   the continued twists, and the coefficients of the p-free part F/F_p;
 * the generic coefficient pass the divisor pass replaced, kept as its reference;
 * the invariants of a datum that the transformation formula's general main
-  term reads: conductor, shifted root number and lambda-invariant.
+  term reads: conductor, shifted root number and lambda-invariant;
+* the numeric readings of exact values the tests compare against: an exact
+  scalar or a polynomial's Horner value as mpc, and d(n) one n at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +37,34 @@ from twistlab.twist import (
     divisor_stream,
     zeta2_twist_oracle,
 )
+
+
+# ---------------------------------------------------------------------------
+# Numeric readings of exact values
+# ---------------------------------------------------------------------------
+
+def to_mpc(c) -> mp.mpc:
+    """An exact scalar (int, Fraction or GaussianRational) as mpc at the
+    working precision, each part rounded once."""
+    if isinstance(c, GaussianRational):
+        return mp.mpc(mp.mpmathify(c.re), mp.mpmathify(c.im))
+    return mp.mpc(mp.mpmathify(c))
+
+
+def eval_mpc(poly: Polynomial, z) -> mp.mpc:
+    """Horner evaluation of an exact polynomial at the working precision."""
+    z = mp.mpmathify(z)
+    result = mp.mpc(0)
+    for c in reversed(poly.coeffs):
+        result = result * z + to_mpc(c)
+    return result
+
+
+def divisor_count(n: int) -> int:
+    """d(n) from the shared divisor stream, one coefficient at a time."""
+    stream = divisor_stream()
+    stream.ensure(n)
+    return stream._cache[n]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +165,7 @@ def check_expansion_shifted_mu(
     shifted = w + 2 * s - 1 + 1j * theta
     acc = mp.mpc(0)
     for nu in range(mu, N + 1):
-        acc += a_coeff(datum, mu, nu).eval_mpc(s) / falling_product(w, 1, nu)
+        acc += eval_mpc(a_coeff(datum, mu, nu), s) / falling_product(w, 1, nu)
     error = abs(shifted**-mu - acc)
     sigma = abs(mp.re(s))
     scale = (
@@ -167,14 +197,14 @@ def check_exp_expansion(datum: FunctionalEquationDatum, s, w, N: int):
         sign = -1 if nu % 2 else 1
         arg += (
             sign
-            * r_poly(datum, nu).eval_mpc(s)
+            * eval_mpc(r_poly(datum, nu), s)
             / (nu * (nu + 1))
             / shifted**nu
         )
     lhs = mp.exp(arg)
     rhs = mp.mpc(1)
     for nu in range(1, N + 1):
-        rhs += q_poly(datum, nu).eval_mpc(s) / falling_product(w, 1, nu)
+        rhs += eval_mpc(q_poly(datum, nu), s) / falling_product(w, 1, nu)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -227,8 +257,7 @@ def reconstruct_additive_twist(s, a: int, p: int) -> IdentityCheck:
 def p_free_coefficient(n: int, p: int) -> int:
     """Coefficient of n^-s in F(s)/F_p(s): d convolved with the coefficients of
     1/F_p(s) = (1 - p^-s)^2 = 1 - 2 p^-s + p^-2s."""
-    stream = divisor_stream()
-    return sum(w * stream.a(n // pk) for pk, w in ((1, 1), (p, -2), (p * p, 1)) if n % pk == 0)
+    return sum(w * divisor_count(n // pk) for pk, w in ((1, 1), (p, -2), (p * p, 1)) if n % pk == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +388,9 @@ def root_number_star(datum: FunctionalEquationDatum):
     eta, theta = xi.re, xi.im
     if theta == 0 and all(f.mu.im == 0 for f in datum.factors) and (eta + 1).denominator == 1:
         # exp(-i pi (eta+1)/2) = (-i)^(eta+1)
-        return datum.omega * GaussianRational(0, -1) ** (int(eta + 1) % 4)
-    value = datum.omega.to_mpc() * mp.exp(-1j * mp.pi * (mp.mpmathify(eta) + 1) / 2)
+        powers_of_minus_i = (1, GaussianRational(0, -1), -1, GaussianRational(0, 1))
+        return datum.omega * powers_of_minus_i[int(eta + 1) % 4]
+    value = to_mpc(datum.omega) * mp.exp(-1j * mp.pi * (mp.mpmathify(eta) + 1) / 2)
     if theta != 0:
         q_f = mp.mpmathify(conductor(datum))
         value *= mp.exp(1j * (mp.mpmathify(theta) / 2) * mp.log(q_f / (2 * mp.pi) ** 2))

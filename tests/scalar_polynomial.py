@@ -43,9 +43,6 @@ class ScalarPolynomial:
     def __rsub__(self, other):
         return self._as_poly(other) - self
 
-    def __neg__(self):
-        return ScalarPolynomial(-c for c in self.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, ScalarPolynomial):
             if not self.coeffs or not other.coeffs:

@@ -1,5 +1,6 @@
-"""The exact layer stays exact: the datum, the Bernoulli tables and the
-transformation polynomials import no floating-point library."""
+"""The exact layer stays exact: the exact scalars and polynomials, the datum,
+the Bernoulli tables and the transformation polynomials import no
+floating-point library."""
 
 import ast
 from pathlib import Path
@@ -11,7 +12,7 @@ import twistlab
 PACKAGE = Path(twistlab.__file__).resolve().parent
 
 
-@pytest.mark.parametrize("module", ["funceq", "expansion", "bernoulli"])
+@pytest.mark.parametrize("module", ["exactpoly", "funceq", "expansion", "bernoulli"])
 def test_exact_module_imports_no_mpmath(module):
     imported = set()
     for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):

@@ -21,7 +21,7 @@ from twistlab.funceq import (
     zeta2_datum,
 )
 
-from paper_checks import conductor, lambda_invariant, q_param_value, root_number_star
+from paper_checks import conductor, lambda_invariant, q_param_value, root_number_star, to_mpc
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,7 +44,6 @@ class TestZeta2Invariants:
 
     def test_xi(self, zeta2):
         assert zeta2.xi_invariant() == GaussianRational(-2, 0)
-        assert zeta2.eta == -2
         assert zeta2.theta == 0
 
     def test_h_invariants(self, zeta2):
@@ -147,8 +146,8 @@ class TestOtherData:
         with mp.workprec(1024):
             q_f = (2 * mp.pi) ** 2 * q_param_value(QParam.parse(q)) ** 2 / 4
             closed = (
-                d.omega.to_mpc()
-                * mp.exp(-1j * mp.pi * (d.eta + 1) / 2)
+                to_mpc(d.omega)
+                * mp.exp(-1j * mp.pi * (d.xi_invariant().re + 1) / 2)
                 * mp.power(q_f / (2 * mp.pi) ** 2, 1j * d.theta / 2)
                 * mp.power(mp.mpf(1) / 2, -2j * mp.mpf(1) / 2)
             )

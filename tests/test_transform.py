@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from twistlab import cli, special, transform, twist
-from twistlab.exactpoly import scalar_to_mpc
+from twistlab.exactpoly import GaussianRational
 from twistlab.expansion import q_poly
 from twistlab.special import PoleError
 from twistlab.transform import (
@@ -32,7 +32,7 @@ from twistlab.transform import (
 )
 from twistlab.twist import character_twists, zeta2_twist_batch, zeta2_twist_oracle
 
-from paper_checks import conductor, lambda_invariant, root_number_star
+from paper_checks import conductor, eval_mpc, lambda_invariant, root_number_star, to_mpc
 
 
 class TestLaurentExtract:
@@ -155,7 +155,7 @@ class TestMainTerm:
                 coeffs = transform._q_coeffs(nu, bits)
                 for s in points:
                     value = mp.polyval(coeffs, s)
-                    assert value._mpc_ == q_poly(zeta2, nu).eval_mpc(s)._mpc_, (nu, s)
+                    assert value._mpc_ == eval_mpc(q_poly(zeta2, nu), s)._mpc_, (nu, s)
 
     def test_alpha_one_reduction(self):
         report = identity_reduction_check()
@@ -166,7 +166,7 @@ class TestMainTerm:
         with mp.workprec(bits):
             for s in (mp.mpc("1.7", "0.4"), mp.mpc("-2.75", "0.25"), mp.mpc(3)):
                 for alpha in (Fraction(1), Fraction(1, 2), Fraction(2, 3)):
-                    omega_star = scalar_to_mpc(root_number_star(zeta2))
+                    omega_star = to_mpc(root_number_star(zeta2))
                     theta = mp.mpmathify(zeta2.theta)
                     base = mp.sqrt(mp.mpmathify(conductor(zeta2))) * mp.mpmathify(alpha)
                     want = -1j * omega_star * mp.exp((2 * s - 1 + 1j * theta) * mp.log(base))
@@ -194,7 +194,7 @@ class TestMainTerm:
             predicted = (
                 abs(transformation_prefactor(s, alpha))
                 * (mp.mpmathify(alpha) / (2 * mp.pi)) ** (k + 1)
-                * abs(q_poly(zeta2, k + 1).eval_mpc(s))
+                * abs(eval_mpc(q_poly(zeta2, k + 1), s))
                 * abs(mp.zeta(s + k + 1) ** 2)
             )
             print(f"  K={k}: increment {mp.nstr(increment, 6)}")
@@ -246,7 +246,7 @@ def literal_main_term(datum, s, alpha, k_terms):
     sum_j |q_j| |s|^j and every other factor by its absolute value."""
     q_f, theta = conductor(datum), mp.mpmathify(datum.theta)
     base = mp.sqrt(mp.mpmathify(q_f)) * mp.mpmathify(alpha)
-    prefactor = scalar_to_mpc(lambda_invariant(datum)) * mp.exp(
+    prefactor = to_mpc(lambda_invariant(datum)) * mp.exp(
         (2 * s - 1 + 1j * theta) * mp.log(base))
     ratio = 1j * mp.mpmathify(q_f * alpha) / (2 * mp.pi)
     value = scale = 0
@@ -254,8 +254,8 @@ def literal_main_term(datum, s, alpha, k_terms):
         q = q_poly(datum, nu)
         outer = prefactor * ratio**nu * zeta2_twist_oracle(s + nu + 1j * theta,
                                                            Fraction(-1) / (q_f * alpha))
-        value += outer * q.eval_mpc(s)
-        scale += abs(outer) * mp.fsum(abs(scalar_to_mpc(c)) * abs(s) ** j
+        value += outer * eval_mpc(q, s)
+        scale += abs(outer) * mp.fsum(abs(to_mpc(c)) * abs(s) ** j
                                       for j, c in enumerate(q.coeffs))
     return value, scale
 
@@ -326,7 +326,7 @@ class TestPolarConsistency:
                     for nu, got in enumerate(transform._q_values(table, s)):
                         scale = mp.fsum(abs(c) * abs(s) ** j
                                         for j, c in enumerate(reversed(table[nu])))
-                        want = q_poly(zeta2, nu).eval_mpc(s)
+                        want = eval_mpc(q_poly(zeta2, nu), s)
                         assert abs(got - want) <= scale * mp.mpf(2) ** -(bits - 7), (s, nu)
 
     def test_one_main_term_pass_per_node(self, monkeypatch):
@@ -627,6 +627,14 @@ class TestEulerEndgame:
         with pytest.raises(ValueError):
             LocalFactor(2, 1, (mp.mpf("1.5"),))
         assert LocalFactor(2, 2, (1, 1)).roots == (1, 1)
+        # the closed unit disk, tested exactly on exact roots
+        for root in (Fraction(1, 2), -1, GaussianRational(0, -1),
+                     GaussianRational(Fraction(3, 5), Fraction(4, 5))):
+            assert LocalFactor(2, 1, (root,)).roots == (root,)
+        for root in (1 + Fraction(1, 10**40), Fraction(-3, 2), mp.mpf("0.5"), 0.5, "1/2",
+                     GaussianRational(Fraction(3, 5), Fraction(4, 5) + Fraction(1, 10**40))):
+            with pytest.raises(ValueError):
+                LocalFactor(2, 1, (root,))
 
     @pytest.mark.parametrize("p", (4, 9, 1, 0, -3))
     def test_non_prime_rejected_before_any_twist(self, p, monkeypatch):
@@ -779,7 +787,7 @@ class TestGrowthCertificate:
         # Z-sums cancel must be refused.  At q = 2, b = 1 the u, v sum is
         # -Z_1^2 + 2 Z_1 Z_2 + Z_2^2, which vanishes at Z_2/Z_1 = sqrt(2) - 1;
         # zeta(1-s, 1/2) = 1 - sqrt(2) and zeta(1-s, 1) = 1 give that ratio.
-        from twistlab.transform import PrecisionExhaustedError
+        from twistlab.twist import PrecisionExhaustedError
 
         def cancelling(s, a):
             return 1 - mp.sqrt(2) if a < 1 else mp.mpc(1)

@@ -35,14 +35,13 @@ from twistlab.twist import (
     zeta2_twist_oracle,
 )
 
-from paper_checks import p_free_coefficient, reconstruct_additive_twist, residue_sums_reference
+from paper_checks import (divisor_count, p_free_coefficient, reconstruct_additive_twist,
+                          residue_sums_reference)
 
 
 class TestDivisorStream:
     def test_small_values(self, divisors):
         assert divisors.values(12) == [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
-        assert divisors.a(1) == 1
-        assert divisors.a(12) == 6
 
     def test_cache_is_stable_under_extension(self, divisors):
         before = divisors.values(50)
@@ -53,7 +52,7 @@ class TestDivisorStream:
         # sum_{n<=N} d(n)/n^3 = sum_{ab<=N} (ab)^-3, exactly in rationals
         n_max = 200
         lhs = sum(
-            Fraction(divisors.a(n), n**3) for n in range(1, n_max + 1)
+            Fraction(d, n**3) for n, d in enumerate(divisors.values(n_max), 1)
         )
         rhs = sum(
             Fraction(1, (a * b) ** 3)
@@ -73,10 +72,6 @@ class TestDivisorStream:
         constant = float(np.max(values / n**0.35))
         print(f"\ndivisor growth constant sup d(n)/n^0.35 = {constant:.4f}")
         assert constant < 4
-
-    def test_index_validation(self, divisors):
-        with pytest.raises(ValueError):
-            divisors.a(0)
 
     def test_sieve_matches_naive_divisor_count(self):
         stream = divisor_stream(shared=False)
@@ -102,7 +97,7 @@ class TestTwistDirect:
     def test_integer_alpha_equals_untwisted(self, divisors):
         s = mp.mpc(3)
         twisted = twist_direct(s, Fraction(2), 500).value
-        plain = mp.fsum(divisors.a(n) * mp.power(n, -s) for n in range(1, 501))
+        plain = mp.fsum(d * mp.power(n, -s) for n, d in enumerate(divisors.values(500), 1))
         assert abs(twisted - plain) < mp.mpf("1e-35")
 
     def test_against_oracle_at_half(self):
@@ -345,7 +340,7 @@ class TestConversionIdentity:
         # coefficient of F/F_p: d(n) for n prime to p, 0 otherwise
         for p in (2, 3, 5):
             for n in (1, 2, 3, 4, 9, 12, 15, 25, 64, 75):
-                expected = divisors.a(n) if n % p else 0
+                expected = divisor_count(n) if n % p else 0
                 assert p_free_coefficient(n, p) == expected, (n, p)
 
     def test_round_trip_reconstruction(self):
@@ -377,7 +372,7 @@ def literal_buckets(coeff, s, weight, n_max, modulus):
 
 def literal_series(s, weight, n_max):
     """sum_{n <= n_max} d(n) weight(n) n^-s by the literal route."""
-    return literal_buckets(divisor_stream().a, s, weight, n_max, 1)[0]
+    return literal_buckets(divisor_count, s, weight, n_max, 1)[0]
 
 
 def big_omega(n):
@@ -446,7 +441,7 @@ class TestResidueKernel:
 
     @pytest.mark.parametrize(
         "coeff, buckets",
-        [pytest.param(lambda n: divisor_stream().a(n),
+        [pytest.param(divisor_count,
                       lambda coeffs, s, modulus: _divisor_sums(len(coeffs), s, modulus),
                       id="divisor"),
          # any other coefficients only the tests' generic reference pass accepts
