@@ -27,17 +27,19 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-import mpmath as mp
-from mpmath.libmp import isprime
-
-from . import expansion, transform, twist
+from . import expansion
+from .euler import degree_bound, euler_factor_at_1, is_prime, solve_local_factor
 from .exactpoly import Polynomial
 from .funceq import FunctionalEquationDatum, load_datum
-from .reports import Report, write_rows_csv
+from .reports import Report, nstr, write_rows_csv
+
+# polys and euler compute in rationals: only verify and twist-grid import
+# mpmath and the analytic layer (special, twist, transform), where they run.
 
 
 @dataclass(frozen=True)
@@ -87,26 +89,30 @@ class RunConfig:
             raise ValueError("q_max must be between 1 and 24")
         if any(p < 2 or p > 13 for p in self.primes):
             raise ValueError("primes must lie in 2..13")
-        if not all(map(isprime, self.primes)) or len(set(self.primes)) < len(self.primes):
+        if not all(map(is_prime, self.primes)) or len(set(self.primes)) < len(self.primes):
             raise ValueError(f"primes must be distinct primes, got {list(self.primes)}")
         # the twists, the Laurent laws and the Euler factors are those of zeta(s)^2
         if command in ("verify", "euler", "twist-grid") and self.instance != "zeta2":
             raise ValueError(f"{command} evaluates zeta(s)^2 only")
-        # parsed here so a malformed value is a config error; the commands
-        # parse t and tol again at the working precision
+        # parsed here, exactly, so a malformed value is a config error; verify
+        # and twist-grid parse t and tol again at the working precision
         self.alpha_fractions, self.tolerance, self.t_value, self.growth_h_fraction  # noqa: B018
-        if not mp.isfinite(self.t_value):
+        if not _finite(self.t_value):
             raise ValueError(f"t must be finite, got {self.t!r}")
-        if not (mp.isfinite(self.tolerance) and self.tolerance > 0):
+        if not (_finite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
-        # the phases t log n keep about precision - log2|t| bits
-        t_max = mp.mpf(2) ** (self.precision / 2)
-        if command in ("twist-grid", "verify") and abs(self.t_value) > t_max:
-            raise ValueError(f"|t| must be at most 2^(precision/2) = 2^{self.precision / 2:g} at "
-                             f"precision {self.precision}, got {self.t!r}")
+        if command in ("twist-grid", "verify"):  # the analytic commands
+            import mpmath as mp
+
+            # the phases t log n keep about precision - log2|t| bits
+            if abs(mp.mpf(self.t)) > mp.mpf(2) ** (self.precision / 2):
+                raise ValueError(f"|t| must be at most 2^(precision/2) = 2^{self.precision / 2:g} "
+                                 f"at precision {self.precision}, got {self.t!r}")
         if command == "verify":  # the growth certificates of verify's alphas 1/q
+            from .transform import growth_domain
+
             for q in sorted({1, self.q_max}):
-                transform.growth_domain(Fraction(1, q), self.t_value, self.sigma_grid)
+                growth_domain(Fraction(1, q), mp.mpf(self.t), self.sigma_grid)
         if self.out:
             out = Path(self.out)
             existing = next(path for path in (out, *out.parents) if path.exists())
@@ -137,12 +143,12 @@ class RunConfig:
         return load_datum(self.instance)
 
     @property
-    def tolerance(self) -> mp.mpf:
-        return _parse(mp.mpf, self.tol, "tol must be a real number")
+    def tolerance(self) -> Fraction | Decimal:
+        return _parse(_exact_real, self.tol, "tol must be a real number")
 
     @property
-    def t_value(self) -> mp.mpf:
-        return _parse(mp.mpf, self.t, "t must be a real number")
+    def t_value(self) -> Fraction | Decimal:
+        return _parse(_exact_real, self.t, "t must be a real number")
 
     @property
     def growth_h_fraction(self) -> Fraction | None:
@@ -156,11 +162,26 @@ class RunConfig:
 
 
 def _parse(kind, value, message: str):
-    """kind(value), with a malformed value raised as ValueError(message)."""
+    """kind(value), with a malformed value raised as a ValueError naming it."""
     try:
         return kind(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ValueError(f"{message} ({exc})") from None
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise ValueError(f"{message}, got {value!r}") from None
+
+
+def _exact_real(value) -> Fraction | Decimal:
+    """The real number mp.mpf reads from ``value`` (a float literal or 'p/q'),
+    exactly: a literal's exponent stays an exponent, never 10^e in full."""
+    if isinstance(value, str) and "/" in value:
+        p, q = value.split("/")
+        return Fraction(int(p), int(q))
+    if isinstance(value, str):
+        float(value)  # mp.mpf's syntax, a Python float literal
+    return Decimal(value)
+
+
+def _finite(x: Fraction | Decimal) -> bool:
+    return not isinstance(x, Decimal) or x.is_finite()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -286,7 +307,10 @@ def cmd_polys(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    tol = cfg.tolerance
+    import mpmath as mp
+
+    from . import transform, twist
+    tol = mp.mpf(cfg.tol)
     report = Report(
         f"verification chain (instance={cfg.instance}, precision={cfg.precision}, "
         f"qmax={cfg.q_max}, K={cfg.k_terms})"
@@ -321,7 +345,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             tol,
         )
 
-    t, h_override = cfg.t_value, cfg.growth_h_fraction
+    t, h_override = mp.mpf(cfg.t), cfg.growth_h_fraction
     for q in sorted({1, cfg.q_max}):
         h = Fraction(q * q) if h_override is None else h_override
         cert = transform.growth_certificate(
@@ -345,9 +369,9 @@ def cmd_euler(cfg: RunConfig) -> int:
     report = Report(f"Euler-factor reconstruction (primes={list(cfg.primes)})")
     rows = []
     for p in cfg.primes:
-        value = transform.euler_factor_at_1(p)
-        solution = transform.solve_local_factor(value, p)
-        bound = transform.degree_bound(p * p, 1, p)
+        value = euler_factor_at_1(p)
+        solution = solve_local_factor(value, p)
+        bound = degree_bound(p * p, 1, p)
         report.add_bound(
             f"F_{p}(1)", "reconstructed local value equals (1-1/p)^-2",
             abs(value - Fraction(p, p - 1) ** 2), tol
@@ -367,8 +391,7 @@ def cmd_euler(cfg: RunConfig) -> int:
             "2",
             bound == 2,
         )
-        value = mp.mpmathify(value)
-        rows.append((p, mp.nstr(value, 20), mp.nstr(mp.im(value), 20), solution.status, bound))
+        rows.append((p, nstr(value, 20), nstr(0, 20), solution.status, bound))
     _emit(cfg, report, "euler")
     if cfg.out:
         write_rows_csv(
@@ -380,7 +403,10 @@ def cmd_euler(cfg: RunConfig) -> int:
 
 
 def cmd_twist_grid(cfg: RunConfig) -> int:
-    t = cfg.t_value
+    import mpmath as mp
+
+    from . import twist
+    t = mp.mpf(cfg.t)
     s_values = [mp.mpc(sigma, t) for sigma in cfg.sigma_grid]
     rows = twist.twist_grid_rows(s_values, cfg.alpha_fractions)
     header = ["sigma", "t", "alpha", "re", "im", "method"]
@@ -411,10 +437,15 @@ def main(argv=None) -> int:
         return 2
     commands = {"polys": cmd_polys, "verify": cmd_verify, "euler": cmd_euler,
                 "twist-grid": cmd_twist_grid}
+    if args.command in ("polys", "euler"):  # exact: no working precision
+        return commands[args.command](cfg)
+    import mpmath as mp
+
+    from .twist import PrecisionExhaustedError
     with mp.workprec(cfg.precision):
         try:
             return commands[args.command](cfg)
-        except twist.PrecisionExhaustedError as exc:
+        except PrecisionExhaustedError as exc:
             print(f"precision error: {exc}", file=sys.stderr)
             return 2
 

@@ -4,15 +4,56 @@ and the CLI.
 A report is an ordered list of records, one per checked assertion, each
 carrying the measured quantity and the target/bound it was held against.
 Rendering is deterministic: identical inputs yield byte-identical text.
+Numbers print as ``mp.nstr`` prints them; this module imports no mpmath.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
-import mpmath as mp
+
+def nstr(x, n: int) -> str:
+    """``mp.nstr(x, n)`` of a real ``x``, byte for byte, for n >= 1.
+
+    An mpmath number prints through its own context.  An exact int, Fraction
+    or Decimal goes through mpmath's ``to_digits_exp`` and ``to_str`` on its
+    exact value.  For n <= 20 mpmath reads at most 86 bits, cut to a fixed
+    point, so mp.nstr's own rounding to 128 or more bits moves no digit of an
+    integer below 2^128, nor of a fraction of denominator below 2^40 and size
+    below 2^88.  Past 10^+-1000 a Decimal prints its own digits, which mpmath
+    finds by a division at about 3.3 n + 20 bits.
+    """
+    if hasattr(x, "_mpf_"):
+        return x.context.nstr(x, n)
+    if not x:
+        return "0.0"
+    sign, shift = "-" if x < 0 else "", 0
+    if isinstance(x, Decimal) and abs(x.adjusted()) > 1000:  # x = coefficient 10^shift
+        _, coefficient, shift = x.as_tuple()
+        x = int("".join(map(str, coefficient)))
+    # to_digits_exp at n + 3 digits: cut |x| to a fixed point, then to decimal
+    num, den = abs(Fraction(x)).as_integer_ratio()
+    e = num.bit_length() - den.bit_length()
+    e += num << max(-e, 0) >= den << max(e, 0)  # 2^(e-1) <= |x| < 2^e
+    fixprec = max(int((n + 3) * math.log(10, 2)) + 10 - e, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    digits = str(((num << fixprec) // den * 10 ** fixdps) >> fixprec)
+    exponent = len(digits) - fixdps - 1 + shift
+    # to_str: round half up on the next digit, then fixed point strictly
+    # between 10^min(-n//3, -5) and 10^n
+    head, digits = digits[:n], str(int(digits[:n]) + (digits[n:n + 1] >= "5"))
+    exponent += len(digits) > len(head)
+    digits, split = digits[:n], 1
+    if min(-(n // 3), -5) < exponent < n:
+        digits = "0" * -exponent + digits + "0" * (exponent + 1 - n)
+        split, exponent = max(exponent, 0) + 1, 0
+    return (f"{sign}{digits[:split]}.{digits[split:].rstrip('0') or '0'}"
+            + (f"e{exponent:+d}" if exponent else ""))
 
 
 @dataclass
@@ -44,11 +85,13 @@ class Report:
         return rec
 
     def add_bound(self, name, claim, measured, bound) -> CheckRecord:
-        """A record of the number ``measured`` (an mpmath number or an exact
-        rational) held to ``measured <= bound``."""
-        measured = mp.mpmathify(measured)
+        """A record of the real ``measured`` held to ``measured <= bound``,
+        each an mpmath number or an exact rational (int, Fraction, Decimal);
+        an mpmath bound compares with mpmath numbers only."""
+        if hasattr(bound, "_mpf_"):
+            measured = bound.context.mpmathify(measured)
         return self.add(
-            name, claim, mp.nstr(measured, 6), f"<= {mp.nstr(bound, 3)}", measured <= bound
+            name, claim, nstr(measured, 6), f"<= {nstr(bound, 3)}", measured <= bound
         )
 
     def extend(self, other: "Report") -> None:

@@ -1,18 +1,16 @@
 """Main term of the twist transformation formula for zeta(s)^2, numerical Laurent
 extraction, and the verification chain built on them: the Laurent-coefficient
 laws of the continued twists, holomorphy of the character twists at s = 1,
-Euler-factor reconstruction at s = 1 and the forced local-factor shape,
-the local-degree bound, the left-half-plane growth certificate, and the
-polar-consistency checks of the transformation formula.
+the left-half-plane growth certificate, and the polar-consistency checks of
+the transformation formula.  The exact Euler solve at s = 1 is ``euler``'s.
 
 The Laurent data of the divisor twists F(s, b/q) at s = 1 are closed form
 (``twist._laurent_at_1``): c_-2 is the exact count gcd(b, q)/q
-(``twist.leading_coefficient``), and c_-1 the twists' one pair sum over the
+(``euler.leading_coefficient``), and c_-1 the twists' one pair sum over the
 Hurwitz series at s = 1 (the Stieltjes constants gamma_0(u/q)), rounded once
 per group and per root sum.  They serve both Laurent laws, the character twists
 (whose c_k are the character combination of those of F(s, b/p)) and the
 principal parts of the polar check; no circle about s = 1 is sampled.  The
-Euler solve reads c_-2 alone, so it runs in rationals.  The
 residue contours at s = 1 - nu average a vector-valued function over one circle
 by the trapezoid rule, which converges geometrically for functions analytic in
 an annulus, so node-halving disagreement flags insufficient analyticity.  One
@@ -29,14 +27,14 @@ from itertools import zip_longest
 from math import gcd
 
 import mpmath as mp
-from mpmath.libmp import from_rational, isprime, round_down
+from mpmath.libmp import from_rational, round_down
 
+from . import euler
 from .expansion import q_poly
-from .exactpoly import GaussianRational
 from .funceq import zeta2_datum
 from .reports import Report
 from .special import PoleError, characters_mod, dirichlet_l, roots_of_unity
-from .twist import (_laurent_at_1, _stable_reflected_twists, character_twists, leading_coefficient,
+from .twist import (_laurent_at_1, _stable_reflected_twists, character_twists,
                     reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle)
 
 
@@ -44,7 +42,6 @@ LAURENT_RADIUS = Fraction(1, 4)  # contour radius; laurent_extract also reads ra
 LAURENT_NODES = 128
 PAIR_TOL = mp.mpf("1e-10")  # agreement across numerators and reality of beta
 MAX_SHIFT = 4  # polar consistency checks the shifted poles s = 0..1-MAX_SHIFT
-PARTIAL_DEGREE_MAX = 2  # the degree of F caps every local partial degree
 SLOPE_TOL = mp.mpf("0.5")  # growth certificate: |fitted slope of Delta| bound
 
 
@@ -322,82 +319,9 @@ def verify_chi_holomorphy(p: int, tol=mp.mpf("1e-15")) -> Report:
     return report
 
 
-# ---------------------------------------------------------------------------
-# Euler factor reconstruction at s = 1
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LocalFactor:
-    """Euler-factor data (partial degree and inverse roots) at a prime."""
-
-    prime: int
-    partial_degree: int
-    roots: tuple
-
-    def __post_init__(self):
-        if self.partial_degree != len(self.roots):
-            raise ValueError("partial degree must match the number of roots")
-        for root in self.roots:
-            if not isinstance(root, (int, Fraction, GaussianRational)):
-                raise ValueError(f"inverse root {root!r} is not an exact int, Fraction or "
-                                 "GaussianRational")
-            if (root.norm() if isinstance(root, GaussianRational) else root * root) > 1:
-                raise ValueError(f"inverse root {root} exceeds the unit disk")
-
-
-def euler_factor_at_1(p: int) -> Fraction:
-    """Solve the leading-coefficient relation for the local factor at s = 1
-    of the double-pole reference series zeta(s)^2, exactly:
-    F_p(1) = (p/(p-1)) / (1 - alpha_F(1/p) / alpha_F), with alpha_F = 1 and
-    alpha_F(1/p) = 1/p the c_-2 at b = 0 and b = 1 (`leading_coefficient`)."""
-    if not isprime(p):
-        raise ValueError(f"need a prime p, got {p}")
-    return Fraction(p, p - 1) / (1 - leading_coefficient(1, p) / leading_coefficient(0, p))
-
-
-@dataclass(frozen=True)
-class LocalFactorSolution:
-    status: str  # "forced" | "infeasible" | "underdetermined"
-    factor: LocalFactor | None
-    detail: str
-
-
-def solve_local_factor(value_at_1, p: int) -> LocalFactorSolution:
-    """Equality-forcing argument at s = 1, on an exact rational local value.
-
-    The local value is capped by (1 - 1/p)^-PARTIAL_DEGREE_MAX when all
-    inverse roots sit in the closed unit disk; meeting the cap exactly
-    forces partial degree 2 with both roots equal to 1, exceeding it is
-    infeasible, and anything strictly inside is under-determined.
-    """
-    measured, cap = abs(Fraction(value_at_1)), Fraction(p, p - 1) ** PARTIAL_DEGREE_MAX
-    if measured > cap:
-        return LocalFactorSolution("infeasible", None,
-                                   f"|F_p(1)| = {measured} exceeds the cap {cap}")
-    if measured == cap:
-        factor = LocalFactor(p, PARTIAL_DEGREE_MAX, (1,) * PARTIAL_DEGREE_MAX)
-        return LocalFactorSolution("forced", factor,
-                                   "value meets the cap: all inverse roots forced to 1")
-    return LocalFactorSolution("underdetermined", None,
-                               "value sits strictly inside the cap; the root configuration is free")
-
-
-def degree_bound(h, q_f, p: int) -> int:
-    """floor(log(h/q_F)/log p) for rational h and q_F, by exact comparison;
-    requires h >= q_F > 0 and p >= 2."""
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
-    if not all(isinstance(x, (int, Fraction)) for x in (h, q_f)):
-        raise ValueError(f"h and q_F must be rationals (int or Fraction), got {h!r}, {q_f!r}")
-    if q_f <= 0 or h < q_f:
-        raise ValueError("need h >= q_F > 0")
-    ratio = Fraction(h, q_f)
-    k = 0
-    power = Fraction(p)
-    while power <= ratio:
-        k += 1
-        power *= p
-    return k
+# perfbench's tracer times the Euler solve under this name (ROADMAP item 1
+# rebinds it to the functions the commands run); `cli` calls `euler`'s own.
+euler_factor_at_1 = euler.euler_factor_at_1
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from math import gcd, isqrt, lcm, prod
 import mpmath as mp
 from mpmath.libmp import from_int, fzero, mpc_pow, mpf_pow, round_nearest, to_fixed
 
+from .euler import leading_coefficient
 from .special import (
     PoleError,
     _stieltjes_0,
@@ -389,13 +390,6 @@ def zeta2_twist_batch(s, q: int) -> list[mp.mpc]:
 
 
 _LAURENT_GUARD = 40  # bits above prec for the closed-form Laurent data at s = 1
-
-
-def leading_coefficient(b: int, q: int) -> Fraction:
-    """c_-2 of F(s, b/q) at s = 1, exactly: q^-2 sum_{u,v=1}^{q} e(-uvb/q) =
-    gcd(b, q)/q, since sum_v e(-uvb/q) = q [q | ub] and gcd(b, q) of the u
-    in 1..q have q | ub."""
-    return Fraction(gcd(b, q), q)
 
 
 def _laurent_at_1(q: int, numerators) -> list[dict]:

@@ -11,14 +11,12 @@ from math import comb, factorial
 import mpmath as mp
 import pytest
 
+from twistlab.euler import degree_bound, euler_factor_at_1, solve_local_factor
 from twistlab.exactpoly import Polynomial
 from twistlab.expansion import c_coeff, q_poly, r_poly, r_poly_forms
 from twistlab.transform import (
-    degree_bound,
-    euler_factor_at_1,
     growth_certificate,
     identity_reduction_check,
-    solve_local_factor,
     transformation_polar_consistency,
     twist_laurent_table,
     verify_chi_holomorphy,

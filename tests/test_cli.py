@@ -251,6 +251,33 @@ class TestBadNumbers:
         assert code == 2 and out == ""
         assert err.startswith(f"config error: {message}")
 
+    @pytest.mark.parametrize("command", ["verify", "euler", "twist-grid"])
+    @pytest.mark.parametrize("option, name", [("--t", "t"), ("--tol", "tol")])
+    def test_zero_denominator_names_the_value(self, capsys, command, option, name):
+        # the message used to end in "()", the empty text of a ZeroDivisionError
+        code = main([option, "1/0", command])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"config error: {name} must be a real number, got '1/0'\n"
+
+    def test_huge_exponents_answer_at_once(self, capsys, checkout_env):
+        # t and tol are read exactly, but their exponents stay exponents: the
+        # parse Fraction('1e-4000000') alone takes seconds
+        code, plain = run_cli(capsys, "euler")
+        assert code == 0
+        for argv, want in ((["--t", "1e999999999"], plain),
+                           (["--tol", "1e-40000000"], plain.replace("<= 1.0e-8", "<= 1.0e-40000000"))):
+            result = subprocess.run([sys.executable, "-m", "twistlab.cli", *argv, "euler"],
+                                    capture_output=True, text=True, env=checkout_env, timeout=10)
+            assert (result.returncode, result.stdout, result.stderr) == (0, want, "")
+
+    @pytest.mark.parametrize("tol, target", [("1/3", "<= 0.333"), ("1e-5", "<= 1.0e-5"),
+                                             ("0.0001", "<= 0.0001")])
+    def test_exact_tolerance_prints_as_before(self, capsys, tol, target):
+        code, out = run_cli(capsys, "--tol", tol, "euler", "--primes", "2")
+        assert code == 0
+        assert f"measured=0.0  target={target}  " in out
+
 
 class TestCustomInstance:
     def test_polys_on_custom_datum(self, capsys, tmp_path):

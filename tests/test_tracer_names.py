@@ -85,3 +85,16 @@ def test_key_lambdas_accept_the_call_shapes(checkout_env):
     assert counts["twist.twist_direct.terms"] == 100_000 + 50
     assert counts["twist.zeta2_twist_oracle.distinct"] == 1  # 2/5 = -3/5 mod 1
     assert counts["special.hurwitz_zeta.distinct"] >= 1
+
+
+def test_traced_euler_times_every_euler_solve(checkout_env):
+    # cli binds the Euler solve at module level, so the tracer's rebinding of
+    # transform.euler_factor_at_1 reaches each call of the command
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "trace", "euler-spans", "--",
+         "euler", "--primes", "2,3,5"],
+        capture_output=True, text=True, check=True, env=checkout_env, timeout=60)
+    run = json.loads(result.stdout.splitlines()[-1])
+    assert run["status"] == 0
+    names = [name for _, name, *_ in run["trace"]["spans"]]
+    assert names.count("transform.euler_factor_at_1") == 3

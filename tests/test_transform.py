@@ -5,22 +5,19 @@ from math import gcd
 import mpmath as mp
 import pytest
 
-from twistlab import cli, special, transform, twist
+from twistlab import cli, euler, special, transform, twist
+from twistlab.euler import LocalFactor, degree_bound, euler_factor_at_1, solve_local_factor
 from twistlab.exactpoly import GaussianRational
 from twistlab.expansion import q_poly
 from twistlab.special import PoleError
 from twistlab.transform import (
     GrowthCertificate,
     LaurentConvergenceError,
-    LocalFactor,
     contour_integral,
-    degree_bound,
-    euler_factor_at_1,
     growth_certificate,
     growth_t_max,
     identity_reduction_check,
     laurent_extract,
-    solve_local_factor,
     transformation_polar_consistency,
     transformation_polar_reports,
     transformation_main_term,
@@ -642,7 +639,7 @@ class TestEulerEndgame:
         def no_twist(*args):
             raise AssertionError("a twist was evaluated")
 
-        monkeypatch.setattr(transform, "leading_coefficient", no_twist)
+        monkeypatch.setattr(euler, "leading_coefficient", no_twist)
         monkeypatch.setattr(transform, "_laurent_at_1", no_twist)
         monkeypatch.setattr(special, "_hurwitz_series", no_twist)
         with pytest.raises(ValueError, match="need a prime p"):
