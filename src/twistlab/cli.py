@@ -102,13 +102,19 @@ class RunConfig:
         if not (_finite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if command in ("twist-grid", "verify"):  # the analytic commands
+            # the phases t log n keep about precision - log2|t| bits: t^2 <= 2^precision,
+            # exactly, with a Decimal's exponent read before any expansion
+            t, prec = self.t_value, self.precision
+            if isinstance(t, Decimal) and t and not 0 <= t.adjusted() <= prec:
+                fits = t.adjusted() < 0  # |t| < 1, or |t| >= 10^precision
+            else:
+                fits = Fraction(t) ** 2 <= 1 << prec
+            if not fits:
+                raise ValueError(f"|t| must be at most 2^(precision/2) = 2^{prec / 2:g} "
+                                 f"at precision {prec}, got {self.t!r}")
+        if command == "verify":  # the growth certificates of verify's alphas 1/q
             import mpmath as mp
 
-            # the phases t log n keep about precision - log2|t| bits
-            if abs(mp.mpf(self.t)) > mp.mpf(2) ** (self.precision / 2):
-                raise ValueError(f"|t| must be at most 2^(precision/2) = 2^{self.precision / 2:g} "
-                                 f"at precision {self.precision}, got {self.t!r}")
-        if command == "verify":  # the growth certificates of verify's alphas 1/q
             from .transform import growth_domain
 
             for q in sorted({1, self.q_max}):
@@ -374,7 +380,7 @@ def cmd_euler(cfg: RunConfig) -> int:
         bound = degree_bound(p * p, 1, p)
         report.add_bound(
             f"F_{p}(1)", "reconstructed local value equals (1-1/p)^-2",
-            abs(value - Fraction(p, p - 1) ** 2), tol
+            abs(value - Fraction(p, p - 1) ** 2), tol, cfg.precision
         )
         report.add(
             f"local factor at {p}",
@@ -391,7 +397,7 @@ def cmd_euler(cfg: RunConfig) -> int:
             "2",
             bound == 2,
         )
-        rows.append((p, nstr(value, 20), nstr(0, 20), solution.status, bound))
+        rows.append((p, nstr(value, 20, cfg.precision), nstr(0, 20), solution.status, bound))
     _emit(cfg, report, "euler")
     if cfg.out:
         write_rows_csv(

@@ -17,16 +17,16 @@ from fractions import Fraction
 from pathlib import Path
 
 
-def nstr(x, n: int) -> str:
-    """``mp.nstr(x, n)`` of a real ``x``, byte for byte, for n >= 1.
+def nstr(x, n: int, prec: int = 128) -> str:
+    """``mp.nstr(x, n)`` of a real ``x`` at ``prec`` bits, byte for byte, for n >= 1.
 
     An mpmath number prints through its own context.  An exact int, Fraction
-    or Decimal goes through mpmath's ``to_digits_exp`` and ``to_str`` on its
-    exact value.  For n <= 20 mpmath reads at most 86 bits, cut to a fixed
-    point, so mp.nstr's own rounding to 128 or more bits moves no digit of an
-    integer below 2^128, nor of a fraction of denominator below 2^40 and size
-    below 2^88.  Past 10^+-1000 a Decimal prints its own digits, which mpmath
-    finds by a division at about 3.3 n + 20 bits.
+    or Decimal is rounded to nearest at ``prec`` bits, ties to even, as
+    mp.mpf rounds it, and goes through mpmath's ``to_digits_exp`` and
+    ``to_str`` on that value.  Past 10^+-1000 a Decimal prints its own digits
+    (its coefficient rounded so), which mpmath finds by a division at about
+    3.3 n + 20 bits; its parse there is not correctly rounded, so an exact
+    decimal tie such as 8.885e1000001 may print one unit apart.
     """
     if hasattr(x, "_mpf_"):
         return x.context.nstr(x, n)
@@ -40,6 +40,9 @@ def nstr(x, n: int) -> str:
     num, den = abs(Fraction(x)).as_integer_ratio()
     e = num.bit_length() - den.bit_length()
     e += num << max(-e, 0) >= den << max(e, 0)  # 2^(e-1) <= |x| < 2^e
+    m = round(Fraction(num << max(prec - e, 0), den << max(e - prec, 0)))  # ties to even
+    num, den = m << max(e - prec, 0), 1 << max(prec - e, 0)
+    e += m >> prec  # rounded up to 2^e
     fixprec = max(int((n + 3) * math.log(10, 2)) + 10 - e, 0)
     fixdps = int(fixprec / math.log(10, 2) + 0.5)
     digits = str(((num << fixprec) // den * 10 ** fixdps) >> fixprec)
@@ -84,15 +87,15 @@ class Report:
         self.records.append(rec)
         return rec
 
-    def add_bound(self, name, claim, measured, bound) -> CheckRecord:
+    def add_bound(self, name, claim, measured, bound, prec: int = 128) -> CheckRecord:
         """A record of the real ``measured`` held to ``measured <= bound``,
-        each an mpmath number or an exact rational (int, Fraction, Decimal);
-        an mpmath bound compares with mpmath numbers only."""
+        each an mpmath number or an exact rational (int, Fraction, Decimal),
+        which prints as mpmath prints it at ``prec`` bits; an mpmath bound
+        compares with mpmath numbers only."""
         if hasattr(bound, "_mpf_"):
             measured = bound.context.mpmathify(measured)
-        return self.add(
-            name, claim, nstr(measured, 6), f"<= {nstr(bound, 3)}", measured <= bound
-        )
+        return self.add(name, claim, nstr(measured, 6, prec), f"<= {nstr(bound, 3, prec)}",
+                        measured <= bound)
 
     def extend(self, other: "Report") -> None:
         self.records.extend(other.records)

@@ -16,11 +16,13 @@ sum off the buckets mod p.
 The pass runs on Gaussian integers: n^-s in units of 2^-bits, bits a few
 dozen above the working precision, and the bucket sums exact, each converted
 to mpc once.  It reads no coefficient list.  n^-s is completely
-multiplicative, so only primes get a transcendental evaluation.  With L =
-isqrt(N), every n <= N is one of two kinds.  An L-smooth n is visited depth
-first from 1, multiplying by the primes p <= L in non-decreasing order, n^-s
-= (n/p)^-s p^-s rounded, and d(n) follows from d(n/p) and the exponent of p;
-w(m) = d(m) m^-s is kept for every m <= L.  Any other n is m P with exactly
+multiplicative, so only primes get an evaluation of their own: at a real
+integer s = k >= 2 the exact rational 1/p^k rounded once, at any other s a
+transcendental one.  With L = isqrt(N), every n <= N is one of two kinds.
+An L-smooth n is visited depth first from 1, multiplying by the primes
+p <= L in non-decreasing order, n^-s = (n/p)^-s p^-s rounded, and d(n)
+follows from d(n/p) and the exponent of p; w(m) = d(m) m^-s is kept for
+every m <= L.  Any other n is m P with exactly
 one prime P > L and m <= N/P < P, so d(m P) = 2 d(m).  P streams from a
 bytearray sieve in descending order, so that N/P rises through 1..L and
 extends running sums of w(m) per residue class; the P^-s of the primes
@@ -145,9 +147,11 @@ def _nearest(x, scale: int) -> int:
 
 
 def _fixed_power(p: int, minus_s, scale: int) -> tuple[int, int]:
-    """p^minus_s at the working precision, as the Gaussian integer nearest
-    p^minus_s 2^scale.  It calls the libmp routine that mp.power dispatches to,
-    mpf_pow for a real exponent and mpc_pow otherwise, rounding to nearest."""
+    """The Gaussian integer nearest p^minus_s 2^scale: 1/p^k rounded once for an
+    int minus_s = -k, else the value at the working precision of mpf_pow (real)
+    or mpc_pow, the libmp routines mp.power dispatches to, rounding to nearest."""
+    if isinstance(minus_s, int):
+        return (1 << scale + 1) // p ** -minus_s + 1 >> 1, 0
     if isinstance(minus_s, mp.mpf):
         return _nearest(mpf_pow(from_int(p), minus_s._mpf_, mp.mp.prec, round_nearest), scale), 0
     re, im = mpc_pow((from_int(p), fzero), minus_s._mpc_, mp.mp.prec, round_nearest)
@@ -182,12 +186,16 @@ def _divisor_sums(n_max: int, s, modulus: int, folds=None):
     The pass (see the module docstring) runs in units of 2^-bits,
     bits = prec + bit_length(N bit_length(N)).  A table entry x = p^-s is
     evaluated by mpmath at bits + 18 bits and rounded to the nearest multiple
-    of 2^-(bits+8), so it is within 2^-(bits+8) max(1, |x|); a product
-    m^-s p^-s is rounded to the nearest multiple of 2^-bits, within
-    2^-bits/sqrt(2).  A smooth n^-s is Omega(n) such products from 1^-s = 1,
-    and the errors add: absolutely for sigma >= 0, where every |p^-s| <= 1,
-    relatively for sigma < 0, where every |p^-s| >= 1.  The terms m P
-    multiply m^-s by P^-s exactly.  So for any sigma, per n, the term
+    of 2^-(bits+8), so it is within 2^-(bits+8) max(1, |x|).  At a real
+    integer s = k >= 2 it is the exact 1/p^k rounded once, within
+    2^-(bits+9), and mpmath's integer: 1/p^k is the tie 2^-(bits+9), which
+    both round up, or lies p^-k 2^-(bits+9) or more from every tie, beyond
+    mpmath's error.  A product m^-s p^-s is rounded to the nearest multiple
+    of 2^-bits, within 2^-bits/sqrt(2).  A smooth n^-s is Omega(n) such
+    products from 1^-s = 1, and the errors add: absolutely for sigma >= 0,
+    where every |p^-s| <= 1, relatively for sigma < 0, where every
+    |p^-s| >= 1.  The terms m P multiply m^-s by P^-s exactly.  So for any
+    sigma, per n, the term
     d(n) n^-s is within
 
         (Omega(n) + 1) 2^-bits max(1, n^-sigma) d(n).
@@ -211,7 +219,8 @@ def _divisor_sums(n_max: int, s, modulus: int, folds=None):
         cut = _power_cut(sigma, table_scale, n_max)
         flags = _prime_flags(cut)
         small = [p for p in range(2, min(root, cut) + 1) if flags[p]]
-        minus_s = -s if s.imag else -sigma  # a real exponent takes mpmath's real power
+        # an integer s = k >= 2 reads the exact 1/p^k, another real mpmath's real power
+        minus_s = -s if s.imag else -int(sigma) if sigma >= 2 and sigma == int(sigma) else -sigma
         small_values = [_fixed_power(p, minus_s, table_scale) for p in small]
 
         # L-smooth n, depth first from 1: the children of n are n p for p >= its

@@ -170,6 +170,32 @@ class TestTwistGrid:
                                 "twist-grid")
             assert code == 0 and out.count("\n") == 2 and out.endswith(",direct\n"), argv
 
+    # 2^64 = 18446744073709551616 and 2^64.5 = 26087635650665564424.7
+    @pytest.mark.parametrize("precision, inside, above", [
+        (128, "18446744073709551616", "18446744073709551617"),
+        (128, "-1.8446744073709551616e19", "1.8446744073709551617e19"),
+        (128, "36893488147419103232/2", "36893488147419103233/2"),
+        (129, "26087635650665564424", "26087635650665564425"),
+        (129, "-2.6087635650665564424e19", "-2.6087635650665564425e19")])
+    def test_t_bound_is_exact(self, capsys, precision, inside, above):
+        # at 53 bits 2^64 + 1 rounds to 2^64
+        RunConfig(precision=precision, t=inside).validate("twist-grid")
+        code = main(["--precision", str(precision), "--sigma-grid", "2", f"--t={above}",
+                     "--alphas", "1/2", "twist-grid"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == (f"config error: |t| must be at most 2^(precision/2) = 2^{precision / 2:g} "
+                       f"at precision {precision}, got '{above}'\n")
+
+    def test_t_bound_expands_no_exponent(self, capsys, checkout_env):
+        for t in ("0e999999999", "1e-40000000"):
+            RunConfig(t=t).validate("twist-grid")
+        result = subprocess.run(
+            [sys.executable, "-m", "twistlab.cli", "--t", "1e999999999", "twist-grid"],
+            capture_output=True, text=True, env=checkout_env, timeout=10)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("config error: |t| must be at most 2^(precision/2)")
+
     def test_sigma_one_off_the_real_axis_runs(self, capsys):
         code, out = run_cli(capsys, "--sigma-grid", "1", "--t", "2", "--alphas", "1/2", "twist-grid")
         assert code == 0
@@ -272,7 +298,8 @@ class TestBadNumbers:
             assert (result.returncode, result.stdout, result.stderr) == (0, want, "")
 
     @pytest.mark.parametrize("tol, target", [("1/3", "<= 0.333"), ("1e-5", "<= 1.0e-5"),
-                                             ("0.0001", "<= 0.0001")])
+                                             ("0.0001", "<= 0.0001"),
+                                             ("8.885e63", "<= 8.88e+63")])
     def test_exact_tolerance_prints_as_before(self, capsys, tol, target):
         code, out = run_cli(capsys, "--tol", tol, "euler", "--primes", "2")
         assert code == 0

@@ -101,14 +101,16 @@ def test_exact_commands_print_the_same_bytes_without_mpmath(argv, tmp_path, chec
 
 
 #: Exact values held against mp.nstr: the tolerances and records of euler,
-#: the CSV values (p/(p-1))^2, a huge exponent, and both sides of the switch
+#: the CSV values (p/(p-1))^2, a huge exponent, both sides of the switch
 #: between fixed point (leading digit strictly between 10^min(-n//3, -5) and
-#: 10^n) and exponent form, with the rounding carries across it.
+#: 10^n) and exponent form, with the rounding carries across it, and a
+#: decimal tie above 2^128 that mpmath's rounding to the precision decides.
 VALUES = [0, 1, Fraction(1, 3), Fraction(-2, 3), 123456789, Decimal("1e-8"), Decimal("1e-5"),
           Decimal("1e-6"), Decimal("-2.5e-7"), Decimal("1e-40000000"), Decimal("1e999999999"),
           Decimal("0.0001"), Decimal("0.00009999"), Decimal("0.000099995"), Decimal("999.4"),
           Decimal("999.5"), Decimal("1e3"), Decimal("999999.5"), Decimal("1e19"),
           Decimal("99999999999999999999.5"), Decimal("1e20"), Decimal("1.005e-8"),
+          Decimal("8.885e63"), Decimal("-8.885e63"),
           *(Fraction(p, p - 1) ** 2 for p in (2, 3, 5, 7, 11, 13))]
 
 
@@ -119,3 +121,13 @@ def test_exact_values_print_as_mp_nstr_at_128_bits(x, n):
     value = mp.mpf(str(x)) if isinstance(x, Decimal) else mp.mpmathify(x)
     assert nstr(x, n) == mp.nstr(value, n)
     assert nstr(value, n) == mp.nstr(value, n)
+
+
+@pytest.mark.parametrize("prec", [64, 129, 256])
+@pytest.mark.parametrize("x", VALUES, ids=str)
+def test_exact_values_print_as_mp_nstr_at_the_run_precision(x, prec):
+    # mp.mpf reads a decimal or p/q literal to nearest at the working precision
+    with mp.workprec(prec):
+        value = mp.mpf(str(x))
+    for n in (3, 6, 20):
+        assert nstr(x, n, prec) == mp.nstr(value, n), n

@@ -3,7 +3,8 @@ import gc
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import compress
+from math import floor, gcd, isqrt
 from pathlib import Path
 
 import mpmath as mp
@@ -508,15 +509,49 @@ class TestResidueKernel:
                     want = (twist._nearest(v.real._mpf_, scale), twist._nearest(v.imag._mpf_, scale))
                     assert twist._fixed_power(p, minus_s, scale) == want, (p, s)
 
-    def test_prime_stop_is_bit_identical_to_the_full_pass(self, monkeypatch):
-        s, cuts, power_cut = mp.mpc(40, 3), [], twist._power_cut
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_integer_powers_are_the_exact_nearest_and_mp_power_bit_for_bit(self, bits):
+        # the table of a 10^5-term pass: 29 bits above the working precision,
+        # mpmath's powers 10 bits above that
+        flags = twist._prime_flags(100_000)
+        scale = bits + 29
+        with mp.workprec(scale + 10):
+            for k in range(2, 9):
+                for p in compress(range(100_001), flags):
+                    exact = floor(Fraction(2**scale, p**k) + Fraction(1, 2))
+                    assert twist._nearest(mp.power(p, -k)._mpf_, scale) == exact, (p, k)
+                    assert twist._fixed_power(p, -k, scale) == (exact, 0), (p, k)
+
+    @pytest.mark.parametrize("s", (2, 3))
+    def test_integer_pass_calls_no_mpmath_power(self, monkeypatch, s):
+        def refuse(*args):
+            raise AssertionError("an integer s took mpmath's power")
+
+        want = residue_sums_reference(divisor_stream().values(2000), s, 6)
+        monkeypatch.setattr(twist, "mpf_pow", refuse)
+        monkeypatch.setattr(twist, "mpc_pow", refuse)
+        assert [v._mpc_ for v in _divisor_sums(2000, mp.mpc(s), 6)] == [v._mpc_ for v in want]
+        twist_grid_rows([mp.mpc(s)], [Fraction(1, 2), Fraction(1, 3)], n_max=2000)
+
+    def test_huge_integer_sigma_streams_no_prime(self, monkeypatch):
+        # k = 10^300: one p^k would never finish
+        calls, fixed_power = [], twist._fixed_power
         monkeypatch.setattr(
-            twist, "_power_cut", lambda *args: cuts.append(power_cut(*args)) or cuts[-1])
-        stopped = _divisor_sums(2000, s, 6)
-        assert cuts == [14]  # no prime above 13 is streamed
-        monkeypatch.setattr(twist, "_power_cut", lambda sigma, scale, n_max: n_max)
-        full = _divisor_sums(2000, s, 6)
-        assert [v._mpc_ for v in stopped] == [v._mpc_ for v in full]
+            twist, "_fixed_power", lambda *args: calls.append(args) or fixed_power(*args))
+        assert _divisor_sums(100_000, mp.mpc("1e300"), 2) == [0, 1]
+        assert calls == []
+
+    def test_prime_stop_is_bit_identical_to_the_full_pass(self, monkeypatch):
+        power_cut = twist._power_cut
+        for s in (mp.mpc(40, 3), mp.mpc(40)):  # mpmath's power, then the exact 1/p^40
+            cuts = []
+            monkeypatch.setattr(
+                twist, "_power_cut", lambda *args: cuts.append(power_cut(*args)) or cuts[-1])
+            stopped = _divisor_sums(2000, s, 6)
+            assert cuts == [14]  # no prime above 13 is streamed
+            monkeypatch.setattr(twist, "_power_cut", lambda sigma, scale, n_max: n_max)
+            full = _divisor_sums(2000, s, 6)
+            assert [v._mpc_ for v in stopped] == [v._mpc_ for v in full], s
 
     @pytest.mark.parametrize("s", KERNEL_POINTS)
     def test_folded_buckets_are_a_pass_mod_p_bit_for_bit(self, s):
