@@ -13,9 +13,11 @@ per group and per root sum.  They serve both Laurent laws, the character twists
 principal parts of the polar check; no circle about s = 1 is sampled.  The
 residue contours at s = 1 - nu average a vector-valued function over one circle
 by the trapezoid rule, which converges geometrically for functions analytic in
-an annulus, so node-halving disagreement flags insufficient analyticity.  One
-main-term pass per node (every Q_nu(s) from one table of powers of s, each
-conjugate twist once per distinct beta and argument) serves every alpha there.
+an annulus, so node-halving disagreement flags insufficient analyticity.  The
+nodes come in conjugate pairs about the real centers, and d(n) is real, so one
+main-term pass per pair (every Q_nu(s) from one table of powers of s, each
+conjugate twist pair once per distinct beta and argument) serves both nodes of
+every alpha there.
 The growth certificate reads Hurwitz's formula, with a stated error radius."""
 
 from __future__ import annotations
@@ -23,19 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from math import gcd
 
 import mpmath as mp
-from mpmath.libmp import from_rational, round_down
+from mpmath.libmp import from_rational, fzero, round_down
 
 from . import euler
 from .expansion import q_poly
 from .funceq import zeta2_datum
 from .reports import Report
 from .special import PoleError, characters_mod, dirichlet_l, roots_of_unity
-from .twist import (_laurent_at_1, _stable_reflected_twists, character_twists,
-                    reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle)
+from .twist import (_conjugate_pair, _laurent_at_1, _stable_reflected_twists,
+                    character_twists, reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle)
 
 
 LAURENT_RADIUS = Fraction(1, 4)  # contour radius; laurent_extract also reads radius/2
@@ -64,10 +65,18 @@ class LaurentExpansion:
         return self.errors[k]
 
 
-def _circle_samples(f, center, radius, nodes):
+def _circle_samples(f, center, radius, nodes, mirrored=False):
+    """f at the nodes center + radius w^j, j < nodes, w = e(1/nodes).  With
+    ``mirrored`` (a real center, even nodes), f(s) returns the pair (f(s),
+    f(conj s)) and is called at j <= nodes/2 only: node nodes - j is taken as
+    the conjugate of node j, which it is bit for bit at 16 and 32 nodes."""
     center = mp.mpc(center)
     radius = mp.mpmathify(radius)
-    return [f(center + radius * root) for root in roots_of_unity(nodes, mp.mp.prec)]
+    points = [center + radius * root for root in roots_of_unity(nodes, mp.mp.prec)]
+    if not mirrored:
+        return [f(s) for s in points]
+    pairs = [f(s) for s in points[:nodes // 2 + 1]]
+    return [own for own, _ in pairs] + [twin for _, twin in pairs[nodes // 2 - 1:0:-1]]
 
 
 def _coeffs_from_samples(values, radius, ks) -> dict[int, mp.mpc]:
@@ -81,19 +90,21 @@ def _coeffs_from_samples(values, radius, ks) -> dict[int, mp.mpc]:
     }
 
 
-def _laurent_many(f, center, max_pole_order, radius, nodes, k_max) -> list[dict[int, mp.mpc]]:
+def _laurent_many(f, center, max_pole_order, radius, nodes, k_max,
+                  mirrored=False) -> list[dict[int, mp.mpc]]:
     """Extract {k: c_k} for k = -m..K of every component of the vector-valued
     ``f`` from one circle of ``radius``.
 
     ``f(s)`` returns a list of values; it is called once per node, in node
-    order.  Raises LaurentConvergenceError when halving the node count moves
-    any coefficient of any component materially.
+    order, or with ``mirrored`` once per conjugate node pair (see
+    ``_circle_samples``).  Raises LaurentConvergenceError when halving the
+    node count moves any coefficient of any component materially.
     """
     if nodes < 2 or nodes % 2:
         raise ValueError(f"need an even count of at least 2 contour nodes, got {nodes}")
     ks = range(-max_pole_order, k_max + 1)
     expansions = []
-    for values in zip(*_circle_samples(f, center, radius, nodes)):
+    for values in zip(*_circle_samples(f, center, radius, nodes, mirrored)):
         coeffs = _coeffs_from_samples(values, radius, ks)
         halved = _coeffs_from_samples(values[::2], radius, ks)
         scale = max([mp.mpf(1)] + [abs(c) for c in coeffs.values()])
@@ -138,12 +149,14 @@ def transformation_prefactor(s, alpha) -> mp.mpc:
 @lru_cache(maxsize=None)
 def _q_coeffs(nu: int, prec: int) -> tuple:
     """zeta(s)^2's Q_nu coefficients as mpc at ``prec`` bits, highest degree first:
-    each part of Q_nu's integer rows over its denominator, rounded once toward
-    zero (as mpmath rounds a Fraction)."""
+    Q_nu's integer row over its denominator, rounded once toward zero (as
+    mpmath rounds a Fraction).  The main term's mirror image needs them real,
+    which is checked here exactly."""
     q = q_poly(zeta2_datum(), nu)
-    return tuple(mp.make_mpc((from_rational(re, q.den, prec, round_down),
-                              from_rational(im, q.den, prec, round_down)))
-                 for re, im in zip_longest(reversed(q.re), reversed(q.im), fillvalue=0))
+    if q.im:
+        raise ValueError(f"Q_{nu} of zeta(s)^2 has an imaginary part: {q.pretty()}")
+    return tuple(mp.make_mpc((from_rational(re, q.den, prec, round_down), fzero))
+                 for re in reversed(q.re))
 
 
 def _q_values(table, s) -> list[mp.mpc]:
@@ -159,11 +172,18 @@ def _q_values(table, s) -> list[mp.mpc]:
 
 def _main_terms(alphas, k_terms: int):
     """The main terms of every alpha in ``alphas`` as one vector-valued
-    function of s.  Per node, every Q_nu(s) comes from one ``_q_values``
-    call, and T_nu(s) = Q_nu(s) F(s + nu, beta) is built once per distinct
-    beta = -1/alpha mod 1; each alpha reads its prefactor times the dot
-    product of T with its powers of (i alpha / 2 pi).  Each distinct F(x, beta)
-    is evaluated once: the shifts of one circle's nodes are other circles' nodes."""
+    function of s, with their mirror images: per alpha, main_terms(s) gives
+    the pair (M(s), conj M(conj s)).  Q_nu has real coefficients, alpha > 0
+    and d(n) is real, so F(conj x, beta) = conj F(x, -beta) and
+
+      conj M(conj s) = alpha^(2s - 1) sum_nu conj((i alpha / 2 pi)^nu) Q_nu(s) F(s + nu, -beta).
+
+    Per node, every Q_nu(s) comes from one ``_q_values`` call, and the pair
+    T_nu(s) = Q_nu(s) (F(s + nu, beta), F(s + nu, -beta)) is built once per
+    distinct beta = -1/alpha mod 1 from one ``_conjugate_pair``; each alpha
+    reads its prefactor times the dot products of T with its powers of
+    (i alpha / 2 pi) and their conjugates.  Each distinct pair at (x, beta) is
+    evaluated once: the shifts of one circle's nodes are other circles' nodes."""
     if k_terms < 0:
         raise ValueError("K must be nonnegative")
     alphas = [Fraction(alpha) for alpha in alphas]
@@ -172,24 +192,29 @@ def _main_terms(alphas, k_terms: int):
     betas = [reduce_mod_one(Fraction(-1) / alpha) for alpha in alphas]
     ratio_powers = [[(1j * mp.mpmathify(alpha) / (2 * mp.pi)) ** nu
                      for nu in range(k_terms + 1)] for alpha in alphas]
+    mirrored_powers = [[mp.conj(power) for power in powers] for powers in ratio_powers]
     table = [_q_coeffs(nu, mp.mp.prec) for nu in range(k_terms + 1)]
-    twists = {}  # F(x, beta), keyed by the exact x and beta
+    twists = {}  # (F(x, beta), F(x, -beta)), keyed by the exact x and beta
 
     def twist(x, beta):
         if (key := (x._mpc_, beta)) not in twists:
-            twists[key] = zeta2_twist_oracle(x, beta)
+            twists[key] = _conjugate_pair(x, beta)
         return twists[key]
 
-    def main_terms(s) -> list[mp.mpc]:
+    def main_terms(s) -> list[tuple[mp.mpc, mp.mpc]]:
         s = mp.mpc(s)
         shifted = [s + nu for nu in range(k_terms + 1)]
         if 1 in shifted:
             raise PoleError(f"conjugate twist pole hit at nu={shifted.index(1)} (s+nu=1)")
         q_values = _q_values(table, s)
-        terms = {beta: [q * twist(x, beta) for q, x in zip(q_values, shifted)]
+        terms = {beta: [[q * value for q, value in zip(q_values, column)]
+                        for column in zip(*(twist(x, beta) for x in shifted))]
                  for beta in dict.fromkeys(betas)}
-        return [transformation_prefactor(s, alpha) * mp.fdot(powers, terms[beta])
-                for alpha, beta, powers in zip(alphas, betas, ratio_powers)]
+        pairs = []
+        for alpha, beta, powers, mirrored in zip(alphas, betas, ratio_powers, mirrored_powers):
+            prefactor, (own, twin) = transformation_prefactor(s, alpha), terms[beta]
+            pairs.append((prefactor * mp.fdot(powers, own), prefactor * mp.fdot(mirrored, twin)))
+        return pairs
 
     return main_terms
 
@@ -202,12 +227,12 @@ def transformation_main_term(s, alpha, k_terms: int) -> mp.mpc:
     The paper's main term of a degree-2 F is -i omega* (sqrt(q_F) alpha)^(2s - 1 + i theta)
     * sum_nu (i q_F alpha / 2 pi)^nu Q_nu(s) Fbar(s + nu + i theta, -1/(q_F alpha)).
     The package has one coefficient sequence, d(n), whose conjugate twists
-    Fbar = F come from ``zeta2_twist_oracle``; so the datum is zeta(s)^2's,
+    Fbar = F come from the divisor-twist kernel; so the datum is zeta(s)^2's,
     q_F = 1, theta = 0 and -i omega* = 1, which gives the form above.
     Raises PoleError when a required twist value sits at its pole.  The
     scalar view of ``_main_terms``.
     """
-    return _main_terms([alpha], k_terms)(s)[0]
+    return _main_terms([alpha], k_terms)(s)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +375,13 @@ def growth_t_max(sigmas) -> mp.mpf:
     return mp.sqrt(min(magnitudes) * max(magnitudes)) / 2
 
 
+@lru_cache(maxsize=64)
 def growth_domain(alpha, t, sigmas) -> tuple:
     """(t, sigmas) as mpf where the growth envelope applies to F(s, alpha);
     raises ValueError elsewhere.  The slope fit needs two distinct sigmas, all
     negative, and the envelope is the |sigma| >> |t| asymptotic, so |t| <=
-    `growth_t_max`.
+    `growth_t_max`.  Memoised (sigmas a tuple): `verify`'s config check and
+    its certificates ask for the same domains.
 
     The envelope is the size of F's leading Fourier term.  By Hurwitz's formula (DLMF
     25.11.9), F(s, b/q) = q^-2s sum_{u,v} e(-uvb/q) zeta(s, u/q) zeta(s, v/q) is
@@ -413,8 +440,8 @@ def growth_certificate(
     formula, whose sums can cancel: a radius above 2^-(prec/4) |F| (fewer than
     prec/4 stable bits) raises PrecisionExhaustedError.
     """
-    t, sigmas = growth_domain(alpha, t, sigmas)
     alpha = Fraction(alpha)
+    t, sigmas = growth_domain(alpha, t, tuple(sigmas))
     h = Fraction(h)
     if h <= 0:
         raise ValueError(f"the certificate needs h > 0, got {h}")
@@ -444,26 +471,42 @@ def growth_certificate(
 # Polar consistency of the transformation formula
 # ---------------------------------------------------------------------------
 
+def _differences(alphas, k_terms: int):
+    """D(s) = F(s, alpha) - main_term(s) of every alpha in ``alphas`` with its
+    mirror image: differences(s) gives the lists of D(s) and of D(conj s) =
+    conj(F(s, -alpha) - conj M(conj s)), d(n) being real, from one
+    ``_main_terms`` pass and one ``_conjugate_pair`` per alpha."""
+    main_terms = _main_terms(alphas, k_terms)
+
+    def differences(s):
+        own, twin = [], []
+        for alpha, (main, mirrored) in zip(alphas, main_terms(s)):
+            value, conjugate = _conjugate_pair(s, alpha)
+            own.append(value - main)
+            twin.append(mp.conj(conjugate - mirrored))
+        return own, twin
+
+    return differences
+
+
 def transformation_polar_reports(alphas, k_terms: int, tol=mp.mpf("1e-8"),
                                  nodes: int = 32) -> list[Report]:
     """One report per alpha, in order: D(s) = F(s, alpha) - main_term(s) must
     be holomorphic at s = 1 - nu (the divisibility of Q_nu kills the shifted
-    twist poles), on one circle each, where one ``_main_terms`` pass per node
-    serves every alpha; and its principal parts at s = 1 must cancel.  There,
+    twist poles), on one circle each, where one ``_main_terms`` pass per
+    conjugate node pair serves every alpha: with d(n) real, D(conj s) =
+    conj(F(s, -alpha) - conj M(conj s)), so the nodes j <= nodes/2 give all
+    samples; and its principal parts at s = 1 must cancel.  There,
     with Q_0 = 1, only the nu = 0 term alpha^(2s - 1) F(s, beta) is singular,
     and alpha^(1 + 2x) = alpha (1 + 2x log alpha + ...), so c_-2 and c_-1 of D
     come from ``_laurent_at_1`` at alpha mod 1 and at beta = -1/alpha mod 1; c_-2
     of both sides is an exact rational."""
     alphas = [Fraction(alpha) for alpha in alphas]
     distinct = list(dict.fromkeys(alphas))
-    main_terms = _main_terms(distinct, k_terms)
-
-    def differences(s):
-        return [zeta2_twist_oracle(s, a) - main for a, main in zip(distinct, main_terms(s))]
-
+    differences = _differences(distinct, k_terms)
     reports = [Report(f"transformation-formula polar consistency (alpha={a})") for a in distinct]
     for nu in range(1, min(k_terms - 1, MAX_SHIFT) + 1):
-        circle = _laurent_many(differences, 1 - nu, 1, LAURENT_RADIUS, nodes, -1)
+        circle = _laurent_many(differences, 1 - nu, 1, LAURENT_RADIUS, nodes, -1, mirrored=True)
         for a, report, c in zip(distinct, reports, circle):
             report.add_bound(f"contour at s={1 - nu}", f"F(s, {a}) minus its main term has no "
                              "residue where the shifted twists blow up", abs(2j * mp.pi * c[-1]),

@@ -333,6 +333,8 @@ def _divisor_twist_kernel(s, q: int, numerators) -> list[mp.mpc]:
     if s == 1:
         raise PoleError("the twisted series has its double pole at s=1")
     hurwitz = [hurwitz_zeta(s, a) for a in hurwitz_parameters(q, mp.mp.prec)]
+    if q == 1:  # zeta(s)^2: 1^(-2s) is exactly 1, and the one pair rounds once either way
+        return [hurwitz[0] * hurwitz[0]] * len(numerators)
     prefactor = mp.power(q, -2 * s)
     return [prefactor * sums[0] for sums in _pair_sums([[h] for h in hurwitz], q, numerators)]
 
@@ -390,6 +392,15 @@ def zeta2_twist_oracle(s, alpha) -> mp.mpc:
     """
     alpha = reduce_mod_one(alpha)
     return _divisor_twist_kernel(s, alpha.denominator, [alpha.numerator])[0]
+
+
+def _conjugate_pair(s, alpha) -> tuple[mp.mpc, mp.mpc]:
+    """(F(s, alpha), F(s, -alpha)) from one set of Hurwitz values; raises PoleError
+    at s = 1.  d(n) is real, so F(conj s, alpha) = conj F(s, -alpha): the pair gives
+    F at s and at conj s."""
+    alpha = reduce_mod_one(alpha)
+    q, b = alpha.denominator, alpha.numerator
+    return tuple(_divisor_twist_kernel(s, q, [b, -b % q]))
 
 
 def zeta2_twist_batch(s, q: int) -> list[mp.mpc]:

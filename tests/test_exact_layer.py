@@ -82,7 +82,7 @@ import sys
 sys.modules["mpmath"] = None  # every import of mpmath now raises ImportError
 from twistlab.cli import main
 status = main(sys.argv[1:])
-assert not {"twistlab.special", "twistlab.twist", "twistlab.transform"} & set(sys.modules)
+assert not {"twistlab.special", "twistlab.twist", "twistlab.transform", "pickle"} & set(sys.modules)
 sys.exit(status)
 """
 

@@ -1,13 +1,16 @@
+import sys
+import types
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 from twistlab import cli, euler, special, transform, twist
 from twistlab.euler import LocalFactor, degree_bound, euler_factor_at_1, solve_local_factor
-from twistlab.exactpoly import GaussianRational
+from twistlab.exactpoly import GaussianRational, Polynomial
 from twistlab.expansion import q_poly
 from twistlab.special import PoleError
 from twistlab.transform import (
@@ -302,13 +305,16 @@ class TestPolarConsistency:
         # core's Q_nu errs by at most (d + 2) 2^-prec and Horner's by about
         # (2d + 1) 2^-prec of sum_j |q_j| |s|^j; the products and the 9-term
         # sums add about 12 roundings more, so the routes agree within
-        # 2^-(prec-8) of the rounding scale (measured: below 4 2^-prec)
+        # 2^-(prec-8) of the rounding scale (measured: below 4 2^-prec).  The
+        # mirror image of each pair is the main term at conj s, conjugated.
         main_terms = transform._main_terms(self.ALPHAS, 8)
         for center, radius in ((-3, Fraction(1, 4)), (0, Fraction(1, 4)), (1, Fraction(1, 8))):
             for s in circle_nodes(center, radius, 8):
-                for alpha, got in zip(self.ALPHAS, main_terms(s)):
+                for alpha, (got, mirrored) in zip(self.ALPHAS, main_terms(s)):
                     want, scale = literal_main_term(zeta2, s, alpha, 8)
                     assert abs(got - want) <= scale * mp.mpf(2) ** -(mp.mp.prec - 8), (s, alpha)
+                    want, scale = literal_main_term(zeta2, mp.conj(s), alpha, 8)
+                    assert abs(mp.conj(mirrored) - want) <= scale * mp.mpf(2) ** -(mp.mp.prec - 8)
 
     @pytest.mark.parametrize("bits", (64, 128, 256))
     def test_power_table_q_values_match_horner(self, zeta2, bits):
@@ -327,33 +333,91 @@ class TestPolarConsistency:
                         assert abs(got - want) <= scale * mp.mpf(2) ** -(bits - 7), (s, nu)
 
     def test_one_main_term_pass_per_node(self, monkeypatch):
-        # alphas 1/2 and 1/3 share beta = 0: per node, Q_0..Q_8 come from one
-        # _q_values call; each distinct shifted argument s + nu of the pass is
-        # requested once as F(s + nu, 0), not once per alpha, node or circle
-        # (the shifts of one circle's nodes are nodes of the others); F(s, alpha)
-        # once per node and alpha.  A request is keyed by its exact argument.
+        # alphas 1/2 and 1/3 share beta = 0: per pair of conjugate nodes, Q_0..Q_8
+        # come from one _q_values call at the node with Im s >= 0, 17 of each
+        # circle's 32; each distinct shifted argument s + nu of the pass is
+        # requested once as the pair F(s + nu, +-0), not once per alpha, node or
+        # circle (the shifts of one circle's nodes are nodes of the others);
+        # F(s, +-alpha) once per such node and alpha.  A request is keyed by its
+        # exact argument.
         nodes, requests = [], Counter()
-        q_values, oracle = transform._q_values, transform.zeta2_twist_oracle
+        q_values, pair = transform._q_values, transform._conjugate_pair
 
         def counted_q_values(table, s):
             nodes.append(s)
             return q_values(table, s)
 
-        def counted_oracle(s, alpha):
+        def counted_pair(s, alpha):
             requests[mp.mpc(s)._mpc_, Fraction(alpha)] += 1
-            return oracle(s, alpha)
+            return pair(s, alpha)
 
         monkeypatch.setattr(transform, "_q_values", counted_q_values)
-        monkeypatch.setattr(transform, "zeta2_twist_oracle", counted_oracle)
+        monkeypatch.setattr(transform, "_conjugate_pair", counted_pair)
         reports = transformation_polar_reports((Fraction(1, 2), Fraction(1, 3)), 8)
         assert all(report.passed for report in reports)
-        assert len(nodes) == 4 * 32  # the principal parts at s = 1 are closed form
+        assert len(nodes) == 4 * 17  # the principal parts at s = 1 are closed form
+        assert min(s.imag for s in nodes) == 0
         assert set(requests.values()) == {1}
         shifted = {mp.mpc(s + nu)._mpc_ for s in nodes for nu in range(9)}
         assert {x for x, alpha in requests if alpha == 0} == shifted
-        assert len(shifted) == 512  # of 128 nodes times 9 shifts
+        assert len(shifted) == 268  # of 68 nodes times 9 shifts
         alphas = Counter(alpha for _, alpha in requests)
-        assert alphas == {0: 512, Fraction(1, 2): len(nodes), Fraction(1, 3): len(nodes)}
+        assert alphas == {0: 268, Fraction(1, 2): len(nodes), Fraction(1, 3): len(nodes)}
+
+    def test_wrong_shift_fails_every_contour_record(self, monkeypatch):
+        # the main term read at s + nu + 1: all 8 contour records of verify's
+        # default alphas fail, with the values the unpaired sampler printed
+        source = Path(transform.__file__).read_text()
+        right = "shifted = [s + nu for nu in range(k_terms + 1)]"
+        assert source.count(right) == 1
+        mutant = types.ModuleType("twistlab.wrong_shift")
+        mutant.__package__ = "twistlab"
+        monkeypatch.setitem(sys.modules, mutant.__name__, mutant)  # dataclasses look it up
+        exec(compile(source.replace(right, right.replace("nu for", "nu + 1 for")),
+                     transform.__file__, "exec"), vars(mutant))
+        reports = mutant.transformation_polar_reports((Fraction(1, 2), Fraction(1, 3)), 8)
+        contours = [r for report in reports for r in report.records if r.name.startswith("contour")]
+        assert [r.passed for r in contours] == [False] * 8
+        assert [r.measured for r in contours] == ["2.91368", "8.92745", "8.22987", "9.48009",
+                                                  "19.6562", "27.3851", "34.7452", "57.9759"]
+
+    def test_q_has_real_coefficients(self, zeta2, monkeypatch):
+        # the mirrored main term needs real Q_nu; _q_coeffs checks it exactly
+        assert all(q_poly(zeta2, nu).im == () for nu in range(17))
+        def rotated(datum, nu):  # (1 + i) Q_nu
+            q = q_poly(datum, nu)
+            return Polynomial.from_rows(q.re, q.re, q.den)
+
+        monkeypatch.setattr(transform, "q_poly", rotated)
+        with pytest.raises(ValueError, match="Q_2 of zeta"):
+            transform._q_coeffs.__wrapped__(2, 128)
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_circle_nodes_come_in_exact_conjugate_pairs(self, bits):
+        # the mirrored samples at nodes j > N/2 are those at the conjugate of node
+        # N - j: that conjugate is node j itself, bit for bit, on every polar circle
+        with mp.workprec(bits):
+            for nodes in (16, 32):
+                for center in (0, -1, -2, -3):
+                    points = transform._circle_samples(lambda s: s, center, Fraction(1, 4), nodes)
+                    assert [p._mpc_ for p in points[nodes // 2 + 1:]] == [
+                        mp.conj(p)._mpc_ for p in points[nodes // 2 - 1:0:-1]]
+
+    def test_mirrored_samples_match_direct_samples(self):
+        # the pair sampler's values at nodes j > N/2, read off node N - j,
+        # agree with D sampled at node j itself within a few roundings of D(s)
+        alphas = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2))
+        main_terms = transform._main_terms(alphas, 8)
+
+        def direct(s):
+            return [zeta2_twist_oracle(s, alpha) - main for alpha, (main, _) in
+                    zip(alphas, main_terms(s))]
+
+        pairs = transform._differences(alphas, 8)
+        mirrored = transform._circle_samples(pairs, -2, Fraction(1, 4), 16, mirrored=True)
+        for got, want in zip(mirrored, transform._circle_samples(direct, -2, Fraction(1, 4), 16)):
+            for x, y in zip(got, want):
+                assert abs(x - y) <= mp.mpf(2) ** -(mp.mp.prec - 12) * max(1, abs(y))
 
 
 @pytest.fixture(scope="module")
@@ -448,7 +512,7 @@ class TestClosedFormLaurent:
             for alpha, report in zip(alphas, reports):
                 main_terms = transform._main_terms([alpha], 8)
                 twist_contour, main_contour = transform._laurent_many(
-                    lambda s: [zeta2_twist_oracle(s, alpha), main_terms(s)[0]],
+                    lambda s: [zeta2_twist_oracle(s, alpha), main_terms(s)[0][0]],
                     1, 2, Fraction(1, 4), 64, 0)
                 (own,), (conj,) = (
                     transform._laurent_at_1(b.denominator, [b.numerator])
@@ -581,9 +645,9 @@ class TestOneCirclePerExtraction:
     def test_verify_samples_no_circle_at_1(self, monkeypatch, capsys):
         contour = transform._laurent_many
 
-        def away_from_1(f, center, *args):
+        def away_from_1(f, center, *args, **kwargs):
             assert center != 1, "a contour about s = 1 was sampled"
-            return contour(f, center, *args)
+            return contour(f, center, *args, **kwargs)
 
         monkeypatch.setattr(transform, "_laurent_many", away_from_1)
         assert cli.main(["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3"]) == 0

@@ -226,6 +226,29 @@ class TestOracle:
                             (bits, q, b)
 
 
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_untwisted_kernel_is_the_pair_sum_bit_for_bit(self, bits):
+        # q = 1 returns zeta(s)^2 itself: 1^(-2s) is exactly 1 and the one
+        # pair rounds once, so the bytes are those of the general route
+        with mp.workprec(bits):
+            for s in (mp.mpc("1.2", "0.1"), mp.mpc("-3.1", "0.2"), mp.mpc(2, 14),
+                      mp.mpc("-2.75", "-0.25"), mp.mpc("8.25")):
+                h = hurwitz_zeta(s, 1)
+                general = mp.power(1, -2 * s) * mp.fdot([(h, h)])
+                for numerators in ([0], [1], [0, 0]):
+                    got = twist._divisor_twist_kernel(s, 1, numerators)
+                    assert [x._mpc_ for x in got] == [general._mpc_] * len(numerators)
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 7), Fraction(2)])
+    def test_conjugate_pair_gives_the_twist_at_conj_s(self, alpha):
+        # F(conj s, alpha) = conj F(s, -alpha), d(n) being real
+        for s in (mp.mpc("-1.8", "0.2"), mp.mpc("0.3", "2.5")):
+            own, twin = twist._conjugate_pair(s, alpha)
+            assert own == zeta2_twist_oracle(s, alpha)
+            assert abs(mp.conj(twin) - zeta2_twist_oracle(mp.conj(s), alpha)) <= (
+                abs(own) + abs(twin)) * mp.mpf(2) ** -(mp.mp.prec - 4)
+
+
 class TestReflectedKernel:
     """Hurwitz's formula (the growth certificate's route, Hurwitz values at 1 - s)
     against the oracle, whose Hurwitz values sit at s itself."""
