@@ -5,8 +5,10 @@ Scalars are ``int``, ``fractions.Fraction`` or :class:`GaussianRational`
 as integer numerator rows over one positive common denominator in lowest
 terms, so each ring operation, composition and evaluation is an integer
 loop with one gcd per result.  All of it stays exact, so zero-remainder
-divisibility can be asserted literally.  Nothing here is numeric: a caller
-that needs floating-point values rounds the integer rows itself.
+divisibility can be asserted literally: the remainder of P mod (x - r)^m is
+the part of P(x + r) below x^m, read off the rows of one composition.
+Nothing here is numeric: a caller that needs floating-point values rounds
+the integer rows itself.
 """
 
 from __future__ import annotations
@@ -282,18 +284,6 @@ class Polynomial:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power needs a nonnegative integer")
-        result = Polynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     @staticmethod
     def _as_poly(x):
         if isinstance(x, Polynomial):
@@ -301,30 +291,6 @@ class Polynomial:
         if isinstance(x, _SCALAR_TYPES):
             return Polynomial((x,))
         return None
-
-    def __divmod__(self, other: "Polynomial"):
-        """Exact division with remainder over the coefficient field."""
-        if not isinstance(other, Polynomial) or other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dv = self.degree, other.degree
-        if dd < dv:
-            return Polynomial(), self
-        quot = [0] * (dd - dv + 1)
-        lead = other.coeffs[-1]  # a Fraction has no division by a GaussianRational
-        inverse = lead.conjugate() / lead.norm() if isinstance(lead, GaussianRational) else 1 / lead
-        for k in range(dd - dv, -1, -1):
-            c = rem[dv + k] * inverse
-            quot[k] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] -= c * b
-        return Polynomial(quot), Polynomial(rem)
-
-    def divides_exactly(self, divisor: "Polynomial") -> bool:
-        """True when ``divisor`` divides self with exactly zero remainder."""
-        _, r = divmod(self, divisor)
-        return r.is_zero
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """self(inner(x)) by Horner on the rows.

@@ -10,7 +10,7 @@ of an Euler-Maclaurin sum, built once in fixed point with its sizes from
 log-space error bounds, is evaluated by Horner beside the pole term's row
 (N+a)^(1-s), divided once by s - 1, within 2^-(prec+20) max(1, |zeta|).
 The series at center 1 also gives gamma_0(a) = -psi(a), the constant term of
-zeta(s, a) - 1/(s-1), which the twists' c_-1 at s = 1 read.
+zeta(s, a) - 1/(s-1), which the twists' c_-1 and L(1, chi) at s = 1 read.
 Every other (s, a) goes to mpmath's zeta, whose value is returned unchanged;
 below the real axis a value is the conjugate of its mirror's (Schwarz).
 This module adds the pole signalling and argument contracts the rest of the
@@ -349,16 +349,12 @@ def dirichlet_l(s, chi: DirichletCharacter) -> mp.mpc:
     s = mp.mpc(s)
     if chi.is_principal and s == 1:
         raise PoleError("L(s, principal) pole at s=1")
-    m = chi.modulus
+    m, prec = chi.modulus, mp.mp.prec
     total = mp.mpc(0)
-    for a in range(1, m + 1):
+    for a, x in enumerate(hurwitz_parameters(m, prec), 1):
         e = chi.exponent_of(a)
-        if e is None:
-            continue
-        if s == 1:
-            # poles of the individual zeta(s, a/m) cancel since
-            # sum chi(a) = 0; the finite parts are -psi(a/m)
-            total += unit_phase(e) * (-mp.psi(0, mp.mpf(a) / m))
-        else:
-            total += unit_phase(e) * hurwitz_zeta(s, hurwitz_parameters(m, mp.mp.prec)[a - 1])
+        if e is not None:
+            # at s = 1 the poles of the zeta(s, a/m) cancel since sum chi(a) = 0,
+            # leaving their finite parts gamma_0(a/m) = -psi(a/m)
+            total += unit_phase(e) * (_stieltjes_0(x, prec) if s == 1 else hurwitz_zeta(s, x))
     return mp.power(m, -s) * total

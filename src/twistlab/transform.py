@@ -530,14 +530,13 @@ def transformation_polar_consistency(alpha, k_terms: int, tol=mp.mpf("1e-8"),
 def identity_reduction_check(n_points: int = 20, tol=mp.mpf("1e-12")) -> Report:
     """At alpha = 1 and K = 0 the main term must reproduce the series
     identically (the residual transformation term vanishes for the
-    reference instance); sampled on sigma > 1/2 points."""
+    reference instance); sampled on sigma > 1/2 points whose odd integer
+    imaginary parts keep them off the pole at s = 1."""
     report = Report("alpha=1 exact reduction")
     worst = mp.mpf(0)
     for j in range(n_points):
         s = mp.mpc(mp.mpf("0.6") + mp.mpf(j % 5) * mp.mpf("0.35"),
                    mp.mpf(-3) + mp.mpf(6 * (j // 5)) / 3)
-        if abs(s - 1) < mp.mpf("0.1"):
-            s += mp.mpc("0.05", "0.21")
         diff = abs(zeta2_twist_oracle(s, Fraction(1)) - transformation_main_term(s, Fraction(1), 0))
         worst = max(worst, diff)
     report.add_bound(

@@ -62,6 +62,23 @@ class ScalarPolynomial:
             result = result * self
         return result
 
+    def __divmod__(self, other):
+        """Long division with remainder over the coefficient field."""
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dd, dv = len(self.coeffs) - 1, len(other.coeffs) - 1
+        quot = [0] * (dd - dv + 1)  # empty when dd < dv: the remainder is self
+        lead = other.coeffs[-1]  # a Fraction has no division by a GaussianRational
+        inverse = lead.conjugate() / lead.norm() if isinstance(lead, GaussianRational) else 1 / Fraction(lead)
+        for k in range(dd - dv, -1, -1):
+            c = rem[dv + k] * inverse
+            quot[k] = c
+            if c != 0:
+                for j, b in enumerate(other.coeffs):
+                    rem[j + k] -= c * b
+        return ScalarPolynomial(quot), ScalarPolynomial(rem)
+
     def compose(self, inner):
         result = ScalarPolynomial()
         for c in reversed(self.coeffs):

@@ -329,6 +329,23 @@ class TestCustomInstance:
         assert code == 0
         assert "instance=" in out and "FAIL" not in out
 
+    def test_polys_fails_divisibility_it_cannot_meet(self, capsys, tmp_path):
+        # mu = 1/4 moves the zeros of Q_nu off s = 1 - nu, so a claimed
+        # double pole there is refused while every degree law holds
+        datum = tmp_path / "datum.json"
+        datum.write_text(json.dumps({
+            "Q": "pi^-1", "omega": "1", "pole_order": 2,
+            "factors": [{"lambda": "1/2", "mu": "1/4"}, {"lambda": "1/2", "mu": "1/4"}],
+        }))
+        code, out = run_cli(capsys, "--instance", str(datum), "--K", "4", "polys")
+        assert code == 1
+        for nu in range(1, 5):
+            line = next(line for line in out.splitlines() if f" Q_{nu} " in line)
+            assert line.startswith("[FAIL]"), line
+            assert (f"degree {2 * nu} (expected {2 * nu}): PASS; "
+                    f"divisible by (s+{nu - 1})^2: FAIL") in line
+        assert out.count("FAIL") == 8  # the four Q_nu, each record and its check
+
 
 class TestBadInstance:
     @pytest.mark.parametrize("command", ["polys", "verify", "euler"])

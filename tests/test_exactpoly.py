@@ -13,6 +13,13 @@ from paper_checks import eval_mpc, to_mpc
 from scalar_polynomial import ScalarPolynomial
 
 
+def _shifted_remainder(p: Polynomial, r, m: int) -> Polynomial:
+    """The part of P(x + r) below x^m, the remainder of P mod (x - r)^m in
+    powers of x - r, read from the rows of one composition as `polys` does."""
+    shifted = p.compose(Polynomial((r, 1)))
+    return Polynomial.from_rows(shifted.re[:m], shifted.im[:m], shifted.den)
+
+
 class TestGaussianRational:
     def test_arithmetic(self):
         z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
@@ -83,31 +90,36 @@ class TestPolynomial:
         assert p + q == Polynomial((1, 2, 1))
         assert p * q == Polynomial((0, 0, 1, 2))
         assert p - p == Polynomial()
-        assert (p**3).degree == 3
+        assert (p * p * p).degree == 3
         assert 3 * p == Polynomial((3, 6))
 
     def test_divmod_roundtrip(self):
+        # the scalar long division, its quotient and remainder recombined in rows
         rng = random.Random(7)
         for _ in range(25):
-            a = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 7))])
-            b = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 5))])
-            if b.is_zero:
+            a = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 7))]
+            b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 5))]
+            if Polynomial(b).is_zero:
                 continue
-            quot, rem = divmod(a, b)
-            assert quot * b + rem == a
-            assert rem.is_zero or rem.degree < b.degree
+            quot, rem = divmod(ScalarPolynomial(a), ScalarPolynomial(b))
+            assert Polynomial(quot.coeffs) * Polynomial(b) + Polynomial(rem.coeffs) == Polynomial(a)
+            assert len(rem.coeffs) < len(ScalarPolynomial(b).coeffs)
 
     def test_divmod_of_int_polynomials_stays_exact(self):
         # int / int would go float; the quotient and remainder are Fractions
-        quot, rem = divmod(Polynomial((1, 0, 1)), Polynomial((1, 2)))
-        assert quot == Polynomial((Fraction(-1, 4), Fraction(1, 2)))
-        assert rem == Polynomial((Fraction(5, 4),))
+        quot, rem = divmod(ScalarPolynomial((1, 0, 1)), ScalarPolynomial((1, 2)))
+        assert quot.coeffs == (Fraction(-1, 4), Fraction(1, 2))
+        assert rem.coeffs == (Fraction(5, 4),)
         assert all(type(c) is Fraction for c in quot.coeffs + rem.coeffs)
 
     def test_divides_exactly(self):
         base = Polynomial((Fraction(1, 3), 1))
-        assert (base**2 * Polynomial((2, 0, 5))).divides_exactly(base)
-        assert not Polynomial((1, 1)).divides_exactly(Polynomial((0, 1)))
+        product = base * base * Polynomial((2, 0, 5))
+        assert not divmod(ScalarPolynomial(product.coeffs), ScalarPolynomial(base.coeffs))[1].coeffs
+        assert divmod(ScalarPolynomial((1, 1)), ScalarPolynomial((0, 1)))[1].coeffs
+        # the same two answers from the rows, by one shift
+        assert _shifted_remainder(product, Fraction(-1, 3), 2).is_zero
+        assert not _shifted_remainder(Polynomial((1, 1)), 0, 1).is_zero
 
     def test_compose(self):
         p = Polynomial((0, 0, 1))  # x^2
@@ -207,9 +219,28 @@ class TestRowsAgainstScalarLoops:
             assert _same(pa * pb, ra * rb), (a, b)
             assert _same(c * pa, c * ra) and _same(pa * c, ra * c), (a, c)
             assert _same(pa + c, ra + c) and _same(Polynomial((c,)) - pa, c - ra), (a, c)
-            assert _same(pa ** 3, ra ** 3), a
+            assert _same(pa * pa * pa, ra ** 3), a
             assert _same(pa.compose(pb), ra.compose(rb)), (a, b)
             assert _same(pa.conjugate(), ra.conjugate()), a
+
+    def test_shift_reads_the_remainder(self):
+        # (x - r)^k P mod (x - r)^m: the low rows of the shift, shifted back,
+        # are the scalar long division's remainder, and zero when k >= m;
+        # P = 0 is among the operands and m runs past the degree
+        rng = random.Random(32)
+        nonzero = 0
+        for a, _ in self._operands()[:80]:
+            pk, r = Polynomial(a), rng.randint(-4, 4)
+            root = Polynomial((-r, 1))
+            for k in range(4):
+                for m in sorted({0, 1, 2, 3, pk.degree + 2}):
+                    low = _shifted_remainder(pk, r, m)
+                    _, rem = divmod(ScalarPolynomial(pk.coeffs), ScalarPolynomial((-r, 1)) ** m)
+                    assert _same(low.compose(root), rem), (a, r, k, m)
+                    assert low.is_zero or k < m, (a, r, k, m)
+                    nonzero += not low.is_zero
+                pk = pk * root
+        assert nonzero > 100  # the failing side is reached too
 
     def test_evaluation(self):
         rng = random.Random(11)
@@ -241,8 +272,9 @@ class TestRowsAgainstScalarLoops:
                     assert type(c) is Fraction
 
     def test_divmod(self):
+        # the scalar long division, its quotient and remainder recombined in rows
         for a, b in self._operands():
             if ScalarPolynomial(b).coeffs:
-                quot, rem = divmod(Polynomial(a), Polynomial(b))
-                assert quot * Polynomial(b) + rem == Polynomial(a), (a, b)
-                assert rem.degree < Polynomial(b).degree, (a, b)
+                quot, rem = divmod(ScalarPolynomial(a), ScalarPolynomial(b))
+                assert Polynomial(quot.coeffs) * Polynomial(b) + Polynomial(rem.coeffs) == Polynomial(a), (a, b)
+                assert len(rem.coeffs) < len(ScalarPolynomial(b).coeffs), (a, b)

@@ -455,6 +455,19 @@ class TestDirichletL:
         chi = DirichletCharacter(4, 1)
         assert abs(dirichlet_l(1, chi) - mp.pi / 4) < mp.mpf("1e-28")
 
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    def test_value_at_one_matches_digamma(self, prec):
+        # L(1, chi) = -m^-1 sum_a chi(a) psi(a/m), by mpmath's digamma against
+        # the Stieltjes constants read from the Hurwitz series at center 1
+        with mp.workprec(prec):
+            for m in (5, 7):
+                for chi in characters_mod(m):
+                    if chi.is_principal:
+                        continue
+                    via_psi = -mp.fsum(chi.value(a) * mp.psi(0, mp.mpf(a) / m)
+                                       for a in range(1, m)) / m
+                    assert abs(dirichlet_l(1, chi) - via_psi) < mp.ldexp(1, 4 - prec), (m, chi.index)
+
 
 def test_unit_phase_exact_rational():
     assert abs(unit_phase(Fraction(1, 4)) - mp.mpc(0, 1)) < TIGHT
