@@ -320,18 +320,21 @@ def cmd_polys(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     import mpmath as mp
 
-    from . import transform, twist
+    from . import special, transform, twist
     tol = mp.mpf(cfg.tol)
     report = Report(
         f"verification chain (instance={cfg.instance}, precision={cfg.precision}, "
         f"qmax={cfg.q_max}, K={cfg.k_terms})"
     )
 
-    table = transform.twist_laurent_table(cfg.q_max)
+    # the worker's main terms and the square laws below read zeta(s, 1) about
+    # s = 1: the first square-law node builds that series once, before the fork
+    special.hurwitz_zeta(mp.mpmathify(1 + transform.LAURENT_RADIUS), 1)
     # the polar reports, verify's longest section, run in a worker that
-    # inherits the table's series; their records keep their place
+    # inherits that series; their records keep their place
     with _beside(lambda: transform.transformation_polar_reports(
             cfg.alpha_fractions, cfg.k_terms, tol)) as polar_reports:
+        table = transform.twist_laurent_table(cfg.q_max)
         report.extend(transform.verify_alpha_law(table, tol=tol))
         report.extend(transform.verify_beta_law(table, tol=tol))
 

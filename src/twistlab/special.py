@@ -5,12 +5,13 @@ mpmath precision ``mp.mp.prec`` (wrap a call in ``mp.workprec`` for more
 bits), and every cache keys on it.  Hurwitz zeta(s, a) has two routes.  When
 0 < a <= 1 and s lies within 0.26 of an integer c in -3..17 (the discs of the
 verification chain: s = 1, the polar consistency contours at 1 - nu and their
-main-term shifts), one Taylor series per (c, a, precision) of the entire part
-of an Euler-Maclaurin sum, built once in fixed point with its sizes from
-log-space error bounds, is evaluated by Horner beside the pole term's row
-(N+a)^(1-s), divided once by s - 1, within 2^-(prec+20) max(1, |zeta|).
-The series at center 1 also gives gamma_0(a) = -psi(a), the constant term of
-zeta(s, a) - 1/(s-1), which the twists' c_-1 and L(1, chi) at s = 1 read.
+main-term shifts), one Taylor series per (c, a, precision) of (s-1) zeta(s, a),
+the entire part of an Euler-Maclaurin sum times s - 1 plus the pole term's
+numerator (N+a)^(1-s), built once in fixed point with its sizes from log-space
+error bounds, is evaluated by one Horner pass and divided once by s - 1, within
+2^-(prec+20) max(1, |zeta|).  gamma_0(a) = -psi(a), the constant term of
+zeta(s, a) - 1/(s-1), which the twists' c_-1 and L(1, chi) at s = 1 read, is
+summed as its own Euler-Maclaurin constant term, with no series.
 Every other (s, a) goes to mpmath's zeta, whose value is returned unchanged;
 below the real axis a value is the conjugate of its mirror's (Schwarz).
 This module adds the pole signalling and argument contracts the rest of the
@@ -34,11 +35,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import count, repeat
 from math import ceil, exp, factorial, fsum, gcd, lgamma, log, pi
+from operator import mul, rshift
 
 import mpmath as mp
-from mpmath.libmp import to_rational
+from mpmath.libmp import (fone, from_float, from_int, from_man_exp, from_rational, fzero,
+                          mpc_div, mpc_pos, mpf_add, mpf_div, mpf_le, mpf_log,
+                          mpf_mul, mpf_shift, mpf_sub, round_nearest, to_int, to_rational)
 
 
 class PoleError(ArithmeticError):
@@ -101,12 +105,13 @@ def _series_size(c: int, a: float, prec: int) -> tuple[int, int, int]:
     weights = [log(2 + 2 * (4.0 ** -j + 9.0 ** -j * (1 + 3 / (2 * j - 1))))
                - 2 * j * log_2pi + (1 - 2 * j) * logs[n] for j in range(1, big_j + 1)]
     pole = (1 - c) * logs[n] - log(abs(c - 1) - rho if c != 1 else rho)  # log (N+a)^(1-c)/d
+    rows = _log_sum([-c * x for x in logs[:n]] + [pole])  # and the rows, free of m
 
     def log_tail(m):
         y = abs(c) + (m + 1) / lam
         bracket = _log_sum([-log(2)] + [w + lgamma(y + 2 * j - 1) - lgamma(y)
                                         for j, w in enumerate(weights, 1)])
-        return (_log_sum([-c * x for x in logs[:n]] + [bracket - c * logs[n], pole])
+        return (_log_sum([rows, bracket - c * logs[n]])
                 + (m + 1) * log(lam * rho) - lgamma(m + 2) + lam * rho)
     while log_tail(m) > log_target:
         m += 1
@@ -114,108 +119,157 @@ def _series_size(c: int, a: float, prec: int) -> tuple[int, int, int]:
     return n, m, prec + _SERIES_GUARD + (n * (m + 1)).bit_length() + cancel
 
 
-#: Series kept, one per (center, a, precision), 2-2.6 kB each at 128 bits:
+#: Series kept, one per (center, a, precision), 2-3.5 kB each at 128 bits:
 #: every numerator of every q <= 24 at s = 1 plus a few alphas' polar
-#: centers fit; `verify` at its defaults builds 40 and `euler` none.
+#: centers fit; `verify` at its defaults builds 30 and `euler` none.
 @lru_cache(maxsize=512)
 def _hurwitz_series(c: int, a_mpf: tuple, prec: int) -> tuple:
-    """(wp, L_N, coeffs, pole_row): zeta(c+x, a) = E(x) + (N+a)^(1-s)/(s-1)
-    within 2^-(prec+guard) max(1, |zeta|) on |x| <= rho, coeffs being E's
-    Taylor coefficients and pole_row those of (N+a)^(1-s) = (N+a)^(1-c)
-    e^(-x L_N), both as integers in units of 2^-wp, highest degree first.
+    """(wp, coeffs, e_0, p_0): zeta(c+x, a) = G(x)/(s-1) within 2^-(prec+guard) max(1, |zeta|)
+    on |x| <= rho, G(x) = (x+c-1) E(x) + P(x) with E the Taylor series of the entire part and
+    P that of the pole term's numerator (N+a)^(1-s) = (N+a)^(1-c) e^(-x L_N): coeffs are G's,
+    highest degree first, e_0 and p_0 the constant terms of E and P, all in units of 2^-wp.
 
-    Euler-Maclaurin with shift N = 2J and J Bernoulli terms (F. Johansson,
-    Numer. Algorithms 2015), L_k = log(k+a), keeps the pole term closed and
-    runs the entire part on power series in x = s - c:
+    Euler-Maclaurin with shift N = 2J and J Bernoulli terms (F. Johansson, Numer. Algorithms
+    2015), L_k = log(k+a), keeps the pole term closed and runs the entire part on power
+    series in x = s - c:
 
-      sum_{k<N} (k+a)^-c e^(-x L_k) + e^(-x L_N) P(x),
-      P(x) = (N+a)^-c [1/2 + sum_{j<=J} B_2j/(2j)! (N+a)^(1-2j) prod_{i<2j-1} (x+c+i)].
+      sum_{k<N} (k+a)^-c e^(-x L_k) + e^(-x L_N) B(x),
+      B(x) = (N+a)^-c [1/2 + sum_{j<=J} B_2j/(2j)! (N+a)^(1-2j) prod_{i<2j-1} (x+c+i)].
 
-    J is the first whose remainder bound (Johansson's Theorem 1)
-    4 (|c|+rho)_2J / ((2 pi)^2J (2J+c-rho-1) (N+a)^(2J+c-rho-1)) is below
-    half the target, and M >= 2J-1 the first degree whose Taylor tail bound
-    S (Lam rho)^(M+1)/(M+1)! e^(Lam rho) is below the other half, with
-    Lam = max |L_k| and S = sum_{k<N} (k+a)^-c + |P|((M+1)/Lam) + (N+a)^(1-c)/d,
-    |P| taking (|c| + y)_(2j-1) for each product and d = |c-1| - rho <= |s-1|
-    (or rho at c = 1, the pole row's tail being O(x^(M+1))).  Fixed point at wp bits adds
-    bit_length(N (M+1)) bits for its truncations and, for c <= 1, where the
-    terms cancel against the pole term, log2 sum_{k<N} (k+a)^(rho-c); at c = 1
-    these also cover the rows' rounding of (k+a)^-c at wp bits relative, which
-    elsewhere makes the error relative to max(1, |zeta|).  P is built on
-    integers: its weights are rounded once at wp + e bits, 2^e > (N+|c|)! >=
-    twice any rising-factorial coefficient sum, and P is shifted down once,
-    rounded, to within (J+3)/4 <= N/2 units of 2^-wp per coefficient, which
-    the bit_length(N (M+1)) bits cover.  The pole row, the last row times the
-    exact (N+a)^(1-c), errs by about 10 (N+a)^(1-c) units, under 40 2^cancel for
-    c <= 0 (N >= 14: compare the integral of the increasing terms), and is
-    divided by |s-1| >= 0.74 off c = 1; at c = 1 its error is relative to
-    |1/x| <= |zeta| + 2^cancel.  The same bits cover it, one mpc division included.
+    J is the first whose remainder bound (Johansson's Theorem 1) 4 (|c|+rho)_2J / ((2 pi)^2J
+    (2J+c-rho-1) (N+a)^(2J+c-rho-1)) is below half the target, and M >= 2J-1 the first degree
+    whose Taylor tail bound S (Lam rho)^(M+1)/(M+1)! e^(Lam rho) is below the other half, with
+    Lam = max |L_k| and S = sum_{k<N} (k+a)^-c + |B|((M+1)/Lam) + (N+a)^(1-c)/d, |B| taking
+    (|c| + y)_(2j-1) for each product and d = |c-1| - rho <= |s-1| (or rho at c = 1, P's
+    tail being O(x^(M+1))); G, of degree M+1, keeps that tail after the division by s-1.
+    Fixed point at wp bits adds bit_length(N (M+1)) bits for its truncations and, for c <= 1,
+    where the terms cancel against the pole term, log2 sum_{k<N} (k+a)^(rho-c).  The rows
+    t_k (-L_k)^i start from t_k = (k+a)^-c, exact rationals rounded once, and take one floored
+    product by -L_k (`_minus_logs`, within 2 units) per degree, i! dividing each column once:
+    on |x| <= rho a row errs by at most 1.4 + (1 + 2 t_k) rho e^(Lam rho) <= 2.2 + 1.7 t_k
+    units.  B is built on integers: its weights are rounded once at wp + e bits, 2^e >
+    (N+|c|)! >= twice any rising-factorial coefficient sum, and B is shifted down once,
+    rounded, to within (J+3)/4 <= N/2 units per coefficient, which the bit_length(N (M+1))
+    bits cover.  P, the last row times the exact (N+a)^(1-c), errs by about 10 (N+a)^(1-c)
+    units, under 40 2^cancel for c <= 0 (N >= 14: compare the integral of the increasing
+    terms).  Horner on G at the truncated x floors 2(M+2) times, and G's units are divided by
+    |s-1| >= 0.74 off c = 1; at c = 1 they are relative to |1/x| <= |zeta| + 2^cancel.  The
+    same bits cover these, one mpc division included.
     """
     n, m, wp = _series_size(c, float(mp.make_mpf(a_mpf)), prec)
-    with mp.workprec(wp):
+    num, den = to_rational(a_mpf)  # a = num/den
+    bucket = -(-wp // 64) * 64
+    logs = [x >> bucket - wp for x in _minus_logs(a_mpf, bucket, -(-(n + 1) // 16) * 16)[:n + 1]]
+
+    def power(x, j):  # (x/den)^j as (top, bottom)
+        return (x ** j, den ** j) if j >= 0 else (den ** -j, x ** -j)
+    terms = [(2 * (top << wp) + bottom) // (2 * bottom)  # (k+a)^-c, to nearest
+             for top, bottom in (power(k * den + num, -c) for k in range(n))] + [1 << wp]
+    columns, exp_row = [sum(terms) - terms[-1]], [terms[-1]]  # E's series sums, then B's row
+    for i in range(1, m + 1):  # the rows t_k (-L_k)^i, divided by i! once per column
+        terms = list(map(rshift, map(mul, terms, logs), repeat(wp)))
+        columns.append((sum(terms) - terms[-1]) // factorial(i))
+        exp_row.append(terms[-1] // factorial(i))
+    num, extra = num + n * den, factorial(n + abs(c)).bit_length()  # N + a = num/den
+    top, bottom = power(num, -c)  # (N+a)^-c
+    bracket = [((top << wp + extra) + bottom) // (2 * bottom)] + [0] * (n - 1)  # B(x)
+    for i, rising in enumerate(_rising_rows(c, n)):
+        top, bottom = top * den, bottom * num * (2 * i + 2)  # (N+a)^(-c-2i-1)/(2i+2)!
+        p, q = _bernoulli_fraction(2 * i + 2)  # B_2j/(2j)! (N+a)^(1-2j-c), to nearest
+        weight = ((p * top << wp + extra + 1) + q * bottom) // (2 * q * bottom)
+        top, bottom = top * den, bottom * num * (2 * i + 3)
+        bracket[:len(rising)] = [b + weight * r for b, r in zip(bracket, rising)]
+    bracket = [b + (1 << extra - 1) >> extra for b in bracket]
+    entire = [col + (sum(map(mul, bracket[:i + 1], exp_row[i::-1])) >> wp)
+              for i, col in enumerate(columns)]
+    top, bottom = power(num, 1 - c)
+    pole = [x * top // bottom for x in exp_row]  # P = (N+a)^(1-c) e^(-x L_N)
+    g = [(c - 1) * e + p + d for e, p, d in zip(entire + [0], pole + [0], [0] + entire)]
+    return wp, tuple(reversed(g)), entire[0], pole[0]  # G = (x + c - 1) E + P
+
+
+@lru_cache(maxsize=64)
+def _minus_logs(a_mpf: tuple, bucket: int, length: int) -> tuple:
+    """-log(k+a) 2^bucket for k < length, mpmath's at bucket + 8 bits floored, within
+    a unit: one table per (a, bucket, length) for every center (length in 16s)."""
+    with mp.workprec(bucket + 8):
         a = mp.make_mpf(a_mpf)
-        rows = []  # coefficients of (k+a)^-c e^(-x L_k) for k < N, then e^(-x L_N)
-        for k in range(n + 1):
-            minus_log = int(mp.ldexp(-mp.log(k + a), wp))
-            rows.append(list(accumulate(
-                range(1, m + 1), lambda term, i: term * minus_log // i >> wp,
-                initial=int(mp.ldexp((k + a) ** -c if k < n else 1, wp)),
-            )))
-        num, den = to_rational(a_mpf)
-        num, extra = num + n * den, factorial(n + abs(c)).bit_length()  # N + a = num/den
-        top, bottom = (den ** c, num ** c) if c >= 0 else (num ** -c, den ** -c)  # (N+a)^-c
-        bracket = [((top << wp + extra) + bottom) // (2 * bottom)] + [0] * (n - 1)  # P(x)
-        rising = [1]  # prod_{i' <= i} (x+c+i'), exact integer coefficients
-        for i in range(n - 1):
-            rising = [lo + (c + i) * hi for lo, hi in zip([0] + rising, rising + [0])]
-            top, bottom = top * den, bottom * num * (i + 2)  # (N+a)^(-c-i-1)/(i+2)!
-            if i % 2 == 0:  # B_2j/(2j)! (N+a)^(1-2j-c) at 2^-(wp+extra), to nearest
-                p, q = mp.bernfrac(i + 2)
-                weight = ((p * top << wp + extra + 1) + q * bottom) // (2 * q * bottom)
-                for d, r in enumerate(rising):
-                    bracket[d] += weight * r
-        bracket, exp_row = [b + (1 << extra - 1) >> extra for b in bracket], rows.pop()
-        top, bottom = (num, den) if c <= 1 else (den, num)  # (N+a)^(1-c) = (top/bottom)^|1-c|
-        return wp, mp.log(n + a), tuple(
-            sum(row[i] for row in rows)
-            + (sum(bracket[d] * exp_row[i - d] for d in range(min(i + 1, n))) >> wp)
-            for i in reversed(range(m + 1))
-        ), tuple(x * top ** abs(1 - c) // bottom ** abs(1 - c) for x in reversed(exp_row))
+        return tuple(int(mp.floor(mp.ldexp(-mp.log(k + a), bucket))) for k in range(length))
+
+
+@lru_cache(maxsize=64)
+def _rising_rows(c: int, n: int) -> tuple:
+    """The integer rows, lowest first, of prod_{i' <= i} (x+c+i') for even i < n-1."""
+    rows = [[1]]
+    for i in range(n - 1):
+        rows.append([lo + (c + i) * hi for lo, hi in zip([0] + rows[-1], rows[-1] + [0])])
+    return tuple(map(tuple, rows[1::2]))
+
+
+_bernoulli_fraction = lru_cache(maxsize=None)(mp.bernfrac)
+_RADIUS_SQUARED = mpf_mul(from_float(_SERIES_RADIUS), from_float(_SERIES_RADIUS))  # exactly
 
 
 @lru_cache(maxsize=_HURWITZ_CACHE_SIZE)
 def _hurwitz_memo(s_mpc: tuple, a_mpf: tuple, prec: int) -> mp.mpc:
     """zeta(s, a) at ``prec`` bits, keyed by the exact mpmath values: the
-    series at the integer c on |s - c| <= rho for c in the series centers
-    and a <= 1, mp.zeta elsewhere."""
+    series at the integer c on |s - c| <= rho (tested exactly) for c in the
+    series centers and a <= 1, mp.zeta elsewhere."""
+    re, im = s_mpc
+    if mpf_le(a_mpf, fone) and re[2] + re[3] < 6:  # a <= 1 and |Re s| < 32
+        c = to_int(re, round_nearest)
+        offset = mpf_sub(re, from_int(c))  # exact, as are the squares
+        if c in _SERIES_CENTERS and mpf_le(mpf_add(mpf_mul(offset, offset), mpf_mul(im, im)),
+                                           _RADIUS_SQUARED):
+            return mp.make_mpc(mpc_pos(_series_value(s_mpc, c, a_mpf, prec), prec, round_nearest))
     with mp.workprec(prec):
-        s, a = mp.make_mpc(s_mpc), mp.make_mpf(a_mpf)
-        c = int(mp.nint(s.real))
-        if c not in _SERIES_CENTERS or abs(s - c) > _SERIES_RADIUS or a > 1:
-            return mp.mpc(mp.zeta(s, a))
-        return +_series_value(s, c, a_mpf, prec)
+        return mp.mpc(mp.zeta(mp.make_mpc(s_mpc), mp.make_mpf(a_mpf)))
 
 
-def _series_value(s, c: int, a_mpf: tuple, prec: int) -> mp.mpc:
-    """zeta(s, a) by the series at c, unrounded at its wp bits: E and the pole
-    row by one Horner loop in fixed point, then one mpc division by s - 1."""
-    wp, _, coeffs, pole_row = _hurwitz_series(c, a_mpf, prec)
-    x_re, x_im = (int(mp.ldexp(part, wp)) for part in (s.real - c, s.imag))
-    re = im = p_re = p_im = 0
-    for coeff, pole in zip(coeffs, pole_row):
-        re, im = coeff + (x_re * re - x_im * im >> wp), x_re * im + x_im * re >> wp
-        p_re, p_im = pole + (x_re * p_re - x_im * p_im >> wp), x_re * p_im + x_im * p_re >> wp
-    with mp.workprec(wp):
-        return (mp.mpc(mp.ldexp(re, -wp), mp.ldexp(im, -wp))
-                + mp.mpc(mp.ldexp(p_re, -wp), mp.ldexp(p_im, -wp)) / (s - 1))
+def _series_value(s_mpc: tuple, c: int, a_mpf: tuple, prec: int) -> tuple:
+    """zeta(s, a) as an mpc value tuple by the series at c, unrounded at its wp
+    bits: G by one Horner loop in fixed point at x = s - c truncated to
+    2^-wp, then one mpc division by s - 1.  At s = c exactly, E_0 + P_0/(c-1),
+    each rounded at wp bits, so that a zero of zeta(c, a) comes out exact."""
+    wp, coeffs, e_0, p_0 = _hurwitz_series(c, a_mpf, prec)
+    re, im = s_mpc
+    if re == from_int(c) and im == fzero:
+        e_0, p_0 = (from_man_exp(x, -wp, wp, round_nearest) for x in (e_0, p_0))
+        pole = mpf_div(p_0, from_int(c - 1), wp, round_nearest)
+        return mpf_add(e_0, pole, wp, round_nearest), fzero
+    x_re, x_im = (to_int(mpf_shift(part, wp)) for part in (mpf_sub(re, from_int(c)), im))
+    g_re = g_im = 0
+    for coeff in coeffs:
+        g_re, g_im = coeff + (x_re * g_re - x_im * g_im >> wp), x_re * g_im + x_im * g_re >> wp
+    g = from_man_exp(g_re, -wp, wp, round_nearest), from_man_exp(g_im, -wp, wp, round_nearest)
+    return mpc_div(g, (mpf_sub(re, fone, wp, round_nearest), im), wp, round_nearest)
 
 
 def _stieltjes_0(a, prec: int) -> mp.mpf:
-    """p_0 = -psi(a) of x zeta(1+x, a) = x E(x) + e^(-x L_N) = 1 + p_0 x + ... for
-    an mpf a, at the ambient precision from the ``prec``-bit series at center 1:
-    p_0 = E_0 - L_N."""
-    wp, log_n, coeffs, _ = _hurwitz_series(1, a._mpf_, prec)
-    return mp.ldexp(coeffs[-1], -wp) - log_n
+    """gamma_0(a) = -psi(a), the constant term of zeta(s, a) - 1/(s-1), for an mpf a > 0 at
+    the ambient precision: the Euler-Maclaurin constant term at z = N + a (DLMF 5.11.2 with
+    psi(a) = psi(z) - sum_{k<N} 1/(k+a)),
+
+      sum_{k<N} 1/(k+a) - log z + 1/(2z) + sum_{j<=J} B_2j / (2j z^2j),
+
+    whose remainder, z being positive, is at most the first omitted term (DLMF 5.11(ii)).
+    N = (prec+guard)/4, and J is the first that puts that term's bound 4 (2J+2)!/((2J+2) (2 pi
+    N)^(2J+2)) (|B_2j| <= 4 (2j)!/(2 pi)^2j, DLMF 24.9.8) below 2^-(prec+guard+1).  The terms
+    are exact rationals floored to units of 2^-wp, and log z is mpmath's at wp bits: N + J + 6
+    units, below 2^-(prec+guard+1) too.  So the value lies within 2^-(prec+20) of gamma_0(a)
+    before its one rounding at the ambient precision."""
+    n, target = (prec + _SERIES_GUARD) // 4, -(prec + _SERIES_GUARD + 1) * log(2)
+    big_j = next(j for j in count(1)
+                 if log(2 / (j + 1)) + lgamma(2 * j + 3) - (2 * j + 2) * log(2 * pi * n) < target)
+    wp = prec + _SERIES_GUARD + 1 + (n + big_j + 6).bit_length()
+    num, den = to_rational(a._mpf_)
+    z = num + n * den  # N + a = z/den
+    total = sum((den << wp) // (k * den + num) for k in range(n)) + (den << wp - 1) // z
+    for j in range(1, big_j + 1):
+        p, q = _bernoulli_fraction(2 * j)
+        total += (p * den ** (2 * j) << wp) // (2 * j * q * z ** (2 * j))
+    log_z = mpf_log(from_rational(z, den, wp, round_nearest), wp, round_nearest)
+    return mp.make_mpf(mpf_sub(from_man_exp(total, -wp), log_z, mp.mp.prec, round_nearest))
 
 
 def hurwitz_zeta(s, a) -> mp.mpc:
@@ -233,9 +287,17 @@ def hurwitz_zeta(s, a) -> mp.mpc:
         raise ValueError(f"need a > 0, got a={a}")
     if s == 1:
         raise PoleError("Hurwitz zeta pole at s=1")
-    if s.imag < 0:  # Schwarz reflection, a being real: zeta(conj s, a) = conj zeta(s, a)
-        return mp.conj(_hurwitz_memo(mp.conj(s)._mpc_, a._mpf_, mp.mp.prec))
-    return _hurwitz_memo(s._mpc_, a._mpf_, mp.mp.prec)
+    return hurwitz_batch(s, [a])[0]
+
+
+def hurwitz_batch(s: mp.mpc, params) -> list[mp.mpc]:
+    """zeta(s, a) for each mpf a > 0 in ``params``, s a finite mpc other than 1:
+    `hurwitz_zeta`'s values, with its conversions and checks made once.
+    Below the real axis, a being real, zeta(conj s, a) = conj zeta(s, a) (Schwarz)."""
+    prec, mirror = mp.mp.prec, s.imag < 0
+    key = (mp.conj(s) if mirror else s)._mpc_
+    values = [_hurwitz_memo(key, a._mpf_, prec) for a in params]
+    return [mp.conj(value) for value in values] if mirror else values
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +412,12 @@ def dirichlet_l(s, chi: DirichletCharacter) -> mp.mpc:
     if chi.is_principal and s == 1:
         raise PoleError("L(s, principal) pole at s=1")
     m, prec = chi.modulus, mp.mp.prec
-    total = mp.mpc(0)
+    total, values = mp.mpc(0), s != 1 and hurwitz_batch(s, hurwitz_parameters(m, prec))
     for a, x in enumerate(hurwitz_parameters(m, prec), 1):
         e = chi.exponent_of(a)
-        if e is not None:
+        if e is not None:  # chi(a) = e(e) from the table of unit_phase values
             # at s = 1 the poles of the zeta(s, a/m) cancel since sum chi(a) = 0,
             # leaving their finite parts gamma_0(a/m) = -psi(a/m)
-            total += unit_phase(e) * (_stieltjes_0(x, prec) if s == 1 else hurwitz_zeta(s, x))
+            total += roots_of_unity(e.denominator, prec)[e.numerator % e.denominator] * (
+                values[a - 1] if values else _stieltjes_0(x, prec))
     return mp.power(m, -s) * total

@@ -26,16 +26,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import from_rational, fzero, round_down
+from mpmath.libmp import (from_rational, mpf_shift, round_ceiling, round_nearest, to_int,
+                          to_rational)
 
 from . import euler
 from .expansion import q_poly
 from .funceq import zeta2_datum
 from .reports import Report
 from .special import PoleError, characters_mod, dirichlet_l, roots_of_unity
-from .twist import (_conjugate_pair, _laurent_at_1, _stable_reflected_twists,
+from .twist import (_conjugate_pair, _laurent_at_1, _log_at, _stable_reflected_twists,
                     character_twists, reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle)
 
 
@@ -44,6 +46,7 @@ LAURENT_NODES = 128
 PAIR_TOL = mp.mpf("1e-10")  # agreement across numerators and reality of beta
 MAX_SHIFT = 4  # polar consistency checks the shifted poles s = 0..1-MAX_SHIFT
 SLOPE_TOL = mp.mpf("0.5")  # growth certificate: |fitted slope of Delta| bound
+_Q_GUARD = 32  # bits below 2^-prec of the fixed-point powers of s that Q_nu(s) reads
 
 
 class LaurentConvergenceError(ArithmeticError):
@@ -142,32 +145,28 @@ def contour_integral(f, center, radius=LAURENT_RADIUS, nodes: int = 64) -> mp.mp
 # ---------------------------------------------------------------------------
 
 def transformation_prefactor(s, alpha) -> mp.mpc:
-    """alpha^(2s - 1), the prefactor of ``transformation_main_term``."""
-    return mp.exp((2 * mp.mpc(s) - 1) * mp.log(mp.mpmathify(Fraction(alpha))))
-
-
-@lru_cache(maxsize=None)
-def _q_coeffs(nu: int, prec: int) -> tuple:
-    """zeta(s)^2's Q_nu coefficients as mpc at ``prec`` bits, highest degree first:
-    Q_nu's integer row over its denominator, rounded once toward zero (as
-    mpmath rounds a Fraction).  The main term's mirror image needs them real,
-    which is checked here exactly."""
-    q = q_poly(zeta2_datum(), nu)
-    if q.im:
-        raise ValueError(f"Q_{nu} of zeta(s)^2 has an imaginary part: {q.pretty()}")
-    return tuple(mp.make_mpc((from_rational(re, q.den, prec, round_down), fzero))
-                 for re in reversed(q.re))
+    """alpha^(2s - 1), the prefactor of ``transformation_main_term``, as
+    exp((2s - 1) log alpha) with log alpha computed once per precision."""
+    return mp.exp((2 * mp.mpc(s) - 1) * mp.make_mpf(_log_at(Fraction(alpha), mp.mp.prec)))
 
 
 def _q_values(table, s) -> list[mp.mpc]:
-    """Q_nu(s) for each ``_q_coeffs`` tuple in ``table`` from one table of
-    powers of s, as exactly summed dot products rounded once: s^j errs by at
-    most j 2^-prec relatively, so at degree d <= 32 (K <= 16) a value lies
-    within (d + 2) 2^-prec <= 2^-(prec-6) of sum_j |q_j| |s|^j."""
-    powers = [mp.mpc(1)]
-    for _ in range(max(map(len, table)) - 1):
-        powers.append(powers[-1] * s)
-    return [mp.fdot(coeffs, powers[len(coeffs) - 1::-1]) for coeffs in table]
+    """Q_nu(s) for each real Q_nu (``exactpoly.Polynomial``) in ``table``: its integer
+    rows over one table of the powers of s in fixed point at 2^-(prec+guard), summed
+    exactly and rounded once.  With mu = max(1, |s|), s rounds within 2^-(prec+guard)
+    /sqrt(2) and each product floors within sqrt(2) units, so s^j lies within 2.2 j
+    mu^j units and Q_nu(s), of degree d, within 2^-prec |Q_nu(s)| + 2.2 d
+    2^-(prec+guard) sum_j |q_j| mu^j (under 2^-(prec+guard-7) of it for K <= 16)."""
+    prec, scale = mp.mp.prec, mp.mp.prec + _Q_GUARD
+    x_re, x_im = (to_int(mpf_shift(part, scale), round_nearest) for part in s._mpc_)
+    powers_re, powers_im = [1 << scale], [0]
+    for _ in range(max(len(q.re) for q in table) - 1):
+        re, im = powers_re[-1], powers_im[-1]
+        powers_re.append(re * x_re - im * x_im >> scale)
+        powers_im.append(re * x_im + im * x_re >> scale)
+    return [mp.make_mpc(tuple(from_rational(sum(map(mul, q.re, powers)), q.den << scale, prec,
+                                            round_nearest) for powers in (powers_re, powers_im)))
+            for q in table]
 
 
 def _main_terms(alphas, k_terms: int):
@@ -193,18 +192,21 @@ def _main_terms(alphas, k_terms: int):
     ratio_powers = [[(1j * mp.mpmathify(alpha) / (2 * mp.pi)) ** nu
                      for nu in range(k_terms + 1)] for alpha in alphas]
     mirrored_powers = [[mp.conj(power) for power in powers] for powers in ratio_powers]
-    table = [_q_coeffs(nu, mp.mp.prec) for nu in range(k_terms + 1)]
+    table = [q_poly(zeta2_datum(), nu) for nu in range(k_terms + 1)]
+    for nu, q in enumerate(table):  # the mirror image needs them real, checked exactly
+        if q.im:
+            raise ValueError(f"Q_{nu} of zeta(s)^2 has an imaginary part: {q.pretty()}")
     twists = {}  # (F(x, beta), F(x, -beta)), keyed by the exact x and beta
 
     def twist(x, beta):
-        if (key := (x._mpc_, beta)) not in twists:
+        if (key := (x._mpc_, beta.numerator, beta.denominator)) not in twists:
             twists[key] = _conjugate_pair(x, beta)
         return twists[key]
 
     def main_terms(s) -> list[tuple[mp.mpc, mp.mpc]]:
         s = mp.mpc(s)
         shifted = [s + nu for nu in range(k_terms + 1)]
-        if 1 in shifted:
+        if not s.imag and 1 in shifted:
             raise PoleError(f"conjugate twist pole hit at nu={shifted.index(1)} (s+nu=1)")
         q_values = _q_values(table, s)
         terms = {beta: [[q * value for q, value in zip(q_values, column)]
@@ -388,8 +390,12 @@ def growth_domain(alpha, t, sigmas) -> tuple:
     (2 Gamma(1 - s) (2 pi)^(s-1) q^-s)^2 (S + R), S(s) = sum_{u,v} e(-uvb/q) sin(pi s/2
     + 2 pi u/q) sin(pi s/2 + 2 pi v/q), |R| <= q^2 cosh^2(pi t/2) (zeta(1 - sigma)^2 - 1).
     A sigma where |S| is no larger is rejected (S = 0 at the trivial zeros and, for
-    q = 4, at t = 0 and odd sigma).  S is evaluated at 192 bits and counts as 0 below
-    2^-128 q^2 cosh^2(pi t/2), so exact zeros stay rejected and all callers agree.
+    q = 4, at t = 0 and odd sigma), zeta(x) - 1 (x = 1 - sigma) taken at its exact upper
+    bound 1/(x-1) for x < 2 (zeta(x) <= x/(x-1)), else 2^-m + 3^-m + 3^(1-m)/(m-1), m =
+    min(floor(x), 256) (the n >= 4 under the integral from 3; zeta falls with x, and past
+    m = 256 the bound is far below 2^-128), rounded up.  S is evaluated at 192 bits and
+    counts as 0 below 2^-128 q^2 cosh^2(pi t/2), so exact zeros stay rejected and all
+    callers agree.
     """
     alpha = Fraction(alpha)
     q, b = alpha.denominator, alpha.numerator
@@ -411,8 +417,12 @@ def growth_domain(alpha, t, sigmas) -> tuple:
             row = [mp.sinpi(mp.mpc(sigma, t) / 2 + mp.mpf(2 * u) / q) for u in range(q)]
             lead = mp.fsum(mp.expjpi(-2 * mp.mpf(u * v * b % q) / q) * row[u] * row[v]
                            for u in range(q) for v in range(q))
-            rest = mp.zeta(1 - sigma, 2)  # zeta(1 - sigma) - 1, free of cancellation
-            if abs(lead) <= q * q * mp.cosh(mp.pi * t / 2) ** 2 * max(rest * (rest + 2),
+            x = 1 - Fraction(*to_rational(sigma._mpf_))
+            m = min(int(x), 256)  # rest >= zeta(x) - 1, exactly (see above)
+            rest = 1 / (x - 1) if x < 2 else Fraction(3 ** m * (m - 1) + 2 ** m * (m + 2),
+                                                      6 ** m * (m - 1))
+            bound = from_rational(*(rest * (rest + 2)).as_integer_ratio(), 192, round_ceiling)
+            if abs(lead) <= q * q * mp.cosh(mp.pi * t / 2) ** 2 * max(mp.mpf(bound),
                                                                      mp.mpf(2) ** -128):
                 lost.append(int(sigma) if sigma == int(sigma) else float(sigma))
     if lost:

@@ -53,7 +53,8 @@ from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
 import mpmath as mp
-from mpmath.libmp import from_int, fzero, mpc_pow, mpf_pow, round_nearest, to_fixed
+from mpmath.libmp import (from_int, fzero, mpc_exp, mpc_mul_int, mpc_mul_mpf, mpc_pow, mpf_pow,
+                          round_nearest, to_fixed)
 
 from .euler import leading_coefficient
 from .special import (
@@ -61,8 +62,8 @@ from .special import (
     _stieltjes_0,
     characters_mod,
     gauss_sum,
+    hurwitz_batch,
     hurwitz_parameters,
-    hurwitz_zeta,
     roots_of_unity,
 )
 
@@ -307,36 +308,42 @@ def twist_direct(s, alpha, n_max: int = 100_000) -> TwistPartialSum:
     return TwistPartialSum(value, stream.tail_bound(n_max, mp.re(s)))
 
 
-def _pair_sums(xs, q: int, numerators) -> list[list]:
-    """sum_w e(-wb/q) C_w for each b in ``numerators``, C_w = sum_{uv = w mod q} X_u X_v
-    with X_u = xs[u-1] a power series truncated to the common length of ``xs`` (a
-    value is a series of length 1).  The pairs u <= v (doubled if u < v) group by w;
-    each coefficient of C_w is one exact dot product rounded once, as is each root sum."""
-    doubled = [[2 * c for c in x] for x in xs]
-    terms = [[[] for _ in xs[0]] for _ in range(q)]  # the factor pairs of each C_w coefficient
-    for u in range(1, q + 1):
+def _pair_sums(xs, q: int, numerators, linear: bool = False) -> list[mp.mpc]:
+    """sum_w e(-wb/q) C_w for each b in ``numerators``, C_w = sum_{uv = w mod q} x_u x_v
+    with x_u = xs[u-1], or with ``linear`` C_w = sum_{uv = w mod q} (x_u + x_v), the
+    x-coefficient of the products (1 + x_u x)(1 + x_v x).  The pairs u <= v (doubled if
+    u < v) group by w; each C_w is one exact dot product rounded once, as is each root sum."""
+    groups = [[] for _ in range(q)]
+    for u, x in enumerate(xs, 1):
         for v in range(u, q + 1):
-            x, y = (doubled if u < v else xs)[u - 1], xs[v - 1]
-            for k, pairs in enumerate(terms[u * v % q]):
-                pairs.extend(zip(x[:k + 1], y[k::-1]))
-    grouped = [[mp.fdot(pairs) for pairs in group] for group in terms]
-    roots = roots_of_unity(q, mp.mp.prec)
-    return [[mp.fdot([roots[-w * b % q] for w in range(q)], column) for column in zip(*grouped)]
-            for b in numerators]
+            d = 2 if u < v else 1
+            groups[u * v % q] += ((d, x), (d, xs[v - 1])) if linear else ((d * x, xs[v - 1]),)
+    roots, sums = roots_of_unity(q, mp.mp.prec), [mp.fdot(group) for group in groups]
+    return [mp.fdot([roots[-w * b % q] for w in range(q)], sums) for b in numerators]
+
+
+@lru_cache(maxsize=128)
+def _log_at(x, prec: int) -> tuple:
+    """log x for a rational x > 0 as mpmath reads it at ``prec`` bits, as an mpf
+    value tuple at ``prec`` bits: once per (x, precision)."""
+    with mp.workprec(prec):
+        return mp.log(mp.mpmathify(x))._mpf_
 
 
 def _divisor_twist_kernel(s, q: int, numerators) -> list[mp.mpc]:
     """F(s, b/q) = q^(-2s) sum_{u,v=1}^{q} e(-u v b/q) zeta(s, u/q) zeta(s, v/q)
     for each b in ``numerators``, from one ``_pair_sums`` of the values;
-    raises PoleError at s = 1."""
-    s = mp.mpc(s)
+    raises PoleError at s = 1.  q^(-2s) is exp(-2s log q), its product taken
+    at 10 more bits, as mpmath's power takes it, from log q at those bits."""
+    s, prec = mp.mpc(s), mp.mp.prec
     if s == 1:
         raise PoleError("the twisted series has its double pole at s=1")
-    hurwitz = [hurwitz_zeta(s, a) for a in hurwitz_parameters(q, mp.mp.prec)]
+    hurwitz = hurwitz_batch(s, hurwitz_parameters(q, prec))
     if q == 1:  # zeta(s)^2: 1^(-2s) is exactly 1, and the one pair rounds once either way
         return [hurwitz[0] * hurwitz[0]] * len(numerators)
-    prefactor = mp.power(q, -2 * s)
-    return [prefactor * sums[0] for sums in _pair_sums([[h] for h in hurwitz], q, numerators)]
+    exponent = mpc_mul_mpf(mpc_mul_int(s._mpc_, -2, prec), _log_at(q, prec + 10), prec + 10)
+    prefactor = mp.make_mpc(mpc_exp(exponent, prec, round_nearest))
+    return [prefactor * value for value in _pair_sums(hurwitz, q, numerators)]
 
 
 def _reflected_twist_kernel(s, q: int, numerators) -> tuple[list[mp.mpc], mp.mpf]:
@@ -354,17 +361,17 @@ def _reflected_twist_kernel(s, q: int, numerators) -> tuple[list[mp.mpc], mp.mpf
     and q <= 2 (sinpi of an exact integer, roots +-1): there F is exactly 0,
     returned with radius 0."""
     s, prec = mp.mpc(s), mp.mp.prec
-    hurwitz = [hurwitz_zeta(1 - s, a) for a in hurwitz_parameters(q, prec)]
+    hurwitz = hurwitz_batch(1 - s, hurwitz_parameters(q, prec))
     with mp.workprec(prec + 10):  # sin(pi s/2 + 2 pi k/q) for k = 0..q-1
         sin, cos = mp.sinpi(s / 2), mp.cospi(s / 2)
         rows = [sin * root.real + cos * root.imag for root in roots_of_unity(q, prec + 10)]
     if not any(rows):
         return [mp.mpc(0)] * len(numerators), mp.mpf(0)
-    zs = [[mp.fdot([rows[i * u % q] for i in range(1, q + 1)], hurwitz)] for u in range(1, q + 1)]
+    zs = [mp.fdot([rows[i * u % q] for i in range(1, q + 1)], hurwitz) for u in range(1, q + 1)]
     with mp.workprec(prec + 10 + max(0, mp.mag(s))):
         prefactor = (2 * mp.gamma(1 - s) * mp.power(2 * mp.pi, s - 1) / q) ** 2
     size = q * mp.cosh(mp.pi * s.imag / 2) * mp.fsum(map(abs, hurwitz))  # q m H
-    return ([prefactor * sums[0] for sums in _pair_sums(zs, q, numerators)],
+    return ([prefactor * value for value in _pair_sums(zs, q, numerators)],
             (16 + 8 * abs(1 - s)) * mp.ldexp(abs(prefactor) * size ** 2, -prec))
 
 
@@ -419,25 +426,26 @@ def _laurent_at_1(q: int, numerators) -> list[dict]:
 
       x^2 F(1+x, b/q) = q^-2 e^(-2x log q) sum_w e(-wb/q) sum_{uv = w mod q} X_u X_v,
 
-    so c_-1 = q^-2 (S_1 - 2 log q S_0), S_0 and S_1 being ``_pair_sums`` of the
-    X_u cut to (1, p_0).  p_0 = -psi(u/q) is the generalized Stieltjes constant
-    gamma_0(u/q), read by `special._stieltjes_0` from the Hurwitz series at
-    center 1 at the parameters u/q of ``zeta2_twist_batch``, so that both read
-    one series.
+    so c_-1 = q^-2 (S_1 - 2 log q S_0), S_0 the ``_pair_sums`` of ones and S_1 the
+    linear ones of the x-coefficients p_0 of the X_u.  p_0 = -psi(u/q) is the
+    generalized Stieltjes constant gamma_0(u/q), summed by `special._stieltjes_0`
+    as its own Euler-Maclaurin constant term at the parameters u/q of
+    ``zeta2_twist_batch``: no Hurwitz series is built for it.
 
     Error, against the twist the batch evaluates (u/q rounded to prec bits):
-    the series keeps E within eps = 2^-(prec+20) on |x| <= 0.26, and each
-    fixed-point coefficient adds at most eps, so by Cauchy's estimate p_0 lies
-    within 2 eps.  Each p_0 enters 2q of the q^2 products, so the sums carry
-    this to 4 eps in c_-1; working at prec + 40 bits adds less than eps for
-    q <= 1000.  So c_-1 lies within 2^-prec |c_-1| + 5 2^-(prec+20), the first
-    term being the one final rounding to prec bits.
+    p_0 lies within eps = 2^-(prec+20) before its rounding at prec + 40 bits,
+    which adds under 2^-(prec+30) (|p_0| < 2^10 for u/q >= 1/1000), so within
+    1.001 eps.  Each p_0 enters 2q of the q^2 products, so the sums carry this
+    to 2.002 eps in c_-1; working at prec + 40 bits adds less than eps for q <= 1000.
+    So c_-1 lies within 2^-prec |c_-1| + 4 2^-(prec+20), the first term being
+    the one final rounding to prec bits.
     """
     prec = mp.mp.prec
     with mp.workprec(prec + _LAURENT_GUARD):
-        xs = [(1, _stieltjes_0(a, prec)) for a in hurwitz_parameters(q, prec)]
-        decay = (1, -2 * mp.log(q))  # e^(-2x log q)
-        residues = [mp.fdot(decay, sums[::-1]) / q ** 2 for sums in _pair_sums(xs, q, numerators)]
+        p_0 = [_stieltjes_0(a, prec) for a in hurwitz_parameters(q, prec)]
+        decay = (1, -2 * mp.make_mpf(_log_at(q, prec + _LAURENT_GUARD)))  # e^(-2x log q)
+        residues = [mp.fdot(decay, sums) / q ** 2 for sums in zip(
+            _pair_sums(p_0, q, numerators, linear=True), _pair_sums([1] * q, q, numerators))]
     return [{-3: 0, -2: leading_coefficient(b, q), -1: +c} for b, c in zip(numerators, residues)]
 
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from twistlab import special, transform, twist
+from twistlab import expansion, special, transform, twist
 from twistlab.cli import RunConfig, main
+from twistlab.exactpoly import Polynomial
 from twistlab.twist import PrecisionExhaustedError
 
 
@@ -119,9 +120,10 @@ class TestEuler:
     def test_reads_no_hurwitz_series(self, capsys, monkeypatch):
         # F_p(1) reads c_-2 alone, an integer count of roots of unity
         def built(*args):
-            raise AssertionError("a Hurwitz series was built")
+            raise AssertionError("a Hurwitz series or gamma_0 was built")
 
         monkeypatch.setattr(special, "_hurwitz_series", built)
+        monkeypatch.setattr(twist, "_stieltjes_0", built)
         code, out = run_cli(capsys, "euler", "--primes", "2,3,5,7,11,13")
         assert code == 0 and "FAIL" not in out
 
@@ -345,6 +347,25 @@ class TestCustomInstance:
             assert (f"degree {2 * nu} (expected {2 * nu}): PASS; "
                     f"divisible by (s+{nu - 1})^2: FAIL") in line
         assert out.count("FAIL") == 8  # the four Q_nu, each record and its check
+
+    def test_polys_checks_the_imaginary_rows_too(self, capsys, monkeypatch):
+        # Q_nu + i: the real rows keep zeta(s)^2's double zero at s = 1 - nu and the
+        # imaginary row, a constant, has none, so each check fails on that half alone
+        q_poly = expansion.q_poly
+
+        def plus_i(datum, nu):
+            q = q_poly(datum, nu)
+            return Polynomial.from_rows(q.re, (q.den,), q.den) if nu else q
+
+        monkeypatch.setattr(expansion, "q_poly", plus_i)
+        code, out = run_cli(capsys, "--K", "4", "polys")
+        assert code == 1
+        for nu in range(1, 5):
+            line = next(line for line in out.splitlines() if f" Q_{nu} " in line)
+            assert line.startswith("[FAIL]"), line
+            assert (f"degree {2 * nu} (expected {2 * nu}): PASS; "
+                    f"divisible by (s+{nu - 1})^2: FAIL") in line
+        assert out.count("FAIL") == 8
 
 
 class TestBadInstance:
@@ -658,7 +679,7 @@ class TestBenchmarkRecords:
     @pytest.mark.parametrize("worker", [True, False])
     @pytest.mark.parametrize("argv, builds", [
         (["euler", "--primes", "2,3,5"], 0),
-        (["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3"], 40),
+        (["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3"], 30),
     ])
     def test_series_builds_per_command(self, capsys, monkeypatch, tmp_path, argv, builds,
                                        worker):

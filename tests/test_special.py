@@ -147,20 +147,21 @@ class TestHurwitzSeriesAtOne:
     def test_taylor_coefficients_are_stieltjes_constants(self):
         # zeta(s, a) = 1/(s-1) + sum_n (-1)^n gamma_n(a)/n! (s-1)^n; mpmath
         # computes gamma_n(a) by quadrature, an independent route.  The series
-        # holds the entire part E, and the pole term (N+a)^-x / x is
-        # 1/x - L_N + L_N^2 x/2 + ..., so gamma_0 = E_0 - L_N and
-        # -gamma_1 = E_1 + L_N^2/2.
+        # at center 1 holds G(x) = x E(x) + (N+a)^-x = x zeta(1+x, a), E the
+        # entire part, so G = 1 + gamma_0 x - gamma_1 x^2 + ...: G_1 = E_0 - L_N
+        # and G_2 = E_1 + L_N^2/2.
         bits = 128
         with mp.workprec(bits):
             for a in self.A_VALUES:
                 a_bin = mp.mpmathify(a)
-                wp, log_n, coeffs, _ = special._hurwitz_series(1, a_bin._mpf_, bits)
+                wp, coeffs, _, _ = special._hurwitz_series(1, a_bin._mpf_, bits)
                 with mp.workprec(bits + 64):
-                    e0, e1 = (mp.ldexp(coeffs[-1 - i], -wp) for i in (0, 1))
+                    g0, g1, g2 = (mp.ldexp(coeffs[-1 - i], -wp) for i in (0, 1, 2))
                     gamma0 = mp.stieltjes(0, a_bin)
                     gamma1 = mp.stieltjes(1, a_bin)
-                    assert abs(e0 - log_n - gamma0) <= abs(gamma0) * mp.mpf(2) ** -bits, a
-                    assert abs(e1 + log_n**2 / 2 + gamma1) <= abs(gamma1) * mp.mpf(2) ** -bits, a
+                    assert g0 == 1, a
+                    assert abs(g1 - gamma0) <= abs(gamma0) * mp.mpf(2) ** -bits, a
+                    assert abs(g2 + gamma1) <= abs(gamma1) * mp.mpf(2) ** -bits, a
 
     def test_point_just_outside_the_disc_is_mpmath_bit_for_bit(self):
         with mp.workprec(128):
@@ -206,7 +207,7 @@ class TestHurwitzSeries:
                 a_bin = mp.mpmathify(a)
                 for s in self.points(center):
                     value = hurwitz_zeta(s, a)
-                    raw = special._series_value(s, center, a_bin._mpf_, bits)
+                    raw = mp.make_mpc(special._series_value(s._mpc_, center, a_bin._mpf_, bits))
                     with mp.workprec(bits + 64):
                         target = mp.zeta(s, a_bin)
                         error = abs(value - target) / abs(target)
@@ -243,7 +244,7 @@ class TestHurwitzSeries:
                     a_mpf = mp.mpmathify(a)
                     target = -bernoulli_polynomial(1 - c)(exact(a_mpf)) / (1 - c)
                     stated = Fraction(2) ** -(bits + guard) * max(1, abs(target))
-                    raw = special._series_value(mp.mpc(c), c, a_mpf._mpf_, bits)
+                    raw = mp.make_mpc(special._series_value(mp.mpc(c)._mpc_, c, a_mpf._mpf_, bits))
                     assert abs(exact(raw.real) - target) + abs(exact(raw.imag)) <= stated, (c, a)
                     value = hurwitz_zeta(c, a)
                     got, im = exact(value.real), exact(value.imag)
@@ -264,6 +265,39 @@ class TestHurwitzSeries:
             s = mp.mpc(-2, "0.1")
             uncached = mp.mpc(mp.zeta(s, mp.mpf(3) / 2))
             assert hurwitz_zeta(s, Fraction(3, 2))._mpc_ == uncached._mpc_
+
+
+class TestStieltjesConstant:
+    """gamma_0(a) = -psi(a) by its own Euler-Maclaurin constant term, within
+    2^-(prec+20) before its one rounding at the ambient precision."""
+
+    A_VALUES = sorted({Fraction(u, q) for q in range(1, 25) for u in range(1, q + 1)})
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_within_its_bound_of_digamma(self, bits):
+        # the same binary a on both sides, read at prec + 40 bits as _laurent_at_1
+        # reads it; the reference carries 64 more bits
+        with mp.workprec(bits):
+            params = [mp.mpmathify(a) for a in self.A_VALUES]
+        for a in params:
+            with mp.workprec(bits + 40):
+                got = special._stieltjes_0(a, bits)
+            with mp.workprec(bits + 64):
+                error = abs(got + mp.psi(0, a))
+                assert error <= mp.ldexp(1, -bits - 20) + mp.ldexp(abs(got), -bits - 40), a
+
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_within_its_bound_of_stieltjes_quadrature(self, bits):
+        # mpmath's gamma_0 by quadrature, an independent route (and a slow one:
+        # a few a), at the ambient precision itself
+        with mp.workprec(bits):
+            for a in (Fraction(1), Fraction(1, 2), Fraction(1, 24), Fraction(23, 24),
+                      Fraction(7, 13)):
+                a_bin = mp.mpmathify(a)
+                got = special._stieltjes_0(a_bin, bits)
+                with mp.workprec(bits + 64):
+                    error = abs(got - mp.stieltjes(0, a_bin))
+                    assert error <= mp.ldexp(1, -bits - 20) + mp.ldexp(abs(got), -bits), a
 
 
 class TestSchwarzReflection:
@@ -308,7 +342,7 @@ class TestSeriesPoleTerm:
                      for j, w in enumerate(roots_of_unity(32, bits)[:17])]
             cases += [(1, 1 + w / 8, a) for w in roots_of_unity(8, bits)[:5] for a in params]
             for c, s, a in cases:
-                raw = special._series_value(s, c, a._mpf_, bits)
+                raw = mp.make_mpc(special._series_value(s._mpc_, c, a._mpf_, bits))
                 with mp.workprec(bits + 64):
                     target = mp.zeta(s, a)
                     assert abs(raw - target) <= mp.ldexp(max(1, abs(target)), -bits - guard), \
