@@ -25,9 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -36,7 +34,6 @@ from pathlib import Path
 
 from . import expansion
 from .euler import degree_bound, euler_factor_at_1, is_prime, solve_local_factor
-from .exactpoly import Polynomial
 from .funceq import FunctionalEquationDatum, load_datum
 from .reports import Report, nstr, write_rows_csv
 
@@ -293,7 +290,7 @@ def cmd_polys(cfg: RunConfig) -> int:
         if family == "Q" and index >= 1 and m > 0:
             # the remainder of Q mod (s + index - 1)^m is the part of
             # Q(x + 1 - index) below x^m: divisible iff those rows are zero
-            shifted = expansion.q_poly(datum, index).compose(Polynomial((1 - index, 1)))
+            shifted = expansion.q_taylor(datum, index, 1 - index)
             divisible = not any(shifted.re[:m]) and not any(shifted.im[:m])
             checks.append(
                 f"divisible by (s{index - 1:+d})^{m}: {'PASS' if divisible else 'FAIL'}"
@@ -320,127 +317,58 @@ def cmd_polys(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     import mpmath as mp
 
-    from . import special, transform, twist
+    from . import transform, twist
     tol = mp.mpf(cfg.tol)
     report = Report(
         f"verification chain (instance={cfg.instance}, precision={cfg.precision}, "
         f"qmax={cfg.q_max}, K={cfg.k_terms})"
     )
 
-    # the worker's main terms and the square laws below read zeta(s, 1) about
-    # s = 1: the first square-law node builds that series once, before the fork
-    special.hurwitz_zeta(mp.mpmathify(1 + transform.LAURENT_RADIUS), 1)
-    # the polar reports, verify's longest section, run in a worker that
-    # inherits that series; their records keep their place
-    with _beside(lambda: transform.transformation_polar_reports(
-            cfg.alpha_fractions, cfg.k_terms, tol)) as polar_reports:
-        table = transform.twist_laurent_table(cfg.q_max)
-        report.extend(transform.verify_alpha_law(table, tol=tol))
-        report.extend(transform.verify_beta_law(table, tol=tol))
+    table = transform.twist_laurent_table(cfg.q_max)
+    report.extend(transform.verify_alpha_law(table, tol=tol))
+    report.extend(transform.verify_beta_law(table, tol=tol))
 
-        odd = [p for p in cfg.primes if p % 2 == 1]
-        for p in odd:
-            report.extend(transform.verify_chi_holomorphy(p))
+    odd = [p for p in cfg.primes if p % 2 == 1]
+    for p in odd:
+        report.extend(transform.verify_chi_holomorphy(p))
 
-        later = Report(report.title)  # the records after the polar reports
-        later.extend(transform.identity_reduction_check())
-        bad = twist.half_twist_coefficient_identity(10_000)
-        later.add(
-            "half-twist coefficients (p=2)",
-            "conversion identity holds coefficientwise as exact integers",
-            f"{len(bad)} mismatches",
-            "0 mismatches",
-            not bad,
+    for polar in transform.transformation_polar_reports(cfg.alpha_fractions, cfg.k_terms, tol):
+        report.extend(polar)
+    report.extend(transform.identity_reduction_check())
+    bad = twist.half_twist_coefficient_identity(10_000)
+    report.add(
+        "half-twist coefficients (p=2)",
+        "conversion identity holds coefficientwise as exact integers",
+        f"{len(bad)} mismatches",
+        "0 mismatches",
+        not bad,
+    )
+    checks = twist.additive_from_mult_identity_check(mp.mpc(3), 1, odd, n_max=20_000)
+    for p, check in zip(odd, checks):  # one pass over the coefficients serves every prime
+        report.add_bound(
+            f"conversion identity (p={p}, s=3)",
+            "additive twist reassembles from the multiplicative ones",
+            check.difference,
+            tol,
         )
-        checks = twist.additive_from_mult_identity_check(mp.mpc(3), 1, odd, n_max=20_000)
-        for p, check in zip(odd, checks):  # one pass over the coefficients serves every prime
-            later.add_bound(
-                f"conversion identity (p={p}, s=3)",
-                "additive twist reassembles from the multiplicative ones",
-                check.difference,
-                tol,
-            )
 
-        t, h_override = mp.mpf(cfg.t), cfg.growth_h_fraction
-        for q in sorted({1, cfg.q_max}):
-            h = Fraction(q * q) if h_override is None else h_override
-            cert = transform.growth_certificate(
-                Fraction(1, q), h, t=t, sigmas=cfg.sigma_grid
-            )
-            later.add(
-                f"growth certificate (q={q}, h={h})",
-                f"left-half-plane envelope with slope {mp.nstr(cert.slope, 5)}, "
-                f"C*={mp.nstr(cert.c_star, 5)}",
-                f"slope {mp.nstr(cert.slope, 5)}",
-                f"slope within {mp.nstr(transform.SLOPE_TOL, 3)} of 0",
-                cert.passed,
-            )
-
-        for polar in polar_reports():
-            report.extend(polar)
-    report.extend(later)
+    t, h_override = mp.mpf(cfg.t), cfg.growth_h_fraction
+    for q in sorted({1, cfg.q_max}):
+        h = Fraction(q * q) if h_override is None else h_override
+        cert = transform.growth_certificate(
+            Fraction(1, q), h, t=t, sigmas=cfg.sigma_grid
+        )
+        report.add(
+            f"growth certificate (q={q}, h={h})",
+            f"left-half-plane envelope with slope {mp.nstr(cert.slope, 5)}, "
+            f"C*={mp.nstr(cert.c_star, 5)}",
+            f"slope {mp.nstr(cert.slope, 5)}",
+            f"slope within {mp.nstr(transform.SLOPE_TOL, 3)} of 0",
+            cert.passed,
+        )
 
     _emit(cfg, report, "verify")
     return 0 if report.passed else 1
-
-
-@contextmanager
-def _beside(call):
-    """Start ``call()`` in a forked worker while the block runs on, and yield a
-    function that waits for the worker and returns call()'s result, or raises
-    the exception call() raised.  The worker sends its outcome back pickled
-    and leaves by os._exit; if the block raises first, the worker is killed.
-    Either way it is reaped before the block ends.  Where os.fork is missing,
-    only one CPU is usable or another thread runs (a fork copies only the
-    calling thread, and the locks others hold), the yielded function is call
-    itself."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or cpus < 2 or threading and threading.active_count() > 1:
-        yield call
-        return
-    import pickle
-    import signal
-
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the worker
-        status = 1
-        try:
-            os.close(read_end)
-            try:
-                payload = pickle.dumps((True, call()))
-            except Exception as exc:
-                payload = pickle.dumps((False, exc))
-            with open(write_end, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    running = True
-
-    def outcome():
-        nonlocal running
-        with open(read_end, "rb", closefd=False) as pipe:
-            payload = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        running = False
-        if status != 0:
-            raise RuntimeError(f"the worker process exited with status {status}")
-        done, value = pickle.loads(payload)
-        if not done:
-            raise value
-        return value
-
-    try:
-        yield outcome
-    finally:
-        os.close(read_end)
-        if running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def cmd_euler(cfg: RunConfig) -> int:

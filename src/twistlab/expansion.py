@@ -164,6 +164,13 @@ def q_poly(datum: FunctionalEquationDatum, nu: int) -> Polynomial:
     return total
 
 
+def q_taylor(datum: FunctionalEquationDatum, nu: int, center: int) -> Polynomial:
+    """Q_nu(center + x), one exact shift: its rows are Q_nu's Taylor coefficients at
+    s = center, and at center = 1 - nu those below x^m are the remainder of Q_nu mod
+    (s + nu - 1)^m, which ``polys`` checks zero."""
+    return q_poly(datum, nu).compose(Polynomial((center, 1)))
+
+
 # ---------------------------------------------------------------------------
 # Table export
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Precision comes from the context: every value is computed at the ambient
 mpmath precision ``mp.mp.prec`` (wrap a call in ``mp.workprec`` for more
 bits), and every cache keys on it.  Hurwitz zeta(s, a) has two routes.  When
-0 < a <= 1 and s lies within 0.26 of an integer c in -3..17 (the discs of the
-verification chain: s = 1, the polar consistency contours at 1 - nu and their
-main-term shifts), one Taylor series per (c, a, precision) of (s-1) zeta(s, a),
+0 < a <= 1 and s lies within 0.26 of an integer c in -3..17 (the discs about
+s = 1, where the square laws sample, about twist-grid's integer points at
+t = 0, and about the main term's shifts of points near 1 - nu, which the tests'
+contours sample), one Taylor series per (c, a, precision) of (s-1) zeta(s, a),
 the entire part of an Euler-Maclaurin sum times s - 1 plus the pole term's
 numerator (N+a)^(1-s), built once in fixed point with its sizes from log-space
 error bounds, is evaluated by one Horner pass and divided once by s - 1, within
@@ -24,7 +25,7 @@ primes.
 
 Hurwitz zeta values are memoised in a bounded LRU cache keyed by the exact
 arguments and the working precision, in front of both routes, so a run
-evaluates each value once no matter how many twists, contour nodes or shadow
+evaluates each value once no matter how many twists, circle nodes or shadow
 checks ask for it; the series coefficients sit in a second bounded cache.
 Cached values are immutable mpmath numbers and the caches are thread-safe, so
 concurrent callers are fine; everything else is stateless given the
@@ -69,16 +70,17 @@ def hurwitz_parameters(q: int, prec: int) -> tuple:
 
 
 #: Distinct Hurwitz values kept, about 0.5 kB each: `verify` at its defaults
-#: keeps 563 and `euler` none, and the 16 square-law nodes of its largest
+#: keeps 96 and `euler` none, and the 16 square-law nodes of its largest
 #: character check (mod 13) take 208.
 _HURWITZ_CACHE_SIZE = 1 << 13
 
 
 #: |s - c| served by the Taylor series at the integer c: the radius-1/4
-#: contour nodes there can sit one ulp outside 1/4.
+#: square-law and test-contour nodes there can sit one ulp outside 1/4.
 _SERIES_RADIUS = 0.26
-#: Centers with a series: polar consistency puts contours at 1 - nu for
-#: nu <= 4, and the main term shifts them by up to K = 16.
+#: Centers with a series: the main term's shifts s + nu of points near
+#: 1 - nu, nu <= 4, reach 17 at K = 16 (the tests' contours sample them), and
+#: twist-grid's reflected kernel reads integer centers at t = 0.
 _SERIES_CENTERS = range(-3, 18)
 #: Bits below 2^-prec that the series' truncation error stays under.
 _SERIES_GUARD = 20
@@ -120,8 +122,8 @@ def _series_size(c: int, a: float, prec: int) -> tuple[int, int, int]:
 
 
 #: Series kept, one per (center, a, precision), 2-3.5 kB each at 128 bits:
-#: every numerator of every q <= 24 at s = 1 plus a few alphas' polar
-#: centers fit; `verify` at its defaults builds 30 and `euler` none.
+#: every numerator of every q <= 24 at s = 1 plus a few alphas' other
+#: centers fit; `verify` at its defaults builds 7 and `euler` none.
 @lru_cache(maxsize=512)
 def _hurwitz_series(c: int, a_mpf: tuple, prec: int) -> tuple:
     """(wp, coeffs, e_0, p_0): zeta(c+x, a) = G(x)/(s-1) within 2^-(prec+guard) max(1, |zeta|)

@@ -9,15 +9,13 @@ The Laurent data of the divisor twists F(s, b/q) at s = 1 are closed form
 (``euler.leading_coefficient``), and c_-1 the twists' one pair sum over the
 Hurwitz series at s = 1 (the Stieltjes constants gamma_0(u/q)), rounded once
 per group and per root sum.  They serve both Laurent laws, the character twists
-(whose c_k are the character combination of those of F(s, b/p)) and the
-principal parts of the polar check; no circle about s = 1 is sampled.  The
-residue contours at s = 1 - nu average a vector-valued function over one circle
-by the trapezoid rule, which converges geometrically for functions analytic in
-an annulus, so node-halving disagreement flags insufficient analyticity.  The
-nodes come in conjugate pairs about the real centers, and d(n) is real, so one
-main-term pass per pair (every Q_nu(s) from one table of powers of s, each
-conjugate twist pair once per distinct beta and argument) serves both nodes of
-every alpha there.
+(whose c_k are the character combination of those of F(s, b/p)) and the polar
+parts of F(s, alpha) minus its main term, at s = 1 and at s = 1 - nu, where
+only the term whose shifted twist meets its pole is singular and Q_nu's exact
+Taylor rows there multiply the data at s = 1; no command samples a circle.
+The contour core (a vector-valued trapezoid average over one circle, whose
+node-halving disagreement flags insufficient analyticity) is the independent
+route the tests hold those closed forms against.
 The growth certificate reads Hurwitz's formula, with a stated error radius."""
 
 from __future__ import annotations
@@ -33,12 +31,12 @@ from mpmath.libmp import (from_rational, mpf_shift, round_ceiling, round_nearest
                           to_rational)
 
 from . import euler
-from .expansion import q_poly
+from .expansion import q_poly, q_taylor
 from .funceq import zeta2_datum
 from .reports import Report
-from .special import PoleError, characters_mod, dirichlet_l, roots_of_unity
-from .twist import (_conjugate_pair, _laurent_at_1, _log_at, _stable_reflected_twists,
-                    character_twists, reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle)
+from .special import characters_mod, dirichlet_l, roots_of_unity
+from .twist import (_laurent_at_1, _log_at, _stable_reflected_twists, character_twists,
+                    reduce_mod_one, zeta2_twist_batch, zeta2_twist_oracle)
 
 
 LAURENT_RADIUS = Fraction(1, 4)  # contour radius; laurent_extract also reads radius/2
@@ -68,18 +66,11 @@ class LaurentExpansion:
         return self.errors[k]
 
 
-def _circle_samples(f, center, radius, nodes, mirrored=False):
-    """f at the nodes center + radius w^j, j < nodes, w = e(1/nodes).  With
-    ``mirrored`` (a real center, even nodes), f(s) returns the pair (f(s),
-    f(conj s)) and is called at j <= nodes/2 only: node nodes - j is taken as
-    the conjugate of node j, which it is bit for bit at 16 and 32 nodes."""
+def _circle_samples(f, center, radius, nodes):
+    """f at the nodes center + radius w^j, j < nodes, w = e(1/nodes)."""
     center = mp.mpc(center)
     radius = mp.mpmathify(radius)
-    points = [center + radius * root for root in roots_of_unity(nodes, mp.mp.prec)]
-    if not mirrored:
-        return [f(s) for s in points]
-    pairs = [f(s) for s in points[:nodes // 2 + 1]]
-    return [own for own, _ in pairs] + [twin for _, twin in pairs[nodes // 2 - 1:0:-1]]
+    return [f(center + radius * root) for root in roots_of_unity(nodes, mp.mp.prec)]
 
 
 def _coeffs_from_samples(values, radius, ks) -> dict[int, mp.mpc]:
@@ -93,21 +84,19 @@ def _coeffs_from_samples(values, radius, ks) -> dict[int, mp.mpc]:
     }
 
 
-def _laurent_many(f, center, max_pole_order, radius, nodes, k_max,
-                  mirrored=False) -> list[dict[int, mp.mpc]]:
+def _laurent_many(f, center, max_pole_order, radius, nodes, k_max) -> list[dict[int, mp.mpc]]:
     """Extract {k: c_k} for k = -m..K of every component of the vector-valued
     ``f`` from one circle of ``radius``.
 
     ``f(s)`` returns a list of values; it is called once per node, in node
-    order, or with ``mirrored`` once per conjugate node pair (see
-    ``_circle_samples``).  Raises LaurentConvergenceError when halving the
-    node count moves any coefficient of any component materially.
+    order.  Raises LaurentConvergenceError when halving the node count moves
+    any coefficient of any component materially.
     """
     if nodes < 2 or nodes % 2:
         raise ValueError(f"need an even count of at least 2 contour nodes, got {nodes}")
     ks = range(-max_pole_order, k_max + 1)
     expansions = []
-    for values in zip(*_circle_samples(f, center, radius, nodes, mirrored)):
+    for values in zip(*_circle_samples(f, center, radius, nodes)):
         coeffs = _coeffs_from_samples(values, radius, ks)
         halved = _coeffs_from_samples(values[::2], radius, ks)
         scale = max([mp.mpf(1)] + [abs(c) for c in coeffs.values()])
@@ -169,56 +158,21 @@ def _q_values(table, s) -> list[mp.mpc]:
             for q in table]
 
 
-def _main_terms(alphas, k_terms: int):
-    """The main terms of every alpha in ``alphas`` as one vector-valued
-    function of s, with their mirror images: per alpha, main_terms(s) gives
-    the pair (M(s), conj M(conj s)).  Q_nu has real coefficients, alpha > 0
-    and d(n) is real, so F(conj x, beta) = conj F(x, -beta) and
-
-      conj M(conj s) = alpha^(2s - 1) sum_nu conj((i alpha / 2 pi)^nu) Q_nu(s) F(s + nu, -beta).
-
-    Per node, every Q_nu(s) comes from one ``_q_values`` call, and the pair
-    T_nu(s) = Q_nu(s) (F(s + nu, beta), F(s + nu, -beta)) is built once per
-    distinct beta = -1/alpha mod 1 from one ``_conjugate_pair``; each alpha
-    reads its prefactor times the dot products of T with its powers of
-    (i alpha / 2 pi) and their conjugates.  Each distinct pair at (x, beta) is
-    evaluated once: the shifts of one circle's nodes are other circles' nodes."""
+def _checked(alpha, k_terms: int) -> Fraction:
+    """alpha as a Fraction for a main term of order K; raises ValueError unless
+    alpha > 0 and K >= 0."""
     if k_terms < 0:
         raise ValueError("K must be nonnegative")
-    alphas = [Fraction(alpha) for alpha in alphas]
-    if any(alpha <= 0 for alpha in alphas):
+    alpha = Fraction(alpha)
+    if alpha <= 0:
         raise ValueError("the transformation formula needs alpha > 0")
-    betas = [reduce_mod_one(Fraction(-1) / alpha) for alpha in alphas]
-    ratio_powers = [[(1j * mp.mpmathify(alpha) / (2 * mp.pi)) ** nu
-                     for nu in range(k_terms + 1)] for alpha in alphas]
-    mirrored_powers = [[mp.conj(power) for power in powers] for powers in ratio_powers]
-    table = [q_poly(zeta2_datum(), nu) for nu in range(k_terms + 1)]
-    for nu, q in enumerate(table):  # the mirror image needs them real, checked exactly
-        if q.im:
-            raise ValueError(f"Q_{nu} of zeta(s)^2 has an imaginary part: {q.pretty()}")
-    twists = {}  # (F(x, beta), F(x, -beta)), keyed by the exact x and beta
+    return alpha
 
-    def twist(x, beta):
-        if (key := (x._mpc_, beta.numerator, beta.denominator)) not in twists:
-            twists[key] = _conjugate_pair(x, beta)
-        return twists[key]
 
-    def main_terms(s) -> list[tuple[mp.mpc, mp.mpc]]:
-        s = mp.mpc(s)
-        shifted = [s + nu for nu in range(k_terms + 1)]
-        if not s.imag and 1 in shifted:
-            raise PoleError(f"conjugate twist pole hit at nu={shifted.index(1)} (s+nu=1)")
-        q_values = _q_values(table, s)
-        terms = {beta: [[q * value for q, value in zip(q_values, column)]
-                        for column in zip(*(twist(x, beta) for x in shifted))]
-                 for beta in dict.fromkeys(betas)}
-        pairs = []
-        for alpha, beta, powers, mirrored in zip(alphas, betas, ratio_powers, mirrored_powers):
-            prefactor, (own, twin) = transformation_prefactor(s, alpha), terms[beta]
-            pairs.append((prefactor * mp.fdot(powers, own), prefactor * mp.fdot(mirrored, twin)))
-        return pairs
-
-    return main_terms
+def _shifted(s, k_terms: int) -> list:
+    """The arguments s + nu, nu = 0..K, at which the main term reads F(., beta): the
+    one place the shift is written, read by the main term and by its polar parts."""
+    return [s + nu for nu in range(k_terms + 1)]
 
 
 def transformation_main_term(s, alpha, k_terms: int) -> mp.mpc:
@@ -230,11 +184,18 @@ def transformation_main_term(s, alpha, k_terms: int) -> mp.mpc:
     * sum_nu (i q_F alpha / 2 pi)^nu Q_nu(s) Fbar(s + nu + i theta, -1/(q_F alpha)).
     The package has one coefficient sequence, d(n), whose conjugate twists
     Fbar = F come from the divisor-twist kernel; so the datum is zeta(s)^2's,
-    q_F = 1, theta = 0 and -i omega* = 1, which gives the form above.
-    Raises PoleError when a required twist value sits at its pole.  The
-    scalar view of ``_main_terms``.
+    q_F = 1, theta = 0 and -i omega* = 1, which gives the form above.  Every
+    Q_nu(s) comes from one ``_q_values`` call.  Raises PoleError when a
+    required twist value sits at its pole.
     """
-    return _main_terms([alpha], k_terms)(s)[0][0]
+    alpha = _checked(alpha, k_terms)
+    s, beta = mp.mpc(s), reduce_mod_one(-1 / alpha)
+    ratio = 1j * mp.mpmathify(alpha) / (2 * mp.pi)
+    table = [q_poly(zeta2_datum(), nu) for nu in range(k_terms + 1)]
+    terms = [q * zeta2_twist_oracle(x, beta)
+             for q, x in zip(_q_values(table, s), _shifted(s, k_terms))]
+    return transformation_prefactor(s, alpha) * mp.fdot(
+        [ratio ** nu for nu in range(k_terms + 1)], terms)
 
 
 # ---------------------------------------------------------------------------
@@ -481,60 +442,66 @@ def growth_certificate(
 # Polar consistency of the transformation formula
 # ---------------------------------------------------------------------------
 
-def _differences(alphas, k_terms: int):
-    """D(s) = F(s, alpha) - main_term(s) of every alpha in ``alphas`` with its
-    mirror image: differences(s) gives the lists of D(s) and of D(conj s) =
-    conj(F(s, -alpha) - conj M(conj s)), d(n) being real, from one
-    ``_main_terms`` pass and one ``_conjugate_pair`` per alpha."""
-    main_terms = _main_terms(alphas, k_terms)
+def _polar_parts(alpha: Fraction, k_terms: int) -> dict:
+    """{s0: [c_-2, c_-1]} of D(s) = F(s, alpha) - main_term(s) at s0 = 1 and at
+    s0 = 1 - nu, nu = 1..min(K - 1, MAX_SHIFT), in closed form.  With x = s - s0,
+    F(s, alpha) is singular there only at s0 = 1, with the c_k of ``_laurent_at_1``,
+    and the main term only in the terms whose argument s + nu (``_shifted``) is 1 there:
 
-    def differences(s):
-        own, twin = [], []
-        for alpha, (main, mirrored) in zip(alphas, main_terms(s)):
-            value, conjugate = _conjugate_pair(s, alpha)
-            own.append(value - main)
-            twin.append(mp.conj(conjugate - mirrored))
-        return own, twin
+      alpha^(2 s0 - 1) e^(2x log alpha) (i alpha / 2 pi)^nu Q_nu(s0 + x) F(1 + x, beta),
 
-    return differences
-
-
-def transformation_polar_reports(alphas, k_terms: int, tol=mp.mpf("1e-8"),
-                                 nodes: int = 32) -> list[Report]:
-    """One report per alpha, in order: D(s) = F(s, alpha) - main_term(s) must
-    be holomorphic at s = 1 - nu (the divisibility of Q_nu kills the shifted
-    twist poles), on one circle each, where one ``_main_terms`` pass per
-    conjugate node pair serves every alpha: with d(n) real, D(conj s) =
-    conj(F(s, -alpha) - conj M(conj s)), so the nodes j <= nodes/2 give all
-    samples; and its principal parts at s = 1 must cancel.  There,
-    with Q_0 = 1, only the nu = 0 term alpha^(2s - 1) F(s, beta) is singular,
-    and alpha^(1 + 2x) = alpha (1 + 2x log alpha + ...), so c_-2 and c_-1 of D
-    come from ``_laurent_at_1`` at alpha mod 1 and at beta = -1/alpha mod 1; c_-2
-    of both sides is an exact rational."""
-    alphas = [Fraction(alpha) for alpha in alphas]
-    distinct = list(dict.fromkeys(alphas))
-    differences = _differences(distinct, k_terms)
-    reports = [Report(f"transformation-formula polar consistency (alpha={a})") for a in distinct]
-    for nu in range(1, min(k_terms - 1, MAX_SHIFT) + 1):
-        circle = _laurent_many(differences, 1 - nu, 1, LAURENT_RADIUS, nodes, -1, mirrored=True)
-        for a, report, c in zip(distinct, reports, circle):
-            report.add_bound(f"contour at s={1 - nu}", f"F(s, {a}) minus its main term has no "
-                             "residue where the shifted twists blow up", abs(2j * mp.pi * c[-1]),
-                             tol)
-    for a, report in zip(distinct, reports):
-        own, conj = (_laurent_at_1(b.denominator, [b.numerator])[0]
-                     for b in (reduce_mod_one(a), reduce_mod_one(-1 / a)))
-        x = mp.mpmathify(a)
-        for k, main in ((-2, a * conj[-2]), (-1, x * (conj[-1] + 2 * mp.log(x) * conj[-2]))):
-            report.add_bound(f"principal c_{k} at s=1", f"closed-form polar parts of F(s, {a}) "
-                             "and its main term cancel", abs(own[k] - main), tol)
-    return [reports[distinct.index(alpha)] for alpha in alphas]
+    with Q_nu(s0 + x) = q_0 + q_1 x + ... and F(1 + x, beta) = c_-2/x^2 + c_-1/x + ...
+    So such a term's polar part is A (q_0 c_-2, q_0 c_-1 + (q_1 + 2 q_0 log alpha) c_-2),
+    A = alpha^(2 s0 - 1) (i alpha / 2 pi)^nu.  q_0 and q_1 are Q_nu's exact Taylor rows at
+    s0 (``expansion.q_taylor``, the shift ``polys`` reads), so a double zero of Q_nu at
+    s0 gives exactly 0; at s0 = 1 (nu = 0, Q_0 = 1, A = alpha) c_-2 of both sides is an
+    exact rational."""
+    own, beta = reduce_mod_one(alpha), reduce_mod_one(-1 / alpha)
+    (f,) = _laurent_at_1(own.denominator, [own.numerator])
+    (c,) = _laurent_at_1(beta.denominator, [beta.numerator])
+    log_alpha, datum, parts = mp.make_mpf(_log_at(alpha, mp.mp.prec)), zeta2_datum(), {}
+    for center in [1, *range(0, -min(k_terms - 1, MAX_SHIFT), -1)]:
+        polar = [f[-2], f[-1]] if center == 1 else [0, 0]
+        for nu, x in enumerate(_shifted(center, k_terms)):
+            if x != 1:
+                continue
+            taylor = q_taylor(datum, nu, center)
+            q_0, q_1 = taylor.coefficient(0), taylor.coefficient(1)
+            scale = alpha ** (2 * center - 1)
+            if nu:  # A stays rational at nu = 0, so that c_-2 cancels exactly at s = 1
+                scale *= (1j * mp.mpmathify(alpha) / (2 * mp.pi)) ** nu
+            polar[0] -= scale * q_0 * c[-2]
+            polar[1] -= scale * (q_0 * c[-1] + (q_1 + 2 * log_alpha * q_0) * c[-2])
+        parts[center] = polar
+    return parts
 
 
-def transformation_polar_consistency(alpha, k_terms: int, tol=mp.mpf("1e-8"),
-                                     nodes: int = 32) -> Report:
+def transformation_polar_reports(alphas, k_terms: int, tol=mp.mpf("1e-8")) -> list[Report]:
+    """One report per alpha, in order, on the closed-form polar parts (``_polar_parts``)
+    of D(s) = F(s, alpha) - main_term(s): D has no residue 2 pi i c_-1 at s = 1 - nu,
+    nu = 1..min(K - 1, MAX_SHIFT), where the shifted twist F(s + nu, beta) has its double
+    pole and Q_nu its double zero (the records keep their name `contour at s=...`; no
+    contour is sampled), and the principal parts of F(s, alpha) and of its main term
+    cancel at s = 1."""
+    reports = []
+    for alpha in [_checked(alpha, k_terms) for alpha in alphas]:
+        report = Report(f"transformation-formula polar consistency (alpha={alpha})")
+        parts = _polar_parts(alpha, k_terms)
+        principal = parts.pop(1)
+        for center, (_, residue) in parts.items():
+            report.add_bound(f"contour at s={center}", f"F(s, {alpha}) minus its main term has "
+                             "no residue where the shifted twists blow up",
+                             abs(2 * mp.pi * residue), tol)
+        for k, c in zip((-2, -1), principal):
+            report.add_bound(f"principal c_{k} at s=1", f"closed-form polar parts of F(s, "
+                             f"{alpha}) and its main term cancel", abs(c), tol)
+        reports.append(report)
+    return reports
+
+
+def transformation_polar_consistency(alpha, k_terms: int, tol=mp.mpf("1e-8")) -> Report:
     """The polar-consistency report of one alpha (see ``transformation_polar_reports``)."""
-    return transformation_polar_reports([alpha], k_terms, tol, nodes)[0]
+    return transformation_polar_reports([alpha], k_terms, tol)[0]
 
 
 def identity_reduction_check(n_points: int = 20, tol=mp.mpf("1e-12")) -> Report:

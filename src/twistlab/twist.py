@@ -401,15 +401,6 @@ def zeta2_twist_oracle(s, alpha) -> mp.mpc:
     return _divisor_twist_kernel(s, alpha.denominator, [alpha.numerator])[0]
 
 
-def _conjugate_pair(s, alpha) -> tuple[mp.mpc, mp.mpc]:
-    """(F(s, alpha), F(s, -alpha)) from one set of Hurwitz values; raises PoleError
-    at s = 1.  d(n) is real, so F(conj s, alpha) = conj F(s, -alpha): the pair gives
-    F at s and at conj s."""
-    alpha = reduce_mod_one(alpha)
-    q, b = alpha.denominator, alpha.numerator
-    return tuple(_divisor_twist_kernel(s, q, [b, -b % q]))
-
-
 def zeta2_twist_batch(s, q: int) -> list[mp.mpc]:
     """All continued divisor twists F(s, b/q) for b = 0..q-1 at once,
     sharing the q Hurwitz-zeta evaluations; raises PoleError at s = 1."""

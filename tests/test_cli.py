@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import subprocess
 import sys
@@ -94,6 +93,33 @@ class TestVerify:
         )
         assert code == 1
         assert "[FAIL] growth certificate (q=2, h=1)" in out
+
+    def test_a_changed_q_coefficient_fails_its_shifted_pole(self, capsys, monkeypatch):
+        # Q_2 plus 1 loses its double zero at s = -1, where F(s + 2, beta) has its
+        # double pole: the residue there fails for each alpha, and nothing else does
+        q_poly = expansion.q_poly
+
+        def bumped(datum, nu):
+            q = q_poly(datum, nu)
+            return q + 1 if nu == 2 else q
+
+        monkeypatch.setattr(expansion, "q_poly", bumped)
+        code, out = run_cli(capsys, "verify", "--qmax", "4", "--primes", "3,5",
+                            "--alphas", "1/2,1/3")
+        assert code == 1
+        assert [line.split("  ")[0] for line in out.splitlines() if line.startswith("[FAIL]")] == [
+            "[FAIL] contour at s=-1"] * 2
+
+    @pytest.mark.parametrize("where", ["transformation_polar_reports", "_polar_parts"])
+    def test_precision_error_in_the_polar_reports(self, capsys, monkeypatch, where):
+        # raised by the last section: main prints no record, only the error
+        def exhausted(*args):
+            raise PrecisionExhaustedError(f"raised by {where}")
+
+        monkeypatch.setattr(transform, where, exhausted)
+        code = main(["verify", "--qmax", "2", "--primes", "3"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"precision error: raised by {where}\n")
 
     def test_deterministic_reports(self, capsys, tmp_path):
         argv = ["--qmax", "1", "--primes", "3", "--alphas", "1/2", "--K", "4", "verify"]
@@ -348,16 +374,20 @@ class TestCustomInstance:
                     f"divisible by (s+{nu - 1})^2: FAIL") in line
         assert out.count("FAIL") == 8  # the four Q_nu, each record and its check
 
-    def test_polys_checks_the_imaginary_rows_too(self, capsys, monkeypatch):
-        # Q_nu + i: the real rows keep zeta(s)^2's double zero at s = 1 - nu and the
-        # imaginary row, a constant, has none, so each check fails on that half alone
+    @pytest.mark.parametrize("imaginary", [
+        lambda nu, den: (den,),  # no zero at s = 1 - nu
+        lambda nu, den: ((nu - 1) * den, den),  # a simple zero there
+    ], ids=["plus i", "plus i(s+nu-1)"])
+    def test_polys_checks_the_imaginary_rows_too(self, capsys, monkeypatch, imaginary):
+        # the real rows keep zeta(s)^2's double zero at s = 1 - nu and the imaginary
+        # row has at most a simple one, so each check fails on that half alone
         q_poly = expansion.q_poly
 
-        def plus_i(datum, nu):
+        def plus_imaginary(datum, nu):
             q = q_poly(datum, nu)
-            return Polynomial.from_rows(q.re, (q.den,), q.den) if nu else q
+            return Polynomial.from_rows(q.re, imaginary(nu, q.den), q.den) if nu else q
 
-        monkeypatch.setattr(expansion, "q_poly", plus_i)
+        monkeypatch.setattr(expansion, "q_poly", plus_imaginary)
         code, out = run_cli(capsys, "--K", "4", "polys")
         assert code == 1
         for nu in range(1, 5):
@@ -665,6 +695,10 @@ class TestBenchmarkRecords:
         "argv, reference",
         [
             (["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3"], "verify.txt"),
+            (["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3",
+              "--precision", "64"], "verify.txt"),
+            (["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3",
+              "--precision", "256"], "verify.txt"),
             (["euler", "--primes", "2,3,5"], "euler.txt"),
         ],
     )
@@ -676,34 +710,21 @@ class TestBenchmarkRecords:
         assert [name for status, name in records if status != "PASS"] == []
         assert code == 0
 
-    @pytest.mark.parametrize("worker", [True, False])
     @pytest.mark.parametrize("argv, builds", [
         (["euler", "--primes", "2,3,5"], 0),
-        (["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3"], 30),
+        (["polys"], 0),
+        (["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3"], 7),
+        (["verify", "--qmax", "3", "--primes", "3", "--alphas", "2/3,3/2,5/7", "--K", "16"], 3),
     ])
-    def test_series_builds_per_command(self, capsys, monkeypatch, tmp_path, argv, builds,
-                                       worker):
-        # a later change that builds more Hurwitz series per command shows here.
-        # The polar reports' worker inherits the series built before the fork and
-        # reports the builds it adds, so that none is built twice.
-        use_worker(monkeypatch, worker)
-        polar, added, parent = transform.transformation_polar_reports, tmp_path / "added", os.getpid()
-
-        def counted(*args):
-            before = special._hurwitz_series.cache_info().misses
-            reports = polar(*args)
-            if os.getpid() != parent:
-                added.write_text(str(special._hurwitz_series.cache_info().misses - before))
-            return reports
-
-        monkeypatch.setattr(transform, "transformation_polar_reports", counted)
+    def test_series_builds_per_command(self, capsys, argv, builds):
+        # a later change that builds more Hurwitz series per command shows here:
+        # verify's are the square laws' at s = 1, one per distinct u/p; the polar
+        # parts build none, at beta != 0 and the largest K too
         special._hurwitz_memo.cache_clear()
         special._hurwitz_series.cache_clear()
         code, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert added.exists() == (worker and argv[0] == "verify")
-        in_worker = int(added.read_text()) if added.exists() else 0
-        assert special._hurwitz_series.cache_info().misses + in_worker == builds
+        assert special._hurwitz_series.cache_info().misses == builds
 
     def test_growth_domain_computed_once_per_alpha(self, capsys):
         # q = 1 and 4: the config check computes each domain, the certificates reuse it
@@ -713,119 +734,13 @@ class TestBenchmarkRecords:
         assert (code, info.misses, info.hits) == (0, 2, 2)
 
     def test_verify_calls_mp_zeta_nowhere_in_the_left_half_plane(self, capsys, monkeypatch):
-        # the growth certificate reads its Hurwitz values at 1 - s, and the
-        # contours about s = 0..-3 sit on the series discs (in-process, so that
-        # the contours' calls are seen)
-        use_worker(monkeypatch, False)
+        # the growth certificate reads its Hurwitz values at 1 - s
         points, zeta = [], mp.zeta
         monkeypatch.setattr(mp, "zeta", lambda s, *args: points.append(mp.mpc(s)) or zeta(s, *args))
         special._hurwitz_memo.cache_clear()
         code, _ = run_cli(capsys, "verify")
         assert code == 0
         assert points and min(point.real for point in points) >= 0
-
-
-def use_worker(monkeypatch, worker: bool) -> None:
-    """Send verify's polar reports to a forked worker (as on two or more
-    usable CPUs), or keep them in-process (as where os.fork is missing)."""
-    if worker:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    else:
-        monkeypatch.delattr(os, "fork", raising=False)
-
-
-def assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker needs os.fork")
-class TestPolarWorker:
-    """verify computes its polar reports in a forked worker while the other
-    sections run, and prints what the in-process path prints."""
-
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3"],
-        ["verify", "--qmax", "4", "--primes", "5,3", "--alphas", "1/2,1/3"],
-        ["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/3,1/2"],
-        ["verify", "--qmax", "4", "--primes", "5,3", "--alphas", "1/3,1/2"],
-        ["verify", "--precision", "64"],
-        ["verify", "--precision", "256"],
-    ])
-    def test_worker_prints_the_in_process_bytes(self, capsys, monkeypatch, argv):
-        forks, fork = [], os.fork
-        with monkeypatch.context() as patch:
-            use_worker(patch, True)
-            patch.setattr(os, "fork", lambda: forks.append(1) or fork())
-            worker = run_cli(capsys, *argv)
-        assert forks == [1]
-        assert_no_child_process()
-        with monkeypatch.context() as patch:
-            use_worker(patch, False)
-            in_process = run_cli(capsys, *argv)
-        assert worker == in_process
-        assert worker[0] == 0 and "-- 57 checks, 0 failed --" in worker[1]
-
-    def test_no_fork_beside_another_thread(self, capsys, monkeypatch):
-        import threading
-
-        forks, fork, release = [], os.fork, threading.Event()
-        use_worker(monkeypatch, True)
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        waiting = threading.Thread(target=release.wait, args=(60,))
-        waiting.start()
-        try:
-            code, out = run_cli(capsys, "verify", "--qmax", "2", "--primes", "3")
-        finally:
-            release.set()
-            waiting.join(60)
-        assert not waiting.is_alive()
-        assert (code, forks) == (0, [])
-        assert "-- 29 checks, 0 failed --" in out
-
-    @pytest.mark.parametrize("worker", [True, False])
-    def test_precision_error_in_the_polar_reports(self, capsys, monkeypatch, worker):
-        def exhausted(*args):
-            raise PrecisionExhaustedError("raised by the polar reports")
-
-        use_worker(monkeypatch, worker)
-        monkeypatch.setattr(transform, "transformation_polar_reports", exhausted)
-        code = main(["verify", "--qmax", "2", "--primes", "3"])
-        out, err = capsys.readouterr()
-        assert (code, out, err) == (2, "", "precision error: raised by the polar reports\n")
-        assert_no_child_process()
-
-    def test_error_beside_the_worker_kills_it(self, capsys, monkeypatch, tmp_path):
-        # the parent raises while the worker still runs: the worker is killed and
-        # reaped, and never finishes its reports
-        polar, finished = transform.transformation_polar_reports, tmp_path / "finished"
-
-        def slow(*args):
-            import time
-
-            time.sleep(5)
-            reports = polar(*args)
-            finished.touch()
-            return reports
-
-        def exhausted(*args, **kwargs):
-            raise PrecisionExhaustedError("raised beside the worker")
-
-        use_worker(monkeypatch, True)
-        monkeypatch.setattr(transform, "transformation_polar_reports", slow)
-        monkeypatch.setattr(transform, "growth_certificate", exhausted)
-        code = main(["verify", "--qmax", "2", "--primes", "3"])
-        out, err = capsys.readouterr()
-        assert (code, out, err) == (2, "", "precision error: raised beside the worker\n")
-        assert_no_child_process()
-        assert not finished.exists()
-
-    def test_a_worker_that_dies_is_an_error(self, capsys, monkeypatch):
-        use_worker(monkeypatch, True)
-        monkeypatch.setattr(transform, "transformation_polar_reports", lambda *args: os._exit(3))
-        with pytest.raises(RuntimeError, match="exited with status 3"):
-            main(["verify", "--qmax", "2", "--primes", "3"])
-        assert_no_child_process()
 
 
 def test_readme_commands_need_only_mpmath(checkout_env):

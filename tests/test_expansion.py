@@ -14,6 +14,7 @@ from twistlab.expansion import (
     c_coeff,
     polynomial_table,
     q_poly,
+    q_taylor,
     r_poly,
     r_poly_forms,
     v_poly,
@@ -296,6 +297,24 @@ class TestQPolynomials:
             quotient, remainder = divmod(ScalarPolynomial(q_poly(zeta2, nu).coeffs), divisor)
             assert not remainder.coeffs, nu
             assert Polynomial(quotient.coeffs) * Polynomial(divisor.coeffs) == q_poly(zeta2, nu)
+
+    @pytest.mark.parametrize("nu", range(5))
+    def test_taylor_rows_are_value_and_derivative(self, zeta2, nu):
+        # q_taylor's rows 0 and 1 against exact Horner on Q_nu and on its
+        # derivative; the complex datum carries imaginary rows through the shift
+        for datum in all_data(zeta2):
+            q = q_poly(datum, nu)
+            derivative = Polynomial([c * k for k, c in enumerate(q.coeffs)][1:])
+            for center in range(-4, 3):
+                taylor = q_taylor(datum, nu, center)
+                assert taylor.degree == q.degree, (datum.label, center)
+                for row, want in ((0, q(center)), (1, derivative(center))):
+                    assert (Polynomial((taylor.coefficient(row),))
+                            == Polynomial((want,))), (datum.label, center, row)
+        if nu:  # zeta(s)^2's double zero at s = 1 - nu
+            taylor = q_taylor(zeta2, nu, 1 - nu)
+            assert (taylor.coefficient(0), taylor.coefficient(1)) == (0, 0)
+            assert taylor.coefficient(2) != 0
 
     def test_growth_trend_logged(self, zeta2):
         # (sup_{|s|<=nu} |Q_nu(s)| nu!)^(1/(2 nu)) / (nu+1) stays bounded

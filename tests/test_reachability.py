@@ -42,6 +42,10 @@ KEPT = {
     "exactpoly.Polynomial.__repr__": "pytest's failure messages read it",
     "special.DirichletCharacter.__repr__": "pytest's failure messages read it",
     "transform.LaurentExpansion": "the value the traced laurent_extract returns",
+    **dict.fromkeys(("transform._laurent_many", "transform._circle_samples",
+                     "transform._coeffs_from_samples"),
+                    "the contour core: it runs under the traced laurent_extract and "
+                    "contour_integral, which the tests use as the independent route"),
     "twist.DivisorStream.tail_bound": "the benchmark's grid check calls it",
     "bernoulli.bernoulli_number": "public API, exported by the package",
 }
@@ -53,35 +57,15 @@ COMPLEX_DATUM = {
 }
 
 CHILD = r"""
-import contextlib, io, json, os, sys
+import contextlib, io, json, sys
 
 ran = set()
-
-
-def key(code):
-    return code.co_filename, code.co_qualname, code.co_firstlineno
 
 
 def trace(frame, event, arg):  # call events only: no line tracing is asked for
     ran.add(frame.f_code)
 
 
-def trace_worker():
-    # a forked worker leaves by os._exit: it appends each package code object
-    # it runs that the parent had not run to the log at once
-    seen, log = set(ran), os.open(sys.argv[3], os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-
-    def logged(frame, event, arg):
-        code = frame.f_code
-        if code not in seen:
-            seen.add(code)
-            if code.co_filename.startswith(sys.argv[1]):
-                os.write(log, (json.dumps(key(code)) + "\n").encode())
-
-    sys.settrace(logged)
-
-
-os.register_at_fork(after_in_child=trace_worker)
 sys.settrace(trace)
 from twistlab import cli
 
@@ -91,12 +75,8 @@ for argv in json.loads(sys.argv[2]):
     if status != 0:
         sys.exit(f"{argv} exited {status}")
 sys.settrace(None)
-in_workers = set()
-if os.path.exists(sys.argv[3]):
-    with open(sys.argv[3]) as log:
-        in_workers = {tuple(json.loads(line)) for line in log}
-print(json.dumps(sorted(in_workers | {key(code) for code in ran
-                                      if code.co_filename.startswith(sys.argv[1])})))
+print(json.dumps(sorted((code.co_filename, code.co_qualname, code.co_firstlineno)
+                        for code in ran if code.co_filename.startswith(sys.argv[1]))))
 """
 
 
@@ -161,7 +141,7 @@ def never_ran(tmp_path_factory, checkout_env) -> set:
     argvs = traffic(tmp_path)
     assert {argv[0] for argv in argvs} == {"polys", "verify", "euler", "twist-grid"}
     result = subprocess.run(
-        [sys.executable, "-c", CHILD, str(PACKAGE), json.dumps(argvs), str(tmp_path / "workers")],
+        [sys.executable, "-c", CHILD, str(PACKAGE), json.dumps(argvs)],
         capture_output=True, text=True, env=checkout_env, cwd=ROOT, timeout=120)
     assert result.returncode == 0, result.stderr
     ran = {tuple(key) for key in json.loads(result.stdout)}

@@ -220,11 +220,18 @@ class TestMainTerm:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             transformation_main_term(mp.mpc(3), Fraction(-1, 2), 2)
+        for alpha, k_terms in ((Fraction(-1, 2), 8), (0, 8), (Fraction(1, 2), -1)):
+            with pytest.raises(ValueError):
+                transformation_polar_reports([alpha], k_terms)
 
     @pytest.mark.parametrize("bits", (64, 128, 256))
     def test_main_term_is_the_general_formula_at_zeta2(self, zeta2, bits):
         # the general formula at zeta2's own invariants (q_F = 1, theta = 0,
-        # lambda = 1), within the bound of test_vector_main_terms_match_literal_formula
+        # lambda = 1).  At degree d <= 16 _q_values errs by at most (d + 2)
+        # 2^-prec and Horner's by about (2d + 1) 2^-prec of sum_j |q_j| |s|^j;
+        # the products and the 9-term sums add about 12 roundings more, so the
+        # routes agree within 2^-(prec-8) of the rounding scale (measured:
+        # below 4 2^-prec)
         with mp.workprec(bits):
             for center, radius in ((-3, Fraction(1, 4)), (1, Fraction(1, 8)), (3, 1)):
                 for s in circle_nodes(center, radius, 4):
@@ -281,24 +288,22 @@ class TestPolarConsistency:
     ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 2))
 
     def test_alpha_half_at_tight_tolerance(self):
-        report = transformation_polar_consistency(
-            Fraction(1, 2), 6, tol=mp.mpf("1e-10"), nodes=16
-        )
+        report = transformation_polar_consistency(Fraction(1, 2), 6, tol=mp.mpf("1e-10"))
         assert report.passed
-        assert len(report.records) == 6  # four circles + two principal parts
+        assert len(report.records) == 6  # four shifted poles + two principal parts
 
-    def test_vector_route_matches_per_alpha_scalar_route(self):
+    def test_closed_form_records_match_the_contour_route(self):
         # The s = 1 - nu records; the principal parts at s = 1 follow them and
         # are held against a contour in TestClosedFormLaurent.
-        # The routes differ at most in how D(s) rounds.  On these circles the
-        # main term's rounding scale (see literal_main_term) stays below 2^12
-        # (at most about 3.9e3) and _main_terms rounds within 2^5 2^-prec of
-        # it, so each route's D(s) lies within 2^-(prec-17) of the exact
-        # value.  A record is 2 pi |c_-1| or |c_k|, c_k a node mean of D(s_j)
-        # times (r w^j)^-k with r = 1/4, so two routes' records differ by
-        # at most 2^-(prec-19).  The records print 6 digits: add 1e-5 of the
-        # value.
-        bound = mp.mpf(2) ** -(mp.mp.prec - 19)
+        # The closed form is exact there: Q_nu's Taylor rows q_0 = q_1 = 0
+        # make the residue exactly 0.  The contour route differs from the true
+        # residue 0 only in how D(s) rounds.  On these circles the main term's
+        # rounding scale (see literal_main_term) stays below 2^12 (at most
+        # about 3.9e3) and transformation_main_term rounds within 2^5 2^-prec
+        # of it, so D(s) lies within 2^-(prec-17) of the exact value.  Its
+        # record is 2 pi |c_-1|, c_-1 a node mean of D(s_j) r w^j with r = 1/4,
+        # so it lies within (pi/2) 2^-(prec-17) < 2^-(prec-18) of 0.
+        bound = mp.mpf(2) ** -(mp.mp.prec - 18)
         reports = transformation_polar_reports(self.ALPHAS, 8)
         assert len(reports) == len(self.ALPHAS)
         for alpha, report in zip(self.ALPHAS, reports):
@@ -307,25 +312,8 @@ class TestPolarConsistency:
             assert [r.name for r in report.records] == [name for name, _ in want] + [
                 "principal c_-2 at s=1", "principal c_-1 at s=1"]
             for record, (name, value) in zip(report.records, want):
-                assert record.passed
-                assert abs(mp.mpf(record.measured) - value) <= bound + value * mp.mpf("1e-5"), (
-                    alpha, name)
-
-    def test_vector_main_terms_match_literal_formula(self, zeta2):
-        # every alpha reads its own main term.  At degree d <= 16 the vector
-        # core's Q_nu errs by at most (d + 2) 2^-prec and Horner's by about
-        # (2d + 1) 2^-prec of sum_j |q_j| |s|^j; the products and the 9-term
-        # sums add about 12 roundings more, so the routes agree within
-        # 2^-(prec-8) of the rounding scale (measured: below 4 2^-prec).  The
-        # mirror image of each pair is the main term at conj s, conjugated.
-        main_terms = transform._main_terms(self.ALPHAS, 8)
-        for center, radius in ((-3, Fraction(1, 4)), (0, Fraction(1, 4)), (1, Fraction(1, 8))):
-            for s in circle_nodes(center, radius, 8):
-                for alpha, (got, mirrored) in zip(self.ALPHAS, main_terms(s)):
-                    want, scale = literal_main_term(zeta2, s, alpha, 8)
-                    assert abs(got - want) <= scale * mp.mpf(2) ** -(mp.mp.prec - 8), (s, alpha)
-                    want, scale = literal_main_term(zeta2, mp.conj(s), alpha, 8)
-                    assert abs(mp.conj(mirrored) - want) <= scale * mp.mpf(2) ** -(mp.mp.prec - 8)
+                assert record.passed and record.measured == "0.0", (alpha, name)
+                assert abs(mp.mpf(record.measured) - value) <= bound, (alpha, name)
 
     @pytest.mark.parametrize("bits", (64, 128, 256))
     def test_power_table_q_values_match_horner(self, zeta2, bits):
@@ -336,6 +324,7 @@ class TestPolarConsistency:
         # 2^-(prec-7) of it.  Nodes reach |s| = 3.25 on the circle at s = -3.
         with mp.workprec(bits):
             table = [q_poly(zeta2, nu) for nu in range(17)]
+            assert all(q.im == () for q in table)  # _q_values reads the real rows only
             for center in (1, 0, -1, -2, -3):
                 for s in circle_nodes(center, Fraction(1, 4), 8):
                     for nu, got in enumerate(transform._q_values(table, s)):
@@ -344,43 +333,12 @@ class TestPolarConsistency:
                         want = eval_mpc(q_poly(zeta2, nu), s)
                         assert abs(got - want) <= scale * mp.mpf(2) ** -(bits - 7), (s, nu)
 
-    def test_one_main_term_pass_per_node(self, monkeypatch):
-        # alphas 1/2 and 1/3 share beta = 0: per pair of conjugate nodes, Q_0..Q_8
-        # come from one _q_values call at the node with Im s >= 0, 17 of each
-        # circle's 32; each distinct shifted argument s + nu of the pass is
-        # requested once as the pair F(s + nu, +-0), not once per alpha, node or
-        # circle (the shifts of one circle's nodes are nodes of the others);
-        # F(s, +-alpha) once per such node and alpha.  A request is keyed by its
-        # exact argument.
-        nodes, requests = [], Counter()
-        q_values, pair = transform._q_values, transform._conjugate_pair
-
-        def counted_q_values(table, s):
-            nodes.append(s)
-            return q_values(table, s)
-
-        def counted_pair(s, alpha):
-            requests[mp.mpc(s)._mpc_, Fraction(alpha)] += 1
-            return pair(s, alpha)
-
-        monkeypatch.setattr(transform, "_q_values", counted_q_values)
-        monkeypatch.setattr(transform, "_conjugate_pair", counted_pair)
-        reports = transformation_polar_reports((Fraction(1, 2), Fraction(1, 3)), 8)
-        assert all(report.passed for report in reports)
-        assert len(nodes) == 4 * 17  # the principal parts at s = 1 are closed form
-        assert min(s.imag for s in nodes) == 0
-        assert set(requests.values()) == {1}
-        shifted = {mp.mpc(s + nu)._mpc_ for s in nodes for nu in range(9)}
-        assert {x for x, alpha in requests if alpha == 0} == shifted
-        assert len(shifted) == 268  # of 68 nodes times 9 shifts
-        alphas = Counter(alpha for _, alpha in requests)
-        assert alphas == {0: 268, Fraction(1, 2): len(nodes), Fraction(1, 3): len(nodes)}
-
     def test_wrong_shift_fails_every_contour_record(self, monkeypatch):
         # the main term read at s + nu + 1: all 8 contour records of verify's
-        # default alphas fail, with the values the unpaired sampler printed
+        # default alphas fail, with the values the 32-node circles printed, and
+        # so do the principal parts at s = 1, where no term is singular now
         source = Path(transform.__file__).read_text()
-        right = "shifted = [s + nu for nu in range(k_terms + 1)]"
+        right = "[s + nu for nu in range(k_terms + 1)]"
         assert source.count(right) == 1
         mutant = types.ModuleType("twistlab.wrong_shift")
         mutant.__package__ = "twistlab"
@@ -392,44 +350,57 @@ class TestPolarConsistency:
         assert [r.passed for r in contours] == [False] * 8
         assert [r.measured for r in contours] == ["2.91368", "8.92745", "8.22987", "9.48009",
                                                   "19.6562", "27.3851", "34.7452", "57.9759"]
+        principal = [r for report in reports for r in report.records
+                     if r.name.startswith("principal")]
+        assert [r.passed for r in principal] == [False] * 4
+        # c_-2 = gcd(b, q)/q and c_-1 of F(s, alpha) itself
+        assert [r.measured for r in principal] == ["0.5", "0.115932", "0.333333", "0.347598"]
 
-    def test_q_has_real_coefficients(self, zeta2, monkeypatch):
-        # the mirrored main term needs real Q_nu; _main_terms checks it exactly
-        assert all(q_poly(zeta2, nu).im == () for nu in range(17))
-        def rotated(datum, nu):  # (1 + i) Q_2
-            q = q_poly(datum, nu)
-            return Polynomial.from_rows(q.re, q.re, q.den) if nu == 2 else q
 
-        monkeypatch.setattr(transform, "q_poly", rotated)
-        with pytest.raises(ValueError, match="Q_2 of zeta"):
-            transform._main_terms([Fraction(1, 2)], 2)
+class TestPolarParts:
+    """``_polar_parts``, the closed form behind the polar records."""
+
+    # beta = 0 (1/2, 1/3, 2), beta = 1/2 (2/3, 3/2), and denominators 5 and 7
+    ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), Fraction(5, 7),
+              Fraction(7, 5), Fraction(2))
 
     @pytest.mark.parametrize("bits", (64, 128, 256))
-    def test_circle_nodes_come_in_exact_conjugate_pairs(self, bits):
-        # the mirrored samples at nodes j > N/2 are those at the conjugate of node
-        # N - j: that conjugate is node j itself, bit for bit, on every polar circle
+    def test_shifted_poles_cancel_exactly(self, bits):
+        # Q_nu's Taylor rows q_0 = q_1 = 0 at s = 1 - nu leave no polar part
+        # there at any precision; the centres stop at 1 - MAX_SHIFT however
+        # large K is, and at 1 - (K - 1) below it
         with mp.workprec(bits):
-            for nodes in (16, 32):
-                for center in (0, -1, -2, -3):
-                    points = transform._circle_samples(lambda s: s, center, Fraction(1, 4), nodes)
-                    assert [p._mpc_ for p in points[nodes // 2 + 1:]] == [
-                        mp.conj(p)._mpc_ for p in points[nodes // 2 - 1:0:-1]]
+            for alpha in self.ALPHAS:
+                for k_terms, centers in ((16, [1, 0, -1, -2, -3]), (3, [1, 0, -1]), (1, [1])):
+                    parts = transform._polar_parts(alpha, k_terms)
+                    assert list(parts) == centers, (alpha, k_terms)
+                    for center in centers[1:]:
+                        assert [c == 0 for c in parts[center]] == [True, True], (alpha, center)
 
-    def test_mirrored_samples_match_direct_samples(self):
-        # the pair sampler's values at nodes j > N/2, read off node N - j,
-        # agree with D sampled at node j itself within a few roundings of D(s)
-        alphas = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2))
-        main_terms = transform._main_terms(alphas, 8)
+    @pytest.mark.parametrize("bits", (64, 128, 256))
+    def test_principal_parts_cancel_at_1(self, bits):
+        # with alpha = a/q, c_-2 is 1/q on both sides, exactly; c_-1 is
+        # (2 gamma - 2 log q)/q on both, each side a sum of at most three terms
+        # below 2 in size that _laurent_at_1 and the products round within a
+        # few units of 2^-prec, so they cancel within 2^-(prec-4)
+        with mp.workprec(bits):
+            for alpha in self.ALPHAS:
+                c_2, c_1 = transform._polar_parts(alpha, 8)[1]
+                assert c_2 == 0 and isinstance(c_2, Fraction), alpha
+                assert abs(c_1) <= mp.mpf(2) ** -(bits - 4), alpha
 
-        def direct(s):
-            return [zeta2_twist_oracle(s, alpha) - main for alpha, (main, _) in
-                    zip(alphas, main_terms(s))]
+    @pytest.mark.parametrize("alpha", ALPHAS[:4])
+    def test_principal_parts_match_a_contour_at_1(self, alpha):
+        # the contour route samples D(s) = F(s, alpha) - main_term(s) itself,
+        # so it shares no step of the closed form but the twist kernel; D is
+        # about as large as F on the circle (16 at radius 1/4), hence
+        # contour_bound
+        def difference(s):
+            return zeta2_twist_oracle(s, alpha) - transformation_main_term(s, alpha, 8)
 
-        pairs = transform._differences(alphas, 8)
-        mirrored = transform._circle_samples(pairs, -2, Fraction(1, 4), 16, mirrored=True)
-        for got, want in zip(mirrored, transform._circle_samples(direct, -2, Fraction(1, 4), 16)):
-            for x, y in zip(got, want):
-                assert abs(x - y) <= mp.mpf(2) ** -(mp.mp.prec - 12) * max(1, abs(y))
+        contour = laurent_extract(difference, center=1, max_pole_order=2, nodes=64)
+        for k, c in zip((-2, -1), transform._polar_parts(alpha, 8)[1]):
+            assert abs(contour.coefficient(k) - c) <= contour_bound(c), (alpha, k)
 
 
 @pytest.fixture(scope="module")
@@ -522,9 +493,8 @@ class TestClosedFormLaurent:
             assert q_poly(zeta2, 0) == Polynomial((1,))
             reports = transformation_polar_reports(alphas, 8)
             for alpha, report in zip(alphas, reports):
-                main_terms = transform._main_terms([alpha], 8)
                 twist_contour, main_contour = transform._laurent_many(
-                    lambda s: [zeta2_twist_oracle(s, alpha), main_terms(s)[0][0]],
+                    lambda s: [zeta2_twist_oracle(s, alpha), transformation_main_term(s, alpha, 8)],
                     1, 2, Fraction(1, 4), 64, 0)
                 (own,), (conj,) = (
                     transform._laurent_at_1(b.denominator, [b.numerator])
@@ -654,14 +624,9 @@ class TestOneCirclePerExtraction:
         verify_chi_holomorphy(5)
         assert calls == {5: 2 * 8}
 
-    def test_verify_samples_no_circle_at_1(self, monkeypatch, capsys):
-        contour = transform._laurent_many
-
-        def away_from_1(f, center, *args, **kwargs):
-            assert center != 1, "a contour about s = 1 was sampled"
-            return contour(f, center, *args, **kwargs)
-
-        monkeypatch.setattr(transform, "_laurent_many", away_from_1)
+    def test_verify_samples_no_contour(self, monkeypatch, capsys):
+        # the polar records at s = 1 - nu are closed form too
+        monkeypatch.setattr(transform, "_laurent_many", refuse)
         assert cli.main(["verify", "--qmax", "4", "--primes", "3,5", "--alphas", "1/2,1/3"]) == 0
         assert "-- 57 checks, 0 failed --" in capsys.readouterr().out
 
