@@ -23,10 +23,9 @@ and precision yields byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -41,21 +40,19 @@ from .reports import Report, nstr, write_rows_csv
 # mpmath and the analytic layer (special, twist, transform), where they run.
 
 
-@dataclass(frozen=True)
-class RunConfig:
+#: RunConfig's fields and their defaults
+_DEFAULTS = {"precision": 128, "instance": "zeta2", "k_terms": 8, "q_max": 4, "primes": (2, 3, 5),
+             "sigma_grid": (-10, -20, -30, -40), "t": "5", "tol": "1e-8",
+             "alphas": ("1/2", "1/3"), "growth_h": None, "out": None}
+
+
+class RunConfig(namedtuple("RunConfig", _DEFAULTS, defaults=_DEFAULTS.values())):
     """Validated run parameters; guard rails keep runs at desk scale."""
 
-    precision: int = 128
-    instance: str = "zeta2"
-    k_terms: int = 8
-    q_max: int = 4
-    primes: tuple = (2, 3, 5)
-    sigma_grid: tuple = (-10, -20, -30, -40)
-    t: str = "5"
-    tol: str = "1e-8"
-    alphas: tuple = ("1/2", "1/3")
-    growth_h: str | None = None
-    out: str | None = None
+    def __setattr__(self, name, value=None):  # frozen; cached_property writes the dict itself
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     def validate(self, command: str | None = None) -> "RunConfig":
         """Check every field, and what ``command`` (a subcommand name) needs
@@ -244,17 +241,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
+        import json
+
         data = json.loads(Path(args.config).read_text())
         if not isinstance(data, dict):
             raise ValueError(f"the config file must hold a JSON object, got {data!r}")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(data) - known
+        unknown = set(data) - set(RunConfig._fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key in ("primes", "sigma_grid", "alphas"):
             if key in data and isinstance(data[key], list):
                 data[key] = tuple(data[key])
-        cfg = replace(cfg, **data)
+        cfg = cfg._replace(**data)
     overrides = {}
     for name in ("precision", "instance", "k_terms", "q_max", "t", "tol", "growth_h", "out"):
         value = getattr(args, name, None)
@@ -268,7 +266,7 @@ def _config_from_args(args) -> RunConfig:
         )
     if args.alphas is not None:
         overrides["alphas"] = tuple(str(args.alphas).split(","))
-    return replace(cfg, **overrides).validate(args.command)
+    return cfg._replace(**overrides).validate(args.command)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ and the local-degree bound run in rationals, with no floating-point library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -26,23 +26,21 @@ def leading_coefficient(b: int, q: int) -> Fraction:
     return Fraction(gcd(b, q), q)
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(namedtuple("LocalFactor", "prime partial_degree roots")):
     """Euler-factor data (partial degree and inverse roots) at a prime."""
 
-    prime: int
-    partial_degree: int
-    roots: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.partial_degree != len(self.roots):
+    def __new__(cls, prime, partial_degree, roots):
+        if partial_degree != len(roots):
             raise ValueError("partial degree must match the number of roots")
-        for root in self.roots:
+        for root in roots:
             if not isinstance(root, (int, Fraction, GaussianRational)):
                 raise ValueError(f"inverse root {root!r} is not an exact int, Fraction or "
                                  "GaussianRational")
             if (root.norm() if isinstance(root, GaussianRational) else root * root) > 1:
                 raise ValueError(f"inverse root {root} exceeds the unit disk")
+        return super().__new__(cls, prime, partial_degree, roots)
 
 
 def euler_factor_at_1(p: int) -> Fraction:
@@ -55,11 +53,8 @@ def euler_factor_at_1(p: int) -> Fraction:
     return Fraction(p, p - 1) / (1 - leading_coefficient(1, p) / leading_coefficient(0, p))
 
 
-@dataclass(frozen=True)
-class LocalFactorSolution:
-    status: str  # "forced" | "infeasible" | "underdetermined"
-    factor: LocalFactor | None
-    detail: str
+#: status is "forced", "infeasible" or "underdetermined"; factor is a LocalFactor or None
+LocalFactorSolution = namedtuple("LocalFactorSolution", "status factor detail")
 
 
 def solve_local_factor(value_at_1, p: int) -> LocalFactorSolution:

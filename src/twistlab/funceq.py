@@ -16,9 +16,9 @@ the tests compute them (``tests/paper_checks.py``).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from . import bernoulli
@@ -39,16 +39,15 @@ def _parse_complex(text: str) -> GaussianRational:
     raise DatumError(f"cannot parse complex value {text!r}")
 
 
-@dataclass(frozen=True)
-class QParam:
+class QParam(namedtuple("QParam", "coef pi_exp")):
     """The scale parameter Q, kept symbolic as coef * pi^pi_exp."""
 
-    coef: Fraction
-    pi_exp: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.coef <= 0:
+    def __new__(cls, coef, pi_exp=Fraction(0)):
+        if coef <= 0:
             raise DatumError("Q must be positive")
+        return super().__new__(cls, coef, pi_exp)
 
     @classmethod
     def parse(cls, text: str) -> "QParam":
@@ -60,22 +59,21 @@ class QParam:
         return cls(as_fraction(text), Fraction(0))
 
 
-@dataclass(frozen=True)
-class GammaFactor:
+class GammaFactor(namedtuple("GammaFactor", "lam mu")):
     """One Gamma(lambda*s + mu) factor; lambda > 0 and Re(mu) >= 0."""
 
-    lam: Fraction
-    mu: GaussianRational
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.lam, Fraction):
-            raise DatumError(f"lambda must be a Fraction, got {self.lam!r}")
-        if not isinstance(self.mu, GaussianRational):
-            raise DatumError(f"mu must be a GaussianRational, got {self.mu!r}")
-        if self.lam <= 0:
+    def __new__(cls, lam, mu):
+        if not isinstance(lam, Fraction):
+            raise DatumError(f"lambda must be a Fraction, got {lam!r}")
+        if not isinstance(mu, GaussianRational):
+            raise DatumError(f"mu must be a GaussianRational, got {mu!r}")
+        if lam <= 0:
             raise DatumError("lambda must be positive")
-        if self.mu.re < 0:
+        if mu.re < 0:
             raise DatumError("Re(mu) must be nonnegative")
+        return super().__new__(cls, lam, mu)
 
 
 def factor(lam, mu=0) -> GammaFactor:
@@ -89,31 +87,32 @@ def factor(lam, mu=0) -> GammaFactor:
     return GammaFactor(lam, mu)
 
 
-@dataclass(frozen=True)
-class FunctionalEquationDatum:
+class FunctionalEquationDatum(namedtuple("FunctionalEquationDatum",
+                                         "q_param omega factors pole_order label")):
     """The tuple (Q, omega, {(lambda_j, mu_j)}) plus the known pole order."""
 
-    q_param: QParam
-    omega: GaussianRational
-    factors: tuple[GammaFactor, ...]
-    pole_order: int = 0
-    label: str = ""
-
-    def __post_init__(self):
-        if type(self.pole_order) is not int or self.pole_order < 0:
-            raise DatumError(f"pole_order must be a nonnegative integer, got {self.pole_order!r}")
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not isinstance(self.omega, GaussianRational):
-            raise DatumError(f"omega must be a GaussianRational, got {self.omega!r}")
-        if self.omega.norm() != 1:
+    def __new__(cls, q_param, omega, factors, pole_order=0, label=""):
+        if type(pole_order) is not int or pole_order < 0:
+            raise DatumError(f"pole_order must be a nonnegative integer, got {pole_order!r}")
+        factors = tuple(factors)
+        if not isinstance(omega, GaussianRational):
+            raise DatumError(f"omega must be a GaussianRational, got {omega!r}")
+        if omega.norm() != 1:
             raise DatumError("|omega| must equal 1")
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+        return super().__new__(cls, q_param, omega, factors, pole_order, label)
 
-    def __hash__(self) -> int:  # the exact layer's lru_caches key on a datum
+    _hash = cached_property(tuple.__hash__)  # once: the exact layer's lru_caches key on a datum
+
+    def __hash__(self) -> int:
         return self._hash
 
+    def __setattr__(self, name, value=None):  # frozen: no field, nor the hash, changes
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
     def __reduce__(self):  # rebuilt from its fields: a str's hash is salted per process
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(self)
 
     # -- invariants ----------------------------------------------------------
 
@@ -176,6 +175,8 @@ def load_datum(source) -> FunctionalEquationDatum:
     if isinstance(source, str) and source in BUILTIN_INSTANCES:
         return BUILTIN_INSTANCES[source]()
     if isinstance(source, (str, Path)):
+        import json
+
         data = json.loads(Path(source).read_text())
     else:
         data = source

@@ -9,9 +9,8 @@ Numbers print as ``mp.nstr`` prints them; this module imports no mpmath.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -59,28 +58,20 @@ def nstr(x, n: int, prec: int = 128) -> str:
             + (f"e{exponent:+d}" if exponent else ""))
 
 
-@dataclass
-class CheckRecord:
-    name: str
-    claim: str
-    measured: str
-    target: str
-    passed: bool
+class CheckRecord(namedtuple("CheckRecord", "name claim measured target passed")):
+    __slots__ = ()
+    __hash__ = None  # compared by value, never a key
 
     def row(self) -> list[str]:
-        return [
-            self.name,
-            self.claim,
-            self.measured,
-            self.target,
-            "PASS" if self.passed else "FAIL",
-        ]
+        return [*self[:4], "PASS" if self.passed else "FAIL"]
 
 
-@dataclass
-class Report:
-    title: str
-    records: list[CheckRecord] = field(default_factory=list)
+class Report(namedtuple("Report", "title records")):
+    __slots__ = ()
+    __hash__ = None  # its records grow
+
+    def __new__(cls, title, records=None):
+        return super().__new__(cls, title, [] if records is None else records)
 
     def add(self, name, claim, measured, target, passed) -> CheckRecord:
         rec = CheckRecord(name, claim, str(measured), str(target), bool(passed))
@@ -128,6 +119,8 @@ class Report:
 
 
 def write_rows_csv(path, header: list[str], rows) -> None:
+    import csv
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:

@@ -20,7 +20,7 @@ The growth certificate reads Hurwitz's formula, with a stated error radius."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -51,13 +51,11 @@ class LaurentConvergenceError(ArithmeticError):
     """Node doubling did not converge: f is not analytic on the circle."""
 
 
-@dataclass(frozen=True)
-class LaurentExpansion:
+class LaurentExpansion(namedtuple("LaurentExpansion", "coefficients errors")):
     """Coefficients c_k of f for k = -max_pole_order..k_max, with the
     cross-radius disagreement attached per coefficient."""
 
-    coefficients: dict[int, mp.mpc]
-    errors: dict[int, mp.mpf]
+    __slots__ = ()
 
     def coefficient(self, k: int) -> mp.mpc:
         return self.coefficients[k]
@@ -316,18 +314,9 @@ euler_factor_at_1 = euler.euler_factor_at_1
 # Growth certificate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrowthCertificate:
-    alpha: Fraction
-    h: Fraction
-    t: mp.mpf
-    sigmas: tuple
-    deltas: tuple
-    log_ratios: tuple  # |Delta(sigma)| / log|sigma|
-    trends: tuple  # Delta(sigma) / (|sigma| log|sigma|)
-    c_star: mp.mpf
-    slope: mp.mpf
-    passed: bool
+#: log_ratios holds |Delta(sigma)| / log|sigma|, trends Delta(sigma) / (|sigma| log|sigma|)
+GrowthCertificate = namedtuple("GrowthCertificate", "alpha h t sigmas deltas log_ratios trends "
+                                                    "c_star slope passed")
 
 
 def growth_t_max(sigmas) -> mp.mpf:

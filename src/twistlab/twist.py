@@ -46,7 +46,7 @@ at 1 - s, with a stated error radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -130,10 +130,7 @@ def divisor_stream(shared: bool = True) -> DivisorStream:
 # Twist evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwistPartialSum:
-    value: mp.mpc
-    tail_estimate: mp.mpf
+TwistPartialSum = namedtuple("TwistPartialSum", "value tail_estimate")
 
 
 #: Bits below 2^-bits carried by the prime powers of a series pass, so that
@@ -470,10 +467,8 @@ def _conversion_rhs(a: int, p: int, f_chis, f_full, f_p_free) -> mp.mpc:
     return char_part / (p - 1) - (mp.mpf(p) / (p - 1) * f_p_free - f_full)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    lhs: mp.mpc
-    rhs: mp.mpc
+class IdentityCheck(namedtuple("IdentityCheck", "lhs rhs")):
+    __slots__ = ()
 
     @property
     def difference(self) -> mp.mpf:

@@ -744,16 +744,48 @@ class TestBenchmarkRecords:
 
 
 def test_readme_commands_need_only_mpmath(checkout_env):
-    # the runtime dependency is mpmath alone: numpy, scipy and sympy cannot be imported
+    # the runtime dependency is mpmath alone: numpy, scipy and sympy cannot be imported;
+    # nor can dataclasses and inspect, which no command loads
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     commands = [line.split("#")[0].split()[1:] for line in readme.splitlines()
                 if line.startswith("twistlab ")]
     assert [argv[0] for argv in commands] == ["polys", "verify", "euler", "twist-grid"]
     code = ("import sys\n"
-            "sys.modules.update(numpy=None, scipy=None, sympy=None)\n"
+            "sys.modules.update(numpy=None, scipy=None, sympy=None, dataclasses=None, "
+            "inspect=None)\n"
             "from twistlab.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n")
     for argv in commands:
         result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                                 text=True, env=checkout_env)
         assert result.returncode == 0, (argv, result.stderr[-2000:])
+
+
+#: The modules among dataclasses, inspect, csv and json that a fresh
+#: interpreter holds once a command ran.  The child imports nothing itself and
+#: reads argv from sys.argv.
+LOADED = """
+import sys
+from twistlab.cli import main
+status = main(sys.argv[1:])
+sys.stderr.write(" ".join(sorted({"dataclasses", "inspect", "csv", "json"} & set(sys.modules))))
+sys.exit(status)
+"""
+GRID = ["twist-grid", "--sigma-grid", "2", "--t", "0", "--alphas", "1/2"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["verify", "--qmax", "2", "--primes", "3"], []),
+    (GRID, []),
+    ([*GRID, "--out", "out"], ["csv"]),
+    (["--config", "run.json", "twist-grid"], ["json"]),
+    (["--instance", "zeta2.json", "polys", "--K", "2"], ["json"]),
+], ids=" ".join)
+def test_json_and_csv_load_only_to_read_or_write_a_file(argv, loaded, tmp_path, checkout_env):
+    (tmp_path / "run.json").write_text(json.dumps({"sigma_grid": [2], "t": "0",
+                                                   "alphas": ["1/2"]}))
+    (tmp_path / "zeta2.json").write_text(json.dumps(ZETA2))
+    result = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True,
+                            text=True, env=checkout_env, cwd=tmp_path, timeout=60)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stderr.split() == loaded

@@ -1,10 +1,13 @@
 """The exact layer stays exact: the exact scalars and polynomials, the datum,
 the Bernoulli tables, the transformation polynomials, the Euler solve and the
 reports import no floating-point library, and ``polys`` and ``euler`` run to
-the end with mpmath unimportable, printing the bytes they printed with it."""
+the end with mpmath unimportable, printing the bytes they printed with it.
+The exact layer's records compare, hash and pickle by their fields and refuse
+assignment."""
 
 import ast
 import hashlib
+import pickle
 import subprocess
 import sys
 from decimal import Decimal
@@ -15,7 +18,11 @@ import mpmath as mp
 import pytest
 
 import twistlab
-from twistlab.reports import nstr
+from twistlab.cli import RunConfig
+from twistlab.euler import LocalFactor, solve_local_factor
+from twistlab.exactpoly import GaussianRational
+from twistlab.funceq import FunctionalEquationDatum, GammaFactor, QParam, zeta2_datum
+from twistlab.reports import Report, nstr
 
 PACKAGE = Path(twistlab.__file__).resolve().parent
 ANALYTIC = {"mpmath", "special", "twist", "transform"}
@@ -77,12 +84,16 @@ HEAD_BYTES = {
         "euler_factors.csv": "2536aed31615f068d4e74c9fccd203e2404dbdcfd2146406b701e4743d50ed5c"},
 }
 
+#: The exact commands load neither the analytic layer nor the standard library's
+#: dataclasses, inspect and pickle, and csv only when they write a file.
 WITHOUT_MPMATH = """
 import sys
 sys.modules["mpmath"] = None  # every import of mpmath now raises ImportError
 from twistlab.cli import main
 status = main(sys.argv[1:])
-assert not {"twistlab.special", "twistlab.twist", "twistlab.transform", "pickle"} & set(sys.modules)
+unwanted = {"twistlab.special", "twistlab.twist", "twistlab.transform", "pickle", "dataclasses",
+            "inspect", *(() if "--out" in sys.argv else ("csv",))}
+assert not unwanted & set(sys.modules), sorted(unwanted & set(sys.modules))
 sys.exit(status)
 """
 
@@ -131,3 +142,46 @@ def test_exact_values_print_as_mp_nstr_at_the_run_precision(x, prec):
         value = mp.mpf(str(x))
     for n in (3, 6, 20):
         assert nstr(x, n, prec) == mp.nstr(value, n), n
+
+
+#: The exact layer's frozen values, each built twice by the same call.
+FROZEN = {
+    "LocalFactor": lambda: LocalFactor(prime=2, partial_degree=1, roots=(Fraction(1, 2),)),
+    "LocalFactorSolution": lambda: solve_local_factor(Fraction(4), 2),
+    "QParam": lambda: QParam(coef=Fraction(3)),
+    "GammaFactor": lambda: GammaFactor(lam=Fraction(1, 2), mu=GaussianRational(0)),
+    "FunctionalEquationDatum": zeta2_datum,
+    "RunConfig": lambda: RunConfig(q_max=2),
+}
+
+
+@pytest.mark.parametrize("make", FROZEN.values(), ids=FROZEN)
+def test_frozen_values_compare_hash_and_pickle_by_their_fields(make):
+    value, twin = make(), make()
+    assert value == twin and value is not twin and hash(value) == hash(twin)
+    assert pickle.loads(pickle.dumps(value)) == value
+    for name in (*value._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+def test_defaults_fill_the_trailing_fields():
+    assert QParam(Fraction(3)) == QParam(Fraction(3), Fraction(0))
+    datum = zeta2_datum()
+    bare = FunctionalEquationDatum(datum.q_param, datum.omega, list(datum.factors))
+    assert (bare.factors, bare.pole_order, bare.label) == (datum.factors, 0, "")
+    assert RunConfig(precision=64) == RunConfig()._replace(precision=64)
+    assert RunConfig().precision == 128 and RunConfig().out is None
+
+
+def test_reports_compare_by_value_and_do_not_hash():
+    first, second = Report("title"), Report(title="title")
+    assert first.records is not second.records
+    for report in (first, second):
+        report.add("name", "claim", 1, 2, True)
+    assert first == second and first.records == second.records
+    for value in (first, first.records[0]):
+        with pytest.raises(TypeError):
+            hash(value)

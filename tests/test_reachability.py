@@ -33,7 +33,11 @@ KEPT = {
     "exactpoly.GaussianRational.__setattr__": "the immutability guard; __init__ writes past it",
     "exactpoly.Polynomial.__setattr__": "the immutability guard; _set writes past it",
     "exactpoly.GaussianRational.__reduce__": "pickle and copy rebuild a value through __init__",
-    "funceq.FunctionalEquationDatum.__reduce__": "a datum pickles into another process",
+    "funceq.FunctionalEquationDatum.__reduce__": "a datum pickles into another process without "
+                                                 "its cached hash, which a salted str's hash "
+                                                 "would make stale there",
+    **dict.fromkeys(("funceq.FunctionalEquationDatum.__setattr__", "cli.RunConfig.__setattr__"),
+                    "the immutability guard of a tuple whose dict holds a cache"),
     "exactpoly.GaussianRational.__bool__": "a zero value is false, as a zero int or Fraction is",
     "exactpoly.Polynomial.__hash__": "a value that defines __eq__ stays hashable",
     "special.DirichletCharacter.__eq__": "characters compare by modulus and index",
